@@ -10,20 +10,13 @@ __version__ = "0.1.0"
 
 from .coupled import (
     CorrelationPattern,
-    CoupledPath,
-    EntranceSample,
     argmin_coincidence,
     discrete_phi,
     entrance_heights,
     entrance_mass,
     exact_survival_probability,
-    gen_coupled_bm,
-    gen_coupled_walk,
     m_lambda_functional,
     make_pattern,
-    make_pattern_on_interval,
-    sample_entrance,
-    survival_corr,
 )
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import EstimateWithError, derive_rng, derive_seed
@@ -44,13 +37,7 @@ from .theorem import (
     sensitivity_curve,
     verify_theorem,
 )
-from .timesets import (
-    DyadicRational,
-    PointSet,
-    TimeSet,
-    affine_preimage,
-    count_in,
-)
+from .timesets import DyadicRational, TimeSet, affine_preimage
 from .walsh import (
     ChaosSpectrum,
     FunctionTable,

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -123,12 +124,20 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(argv: list[str], ap: argparse.ArgumentParser) -> argparse.Namespace:
     args = ap.parse_args(argv)
     if args.config:
-        with open(args.config) as fh:
-            stored = json.load(fh)
-        defaults = {k.replace("-", "_"): v for k, v in stored.items() if k not in ("command",)}
+        try:
+            with open(args.config) as fh:
+                stored = json.load(fh)
+        except (OSError, ValueError) as exc:
+            ap.error(f"cannot read --config {args.config}: {exc}")
+        if not isinstance(stored, dict):
+            ap.error(f"--config {args.config} must hold a JSON object")
+        defaults = {k.replace("-", "_"): v for k, v in stored.items() if k != "command"}
+        unknown = sorted(k for k in defaults if not hasattr(args, k))
+        if unknown:
+            ap.error(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
         explicit = {k for k in vars(args) if _flag_given(argv, k)}
         for key, value in defaults.items():
-            if key not in explicit and hasattr(args, key):
+            if key not in explicit:
                 setattr(args, key, value)
     for dest in _REQUIRED.get(args.command, ()):
         if getattr(args, dest, None) is None:
@@ -141,9 +150,12 @@ def _flag_given(argv: list[str], dest: str) -> bool:
     return any(tok == flag or tok.startswith(flag + "=") for tok in argv)
 
 
-def _parse_fraction(text: str) -> float:
-    from fractions import Fraction
-    return float(Fraction(text.strip()))
+def _parse_list(text: str, flag: str, parse=int) -> list:
+    """Comma-separated values of one flag; a bad token is a domain error."""
+    try:
+        return [parse(tok.strip()) for tok in text.split(",")]
+    except (ValueError, ZeroDivisionError):
+        raise DomainError(f"{flag} takes comma-separated numbers, got {text!r}") from None
 
 
 # -- command bodies --------------------------------------------------------
@@ -160,7 +172,7 @@ def _run_discrete_phi(args) -> int:
 def _run_mc_phi(args) -> int:
     region = _parse_region(args.A)
     if args.n_grid_list:
-        grids = [int(tok) for tok in args.n_grid_list.split(",")]
+        grids = _parse_list(args.n_grid_list, "--n-grid-list")
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n_grid", "estimate", "stderr", "n_samples", "tie_fraction"])
@@ -219,7 +231,7 @@ def _run_theorem_check(args) -> int:
 
 
 def _run_sensitivity_curve(args) -> int:
-    n_list = [int(tok) for tok in args.n_list.split(",")]
+    n_list = _parse_list(args.n_list, "--n-list")
     rows = sensitivity_curve(args.rho, n_list, args.samples, args.seed)
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -232,7 +244,7 @@ def _run_sensitivity_curve(args) -> int:
 
 def _run_consistency_check(args) -> int:
     region = _parse_region(args.A)
-    starts = [_parse_fraction(tok) for tok in args.t0.split(",")]
+    starts = _parse_list(args.t0, "--t0", lambda tok: float(Fraction(tok)))
     if len(starts) != 2:
         raise DomainError("--t0 takes exactly two comma-separated start times")
     runs = [

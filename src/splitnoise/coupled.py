@@ -1,9 +1,12 @@
-"""Coupled-path Monte Carlo: perturbation patterns and the estimators.
+"""Coupled-path Monte Carlo: perturbation patterns, coupling kernels and
+the estimators.
 
 A perturbation region A and a correlation level rho induce a per-step
 correlation pattern on a uniform grid: rho where the step's left
 endpoint lies in A, 1 elsewhere.  Pattern-1 steps of a coupled pair
-share increments bitwise; pattern-rho steps are freshly mixed.
+share increments bitwise; pattern-rho steps are freshly mixed.  Every
+estimator draws its coupled increments from one of two kernels:
+_coupled_normals for Brownian pairs, _coupled_signs for +-1 walk pairs.
 
 Path-survival functionals are estimated with Brownian-bridge crossing
 weights on the uniform grid: given the grid values, each step
@@ -36,7 +39,6 @@ _ARGMIN_ELEMENTS = 1 << 24  # target elements per (batch, grid) array
 # estimator stream tags for seed derivation
 _TAG_DISCRETE_PHI = 1
 _TAG_ARGMIN = 2
-_TAG_SURVIVAL = 3
 _TAG_MLAMBDA = 4
 
 
@@ -44,17 +46,16 @@ _TAG_MLAMBDA = 4
 
 @dataclass(frozen=True)
 class CorrelationPattern:
-    """Per-step increment correlations on a uniform grid of [t_start, t_end]."""
+    """Per-step increment correlations on a uniform grid of [t_start, 1]."""
 
     rho_per_step: np.ndarray
     t_start: float = 0.0
-    t_end: float = 1.0
 
     def __post_init__(self):
         rho = np.asarray(self.rho_per_step, dtype=np.float64)
         if rho.ndim != 1 or rho.size < 1:
             raise DomainError("pattern needs at least one step")
-        if not self.t_start < self.t_end:
+        if not self.t_start < 1.0:
             raise DomainError("empty time window")
         object.__setattr__(self, "rho_per_step", rho)
 
@@ -64,108 +65,64 @@ class CorrelationPattern:
 
     @property
     def dt(self) -> float:
-        return (self.t_end - self.t_start) / self.n_steps
+        return (1.0 - self.t_start) / self.n_steps
 
 
-def _check_rho(rho: float, closed: bool = False):
-    if 0.0 <= rho < 1.0 or (closed and rho == 1.0):
-        return
-    raise DomainError(f"rho={rho} outside [0,1{']' if closed else ')'}")
+def make_pattern(region, rho: float, n: int, t_start: float = 0.0) -> CorrelationPattern:
+    """Pattern on the n-step grid of [t_start, 1], each step sampled at its left endpoint.
 
-
-def make_pattern(region: TimeSet, rho: float, n: int) -> CorrelationPattern:
-    """Pattern on the n-step grid of [0,1]; step k sampled at its left endpoint k/n."""
-    _check_rho(rho)
+    region is a TimeSet or a list of float (lo, hi) pairs.  rho lies in
+    [0,1); a window starting after 0 (an entrance-law survival window)
+    also accepts rho = 1, where the pair degenerates to a single path.
+    """
+    if not (0.0 <= rho < 1.0 or (t_start > 0.0 and rho == 1.0)):
+        raise DomainError(f"rho={rho} outside [0,1{']' if t_start > 0.0 else ')'}")
     if n < 1:
         raise DomainError("need at least one step")
-    grid = np.arange(n) / n
-    return CorrelationPattern(_pattern_values(region.as_pairs(), rho, grid))
-
-
-def make_pattern_on_interval(region_pairs, rho: float, t_start: float,
-                             n_steps: int, t_end: float = 1.0) -> CorrelationPattern:
-    """Pattern on the n_steps grid of [t_start, t_end], left-endpoint sampled.
-
-    Unlike make_pattern this accepts rho = 1 (the pair then degenerates
-    to a single path and survival weights are exact).
-    """
-    _check_rho(rho, closed=True)
-    pairs = region_pairs.as_pairs() if isinstance(region_pairs, TimeSet) else list(region_pairs)
-    grid = t_start + np.arange(n_steps) * (t_end - t_start) / n_steps
-    return CorrelationPattern(_pattern_values(pairs, rho, grid), t_start, t_end)
-
-
-def _pattern_values(pairs, rho: float, grid: np.ndarray) -> np.ndarray:
-    inside = np.zeros(grid.size, dtype=bool)
+    pairs = region.as_pairs() if isinstance(region, TimeSet) else list(region)
+    grid = t_start + np.arange(n) * (1.0 - t_start) / n
+    inside = np.zeros(n, dtype=bool)
     for lo, hi in pairs:
         inside |= (grid >= lo) & (grid <= hi)
-    return np.where(inside, rho, 1.0)
+    return CorrelationPattern(np.where(inside, rho, 1.0), t_start)
 
 
-# -- coupled generators ----------------------------------------------------
+# -- coupling kernels --------------------------------------------------------
 
-def gen_coupled_walk(pattern: CorrelationPattern, rng: np.random.Generator,
-                     size: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Coupled +-1 increment pair: eps uniform, eps' = eps resampled per step.
+def _coupled_normals(rho, sqdt: float, rng: np.random.Generator,
+                     shape) -> tuple[np.ndarray, np.ndarray]:
+    """Coupled N(0, dt) increment pair (db, db') with per-step correlation rho.
 
-    eps'_k equals eps_k with probability (1+rho_k)/2, else -eps_k, so
-    E[eps_k eps'_k] = rho_k and eps' is marginally uniform.  Pattern-1
-    steps copy eps bitwise.
+    rho is a numpy scalar or an array that broadcasts against shape.
+    db' = rho db + sqrt(1-rho^2) sqdt z with a fresh normal z; where
+    rho = 1 it is db bitwise, and when every rho = 1 no second normal is
+    drawn.
     """
-    shape = (pattern.n_steps,) if size is None else (size, pattern.n_steps)
-    eps = rng.integers(0, 2, size=shape, dtype=np.int8) * 2 - 1
-    keep = (1.0 + pattern.rho_per_step) / 2.0
-    flip = rng.random(size=shape) >= keep
-    eps_prime = np.where(flip, -eps, eps)
-    return eps, eps_prime
-
-
-@dataclass(frozen=True)
-class CoupledPath:
-    """A coupled pair of Gaussian-increment paths on a uniform grid.
-
-    Increments are the primitive data (pattern-1 steps hold bitwise-equal
-    entries); positions are derived by cumulation from the start value.
-    """
-
-    times: np.ndarray
-    db: np.ndarray
-    db_prime: np.ndarray
-    start: float = 0.0
-
-    @property
-    def b(self) -> np.ndarray:
-        return _paths_from(self.db, self.start)
-
-    @property
-    def b_prime(self) -> np.ndarray:
-        return _paths_from(self.db_prime, self.start)
-
-
-def gen_coupled_bm(pattern: CorrelationPattern, rng: np.random.Generator,
-                   size: int | None = None, start: float = 0.0) -> CoupledPath:
-    """Coupled Brownian pair: shared N(0,dt) increments off the region,
-    rho-mixed Gaussian increments on it."""
-    n = pattern.n_steps
-    shape = (n,) if size is None else (size, n)
-    sqdt = math.sqrt(pattern.dt)
     db = rng.standard_normal(shape) * sqdt
-    db_prime = _mix_increments(db, rng.standard_normal(shape) * sqdt,
-                               pattern.rho_per_step)
-    times = pattern.t_start + np.arange(n + 1) * pattern.dt
-    return CoupledPath(times, db, db_prime, start)
+    shared = rho == 1.0
+    # a scalar rho (one survival step) skips the array reduction and the
+    # select: at small batches either costs as much as the step itself
+    if shared.all() if shared.ndim else shared:
+        return db, db
+    mixed = rho * db + np.sqrt(1.0 - rho**2) * sqdt * rng.standard_normal(shape)
+    return db, np.where(shared, db, mixed) if shared.ndim else mixed
 
 
-def _mix_increments(db: np.ndarray, db_indep: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """db' = rho*db + sqrt(1-rho^2)*independent; bitwise db where rho = 1."""
-    mixed = rho * db + np.sqrt(1.0 - rho**2) * db_indep
-    return np.where(rho == 1.0, db, mixed)
+_HALF = np.float32(0.5)
 
 
-def _paths_from(increments: np.ndarray, start: float) -> np.ndarray:
-    pos = np.cumsum(increments, axis=-1)
-    zeros = np.zeros(increments.shape[:-1] + (1,))
-    return start + np.concatenate([zeros, pos], axis=-1)
+def _coupled_signs(u: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
+    """Coupled +-1 pair (eps, eps') from one float32 uniform per step.
+
+    The four values of the pair take disjoint u-intervals: eps = -1 iff
+    u >= 1/2, and eps' = -eps iff u mod 1/2 >= (1+rho)/4.  So eps and
+    eps' are uniform signs with E[eps eps'] = rho, and eps' = eps
+    wherever rho = 1.  rho is a scalar or broadcasts against u.
+    """
+    neg = u >= _HALF
+    eps = 1 - 2 * neg.astype(np.int32)
+    flip = (u - _HALF * neg) >= np.float32((1.0 + rho) / 4.0)
+    return eps, np.where(flip, -eps, eps)
 
 
 # -- discrete-model correlation estimator ----------------------------------
@@ -179,24 +136,14 @@ def discrete_phi(region: TimeSet, rho: float, n: int, n_samples: int,
     """
     if n > WALK_LENGTH_CAP:
         raise ResourceLimitError(f"walk length {n} exceeds cap {WALK_LENGTH_CAP}")
-    if n_samples < 2:
-        raise DomainError("need at least two samples")
     pattern = make_pattern(region, rho, n)
-    # one uniform per step encodes both the sign and the resampling flip:
-    # the pair (eps, eps') takes its four values on disjoint u-intervals
-    flip_at = ((1.0 + pattern.rho_per_step) / 4.0).astype(np.float32)
-    half = np.float32(0.5)
     moments = RunningMoments()
     for i, b in enumerate(batch_sizes(n_samples, _WALK_BATCH)):
         rng = derive_rng(seed, _TAG_DISCRETE_PHI, i)
         x = np.zeros(b, dtype=np.int32)
         x_prime = np.zeros(b, dtype=np.int32)
-        for k in range(n):
-            u = rng.random(b, dtype=np.float32)
-            neg = u >= half
-            eps = 1 - 2 * neg.astype(np.int32)
-            flip = (u - half * neg) >= flip_at[k]
-            eps_prime = np.where(flip, -eps, eps)
+        for rho_k in pattern.rho_per_step:
+            eps, eps_prime = _coupled_signs(rng.random(b, dtype=np.float32), rho_k)
             x += np.where(x >= 0, eps, -eps)
             x_prime += np.where(x_prime >= 0, eps_prime, -eps_prime)
         prod = np.where(x >= 0, 1.0, -1.0) * np.where(x_prime >= 0, 1.0, -1.0)
@@ -215,24 +162,19 @@ def argmin_coincidence(region: TimeSet, rho: float, n_grid: int, n_samples: int,
     """
     if n_grid < 2:
         raise DomainError("need at least two grid steps")
-    if n_samples < 2:
-        raise DomainError("need at least two samples")
     pattern = make_pattern(region, rho, n_grid)
-    rho_row = pattern.rho_per_step[None, :]
     sqdt = math.sqrt(pattern.dt)
-    mix = np.sqrt(1.0 - pattern.rho_per_step**2)[None, :] * sqdt
     batch = max(1, _ARGMIN_ELEMENTS // n_grid)
     moments = RunningMoments()
     n_ties = 0
     for i, b in enumerate(batch_sizes(n_samples, batch)):
         rng = derive_rng(seed, _TAG_ARGMIN, i)
-        db = rng.standard_normal((b, n_grid)) * sqdt
-        db_prime = np.where(rho_row == 1.0, db, rho_row * db + mix * rng.standard_normal((b, n_grid)))
+        db, db_prime = _coupled_normals(pattern.rho_per_step, sqdt, rng, (b, n_grid))
         idx, ties = _argmin_with_start(np.cumsum(db, axis=1))
         idx_p, ties_p = _argmin_with_start(np.cumsum(db_prime, axis=1))
         n_ties += int(np.count_nonzero(ties | ties_p))
         moments.add((idx == idx_p).astype(np.float64))
-    tie_fraction = n_ties / n_samples
+    tie_fraction = n_ties / max(moments.count, 1)  # from_moments rejects < 2 samples
     extra = {"tie_fraction": tie_fraction, "tie_flag": tie_fraction > 1e-3}
     return EstimateWithError.from_moments(moments, seed, extra=extra)
 
@@ -257,18 +199,6 @@ def exact_survival_probability(y: float | np.ndarray, horizon: float) -> float |
     return erf(np.asarray(y) / math.sqrt(2.0 * horizon))
 
 
-@dataclass(frozen=True)
-class EntranceSample:
-    """A starting height with its importance weight."""
-
-    y: float
-    weight: float
-
-    def __post_init__(self):
-        if self.y <= 0 or self.weight <= 0:
-            raise DomainError("entrance samples carry positive height and weight")
-
-
 def entrance_mass(t: float) -> float:
     """Total mass of the excursion entrance measure at time t: t**-1/2."""
     return t**-0.5
@@ -287,11 +217,6 @@ def entrance_heights(t: float, rng: np.random.Generator,
     return np.sqrt(-2.0 * t * np.log(u))
 
 
-def sample_entrance(t: float, rng: np.random.Generator) -> EntranceSample:
-    """One weighted draw from the entrance measure at time t."""
-    return EntranceSample(y=float(entrance_heights(t, rng)), weight=entrance_mass(t))
-
-
 def _bridge_noncrossing(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     """P(the Brownian bridge between grid values a, b stays positive)."""
     expo = np.minimum(-2.0 * a * b / dt, 0.0)
@@ -299,63 +224,36 @@ def _bridge_noncrossing(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _joint_survival(y: np.ndarray, pattern: CorrelationPattern,
-                    rng: np.random.Generator, bridge: bool) -> np.ndarray:
+                    rng: np.random.Generator) -> np.ndarray:
     """Per-sample probability that both coupled paths from height y stay positive.
 
-    With bridge=True each step contributes the conditional no-crossing
-    probability given the grid values: exact for shared-increment steps
-    (the pair is parallel, so both stay positive iff the lower envelope
-    does), factorized across the pair on rho-steps.  With bridge=False,
-    plain grid-positivity indicators.
+    Each step contributes the conditional no-crossing probability given
+    the grid values: exact for shared-increment steps (the pair is
+    parallel, so both stay positive iff the lower envelope does),
+    factorized across the pair on rho-steps.
     """
     dt = pattern.dt
     sqdt = math.sqrt(dt)
     w = np.asarray(y, dtype=np.float64).copy()
     w_prime = w.copy()
     weight = np.ones_like(w)
-    for k in range(pattern.n_steps):
-        rho_k = pattern.rho_per_step[k]
-        db = rng.standard_normal(w.shape) * sqdt
-        if rho_k == 1.0:
-            db_prime = db
-        else:
-            db_prime = rho_k * db + math.sqrt(1.0 - rho_k**2) * sqdt * rng.standard_normal(w.shape)
+    for rho_k in pattern.rho_per_step:
+        db, db_prime = _coupled_normals(rho_k, sqdt, rng, w.shape)
         w_new = w + db
         w_prime_new = w_prime + db_prime
-        if bridge:
-            if rho_k == 1.0:
-                q = _bridge_noncrossing(np.minimum(w, w_prime),
-                                        np.minimum(w_new, w_prime_new), dt)
-            else:
-                q = _bridge_noncrossing(w, w_new, dt) * _bridge_noncrossing(
-                    w_prime, w_prime_new, dt)
+        if rho_k == 1.0:
+            q = _bridge_noncrossing(np.minimum(w, w_prime),
+                                    np.minimum(w_new, w_prime_new), dt)
         else:
-            q = ((w_new > 0.0) & (w_prime_new > 0.0)).astype(np.float64)
+            q = _bridge_noncrossing(w, w_new, dt) * _bridge_noncrossing(
+                w_prime, w_prime_new, dt)
         weight *= q
         w, w_prime = w_new, w_prime_new
     return weight
 
 
-def survival_corr(y: float, pattern: CorrelationPattern, n_samples: int,
-                  seed: int, bridge: bool = True) -> EstimateWithError:
-    """E[1(both coupled paths from height y stay positive over the window)].
-
-    With an all-ones pattern this reduces to the single-path survival
-    probability; the reflection closed form is the test oracle.
-    """
-    if y <= 0:
-        raise DomainError("height must be positive")
-    moments = RunningMoments()
-    for i, b in enumerate(batch_sizes(n_samples, _SURVIVAL_BATCH)):
-        rng = derive_rng(seed, _TAG_SURVIVAL, i)
-        start = np.full(b, float(y))
-        moments.add(_joint_survival(start, pattern, rng, bridge))
-    return EstimateWithError.from_moments(moments, seed)
-
-
 def m_lambda_functional(region_pairs, rho: float, t0: float, n_samples: int,
-                        seed: int, n_steps: int = 1024,
-                        bridge: bool = True) -> EstimateWithError:
+                        seed: int, n_steps: int = 1024) -> EstimateWithError:
     """Entrance-law mixture of the two-path survival correlation.
 
     Estimates the spectral-sample functional E[rho^(points in the region)]
@@ -370,11 +268,11 @@ def m_lambda_functional(region_pairs, rho: float, t0: float, n_samples: int,
         raise PreconditionError(f"region must be supported on [{t0}, 1]")
     if not 0.0 < t0 < 1.0:
         raise DomainError(f"start time {t0} outside (0,1)")
-    pattern = make_pattern_on_interval(pairs, rho, t0, n_steps)
+    pattern = make_pattern(pairs, rho, n_steps, t_start=t0)
     mass = entrance_mass(t0)
     moments = RunningMoments()
     for i, b in enumerate(batch_sizes(n_samples, _SURVIVAL_BATCH)):
         rng = derive_rng(seed, _TAG_MLAMBDA, i)
         y = entrance_heights(t0, rng, b)
-        moments.add(mass * _joint_survival(y, pattern, rng, bridge))
+        moments.add(mass * _joint_survival(y, pattern, rng))
     return EstimateWithError.from_moments(moments, seed)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for the sub-stream identified by path."""
@@ -31,6 +33,8 @@ def derive_seed(seed: int, *path: int) -> int:
 
 def batch_sizes(n_samples: int, batch: int) -> list[int]:
     """Deterministic split of n_samples into batches of at most `batch`."""
+    if n_samples < 0:
+        raise DomainError(f"sample count {n_samples} is negative")
     full, rem = divmod(int(n_samples), int(batch))
     return [batch] * full + ([rem] if rem else [])
 
@@ -57,8 +61,6 @@ class RunningMoments:
         self.count = total
 
     def stderr(self) -> float:
-        if self.count < 2:
-            return 0.0
         return math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
 
 
@@ -84,6 +86,9 @@ class EstimateWithError:
     @classmethod
     def from_moments(cls, moments: RunningMoments, seed: int | None,
                      extra: dict | None = None) -> "EstimateWithError":
+        """The sampled estimate; fewer than two samples would give no stderr."""
+        if moments.count < 2:
+            raise DomainError(f"need at least two samples, got {moments.count}")
         return cls(mean=moments.mean, stderr=moments.stderr(),
                    n_samples=moments.count, seed=seed, extra=extra)
 

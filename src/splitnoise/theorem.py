@@ -183,6 +183,7 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
 
     With check_stability, the direct route is repeated on the doubled
     grid and the two direct estimates must also agree at four sigma.
+    A direct-route run with its tie flag set fails the check.
     """
     lhs = argmin_coincidence(region, rho, lhs_n_grid, lhs_samples,
                              derive_seed(seed, _TAG_LHS))
@@ -197,10 +198,11 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
                                          derive_seed(seed, _TAG_LHS_REFINED))
         pair = math.sqrt(lhs.stderr**2 + lhs_refined.stderr**2)
         stability_ok = abs(lhs.mean - lhs_refined.mean) <= 4.0 * pair
+    tied = any(est.extra["tie_flag"] for est in (lhs, lhs_refined) if est is not None)
     return TheoremReport(
         region=str(region), rho=rho, lhs=lhs, rhs=rhs,
         discrepancy=discrepancy, combined_stderr=combined,
-        passed=abs(discrepancy) <= 4.0 * combined,
+        passed=abs(discrepancy) <= 4.0 * combined and not tied,
         lhs_refined=lhs_refined, stability_ok=stability_ok,
     )
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DomainError, PreconditionError
 
 
@@ -204,40 +202,6 @@ class TimeSet:
             elif lo >= t and v is None:
                 v = lo
         return u, v
-
-
-@dataclass(frozen=True)
-class PointSet:
-    """Finite sorted collection of times in [0,1]."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.sort(np.asarray(self.points, dtype=float).ravel())
-        if pts.size and (pts[0] < 0.0 or pts[-1] > 1.0):
-            raise DomainError("points outside [0,1]")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return int(self.points.size)
-
-
-def count_in(points: PointSet | np.ndarray | Sequence[float],
-             region: TimeSet | Sequence[tuple[float, float]]) -> int:
-    """Number of points lying in the (closed) components of the region."""
-    pts = points.points if isinstance(points, PointSet) else np.asarray(points, dtype=float)
-    return int(count_in_array(pts.ravel()[None, :], region)[0])
-
-
-def count_in_array(points: np.ndarray,
-                   region: TimeSet | Sequence[tuple[float, float]]) -> np.ndarray:
-    """Row-wise |S cap A| for a (batch, k) array of point samples."""
-    pairs = region.as_pairs() if isinstance(region, TimeSet) else list(region)
-    pts = np.asarray(points, dtype=float)
-    counts = np.zeros(pts.shape[0], dtype=np.int64)
-    for lo, hi in pairs:
-        counts += ((pts >= lo) & (pts <= hi)).sum(axis=1)
-    return counts
 
 
 def merge_intervals(pairs: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -5,6 +5,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from splitnoise.cli import main as cli_main
 from splitnoise.coupled import (
@@ -94,6 +95,7 @@ def test_criterion_3_spectral_oracle_identity():
                    f"max Parseval defect {worst_parseval:.2e} < 1e-12")
 
 
+@pytest.mark.slow
 def test_criterion_4_noise_sensitivity():
     start = time.monotonic()
     vals = {n: sign_correlation_exact(np.full(n, 0.5)) for n in range(6, 21)}
@@ -124,6 +126,7 @@ def test_criterion_5_entrance_law_mass():
             ", ".join(details) + " within 1.00 +- 0.01")
 
 
+@pytest.mark.slow
 def test_criterion_6_lemma_consequence():
     region = [(0.5, 0.75)]
     a = m_lambda_functional(region, 0.5, 1 / 32, 1_000_000, seed=606, n_steps=1024)
@@ -145,6 +148,7 @@ _REGRESSION = {
 }
 
 
+@pytest.mark.slow
 def test_criterion_7_main_theorem_desk_scale():
     start = time.monotonic()
     suite = [("1/4..1/2", 0.3, 707), ("1/4..1/2", 0.7, 708),

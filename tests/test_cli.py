@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from splitnoise import theorem
 from splitnoise.cli import main
+from splitnoise.sampling import EstimateWithError
 
 
 def run_cli(argv, capsys):
@@ -133,3 +135,74 @@ def test_config_file_merge(tmp_path, capsys):
     assert doc["parameters"]["samples"] == 250
     assert doc["parameters"]["n_grid"] == 64
     assert doc["parameters"]["seed"] == 9
+
+
+def exit_code(argv, capsys):
+    """Exit code and stderr of a run; any exception but SystemExit fails the test."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("text", [None, "{not json", '["rho", 0.5]',
+                                  '{"rho": 0.5, "sampels": 100}'],
+                         ids=["missing", "malformed", "not-an-object", "unknown-key"])
+def test_bad_config_exit_2(tmp_path, capsys, text):
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    code, err = exit_code(["--config", str(cfg), "mc-phi", "--n-grid", "64",
+                           "--samples", "100"], capsys)
+    assert code == 2
+    assert "config" in err
+    if text and "sampels" in text:
+        assert "sampels" in err
+
+
+_THEOREM_SMALL = ["--n-grid", "64", "--samples", "100", "--nodes", "2",
+                  "--node-steps", "8"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc-phi", "--rho", "0.5", "--n-grid-list", "128,x", "--samples", "100"],
+    ["sensitivity-curve", "--rho", "0.5", "--n-list", "8,1.5", "--samples", "100"],
+    ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--t0", "1/32,zz",
+     "--samples", "100", "--steps", "8"],
+    ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--samples", "0",
+     "--steps", "8"],
+    ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--samples", "1",
+     "--steps", "8"],
+    ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--node-samples", "1",
+     *_THEOREM_SMALL],
+    ["discrete-phi", "--rho", "1", "--n", "8", "--samples", "100"],
+    ["mc-phi", "--rho", "1", "--n-grid", "64", "--samples", "100"],
+    ["theorem-check", "--rho", "1", "--node-samples", "100", *_THEOREM_SMALL],
+], ids=["n-grid-list", "n-list", "t0", "samples-0", "samples-1", "node-samples-1",
+        "discrete-phi-rho-1", "mc-phi-rho-1", "theorem-check-rho-1"])
+def test_bad_input_exit_2(capsys, argv):
+    code, err = exit_code(argv, capsys)
+    assert code == 2
+    assert err.splitlines()[0].startswith("error kind=domain")
+
+
+@pytest.mark.parametrize("tied_run", [None, 0, 1], ids=["no-ties", "lhs", "lhs-refined"])
+def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run):
+    runs = []
+
+    def direct_route(*args):
+        tied = len(runs) == tied_run
+        runs.append(args)
+        return EstimateWithError(1.0, 0.0, 100, seed=0,
+                                 extra={"tie_fraction": 0.01 * tied, "tie_flag": tied})
+
+    monkeypatch.setattr(theorem, "argmin_coincidence", direct_route)
+    code, out, _ = run_cli(["theorem-check", "--A", "", "--rho", "0.5",
+                            "--check-stability"], capsys)
+    results = json.loads(out)["results"]
+    assert len(runs) == 2 and results["discrepancy"] == 0.0
+    assert results["pass"] is (tied_run is None)
+    assert code == (0 if tied_run is None else 1)

@@ -6,18 +6,16 @@ from scipy import integrate
 from scipy.special import erf
 
 from splitnoise.coupled import (
+    _coupled_normals,
+    _coupled_signs,
+    _joint_survival,
     argmin_coincidence,
     discrete_phi,
     entrance_heights,
     entrance_mass,
     exact_survival_probability,
-    gen_coupled_bm,
-    gen_coupled_walk,
     m_lambda_functional,
     make_pattern,
-    make_pattern_on_interval,
-    sample_entrance,
-    survival_corr,
 )
 from splitnoise.errors import DomainError, PreconditionError, ResourceLimitError
 from splitnoise.sampling import derive_rng
@@ -45,48 +43,65 @@ def test_make_pattern_examples():
 
 
 def test_make_pattern_on_interval():
-    pat = make_pattern_on_interval([(0.5, 0.75)], 0.4, 0.25, 6)
+    pat = make_pattern([(0.5, 0.75)], 0.4, 6, t_start=0.25)
     # grid left endpoints 0.25,0.375,0.5,0.625,0.75,0.875
     assert np.array_equal(pat.rho_per_step, [1, 1, 0.4, 0.4, 0.4, 1])
     assert pat.dt == pytest.approx(0.125)
+    # a survival window after 0 admits rho = 1 (one path); [0,1] does not
+    assert np.all(make_pattern([(0.5, 0.75)], 1.0, 6, t_start=0.25).rho_per_step == 1.0)
+
+
+def coupled_walk(pattern, rng, size):
+    """Coupled sign pair from the estimator's kernel, one uniform per step."""
+    u = rng.random((size, pattern.n_steps), dtype=np.float32)
+    return _coupled_signs(u, pattern.rho_per_step)
+
+
+def coupled_bm(pattern, rng, size):
+    """Coupled Brownian increments from the estimators' kernel."""
+    return _coupled_normals(pattern.rho_per_step, math.sqrt(pattern.dt), rng,
+                            (size, pattern.n_steps))
 
 
 def test_coupled_walk_marginals_and_coupling():
     rng = derive_rng(3, 0)
     pat = make_pattern(EMPTY, 0.5, 8)
-    eps, eps_p = gen_coupled_walk(pat, rng, size=2000)
+    eps, eps_p = coupled_walk(pat, rng, size=2000)
     assert np.array_equal(eps, eps_p)
 
     n = 100_000
     pat = make_pattern(FULL, 0.5, 4)
-    eps, eps_p = gen_coupled_walk(pat, derive_rng(4, 0), size=n)
+    eps, eps_p = coupled_walk(pat, derive_rng(4, 0), size=n)
     corr = (eps * eps_p).mean(axis=0)
     assert np.all(np.abs(corr - 0.5) < 3 / math.sqrt(n))
     assert np.all(np.abs(eps_p.mean(axis=0)) < 4 / math.sqrt(n))
 
     pat0 = make_pattern(FULL, 0.0, 4)
-    eps, eps_p = gen_coupled_walk(pat0, derive_rng(5, 0), size=n)
+    eps, eps_p = coupled_walk(pat0, derive_rng(5, 0), size=n)
     assert np.all(np.abs((eps * eps_p).mean(axis=0)) < 3 / math.sqrt(n))
 
 
 def test_coupled_bm_identical_when_unperturbed():
-    path = gen_coupled_bm(make_pattern(EMPTY, 0.5, 64), derive_rng(6, 0), size=100)
-    assert np.array_equal(path.b, path.b_prime)
+    db, db_p = coupled_bm(make_pattern(EMPTY, 0.5, 64), derive_rng(6, 0), size=100)
+    assert np.array_equal(np.cumsum(db, axis=1), np.cumsum(db_p, axis=1))
 
 
 def test_coupled_bm_pattern_one_steps_match_bitwise():
     pat = make_pattern(QUARTER_HALF, 0.5, 32)
-    path = gen_coupled_bm(pat, derive_rng(7, 0), size=500)
+    db, db_p = coupled_bm(pat, derive_rng(7, 0), size=500)
     ones = pat.rho_per_step == 1.0
-    assert np.array_equal(path.db[:, ones], path.db_prime[:, ones])
-    assert not np.array_equal(path.db[:, ~ones], path.db_prime[:, ~ones])
+    assert np.array_equal(db[:, ones], db_p[:, ones])
+    assert not np.array_equal(db[:, ~ones], db_p[:, ~ones])
+    # a scalar rho, as in the survival step loop, mixes the whole step
+    db, db_p = _coupled_normals(np.float64(0.5), 0.25, derive_rng(7, 1), (500,))
+    assert not np.any(db == db_p)
 
 
 def test_coupled_bm_terminal_moments():
     # var(B_1) = 1; cov(B_1, B'_1) = |A^c| + rho |A| = 7/8 for A=[1/4,1/2], rho=1/2
     n = 100_000
-    path = gen_coupled_bm(make_pattern(QUARTER_HALF, 0.5, 64), derive_rng(8, 0), size=n)
-    b1, b1p = path.b[:, -1], path.b_prime[:, -1]
+    db, db_p = coupled_bm(make_pattern(QUARTER_HALF, 0.5, 64), derive_rng(8, 0), size=n)
+    b1, b1p = db.sum(axis=1), db_p.sum(axis=1)
     se = 3 / math.sqrt(n)
     assert abs(b1.var() - 1.0) < 3 * se
     assert abs(b1p.var() - 1.0) < 3 * se
@@ -95,10 +110,8 @@ def test_coupled_bm_terminal_moments():
 
 def test_coupled_bm_increment_variance_one_percent():
     pat = make_pattern(FULL, 0.5, 16)
-    path = gen_coupled_bm(pat, derive_rng(9, 0), size=100_000)
-    for arr in (path.b, path.b_prime):
-        var = np.diff(arr, axis=-1).var()
-        assert abs(var / pat.dt - 1.0) < 0.01
+    for inc in coupled_bm(pat, derive_rng(9, 0), size=100_000):
+        assert abs(inc.var() / pat.dt - 1.0) < 0.01
 
 
 def test_discrete_phi_unperturbed_is_exactly_one():
@@ -147,13 +160,12 @@ def test_estimators_are_deterministic():
 
 def test_entrance_sampler():
     rng = derive_rng(12, 0)
-    s = sample_entrance(0.25, rng)
-    assert s.y > 0
-    assert s.weight == entrance_mass(0.25) == 2.0
+    assert entrance_heights(0.25, rng) > 0
+    assert entrance_mass(0.25) == 2.0
     with pytest.raises(DomainError):
-        sample_entrance(0.0, rng)
+        entrance_heights(0.0, rng)
     with pytest.raises(DomainError):
-        sample_entrance(1.0, rng)
+        entrance_heights(1.0, rng)
 
     # weighted unit expectation is the entrance mass t**-1/2
     y = entrance_heights(1 / 16, rng, 100_000)
@@ -174,30 +186,26 @@ def test_entrance_mass_conservation_closed_form():
         assert abs(vals.mean() - 1.0) < 4 * se + 1e-3
 
 
+def fixed_height_survival(y, pattern, n_samples, seed):
+    """Mean and stderr of the two-path survival weight from a fixed height."""
+    vals = _joint_survival(np.full(n_samples, float(y)), pattern, derive_rng(seed, 0))
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(n_samples)
+
+
 def test_survival_corr_matches_reflection():
-    pat = make_pattern_on_interval([], 0.5, 0.25, 128)
+    pat = make_pattern([], 0.5, 128, t_start=0.25)
     for y in (0.3, 0.8, 1.5):
-        est = survival_corr(y, pat, 100_000, seed=31)
+        mean, se = fixed_height_survival(y, pat, 100_000, seed=31)
         truth = exact_survival_probability(y, 0.75)
-        assert abs(est.mean - truth) < 4 * est.stderr + 1e-4
-    est = survival_corr(100.0, pat, 1000, seed=32)
-    assert est.mean == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(DomainError):
-        survival_corr(-1.0, pat, 100, seed=33)
+        assert abs(mean - truth) < 4 * se + 1e-4
+    mean, _ = fixed_height_survival(100.0, pat, 1000, seed=32)
+    assert mean == pytest.approx(1.0, abs=1e-12)
 
 
 def test_survival_corr_monotone_in_height():
-    pat = make_pattern_on_interval([(0.5, 1.0)], 0.5, 0.25, 128)
-    vals = [survival_corr(y, pat, 50_000, seed=34).mean for y in (0.2, 0.5, 1.0, 2.0)]
+    pat = make_pattern([(0.5, 1.0)], 0.5, 128, t_start=0.25)
+    vals = [fixed_height_survival(y, pat, 50_000, seed=34)[0] for y in (0.2, 0.5, 1.0, 2.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_survival_indicator_grid_only_is_biased_up():
-    # without bridge weights the grid misses interior crossings
-    pat = make_pattern_on_interval([], 0.5, 0.25, 64)
-    plain = survival_corr(0.3, pat, 100_000, seed=35, bridge=False)
-    truth = exact_survival_probability(0.3, 0.75)
-    assert plain.mean > truth + 4 * plain.stderr
 
 
 def test_discrete_bridge_identity():
@@ -210,7 +218,7 @@ def test_discrete_bridge_identity():
     exact = noise_functional(walsh_transform(table), pat.rho_per_step)
 
     n_samples = 200_000
-    eps, eps_p = gen_coupled_walk(pat, derive_rng(36, 0), size=n_samples)
+    eps, eps_p = coupled_walk(pat, derive_rng(36, 0), size=n_samples)
     bits = np.arange(n, dtype=np.uint32)
     mask = ((eps < 0).astype(np.uint32) << bits).sum(axis=1)
     mask_p = ((eps_p < 0).astype(np.uint32) << bits).sum(axis=1)
@@ -252,3 +260,7 @@ def test_m_lambda_preconditions():
         m_lambda_functional([(0.1, 0.5)], 0.5, 0.25, 100, seed=0)
     with pytest.raises(DomainError):
         m_lambda_functional([(0.5, 0.75)], 0.5, 0.0, 100, seed=0)
+    # one sample has no stderr, so no 4-sigma check could use it
+    for n_samples in (-1, 0, 1):
+        with pytest.raises(DomainError):
+            m_lambda_functional([(0.5, 0.75)], 0.5, 0.25, n_samples, seed=0, n_steps=8)

@@ -5,10 +5,8 @@ from fractions import Fraction
 from splitnoise.errors import DomainError, PreconditionError
 from splitnoise.timesets import (
     DyadicRational,
-    PointSet,
     TimeSet,
     affine_preimage,
-    count_in,
     merge_intervals,
 )
 
@@ -63,14 +61,6 @@ def test_boundary_times_examples():
     assert B.boundary_times(0.3) == (0.25, 0.5)
     with pytest.raises(PreconditionError):
         A.boundary_times(0.3)
-
-
-def test_count_in_examples():
-    A = TimeSet.parse("1/4..1/2")
-    assert count_in([0.3, 0.7], A) == 1
-    assert count_in([], A) == 0
-    assert count_in([0.25, 0.5], A) == 2
-    assert count_in(PointSet(np.array([0.25, 0.3, 0.9])), A) == 2
 
 
 def test_affine_preimage_examples():
@@ -158,19 +148,6 @@ def test_complement_tiles_unit_interval():
     assert total == pytest.approx(1.0, abs=1e-15)
     assert TimeSet.empty().complement_components() == [(0.0, 1.0)]
     assert TimeSet.full().complement_components() == []
-
-
-def test_point_counts_partition():
-    rng = np.random.default_rng(11)
-    A = TimeSet.parse("1/8..1/4,1/2..3/4")
-    pts = rng.random(500)
-    inside = count_in(pts, A)
-    open_gaps = [(lo, hi) for lo, hi in A.complement_components()]
-    strictly_out = sum(1 for p in pts if any(lo < p < hi for lo, hi in open_gaps))
-    edges = {e for pair in A.as_pairs() for e in pair}
-    on_edge = sum(1 for p in pts if float(p) in edges)
-    assert inside + strictly_out == len(pts)
-    assert on_edge == 0  # almost surely for continuous draws
 
 
 def test_timeset_immutable_and_hashable():
