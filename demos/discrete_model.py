@@ -9,36 +9,34 @@ can check the identities on every path of a given length.
 import numpy as np
 
 from splitnoise.tanaka import (
-    WalkPath,
     all_increment_patterns,
     identities_hold,
-    local_time,
+    local_time_positions,
     parity_signs,
     positions,
-    recover_sign_parity,
-    x_to_z,
-    z_to_x,
+    x_to_z_increments,
     z_to_x_increments,
 )
 
 print("A single path, by hand")
 print("----------------------")
-z = WalkPath.from_string("--+-++")
-x = z_to_x(z)
-print(f"Z increments : {z.to_string()}")
-print(f"Z positions  : {z.positions}")
-print(f"X positions  : {x.positions}")
-print(f"local time   : {local_time(x)}")
-print(f"Z + running max of -Z : {z.positions + np.maximum.accumulate(-z.positions)}")
-print(f"|X + 1/2| - 1/2       : {np.abs(2 * x.positions + 1) // 2}")
-print(f"round trip x_to_z(z_to_x(Z)) == Z : {x_to_z(x) == z}")
+dz = np.array([1 if c == "+" else -1 for c in "--+-++"])
+dx = z_to_x_increments(dz)
+z, x = positions(dz), positions(dx)
+print(f"Z increments : {''.join('+' if s > 0 else '-' for s in dz)}")
+print(f"Z positions  : {z}")
+print(f"X positions  : {x}")
+print(f"local time   : {local_time_positions(x)}")
+print(f"Z + running max of -Z : {z + np.maximum.accumulate(-z)}")
+print(f"|X + 1/2| - 1/2       : {np.abs(2 * x + 1) // 2}")
+print(f"round trip x_to_z(z_to_x(Z)) == Z : {np.array_equal(x_to_z_increments(dx), dz)}")
 print()
 
 print("Sign recovery from Z alone")
 print("--------------------------")
-for n in range(len(z) + 1):
-    s = recover_sign_parity(z, n)
-    print(f"  n={n}: parity sign {s:+d}   X_n = {x.positions[n]:+d}")
+for n in range(dz.size + 1):
+    s = parity_signs(z[: n + 1])
+    print(f"  n={n}: parity sign {s:+d}   X_n = {x[n]:+d}")
 print()
 
 print("Exhaustive check, all paths of length 12")

@@ -55,7 +55,7 @@ print("Partial perturbation keeps a nontrivial limit")
 print("---------------------------------------------")
 A = TimeSet.parse("1/4..1/2")
 for n in (8, 64, 512, 4096):
-    rho_vec = make_pattern(A, 0.5, n).rho_per_step if n <= 20 else None
+    rho_vec = make_pattern(A, 0.5, n) if n <= 20 else None
     if rho_vec is not None:
         val = sign_correlation_exact(rho_vec)
         print(f"  n={n:5d}  exact  {val:.6f}")

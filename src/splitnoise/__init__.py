@@ -9,7 +9,6 @@ integral identity that describes the limit.
 __version__ = "0.1.0"
 
 from .coupled import (
-    CorrelationPattern,
     argmin_coincidence,
     discrete_phi,
     entrance_heights,
@@ -20,16 +19,7 @@ from .coupled import (
 )
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import EstimateWithError, derive_rng, derive_seed
-from .tanaka import (
-    WalkPath,
-    check_identities,
-    local_time,
-    recover_sign_parity,
-    x_to_z,
-    z_to_x,
-)
 from .theorem import (
-    ArcsineNode,
     TheoremReport,
     arcsine_nodes,
     rhs_factors,

@@ -122,6 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(argv: list[str], ap: argparse.ArgumentParser) -> argparse.Namespace:
+    """Parse argv with each --config value as a --key=value token before the explicit flags.
+
+    True gives a bare flag, false or null no token, a list its comma-joined
+    items; argparse types every value, and the last (explicit) flag wins.
+    """
     args = ap.parse_args(argv)
     if args.config:
         try:
@@ -131,23 +136,25 @@ def _merge_config(argv: list[str], ap: argparse.ArgumentParser) -> argparse.Name
             ap.error(f"cannot read --config {args.config}: {exc}")
         if not isinstance(stored, dict):
             ap.error(f"--config {args.config} must hold a JSON object")
-        defaults = {k.replace("-", "_"): v for k, v in stored.items() if k != "command"}
-        unknown = sorted(k for k in defaults if not hasattr(args, k))
+        stored.pop("command", None)
+        unknown = sorted(k for k in stored if not hasattr(args, k.replace("-", "_")))
         if unknown:
             ap.error(f"unknown config key(s) for {args.command}: {', '.join(unknown)}")
-        explicit = {k for k in vars(args) if _flag_given(argv, k)}
-        for key, value in defaults.items():
-            if key not in explicit:
-                setattr(args, key, value)
+        tokens = []
+        for key, value in stored.items():
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            if value is not False and value is not None:
+                tokens.append("--" + key.replace("_", "-") + ("" if value is True else f"={value}"))
+        # the subcommand is the first token that is not the --config value
+        i = 0
+        while argv[i] != args.command or (i and argv[i - 1] == "--config"):
+            i += 1
+        args = ap.parse_args(argv[: i + 1] + tokens + argv[i + 1 :])
     for dest in _REQUIRED.get(args.command, ()):
         if getattr(args, dest, None) is None:
             ap.error(f"{args.command} requires --{dest.replace('_', '-')}")
     return args
-
-
-def _flag_given(argv: list[str], dest: str) -> bool:
-    flag = "--" + dest.replace("_", "-")
-    return any(tok == flag or tok.startswith(flag + "=") for tok in argv)
 
 
 def _parse_list(text: str, flag: str, parse=int) -> list:

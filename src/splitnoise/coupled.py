@@ -20,7 +20,6 @@ an O(grid step) approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -29,7 +28,7 @@ from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import EstimateWithError, RunningMoments, batch_sizes, derive_rng
 from .timesets import TimeSet
 
-WALK_LENGTH_CAP = 10**7
+STEP_CAP = 10**7  # grid steps per path: walk length, n_grid, node_steps
 
 # fixed batch shapes (reproducibility: a pure function of the parameters)
 _WALK_BATCH = 1 << 17
@@ -44,47 +43,29 @@ _TAG_MLAMBDA = 4
 
 # -- correlation patterns -------------------------------------------------
 
-@dataclass(frozen=True)
-class CorrelationPattern:
-    """Per-step increment correlations on a uniform grid of [t_start, 1]."""
-
-    rho_per_step: np.ndarray
-    t_start: float = 0.0
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho_per_step, dtype=np.float64)
-        if rho.ndim != 1 or rho.size < 1:
-            raise DomainError("pattern needs at least one step")
-        if not self.t_start < 1.0:
-            raise DomainError("empty time window")
-        object.__setattr__(self, "rho_per_step", rho)
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.rho_per_step.size)
-
-    @property
-    def dt(self) -> float:
-        return (1.0 - self.t_start) / self.n_steps
-
-
-def make_pattern(region, rho: float, n: int, t_start: float = 0.0) -> CorrelationPattern:
-    """Pattern on the n-step grid of [t_start, 1], each step sampled at its left endpoint.
+def make_pattern(region, rho: float, n: int, t_start: float = 0.0) -> np.ndarray:
+    """Per-step rho on the n-step grid of [t_start, 1], each step sampled at its left endpoint.
 
     region is a TimeSet or a list of float (lo, hi) pairs.  rho lies in
     [0,1); a window starting after 0 (an entrance-law survival window)
     also accepts rho = 1, where the pair degenerates to a single path.
+    Steps in the region get rho, the others 1; the step length is
+    (1 - t_start) / n.
     """
     if not (0.0 <= rho < 1.0 or (t_start > 0.0 and rho == 1.0)):
         raise DomainError(f"rho={rho} outside [0,1{']' if t_start > 0.0 else ')'}")
     if n < 1:
         raise DomainError("need at least one step")
+    if not t_start < 1.0:
+        raise DomainError("empty time window")
+    if n > STEP_CAP:
+        raise ResourceLimitError(f"{n} grid steps exceed the cap {STEP_CAP}")
     pairs = region.as_pairs() if isinstance(region, TimeSet) else list(region)
     grid = t_start + np.arange(n) * (1.0 - t_start) / n
     inside = np.zeros(n, dtype=bool)
     for lo, hi in pairs:
         inside |= (grid >= lo) & (grid <= hi)
-    return CorrelationPattern(np.where(inside, rho, 1.0), t_start)
+    return np.where(inside, rho, 1.0)
 
 
 # -- coupling kernels --------------------------------------------------------
@@ -134,15 +115,13 @@ def discrete_phi(region: TimeSet, rho: float, n: int, n_samples: int,
     X and X' are reconstructed step by step from the coupled driving
     increments via dX = sgn(X) dZ.
     """
-    if n > WALK_LENGTH_CAP:
-        raise ResourceLimitError(f"walk length {n} exceeds cap {WALK_LENGTH_CAP}")
     pattern = make_pattern(region, rho, n)
     moments = RunningMoments()
     for i, b in enumerate(batch_sizes(n_samples, _WALK_BATCH)):
         rng = derive_rng(seed, _TAG_DISCRETE_PHI, i)
         x = np.zeros(b, dtype=np.int32)
         x_prime = np.zeros(b, dtype=np.int32)
-        for rho_k in pattern.rho_per_step:
+        for rho_k in pattern:
             eps, eps_prime = _coupled_signs(rng.random(b, dtype=np.float32), rho_k)
             x += np.where(x >= 0, eps, -eps)
             x_prime += np.where(x_prime >= 0, eps_prime, -eps_prime)
@@ -163,13 +142,13 @@ def argmin_coincidence(region: TimeSet, rho: float, n_grid: int, n_samples: int,
     if n_grid < 2:
         raise DomainError("need at least two grid steps")
     pattern = make_pattern(region, rho, n_grid)
-    sqdt = math.sqrt(pattern.dt)
+    sqdt = math.sqrt(1.0 / n_grid)
     batch = max(1, _ARGMIN_ELEMENTS // n_grid)
     moments = RunningMoments()
     n_ties = 0
     for i, b in enumerate(batch_sizes(n_samples, batch)):
         rng = derive_rng(seed, _TAG_ARGMIN, i)
-        db, db_prime = _coupled_normals(pattern.rho_per_step, sqdt, rng, (b, n_grid))
+        db, db_prime = _coupled_normals(pattern, sqdt, rng, (b, n_grid))
         idx, ties = _argmin_with_start(np.cumsum(db, axis=1))
         idx_p, ties_p = _argmin_with_start(np.cumsum(db_prime, axis=1))
         n_ties += int(np.count_nonzero(ties | ties_p))
@@ -223,7 +202,7 @@ def _bridge_noncrossing(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     return np.where((a > 0.0) & (b > 0.0), -np.expm1(expo), 0.0)
 
 
-def _joint_survival(y: np.ndarray, pattern: CorrelationPattern,
+def _joint_survival(y: np.ndarray, pattern: np.ndarray, dt: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Per-sample probability that both coupled paths from height y stay positive.
 
@@ -232,12 +211,11 @@ def _joint_survival(y: np.ndarray, pattern: CorrelationPattern,
     parallel, so both stay positive iff the lower envelope does),
     factorized across the pair on rho-steps.
     """
-    dt = pattern.dt
     sqdt = math.sqrt(dt)
     w = np.asarray(y, dtype=np.float64).copy()
     w_prime = w.copy()
     weight = np.ones_like(w)
-    for rho_k in pattern.rho_per_step:
+    for rho_k in pattern:
         db, db_prime = _coupled_normals(rho_k, sqdt, rng, w.shape)
         w_new = w + db
         w_prime_new = w_prime + db_prime
@@ -269,10 +247,11 @@ def m_lambda_functional(region_pairs, rho: float, t0: float, n_samples: int,
     if not 0.0 < t0 < 1.0:
         raise DomainError(f"start time {t0} outside (0,1)")
     pattern = make_pattern(pairs, rho, n_steps, t_start=t0)
+    dt = (1.0 - t0) / n_steps
     mass = entrance_mass(t0)
     moments = RunningMoments()
     for i, b in enumerate(batch_sizes(n_samples, _SURVIVAL_BATCH)):
         rng = derive_rng(seed, _TAG_MLAMBDA, i)
         y = entrance_heights(t0, rng, b)
-        moments.add(mass * _joint_survival(y, pattern, rng))
+        moments.add(mass * _joint_survival(y, pattern, dt, rng))
     return EstimateWithError.from_moments(moments, seed)

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
+
+SAMPLE_CAP = 10**9  # samples per estimator call
 
 
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
@@ -35,6 +37,8 @@ def batch_sizes(n_samples: int, batch: int) -> list[int]:
     """Deterministic split of n_samples into batches of at most `batch`."""
     if n_samples < 0:
         raise DomainError(f"sample count {n_samples} is negative")
+    if n_samples > SAMPLE_CAP:
+        raise ResourceLimitError(f"{n_samples} samples exceed the cap {SAMPLE_CAP}")
     full, rem = divmod(int(n_samples), int(batch))
     return [batch] * full + ([rem] if rem else [])
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-STEP_CHARS = {1: "+", -1: "-"}
-
 
 def sgn(a: np.ndarray | int) -> np.ndarray | int:
     """Sign with sgn(0) = +1 (the convention the whole model relies on)."""
@@ -23,63 +21,20 @@ def sgn(a: np.ndarray | int) -> np.ndarray | int:
     return np.where(np.asarray(a) >= 0, 1, -1)
 
 
-class WalkPath:
-    """A +-1-increment lattice path from 0; thin wrapper over an int array."""
-
-    __slots__ = ("increments",)
-
-    def __init__(self, increments):
-        inc = np.asarray(increments, dtype=np.int64)
-        if inc.size and not np.all(np.abs(inc) == 1):
-            raise ValueError("increments must be +-1")
-        self.increments = inc
-
-    @classmethod
-    def from_positions(cls, positions) -> "WalkPath":
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.size == 0 or pos[0] != 0:
-            raise ValueError("positions must start at 0")
-        return cls(np.diff(pos))
-
-    @classmethod
-    def from_string(cls, text: str) -> "WalkPath":
-        """Parse a '+'/'-' step string (unicode minus accepted)."""
-        table = {"+": 1, "-": -1, "−": -1}
-        return cls([table[c] for c in text.strip()])
-
-    def to_string(self) -> str:
-        return "".join(STEP_CHARS[int(s)] for s in self.increments)
-
-    @property
-    def positions(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.increments)))
-
-    def __len__(self) -> int:
-        return int(self.increments.size)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WalkPath) and np.array_equal(
-            self.increments, other.increments
-        )
-
-    def __repr__(self) -> str:
-        return f"WalkPath({self.to_string()!r})"
-
-
 # -- array core (last axis = time; leading axes = batch) -----------------
 
 def x_to_z_increments(dx: np.ndarray) -> np.ndarray:
     """Drive increments dZ_k = sgn(X_k) dX_k from walk increments."""
     dx = np.asarray(dx, dtype=np.int64)
-    dz = np.empty_like(dx)
-    x = np.zeros(dx.shape[:-1], dtype=np.int64)
-    for k in range(dx.shape[-1]):
-        dz[..., k] = sgn(x) * dx[..., k]
-        x = x + dx[..., k]
-    return dz
+    return sgn(positions(dx)[..., :-1]) * dx
 
 def z_to_x_increments(dz: np.ndarray) -> np.ndarray:
-    """The unique walk with dX_k = sgn(X_k) dZ_k; inverse of x_to_z."""
+    """The unique walk with dX_k = sgn(X_k) dZ_k; inverse of x_to_z_increments.
+
+    A step recursion, kept independent of the closed form above and of
+    the parity rule, so the round trip and the parity check compare two
+    separate codes.
+    """
     dz = np.asarray(dz, dtype=np.int64)
     dx = np.empty_like(dz)
     x = np.zeros(dz.shape[:-1], dtype=np.int64)
@@ -145,35 +100,6 @@ def parity_signs(z_pos: np.ndarray) -> np.ndarray:
     """
     r = last_min_index(z_pos)
     return np.where(r % 2 == 0, 1, -1)
-
-
-# -- WalkPath-level operations -------------------------------------------
-
-def x_to_z(x: WalkPath) -> WalkPath:
-    return WalkPath(x_to_z_increments(x.increments))
-
-def z_to_x(z: WalkPath) -> WalkPath:
-    return WalkPath(z_to_x_increments(z.increments))
-
-def local_time(x: WalkPath) -> np.ndarray:
-    """Local-time sequence L_0..L_n of the walk at the {0,-1} bond."""
-    return local_time_positions(x.positions)
-
-def check_identities(x: WalkPath) -> bool:
-    """True iff both pathwise identities hold at every time along x."""
-    if len(x) == 0:
-        return True
-    return bool(identities_hold(x.increments))
-
-def recover_sign_parity(z: WalkPath, n: int) -> int:
-    """Sign of X_n + 1/2 read off from Z alone, X = z_to_x(Z).
-
-    Finds the last time r <= n with Z_r = min_{j<=r} Z_j and returns +1
-    for even r, -1 for odd r.
-    """
-    if not 0 <= n <= len(z):
-        raise ValueError(f"index {n} outside path of length {len(z)}")
-    return int(parity_signs(z.positions[: n + 1]))
 
 
 def all_increment_patterns(n: int) -> np.ndarray:

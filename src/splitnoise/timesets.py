@@ -88,18 +88,11 @@ class TimeSet:
     __slots__ = ("components",)
 
     def __init__(self, components: Iterable[tuple[DyadicRational, DyadicRational]]):
-        comps = sorted(components, key=lambda c: c[0].as_fraction())
+        comps = list(components)
         for lo, hi in comps:
             if not lo < hi:
                 raise DomainError(f"empty or inverted component [{lo}, {hi}]")
-        merged: list[tuple[DyadicRational, DyadicRational]] = []
-        for lo, hi in comps:
-            if merged and lo <= merged[-1][1]:
-                prev_lo, prev_hi = merged[-1]
-                merged[-1] = (prev_lo, max(prev_hi, hi, key=lambda d: d.as_fraction()))
-            else:
-                merged.append((lo, hi))
-        object.__setattr__(self, "components", tuple(merged))
+        object.__setattr__(self, "components", tuple(merge_intervals(comps)))
 
     def __setattr__(self, name, value):
         raise AttributeError("TimeSet is immutable")
@@ -204,10 +197,13 @@ class TimeSet:
         return u, v
 
 
-def merge_intervals(pairs: Iterable[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Sort, drop empties, and merge overlapping/touching float intervals."""
+def merge_intervals(pairs: Iterable[tuple]) -> list[tuple]:
+    """Sort, drop empties, and merge overlapping/touching intervals.
+
+    Endpoints are floats or DyadicRationals (exact comparisons).
+    """
     items = sorted((lo, hi) for lo, hi in pairs if hi > lo)
-    merged: list[tuple[float, float]] = []
+    merged: list[tuple] = []
     for lo, hi in items:
         if merged and lo <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(merged[-1][1], hi))

@@ -4,7 +4,9 @@ import pytest
 
 from splitnoise import theorem
 from splitnoise.cli import main
-from splitnoise.sampling import EstimateWithError
+from splitnoise.coupled import STEP_CAP
+from splitnoise.sampling import SAMPLE_CAP, EstimateWithError
+from splitnoise.theorem import NODE_CAP
 
 
 def run_cli(argv, capsys):
@@ -148,19 +150,39 @@ def exit_code(argv, capsys):
     return code, err
 
 
-@pytest.mark.parametrize("text", [None, "{not json", '["rho", 0.5]',
-                                  '{"rho": 0.5, "sampels": 100}'],
-                         ids=["missing", "malformed", "not-an-object", "unknown-key"])
-def test_bad_config_exit_2(tmp_path, capsys, text):
+@pytest.mark.parametrize("text, words", [
+    (None, ["config"]),
+    ("{not json", ["config"]),
+    ('["rho", 0.5]', ["config"]),
+    ('{"rho": 0.5, "sampels": 100}', ["config", "sampels"]),
+    ('{"rho": 0.5, "samples": "many"}', ["--samples", "many"]),
+    ('{"rho": 0.5, "n-list": [8, 16]}', ["config", "n-list"]),
+], ids=["missing", "malformed", "not-an-object", "unknown-key", "untyped-value",
+        "other-command-key"])
+def test_bad_config_exit_2(tmp_path, capsys, text, words):
     cfg = tmp_path / "run.json"
     if text is not None:
         cfg.write_text(text)
     code, err = exit_code(["--config", str(cfg), "mc-phi", "--n-grid", "64",
                            "--samples", "100"], capsys)
     assert code == 2
-    assert "config" in err
-    if text and "sampels" in text:
-        assert "sampels" in err
+    assert all(word in err for word in words)
+
+
+def test_config_values_are_typed(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"rho": 1.0, "n-list": [4, 8], "samples": 100}))
+    code, out, _ = run_cli(["--config", str(cfg), "sensitivity-curve"], capsys)
+    assert code == 0
+    assert [line.split(",")[0] for line in out.strip().splitlines()[1:]] == ["4", "8"]
+    # true is a bare flag, false no flag at all
+    small = ["theorem-check", "--A", "", "--rho", "0.5", "--n-grid", "64",
+             "--samples", "100", "--nodes", "2", "--node-steps", "8"]
+    for value in (True, False):
+        cfg.write_text(json.dumps({"check-stability": value}))
+        code, out, _ = run_cli(["--config", str(cfg), *small], capsys)
+        assert code == 0
+        assert ("grid_stability_ok" in json.loads(out)["results"]) is value
 
 
 _THEOREM_SMALL = ["--n-grid", "64", "--samples", "100", "--nodes", "2",
@@ -189,20 +211,46 @@ def test_bad_input_exit_2(capsys, argv):
     assert err.splitlines()[0].startswith("error kind=domain")
 
 
-@pytest.mark.parametrize("tied_run", [None, 0, 1], ids=["no-ties", "lhs", "lhs-refined"])
-def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run):
+@pytest.mark.parametrize("tied_run, means, stderr", [
+    (None, (1.0, 1.0), 0.0),
+    (0, (1.0, 1.0), 0.0),
+    (1, (1.0, 1.0), 0.0),
+    (None, (0.5, 0.9), 0.001),
+], ids=["no-ties", "lhs", "lhs-refined", "unstable-grid"])
+def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
+    """A tie flag on either direct run, or a doubled grid that disagrees, fails the check."""
     runs = []
 
     def direct_route(*args):
         tied = len(runs) == tied_run
+        mean = means[len(runs)]
         runs.append(args)
-        return EstimateWithError(1.0, 0.0, 100, seed=0,
+        return EstimateWithError(mean, stderr, 100, seed=0,
                                  extra={"tie_fraction": 0.01 * tied, "tie_flag": tied})
 
     monkeypatch.setattr(theorem, "argmin_coincidence", direct_route)
+    # the other route agrees with the first direct run
+    monkeypatch.setattr(theorem, "rhs_integral",
+                        lambda *args: EstimateWithError(means[0], stderr, 100, seed=0))
     code, out, _ = run_cli(["theorem-check", "--A", "", "--rho", "0.5",
                             "--check-stability"], capsys)
     results = json.loads(out)["results"]
     assert len(runs) == 2 and results["discrepancy"] == 0.0
-    assert results["pass"] is (tied_run is None)
-    assert code == (0 if tied_run is None else 1)
+    stable = means[0] == means[1]
+    assert results["grid_stability_ok"] is stable
+    assert results["pass"] is (tied_run is None and stable)
+    assert code == (0 if tied_run is None and stable else 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["mc-phi", "--rho", "0.5", "--n-grid", str(STEP_CAP + 1), "--samples", "100"],
+    ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--node-steps", str(STEP_CAP + 1),
+     "--n-grid", "64", "--samples", "100", "--nodes", "2", "--node-samples", "100"],
+    ["mc-phi", "--rho", "0.5", "--n-grid", "64", "--samples", str(SAMPLE_CAP + 1)],
+    ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--nodes", str(NODE_CAP + 1),
+     "--n-grid", "64", "--samples", "100", "--node-steps", "8"],
+], ids=["steps", "node-steps", "samples", "nodes"])
+def test_size_cap_exit_3(capsys, argv):
+    code, err = exit_code(argv, capsys)
+    assert code == 3
+    assert err.splitlines()[0].startswith("error kind=resource")

@@ -32,10 +32,10 @@ QUARTER_HALF = TimeSet.parse("1/4..1/2")
 
 
 def test_make_pattern_examples():
-    assert np.all(make_pattern(FULL, 0.3, 16).rho_per_step == 0.3)
-    assert np.all(make_pattern(EMPTY, 0.3, 16).rho_per_step == 1.0)
+    assert np.all(make_pattern(FULL, 0.3, 16) == 0.3)
+    assert np.all(make_pattern(EMPTY, 0.3, 16) == 1.0)
     pat = make_pattern(QUARTER_HALF, 0.3, 8)
-    assert np.array_equal(pat.rho_per_step, [1, 1, 0.3, 0.3, 0.3, 1, 1, 1])
+    assert np.array_equal(pat, [1, 1, 0.3, 0.3, 0.3, 1, 1, 1])
     with pytest.raises(DomainError):
         make_pattern(FULL, 1.0, 8)
     with pytest.raises(DomainError):
@@ -45,22 +45,23 @@ def test_make_pattern_examples():
 def test_make_pattern_on_interval():
     pat = make_pattern([(0.5, 0.75)], 0.4, 6, t_start=0.25)
     # grid left endpoints 0.25,0.375,0.5,0.625,0.75,0.875
-    assert np.array_equal(pat.rho_per_step, [1, 1, 0.4, 0.4, 0.4, 1])
-    assert pat.dt == pytest.approx(0.125)
+    assert np.array_equal(pat, [1, 1, 0.4, 0.4, 0.4, 1])
     # a survival window after 0 admits rho = 1 (one path); [0,1] does not
-    assert np.all(make_pattern([(0.5, 0.75)], 1.0, 6, t_start=0.25).rho_per_step == 1.0)
+    assert np.all(make_pattern([(0.5, 0.75)], 1.0, 6, t_start=0.25) == 1.0)
+    with pytest.raises(DomainError):
+        make_pattern([], 0.4, 6, t_start=1.0)
 
 
 def coupled_walk(pattern, rng, size):
     """Coupled sign pair from the estimator's kernel, one uniform per step."""
-    u = rng.random((size, pattern.n_steps), dtype=np.float32)
-    return _coupled_signs(u, pattern.rho_per_step)
+    u = rng.random((size, pattern.size), dtype=np.float32)
+    return _coupled_signs(u, pattern)
 
 
 def coupled_bm(pattern, rng, size):
-    """Coupled Brownian increments from the estimators' kernel."""
-    return _coupled_normals(pattern.rho_per_step, math.sqrt(pattern.dt), rng,
-                            (size, pattern.n_steps))
+    """Coupled Brownian increments on [0,1] from the estimators' kernel."""
+    return _coupled_normals(pattern, math.sqrt(1.0 / pattern.size), rng,
+                            (size, pattern.size))
 
 
 def test_coupled_walk_marginals_and_coupling():
@@ -89,7 +90,7 @@ def test_coupled_bm_identical_when_unperturbed():
 def test_coupled_bm_pattern_one_steps_match_bitwise():
     pat = make_pattern(QUARTER_HALF, 0.5, 32)
     db, db_p = coupled_bm(pat, derive_rng(7, 0), size=500)
-    ones = pat.rho_per_step == 1.0
+    ones = pat == 1.0
     assert np.array_equal(db[:, ones], db_p[:, ones])
     assert not np.array_equal(db[:, ~ones], db_p[:, ~ones])
     # a scalar rho, as in the survival step loop, mixes the whole step
@@ -111,7 +112,7 @@ def test_coupled_bm_terminal_moments():
 def test_coupled_bm_increment_variance_one_percent():
     pat = make_pattern(FULL, 0.5, 16)
     for inc in coupled_bm(pat, derive_rng(9, 0), size=100_000):
-        assert abs(inc.var() / pat.dt - 1.0) < 0.01
+        assert abs(inc.var() * pat.size - 1.0) < 0.01
 
 
 def test_discrete_phi_unperturbed_is_exactly_one():
@@ -125,7 +126,7 @@ def test_discrete_phi_matches_walsh_oracle():
 
     for region, rho, seed in [(FULL, 0.5, 21), (QUARTER_HALF, 0.3, 22)]:
         n = 16
-        exact = sign_correlation_exact(make_pattern(region, rho, n).rho_per_step)
+        exact = sign_correlation_exact(make_pattern(region, rho, n))
         est = discrete_phi(region, rho, n, 200_000, seed=seed)
         assert abs(est.mean - exact) < 4 * est.stderr
 
@@ -186,25 +187,27 @@ def test_entrance_mass_conservation_closed_form():
         assert abs(vals.mean() - 1.0) < 4 * se + 1e-3
 
 
-def fixed_height_survival(y, pattern, n_samples, seed):
+def fixed_height_survival(y, pattern, dt, n_samples, seed):
     """Mean and stderr of the two-path survival weight from a fixed height."""
-    vals = _joint_survival(np.full(n_samples, float(y)), pattern, derive_rng(seed, 0))
+    vals = _joint_survival(np.full(n_samples, float(y)), pattern, dt, derive_rng(seed, 0))
     return vals.mean(), vals.std(ddof=1) / math.sqrt(n_samples)
 
 
 def test_survival_corr_matches_reflection():
     pat = make_pattern([], 0.5, 128, t_start=0.25)
+    dt = 0.75 / 128
     for y in (0.3, 0.8, 1.5):
-        mean, se = fixed_height_survival(y, pat, 100_000, seed=31)
+        mean, se = fixed_height_survival(y, pat, dt, 100_000, seed=31)
         truth = exact_survival_probability(y, 0.75)
         assert abs(mean - truth) < 4 * se + 1e-4
-    mean, _ = fixed_height_survival(100.0, pat, 1000, seed=32)
+    mean, _ = fixed_height_survival(100.0, pat, dt, 1000, seed=32)
     assert mean == pytest.approx(1.0, abs=1e-12)
 
 
 def test_survival_corr_monotone_in_height():
     pat = make_pattern([(0.5, 1.0)], 0.5, 128, t_start=0.25)
-    vals = [fixed_height_survival(y, pat, 50_000, seed=34)[0] for y in (0.2, 0.5, 1.0, 2.0)]
+    vals = [fixed_height_survival(y, pat, 0.75 / 128, 50_000, seed=34)[0]
+            for y in (0.2, 0.5, 1.0, 2.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -215,7 +218,7 @@ def test_discrete_bridge_identity():
     n, start, rho = 12, 2, 0.5
     table = walk_survival_table(n, start)
     pat = make_pattern(FULL, rho, n)
-    exact = noise_functional(walsh_transform(table), pat.rho_per_step)
+    exact = noise_functional(walsh_transform(table), pat)
 
     n_samples = 200_000
     eps, eps_p = coupled_walk(pat, derive_rng(36, 0), size=n_samples)

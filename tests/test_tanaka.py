@@ -1,44 +1,28 @@
 import numpy as np
-import pytest
 
 from splitnoise import tanaka
 from splitnoise.tanaka import (
-    WalkPath,
     all_increment_patterns,
-    check_identities,
     identities_hold,
-    local_time,
+    local_time_positions,
     parity_signs,
     positions,
-    recover_sign_parity,
-    x_to_z,
     x_to_z_increments,
-    z_to_x,
     z_to_x_increments,
 )
 
 
-def test_walkpath_string_roundtrip():
-    w = WalkPath.from_string("+-+")
-    assert np.array_equal(w.increments, [1, -1, 1])
-    assert w.to_string() == "+-+"
-    assert np.array_equal(w.positions, [0, 1, 0, 1])
-    assert WalkPath.from_string("+−") == WalkPath.from_string("+-")
-    with pytest.raises(ValueError):
-        WalkPath([1, 2])
-
-
 def test_x_to_z_examples():
-    assert x_to_z(WalkPath([1, 1])) == WalkPath([1, 1])
+    assert np.array_equal(x_to_z_increments(np.array([1, 1])), [1, 1])
     # sgn(X_0)=+1 gives -1; sgn(X_1)=sgn(-1)=-1 times +1 gives -1
-    assert x_to_z(WalkPath([-1, 1])) == WalkPath([-1, -1])
-    assert x_to_z(WalkPath([])) == WalkPath([])
+    assert np.array_equal(x_to_z_increments(np.array([-1, 1])), [-1, -1])
+    assert x_to_z_increments(np.array([], dtype=np.int64)).shape == (0,)
 
 
 def test_z_to_x_examples():
-    x = z_to_x(WalkPath([-1, -1, 1]))
-    assert np.array_equal(x.positions, [0, -1, 0, 1])
-    assert np.array_equal(z_to_x(WalkPath([1, 1])).positions, [0, 1, 2])
+    x = z_to_x_increments(np.array([-1, -1, 1]))
+    assert np.array_equal(positions(x), [0, -1, 0, 1])
+    assert np.array_equal(positions(z_to_x_increments(np.array([1, 1]))), [0, 1, 2])
 
 
 def test_roundtrip_exhaustive_length_12():
@@ -55,27 +39,31 @@ def test_transform_is_bijection():
     assert np.unique(masks).size == 1 << 10
 
 
+def local_time(dx):
+    return local_time_positions(positions(np.array(dx)))
+
+
 def test_local_time_examples():
-    assert np.array_equal(local_time(WalkPath([-1, 1])), [0, 1, 2])
-    assert np.array_equal(local_time(WalkPath([1, 1])), [0, 0, 0])
+    assert np.array_equal(local_time([-1, 1]), [0, 1, 2])
+    assert np.array_equal(local_time([1, 1]), [0, 0, 0])
     # pair {1,0} is not inside {0,-1}: no increment
-    assert np.array_equal(local_time(WalkPath([1, -1])), [0, 0, 0])
+    assert np.array_equal(local_time([1, -1]), [0, 0, 0])
 
 
 def test_local_time_is_counting_process():
     dx = all_increment_patterns(10)
-    lt = tanaka.local_time_positions(positions(dx))
+    lt = local_time_positions(positions(dx))
     steps = np.diff(lt, axis=1)
     assert lt[:, 0].max() == 0
     assert steps.min() >= 0 and steps.max() <= 1
 
 
 def test_identities_hand_example():
-    x = WalkPath([-1, 1, 1])  # positions 0,-1,0,1; Z = 0,-1,-2,-1
-    z = x_to_z(x)
-    assert np.array_equal(z.positions, [0, -1, -2, -1])
-    assert abs(1 + 0.5) - 0.5 == z.positions[3] + 2
-    assert check_identities(x)
+    dx = np.array([-1, 1, 1])  # positions 0,-1,0,1; Z = 0,-1,-2,-1
+    z_pos = positions(x_to_z_increments(dx))
+    assert np.array_equal(z_pos, [0, -1, -2, -1])
+    assert abs(1 + 0.5) - 0.5 == z_pos[3] + 2
+    assert identities_hold(dx)
 
 
 def test_identities_exhaustive_length_12():
@@ -83,15 +71,13 @@ def test_identities_exhaustive_length_12():
 
 
 def test_identities_empty_path():
-    assert check_identities(WalkPath([]))
+    assert identities_hold(np.array([], dtype=np.int64))
 
 
 def test_parity_rule_examples():
-    z = WalkPath([-1, -1, 1])
-    assert recover_sign_parity(z, 3) == 1  # r = 2, X_3 = 1
-    assert recover_sign_parity(WalkPath([]), 0) == 1
-    with pytest.raises(ValueError):
-        recover_sign_parity(z, 4)
+    z_pos = positions(np.array([-1, -1, 1]))
+    assert parity_signs(z_pos) == 1  # r = 2, X_3 = 1
+    assert parity_signs(positions(np.array([], dtype=np.int64))) == 1
 
 
 def test_parity_rule_exhaustive_length_14():
