@@ -198,6 +198,8 @@ def _run_mc_phi(args) -> int:
 
 
 def _run_walsh_spectrum(args) -> int:
+    if args.top is not None and args.top < 1:
+        raise DomainError(f"--top {args.top} must be at least 1")
     spectrum = walsh_transform(sgn_functional_table(args.n))
     mass = spectrum.coefficients**2
     order = np.argsort(-mass, kind="stable")

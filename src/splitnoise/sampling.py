@@ -20,17 +20,20 @@ from .errors import DomainError, ResourceLimitError
 SAMPLE_CAP = 10**9  # samples per estimator call
 
 
+def _sequence(seed: int, path) -> np.random.SeedSequence:
+    if seed < 0:
+        raise DomainError(f"seed {seed} is negative")
+    return np.random.SeedSequence([int(seed), *map(int, path)])
+
+
 def derive_rng(seed: int, *path: int) -> np.random.Generator:
     """Independent generator for the sub-stream identified by path."""
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, path)]))
+    return np.random.default_rng(_sequence(seed, path))
 
 
 def derive_seed(seed: int, *path: int) -> int:
     """Child master seed for a sub-estimator, from the same derivation rule."""
-    ss = np.random.SeedSequence([int(seed), *map(int, path)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(_sequence(seed, path).generate_state(1, np.uint64)[0])
 
 
 def batch_sizes(n_samples: int, batch: int) -> list[int]:

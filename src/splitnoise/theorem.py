@@ -24,7 +24,7 @@ from .errors import DomainError, ResourceLimitError
 from .sampling import EstimateWithError, derive_seed, product_estimate
 from .timesets import TimeSet, affine_preimage
 
-ENTRANCE_GAP_FRACTION = 8.0  # start entrance paths gap/8 before the region
+ENTRANCE_GAP_FRACTION = 8.0  # entrance paths start at gap/8, the region at gap
 ENTRANCE_START_FLOOR = 2.0**-16
 NODE_CAP = 10**5  # quadrature nodes per gap
 
@@ -64,9 +64,10 @@ def arcsine_nodes(a: float, b: float, n_nodes: int) -> tuple[list[float], float]
 def entrance_start_time(gap: float) -> float:
     """Entrance start for a pulled-back region whose lowest point is `gap` away.
 
-    gap/8 keeps the unperturbed run-in long enough that paths are well
-    clear of the boundary when the perturbed section begins; floored so
-    pathological nodes stay affordable.
+    The run-in to the region is one exact bridge step, so t0 only sets
+    the step length dt = (1 - t0) / n_steps and where the grid falls on
+    the region.  The floor bounds the entrance weight t0**-1/2, and with
+    it the variance, at nodes next to the region.
     """
     t0 = max(gap / ENTRANCE_GAP_FRACTION, ENTRANCE_START_FLOOR)
     return min(t0, gap)

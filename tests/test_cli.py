@@ -203,8 +203,14 @@ _THEOREM_SMALL = ["--n-grid", "64", "--samples", "100", "--nodes", "2",
     ["discrete-phi", "--rho", "1", "--n", "8", "--samples", "100"],
     ["mc-phi", "--rho", "1", "--n-grid", "64", "--samples", "100"],
     ["theorem-check", "--rho", "1", "--node-samples", "100", *_THEOREM_SMALL],
+    ["walsh-spectrum", "--n", "3", "--top", "0"],
+    ["walsh-spectrum", "--n", "3", "--top", "-3"],
+    ["discrete-phi", "--rho", "0.5", "--n", "8", "--samples", "100", "--seed", "-1"],
+    ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--node-samples", "100",
+     "--seed", "-1", *_THEOREM_SMALL],
 ], ids=["n-grid-list", "n-list", "t0", "samples-0", "samples-1", "node-samples-1",
-        "discrete-phi-rho-1", "mc-phi-rho-1", "theorem-check-rho-1"])
+        "discrete-phi-rho-1", "mc-phi-rho-1", "theorem-check-rho-1", "top-0",
+        "top-negative", "discrete-phi-seed-negative", "theorem-check-seed-negative"])
 def test_bad_input_exit_2(capsys, argv):
     code, err = exit_code(argv, capsys)
     assert code == 2

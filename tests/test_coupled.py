@@ -6,6 +6,7 @@ from scipy import integrate
 from scipy.special import erf
 
 from splitnoise.coupled import (
+    _bridge_noncrossing,
     _coupled_normals,
     _coupled_signs,
     _joint_survival,
@@ -194,14 +195,66 @@ def fixed_height_survival(y, pattern, dt, n_samples, seed):
 
 
 def test_survival_corr_matches_reflection():
-    pat = make_pattern([], 0.5, 128, t_start=0.25)
-    dt = 0.75 / 128
+    # one bridge step over a whole shared stretch, which the survival walk
+    # takes in place of per-step weights, is exact in expectation
+    s = 0.75
     for y in (0.3, 0.8, 1.5):
-        mean, se = fixed_height_survival(y, pat, dt, 100_000, seed=31)
-        truth = exact_survival_probability(y, 0.75)
-        assert abs(mean - truth) < 4 * se + 1e-4
-    mean, _ = fixed_height_survival(100.0, pat, dt, 1000, seed=32)
-    assert mean == pytest.approx(1.0, abs=1e-12)
+        z = derive_rng(31, 0).standard_normal(100_000)
+        vals = _bridge_noncrossing(np.full(z.size, y), y + math.sqrt(s) * z, s)
+        se = vals.std(ddof=1) / math.sqrt(vals.size)
+        assert abs(vals.mean() - exact_survival_probability(y, s)) < 4 * se + 1e-4
+    z = derive_rng(32, 0).standard_normal(1000)
+    vals = _bridge_noncrossing(np.full(z.size, 100.0), 100.0 + math.sqrt(s) * z, s)
+    assert vals.mean() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_shared_pattern_survival_is_closed_form():
+    # a pattern with no rho-step is the reflection tail alone: no draw
+    pat = make_pattern([], 0.5, 128, t_start=0.25)
+    y = np.array([0.3, 0.8, 1.5, 100.0])
+    rng = derive_rng(31, 0)
+    state = rng.bit_generator.state
+    vals = _joint_survival(y, pat, 0.75 / 128, rng)
+    assert np.array_equal(vals, exact_survival_probability(y, 0.75))
+    assert rng.bit_generator.state == state
+
+
+def _stepwise_survival(y, pattern, dt, rng):
+    """Reference: every grid step drawn and weighted on its own."""
+    sqdt = math.sqrt(dt)
+    w = np.array(y, dtype=np.float64)
+    w_p = w.copy()
+    weight = np.ones_like(w)
+    for rho_k in pattern:
+        db = rng.standard_normal(w.shape) * sqdt
+        if rho_k == 1.0:
+            db_p = db
+            low = np.minimum(w, w_p)
+            weight *= _bridge_noncrossing(low, low + db, dt)
+        else:
+            db_p = rho_k * db + math.sqrt(1.0 - rho_k**2) * sqdt * rng.standard_normal(w.shape)
+            weight *= (_bridge_noncrossing(w, w + db, dt)
+                       * _bridge_noncrossing(w_p, w_p + db_p, dt))
+        w, w_p = w + db, w_p + db_p
+    return weight
+
+
+@pytest.mark.parametrize("region", [[(0.5, 0.75)], [(0.2, 0.35), (0.55, 0.7)]],
+                         ids=["one-component", "two-components"])
+def test_collapsed_survival_matches_stepwise(region):
+    # collapsing shared stretches keeps the mean of the per-step walk and,
+    # being a conditional expectation of it, lowers the per-sample variance
+    t0, n_steps, n_samples = 0.125, 128, 100_000
+    pat = make_pattern(region, 0.5, n_steps, t_start=t0)
+    dt = (1.0 - t0) / n_steps
+    runs = []
+    for survival, seed in ((_stepwise_survival, 51), (_joint_survival, 52)):
+        rng = derive_rng(seed, 0)
+        runs.append(survival(entrance_heights(t0, rng, n_samples), pat, dt, rng))
+    ref, fast = runs
+    se = math.hypot(ref.std(ddof=1), fast.std(ddof=1)) / math.sqrt(n_samples)
+    assert abs(ref.mean() - fast.mean()) < 4 * se
+    assert fast.var(ddof=1) < ref.var(ddof=1)
 
 
 def test_survival_corr_monotone_in_height():
