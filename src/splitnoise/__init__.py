@@ -27,7 +27,7 @@ from .theorem import (
     sensitivity_curve,
     verify_theorem,
 )
-from .timesets import DyadicRational, TimeSet, affine_preimage
+from .timesets import TimeSet, affine_preimage
 from .walsh import (
     ChaosSpectrum,
     FunctionTable,

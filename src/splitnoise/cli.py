@@ -46,10 +46,6 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _parse_region(text: str) -> TimeSet:
-    return TimeSet.parse(text)
-
-
 def _add_common(p: argparse.ArgumentParser, rho: bool = True):
     p.add_argument("--A", default="", help='perturbation region, e.g. "1/4..1/2,5/8..3/4"; empty = none')
     if rho:
@@ -168,7 +164,7 @@ def _parse_list(text: str, flag: str, parse=int) -> list:
 # -- command bodies --------------------------------------------------------
 
 def _run_discrete_phi(args) -> int:
-    region = _parse_region(args.A)
+    region = TimeSet.parse(args.A)
     est = discrete_phi(region, args.rho, args.n, args.samples, args.seed)
     params = {"A": str(region), "rho": args.rho, "n": args.n,
               "samples": args.samples, "seed": args.seed}
@@ -177,7 +173,7 @@ def _run_discrete_phi(args) -> int:
 
 
 def _run_mc_phi(args) -> int:
-    region = _parse_region(args.A)
+    region = TimeSet.parse(args.A)
     if args.n_grid_list:
         grids = _parse_list(args.n_grid_list, "--n-grid-list")
         buf = io.StringIO()
@@ -216,7 +212,7 @@ def _run_walsh_spectrum(args) -> int:
 
 
 def _run_theorem_check(args) -> int:
-    region = _parse_region(args.A)
+    region = TimeSet.parse(args.A)
     report = verify_theorem(
         region, args.rho, seed=args.seed,
         lhs_n_grid=args.n_grid, lhs_samples=args.samples,
@@ -252,7 +248,7 @@ def _run_sensitivity_curve(args) -> int:
 
 
 def _run_consistency_check(args) -> int:
-    region = _parse_region(args.A)
+    region = TimeSet.parse(args.A)
     starts = _parse_list(args.t0, "--t0", lambda tok: float(Fraction(tok)))
     if len(starts) != 2:
         raise DomainError("--t0 takes exactly two comma-separated start times")

@@ -28,7 +28,6 @@ from scipy.special import erf
 
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import EstimateWithError, RunningMoments, batch_sizes, derive_rng
-from .timesets import TimeSet
 
 STEP_CAP = 10**7  # grid steps per path: walk length, n_grid, node_steps
 
@@ -62,10 +61,9 @@ def make_pattern(region, rho: float, n: int, t_start: float = 0.0) -> np.ndarray
         raise DomainError("empty time window")
     if n > STEP_CAP:
         raise ResourceLimitError(f"{n} grid steps exceed the cap {STEP_CAP}")
-    pairs = region.as_pairs() if isinstance(region, TimeSet) else list(region)
     grid = t_start + np.arange(n) * (1.0 - t_start) / n
     inside = np.zeros(n, dtype=bool)
-    for lo, hi in pairs:
+    for lo, hi in region:
         inside |= (grid >= lo) & (grid <= hi)
     return np.where(inside, rho, 1.0)
 
@@ -110,7 +108,7 @@ def _coupled_signs(u: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
 
 # -- discrete-model correlation estimator ----------------------------------
 
-def discrete_phi(region: TimeSet, rho: float, n: int, n_samples: int,
+def discrete_phi(region, rho: float, n: int, n_samples: int,
                  seed: int) -> EstimateWithError:
     """MC estimate of E[sgn(X_n) sgn(X'_n)] for the pattern-coupled walk pair.
 
@@ -134,7 +132,7 @@ def discrete_phi(region: TimeSet, rho: float, n: int, n_samples: int,
 
 # -- argmin coincidence (the left-hand side of the main identity) -----------
 
-def argmin_coincidence(region: TimeSet, rho: float, n_grid: int, n_samples: int,
+def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
                        seed: int) -> EstimateWithError:
     """P(the coupled Brownian pair attains its grid minima at the same index).
 
@@ -256,7 +254,7 @@ def m_lambda_functional(region_pairs, rho: float, t0: float, n_samples: int,
     consistency of the entrance family the value does not depend on the
     choice of t0 (this is a test target, not an assumption used here).
     """
-    pairs = region_pairs.as_pairs() if isinstance(region_pairs, TimeSet) else list(region_pairs)
+    pairs = list(region_pairs)
     if pairs and min(lo for lo, _ in pairs) < t0:
         raise PreconditionError(f"region must be supported on [{t0}, 1]")
     if not 0.0 < t0 < 1.0:

@@ -111,10 +111,6 @@ class EstimateWithError:
         return out
 
 
-def combined_stderr(*estimates: EstimateWithError) -> float:
-    return math.sqrt(sum(e.stderr**2 for e in estimates))
-
-
 def product_estimate(a: EstimateWithError, b: EstimateWithError) -> tuple[float, float]:
     """Mean and variance of the product of two independent estimates."""
     mean = a.mean * b.mean

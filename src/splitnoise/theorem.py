@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coupled import argmin_coincidence, discrete_phi, m_lambda_functional
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import EstimateWithError, derive_seed, product_estimate
 from .timesets import TimeSet, affine_preimage
 
@@ -90,15 +90,19 @@ def rhs_factors(t: float, region: TimeSet, rho: float, n_samples: int,
     Returns (left, right): left sees the region before t through
     x -> t(1-x), right the region after t through x -> t + (1-t)x.  A
     side with no region points is exactly 1.  t must lie strictly
-    inside a gap for any side that is not exactly 1.
+    inside a gap for any side that is not exactly 1; a t in the interior
+    of the region is a PreconditionError.
     """
-    u, v = region.boundary_times(t)  # raises if t is interior to the region
-    if v is None or t >= 1.0:
+    if not 0.0 <= t <= 1.0:
+        raise DomainError(f"time {t} outside [0,1]")
+    if any(lo < t < hi for lo, hi in region):
+        raise PreconditionError(f"t={t} lies in the interior of {region}")
+    if t >= 1.0:
         right = EstimateWithError.exact(1.0)
     else:
         right = _side_factor(region, rho, 1.0 - t, t, n_samples,
                              derive_seed(seed, 1), n_steps)
-    if u is None or t <= 0.0:
+    if t <= 0.0:
         left = EstimateWithError.exact(1.0)
     else:
         left = _side_factor(region, rho, -t, t, n_samples,
@@ -221,9 +225,9 @@ def sensitivity_curve(rho: float, n_list, n_samples: int,
     full = TimeSet.full()
     rows = []
     for i, n in enumerate(n_list):
+        row_seed = derive_seed(seed, _TAG_CURVE, i)  # checks the seed at rho = 1 too
         if rho == 1.0:
             rows.append((n, EstimateWithError.exact(1.0)))
         else:
-            rows.append((n, discrete_phi(full, rho, n, n_samples,
-                                         derive_seed(seed, _TAG_CURVE, i))))
+            rows.append((n, discrete_phi(full, rho, n, n_samples, row_seed)))
     return rows

@@ -208,9 +208,14 @@ _THEOREM_SMALL = ["--n-grid", "64", "--samples", "100", "--nodes", "2",
     ["discrete-phi", "--rho", "0.5", "--n", "8", "--samples", "100", "--seed", "-1"],
     ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--node-samples", "100",
      "--seed", "-1", *_THEOREM_SMALL],
+    ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--seed", "-1"],
+    ["mc-phi", "--A", "x..1/2", "--rho", "0.5"],
+    ["mc-phi", "--A", "1/0..1/2", "--rho", "0.5"],
 ], ids=["n-grid-list", "n-list", "t0", "samples-0", "samples-1", "node-samples-1",
         "discrete-phi-rho-1", "mc-phi-rho-1", "theorem-check-rho-1", "top-0",
-        "top-negative", "discrete-phi-seed-negative", "theorem-check-seed-negative"])
+        "top-negative", "discrete-phi-seed-negative", "theorem-check-seed-negative",
+        "sensitivity-curve-rho-one-seed-negative", "endpoint-not-a-number",
+        "endpoint-zero-denominator"])
 def test_bad_input_exit_2(capsys, argv):
     code, err = exit_code(argv, capsys)
     assert code == 2

@@ -76,6 +76,25 @@ def test_rhs_factors_empty_sides():
         rhs_factors(0.3, QUARTER_HALF, 0.5, 100, seed=1)
 
 
+def test_rhs_factors_at_boundary_times():
+    # a side is sampled exactly when the region has points on that side of
+    # t: before the region, between components, after it, and at 0 and 1
+    B = TimeSet.parse("1/8..1/4,1/2..3/4")
+    for t, sampled in [(0.0, (False, True)), (0.05, (False, True)),
+                       (0.3, (True, True)), (0.9, (True, False)),
+                       (1.0, (True, False))]:
+        factors = rhs_factors(t, B, 0.5, 100, seed=1, n_steps=16)
+        for est, side_sampled in zip(factors, sampled):
+            if side_sampled:
+                assert est.n_samples == 100, t
+            else:
+                assert est == EstimateWithError.exact(1.0), t
+    with pytest.raises(PreconditionError):
+        rhs_factors(0.6, B, 0.5, 100, seed=1)
+    with pytest.raises(DomainError):
+        rhs_factors(1.5, B, 0.5, 100, seed=1)
+
+
 def test_rhs_factor_pullback_set():
     # at t=1/4 the region [1/2,3/4] seen from the right is [1/3,2/3]
     pulled = affine_preimage(TimeSet.parse("1/2..3/4"), 1.0 - 0.25, 0.25)
