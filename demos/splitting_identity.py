@@ -21,7 +21,7 @@ SEED = 20260810
 print("Entrance-law machinery (start-time invariance)")
 print("----------------------------------------------")
 for t0 in (1 / 32, 1 / 8):
-    est = m_lambda_functional([(0.5, 0.75)], RHO, t0, 100_000, seed=SEED, n_steps=512)
+    est = m_lambda_functional([(0.5, 0.75)], RHO, t0, 100_000, seed=SEED)
     print(f"  start {t0:<6.4f}: {est.mean:.4f} +- {est.stderr:.4f}")
 print("  (same value: the restriction property of the entrance family)")
 print()
@@ -30,14 +30,14 @@ print(f"Both routes for A = {A}, rho = {RHO}")
 print("----------------------------------------")
 lhs = argmin_coincidence(A, RHO, 1 << 12, 20_000, seed=SEED + 1)
 print(f"  direct   P(g = g'):      {lhs.mean:.4f} +- {lhs.stderr:.4f}")
-rhs = rhs_integral(A, RHO, n_nodes=16, n_samples_per_node=10_000, seed=SEED + 2, n_steps=512)
+rhs = rhs_integral(A, RHO, n_nodes=16, n_samples_per_node=10_000, seed=SEED + 2)
 print(f"  arc-sine integral:       {rhs.mean:.4f} +- {rhs.stderr:.4f}")
 print()
 
 print("Full comparison with the doubled-grid stability check")
 print("-----------------------------------------------------")
 report = verify_theorem(A, RHO, seed=SEED + 3, lhs_n_grid=1 << 12, lhs_samples=20_000,
-                        n_nodes=16, node_samples=10_000, node_steps=512,
+                        n_nodes=16, node_samples=10_000,
                         check_stability=True)
 print(f"  lhs  {report.lhs.mean:.4f} +- {report.lhs.stderr:.4f}")
 print(f"  rhs  {report.rhs.mean:.4f} +- {report.rhs.stderr:.4f}")

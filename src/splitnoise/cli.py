@@ -97,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20_000, help="direct-route sample count")
     p.add_argument("--nodes", type=int, default=24, help="quadrature nodes per gap")
     p.add_argument("--node-samples", type=int, default=20_000)
-    p.add_argument("--node-steps", type=int, default=1024)
+    p.add_argument("--node-steps", type=int, default=1024,
+                   help="checked and echoed; survival factors have no grid")
     p.add_argument("--check-stability", action="store_true",
                    help="repeat the direct route on the doubled grid")
     p.add_argument("--factors-csv", default=None, help="write per-node factors here")
@@ -113,7 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--t0", default="1/32,1/8", help="comma-separated pair of start times (fractions ok)")
     p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--steps", type=int, default=1024)
+    p.add_argument("--steps", type=int, default=1024,
+                   help="checked and echoed; survival has no grid")
     return ap
 
 

@@ -65,9 +65,9 @@ def entrance_start_time(gap: float) -> float:
     """Entrance start for a pulled-back region whose lowest point is `gap` away.
 
     The run-in to the region is one exact bridge step, so t0 only sets
-    the step length dt = (1 - t0) / n_steps and where the grid falls on
-    the region.  The floor bounds the entrance weight t0**-1/2, and with
-    it the variance, at nodes next to the region.
+    the entrance law and the length of that step.  The floor bounds the
+    entrance weight t0**-1/2, and with it the variance, at nodes next to
+    the region.
     """
     t0 = max(gap / ENTRANCE_GAP_FRACTION, ENTRANCE_START_FLOOR)
     return min(t0, gap)
@@ -90,13 +90,17 @@ def rhs_factors(t: float, region: TimeSet, rho: float, n_samples: int,
     Returns (left, right): left sees the region before t through
     x -> t(1-x), right the region after t through x -> t + (1-t)x.  A
     side with no region points is exactly 1.  t must lie strictly
-    inside a gap for any side that is not exactly 1; a t in the interior
-    of the region is a PreconditionError.
+    inside a gap: a t in the region, endpoints included, is a
+    PreconditionError.  The factors are grid-free; n_steps is only
+    checked against the step cap.
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"time {t} outside [0,1]")
-    if any(lo < t < hi for lo, hi in region):
-        raise PreconditionError(f"t={t} lies in the interior of {region}")
+    for lo, hi in region:
+        if lo < t < hi:
+            raise PreconditionError(f"t={t} lies in the interior of {region}")
+        if t in (lo, hi):
+            raise PreconditionError(f"t={t} is an endpoint of {region}")
     if t >= 1.0:
         right = EstimateWithError.exact(1.0)
     else:
@@ -171,6 +175,11 @@ class TheoremReport:
             "combined_stderr": self.combined_stderr,
             "pass": self.passed,
         }
+        # how far apart the routes are and which side's error dominates;
+        # both are undefined when neither side has sampling error
+        var = self.combined_stderr**2
+        out["z_score"] = self.discrepancy / self.combined_stderr if var else None
+        out["lhs_var_share"] = self.lhs.stderr**2 / var if var else None
         if self.lhs_refined is not None:
             out["lhs_refined"] = self.lhs_refined.as_dict()
             out["grid_stability_ok"] = self.stability_ok

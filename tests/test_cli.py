@@ -94,6 +94,25 @@ def test_sensitivity_curve_csv(capsys):
     assert [line.split(",")[1] for line in lines[1:]] == ["1.0", "1.0", "1.0"]
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["theorem-check", "--A", "1/4..1/2,5/8..3/4", "--rho", "0.5", "--n-grid", "256",
+      "--samples", "500", "--nodes", "2", "--node-samples", "500", "--seed", "3"],
+     "--node-steps"),
+    (["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--samples", "2000",
+      "--seed", "3"], "--steps"),
+], ids=["theorem-check", "consistency-check"])
+def test_grid_flags_change_no_result(capsys, argv, flag):
+    """Survival is grid-free: the step flags are checked and echoed, nothing more."""
+    docs = []
+    for steps in ("128", "1024"):
+        code, out, _ = run_cli(argv + [flag, steps], capsys)
+        assert code in (0, 1)
+        docs.append(json.loads(out))
+    assert docs[0]["results"] == docs[1]["results"]
+    key = flag[2:].replace("-", "_")
+    assert [doc["parameters"][key] for doc in docs] == [128, 1024]
+
+
 def test_consistency_check(capsys):
     code, out, _ = run_cli(
         ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5",
@@ -211,11 +230,15 @@ _THEOREM_SMALL = ["--n-grid", "64", "--samples", "100", "--nodes", "2",
     ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--seed", "-1"],
     ["mc-phi", "--A", "x..1/2", "--rho", "0.5"],
     ["mc-phi", "--A", "1/0..1/2", "--rho", "0.5"],
+    ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--n-grid", "64",
+     "--samples", "100", "--nodes", "2", "--node-samples", "100", "--node-steps", "0"],
+    ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--samples", "100",
+     "--steps", "0"],
 ], ids=["n-grid-list", "n-list", "t0", "samples-0", "samples-1", "node-samples-1",
         "discrete-phi-rho-1", "mc-phi-rho-1", "theorem-check-rho-1", "top-0",
         "top-negative", "discrete-phi-seed-negative", "theorem-check-seed-negative",
         "sensitivity-curve-rho-one-seed-negative", "endpoint-not-a-number",
-        "endpoint-zero-denominator"])
+        "endpoint-zero-denominator", "node-steps-0", "steps-0"])
 def test_bad_input_exit_2(capsys, argv):
     code, err = exit_code(argv, capsys)
     assert code == 2

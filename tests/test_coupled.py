@@ -6,10 +6,12 @@ from scipy import integrate
 from scipy.special import erf
 
 from splitnoise.coupled import (
+    STEP_CAP,
     _bridge_noncrossing,
     _coupled_normals,
     _coupled_signs,
     _joint_survival,
+    _wedge_noncrossing,
     argmin_coincidence,
     discrete_phi,
     entrance_heights,
@@ -41,16 +43,6 @@ def test_make_pattern_examples():
         make_pattern(FULL, 1.0, 8)
     with pytest.raises(DomainError):
         make_pattern(FULL, -0.1, 8)
-
-
-def test_make_pattern_on_interval():
-    pat = make_pattern([(0.5, 0.75)], 0.4, 6, t_start=0.25)
-    # grid left endpoints 0.25,0.375,0.5,0.625,0.75,0.875
-    assert np.array_equal(pat, [1, 1, 0.4, 0.4, 0.4, 1])
-    # a survival window after 0 admits rho = 1 (one path); [0,1] does not
-    assert np.all(make_pattern([(0.5, 0.75)], 1.0, 6, t_start=0.25) == 1.0)
-    with pytest.raises(DomainError):
-        make_pattern([], 0.4, 6, t_start=1.0)
 
 
 def coupled_walk(pattern, rng, size):
@@ -188,9 +180,9 @@ def test_entrance_mass_conservation_closed_form():
         assert abs(vals.mean() - 1.0) < 4 * se + 1e-3
 
 
-def fixed_height_survival(y, pattern, dt, n_samples, seed):
+def fixed_height_survival(y, pairs, rho, t0, n_samples, seed):
     """Mean and stderr of the two-path survival weight from a fixed height."""
-    vals = _joint_survival(np.full(n_samples, float(y)), pattern, dt, derive_rng(seed, 0))
+    vals = _joint_survival(np.full(n_samples, float(y)), pairs, rho, t0, derive_rng(seed, 0))
     return vals.mean(), vals.std(ddof=1) / math.sqrt(n_samples)
 
 
@@ -209,18 +201,27 @@ def test_survival_corr_matches_reflection():
 
 
 def test_shared_pattern_survival_is_closed_form():
-    # a pattern with no rho-step is the reflection tail alone: no draw
-    pat = make_pattern([], 0.5, 128, t_start=0.25)
+    # a window with no rho-run is the reflection tail alone: no draw
     y = np.array([0.3, 0.8, 1.5, 100.0])
     rng = derive_rng(31, 0)
     state = rng.bit_generator.state
-    vals = _joint_survival(y, pat, 0.75 / 128, rng)
+    vals = _joint_survival(y, [], 0.5, 0.25, rng)
     assert np.array_equal(vals, exact_survival_probability(y, 0.75))
     assert rng.bit_generator.state == state
 
 
+def window_pattern(region, rho, n, t0):
+    """Per-step rho on the n-step grid of [t0, 1], each step sampled at its left endpoint."""
+    grid = t0 + np.arange(n) * (1.0 - t0) / n
+    inside = np.zeros(n, dtype=bool)
+    for lo, hi in region:
+        inside |= (grid >= lo) & (grid <= hi)
+    return np.where(inside, rho, 1.0)
+
+
 def _stepwise_survival(y, pattern, dt, rng):
-    """Reference: every grid step drawn and weighted on its own."""
+    """Reference: every grid step drawn and weighted on its own, the pair's
+    crossing weights factorised inside rho-steps."""
     sqdt = math.sqrt(dt)
     w = np.array(y, dtype=np.float64)
     w_p = w.copy()
@@ -242,26 +243,104 @@ def _stepwise_survival(y, pattern, dt, rng):
 @pytest.mark.parametrize("region", [[(0.5, 0.75)], [(0.2, 0.35), (0.55, 0.7)]],
                          ids=["one-component", "two-components"])
 def test_collapsed_survival_matches_stepwise(region):
-    # collapsing shared stretches keeps the mean of the per-step walk and,
-    # being a conditional expectation of it, lowers the per-sample variance
+    # one exact step per shared stretch and per rho-run keeps the mean of
+    # the per-step walk (whose factorised rho-step weight is O(dt) off)
+    # and lowers the per-sample variance
     t0, n_steps, n_samples = 0.125, 128, 100_000
-    pat = make_pattern(region, 0.5, n_steps, t_start=t0)
+    pat = window_pattern(region, 0.5, n_steps, t0)
     dt = (1.0 - t0) / n_steps
-    runs = []
-    for survival, seed in ((_stepwise_survival, 51), (_joint_survival, 52)):
-        rng = derive_rng(seed, 0)
-        runs.append(survival(entrance_heights(t0, rng, n_samples), pat, dt, rng))
-    ref, fast = runs
+    rng = derive_rng(51, 0)
+    ref = _stepwise_survival(entrance_heights(t0, rng, n_samples), pat, dt, rng)
+    rng = derive_rng(52, 0)
+    fast = _joint_survival(entrance_heights(t0, rng, n_samples), region, 0.5, t0, rng)
     se = math.hypot(ref.std(ddof=1), fast.std(ddof=1)) / math.sqrt(n_samples)
     assert abs(ref.mean() - fast.mean()) < 4 * se
     assert fast.var(ddof=1) < ref.var(ddof=1)
 
 
 def test_survival_corr_monotone_in_height():
-    pat = make_pattern([(0.5, 1.0)], 0.5, 128, t_start=0.25)
-    vals = [fixed_height_survival(y, pat, 0.75 / 128, 50_000, seed=34)[0]
+    vals = [fixed_height_survival(y, [(0.5, 1.0)], 0.5, 0.25, 50_000, seed=34)[0]
             for y in (0.2, 0.5, 1.0, 2.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_wedge_kernel_at_the_ends_of_rho():
+    # rho = 0: two independent half-planes, the product of one-path
+    # weights; rho -> 0 approaches it through the series; rho = 1: one path
+    rng = derive_rng(37, 0)
+    w, w_new, w_p, w_p_new = rng.random((4, 10_000)) * 0.5
+    run = 0.3
+    product = _bridge_noncrossing(w, w_new, run) * _bridge_noncrossing(w_p, w_p_new, run)
+    assert np.array_equal(_wedge_noncrossing(w, w_new, w_p, w_p_new, 0.0, run), product)
+    for rho in (1e-13, 1e-15):
+        q = _wedge_noncrossing(w, w_new, w_p, w_p_new, rho, run)
+        assert np.abs(q - product).max() <= 1e-12
+    shifted = w_p - w + w_new  # a shared step moves both paths alike
+    low, low_new = np.minimum(w, w_p), np.minimum(w_new, shifted)
+    assert np.array_equal(_wedge_noncrossing(w, w_new, w_p, shifted, 1.0, run),
+                          _bridge_noncrossing(low, low_new, run))
+
+
+def fine_grid_pair_survival(ends, rho, run, n_steps, n_samples, seed):
+    """Mean and stderr of the survival of a rho-correlated bridge pair on a
+    fine grid: the pair is pinned at both ends, and each step's crossing
+    weights are factorised, an O(step) approximation."""
+    (a, b), (a_p, b_p) = ends
+    dt = run / n_steps
+    frac = np.arange(1, n_steps + 1) / n_steps
+    rng = derive_rng(seed, 0)
+    vals = []
+    for _ in range(n_samples // 1000):
+        free = np.cumsum(rng.standard_normal((2, 1000, n_steps)), axis=2) * math.sqrt(dt)
+        free[1] = rho * free[0] + math.sqrt(1.0 - rho**2) * free[1]
+        weight = np.ones(1000)
+        for (start, end), path in zip(ends, free):
+            bridge = start + path - frac * (path[:, -1:] - (end - start))
+            bridge = np.hstack([np.full((1000, 1), start), bridge])
+            weight *= _bridge_noncrossing(bridge[:, :-1], bridge[:, 1:], dt).prod(axis=1)
+        vals.append(weight)
+    vals = np.concatenate(vals)
+    return vals.mean(), vals.std(ddof=1) / math.sqrt(vals.size)
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.9])
+@pytest.mark.parametrize("ends, run", [
+    (((0.1, 0.2), (0.1, 0.15)), 0.3),
+    (((0.3, 0.2), (0.2, 0.4)), 0.25),
+], ids=["near-corner", "inside"])
+def test_wedge_kernel_matches_fine_grid(rho, ends, run):
+    (a, b), (a_p, b_p) = ends
+    exact = _wedge_noncrossing(*(np.array([v]) for v in (a, b, a_p, b_p)), rho, run)[0]
+    mean, se = fine_grid_pair_survival(ends, rho, run, 1024, 10_000, seed=38)
+    assert abs(exact - mean) < 4 * se
+    if ends[0] == (0.1, 0.2) and rho == 0.5:
+        # the one-step factorised weight (0.0119) is far outside that band
+        factorised = (_bridge_noncrossing(np.array([a]), np.array([b]), run)
+                      * _bridge_noncrossing(np.array([a_p]), np.array([b_p]), run))[0]
+        assert exact == pytest.approx(0.0313, abs=1e-4)
+        assert abs(factorised - mean) > 4 * se
+
+
+def test_wedge_kernel_lies_in_unit_interval():
+    # far, near-corner and wide-angle endpoints, at rho close to 1 too
+    rng = derive_rng(39, 0)
+    ends = np.concatenate([rng.exponential(1.0, (4, 20_000)),
+                           rng.exponential(1e-3, (4, 2_000)),
+                           rng.exponential(10.0, (4, 2_000))], axis=1)
+    # W falls to its edge while W' leaves its own: wide-angle steps
+    ends[:, :500] *= [[1.0], [1e-3], [1e-3], [1.0]]
+    for rho in (0.1, 0.5, 0.9, 0.999):
+        for run in (1e-3, 0.3, 1.0):
+            q = _wedge_noncrossing(*ends, rho, run)
+            assert np.all((q >= 0.0) & (q <= 1.0))
+
+
+def test_m_lambda_does_not_depend_on_run_splitting():
+    # a rho-run taken as one exact step or as four equal exact steps
+    one = m_lambda_functional([(0.5, 0.75)], 0.5, 0.125, 100_000, seed=45)
+    quarters = [(0.5 + k / 16, 0.5 + (k + 1) / 16) for k in range(4)]
+    four = m_lambda_functional(quarters, 0.5, 0.125, 100_000, seed=46)
+    assert abs(one.mean - four.mean) < 4 * math.hypot(one.stderr, four.stderr)
 
 
 def test_discrete_bridge_identity():
@@ -316,6 +395,18 @@ def test_m_lambda_preconditions():
         m_lambda_functional([(0.1, 0.5)], 0.5, 0.25, 100, seed=0)
     with pytest.raises(DomainError):
         m_lambda_functional([(0.5, 0.75)], 0.5, 0.0, 100, seed=0)
+    with pytest.raises(PreconditionError):
+        m_lambda_functional([(0.5, 0.75), (0.6, 0.8)], 0.5, 0.25, 100, seed=0)
+    with pytest.raises(PreconditionError):
+        m_lambda_functional([(0.5, 1.5)], 0.5, 0.25, 100, seed=0)
+    for rho in (-0.1, 1.1):
+        with pytest.raises(DomainError):
+            m_lambda_functional([(0.5, 0.75)], rho, 0.25, 100, seed=0)
+    # the walk has no grid, but a grid size is still checked
+    with pytest.raises(DomainError):
+        m_lambda_functional([(0.5, 0.75)], 0.5, 0.25, 100, seed=0, n_steps=0)
+    with pytest.raises(ResourceLimitError):
+        m_lambda_functional([(0.5, 0.75)], 0.5, 0.25, 100, seed=0, n_steps=STEP_CAP + 1)
     # one sample has no stderr, so no 4-sigma check could use it
     for n_samples in (-1, 0, 1):
         with pytest.raises(DomainError):

@@ -95,6 +95,13 @@ def test_rhs_factors_at_boundary_times():
         rhs_factors(1.5, B, 0.5, 100, seed=1)
 
 
+@pytest.mark.parametrize("t", [0.25, 0.5])
+def test_rhs_factors_at_region_endpoints(t):
+    # a touching side's pull-back starts at 0, where no entrance law starts
+    with pytest.raises(PreconditionError, match=rf"t={t} is an endpoint of 1/4\.\.1/2"):
+        rhs_factors(t, QUARTER_HALF, 0.5, 100, seed=1)
+
+
 def test_rhs_factor_pullback_set():
     # at t=1/4 the region [1/2,3/4] seen from the right is [1/3,2/3]
     pulled = affine_preimage(TimeSet.parse("1/2..3/4"), 1.0 - 0.25, 0.25)
@@ -158,6 +165,19 @@ def test_verify_theorem_small_case_passes():
     assert abs(report.discrepancy) <= 4 * report.combined_stderr
     d = report.as_dict()
     assert d["pass"] and "nodes" not in d["rhs"]
+
+
+def test_verdict_reports_z_score_and_variance_share():
+    report = verify_theorem(QUARTER_HALF, 0.5, seed=8, lhs_n_grid=256, lhs_samples=500,
+                            n_nodes=2, node_samples=500, node_steps=64)
+    d = report.as_dict()
+    assert d["z_score"] == report.discrepancy / report.combined_stderr
+    assert d["lhs_var_share"] == report.lhs.stderr**2 / report.combined_stderr**2
+    assert 0.0 < d["lhs_var_share"] < 1.0
+    # with no sampling error on either side neither is defined
+    d = verify_theorem(EMPTY, 0.5, seed=6, lhs_n_grid=128, lhs_samples=500,
+                       n_nodes=2, node_samples=100).as_dict()
+    assert d["z_score"] is None and d["lhs_var_share"] is None
 
 
 def test_sensitivity_curve_identical_at_rho_one():
