@@ -46,10 +46,9 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _add_common(p: argparse.ArgumentParser, rho: bool = True):
+def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--A", default="", help='perturbation region, e.g. "1/4..1/2,5/8..3/4"; empty = none')
-    if rho:
-        p.add_argument("--rho", type=float, default=None, help="perturbed-step correlation")
+    p.add_argument("--rho", type=float, default=None, help="perturbed-step correlation")
     p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     p.add_argument("--out", default=None, help="write the JSON payload here instead of stdout")
 
@@ -176,7 +175,7 @@ def _run_discrete_phi(args) -> int:
 
 def _run_mc_phi(args) -> int:
     region = TimeSet.parse(args.A)
-    if args.n_grid_list:
+    if args.n_grid_list is not None:
         grids = _parse_list(args.n_grid_list, "--n-grid-list")
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -8,16 +8,15 @@ share increments bitwise; pattern-rho steps are freshly mixed.  Every
 estimator draws its coupled increments from one of two kernels:
 _coupled_normals for Brownian pairs, _coupled_signs for +-1 walk pairs.
 
-Path-survival functionals are estimated without a grid, with exact
-crossing weights: given the path values at its ends, each piece
-contributes the probability that the pair stays positive inside it.  A
-shared stretch moves the pair in parallel, so it is one Brownian-bridge
-step of its whole length on the lower path, and the shared tail after
-the last rho-run is the reflection closed form.  A rho-run is one
-coupled step of its whole length weighted by the Dirichlet heat kernel
-of the wedge {W > 0, W' > 0} (_wedge_noncrossing), so the pair's
-crossing corrections are not factorised and survival carries no grid
-bias.
+Path-survival functionals are estimated without a grid, by one rule:
+up to the end of the last rho-run, each piece (a shared stretch at
+correlation 1 or a rho-run at rho) is one coupled step of its whole
+length, weighted by the Dirichlet heat kernel of the wedge
+{W > 0, W' > 0} (_wedge_noncrossing): the probability that the pair
+stays positive inside the piece given its ends.  At correlation 1 the
+pair moves in parallel and the kernel is the lower path's bridge step.
+The shared tail is the reflection closed form.  No crossing weight is
+factorised across the pair, so survival carries no grid bias.
 """
 
 from __future__ import annotations
@@ -81,19 +80,17 @@ def _coupled_normals(rho, sqdt: float, rng: np.random.Generator,
                      shape) -> tuple[np.ndarray, np.ndarray]:
     """Coupled N(0, dt) increment pair (db, db') with per-step correlation rho.
 
-    rho is a numpy scalar or an array that broadcasts against shape.
+    rho is a float or an array that broadcasts against shape.
     db' = rho db + sqrt(1-rho^2) sqdt z with a fresh normal z; where
     rho = 1 it is db bitwise, and when every rho = 1 no second normal is
     drawn.
     """
     db = rng.standard_normal(shape) * sqdt
-    shared = rho == 1.0
-    # a scalar rho (one survival step) skips the array reduction and the
-    # select: at small batches either costs as much as the step itself
-    if shared.all() if shared.ndim else shared:
+    shared = np.equal(rho, 1.0)
+    if shared.all():
         return db, db
     mixed = rho * db + np.sqrt(1.0 - rho**2) * sqdt * rng.standard_normal(shape)
-    return db, np.where(shared, db, mixed) if shared.ndim else mixed
+    return db, np.where(shared, db, mixed)
 
 
 _HALF = np.float32(0.5)
@@ -160,7 +157,7 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
         idx_p, ties_p = _argmin_with_start(np.cumsum(db_prime, axis=1))
         n_ties += int(np.count_nonzero(ties | ties_p))
         moments.add((idx == idx_p).astype(np.float64))
-    tie_fraction = n_ties / max(moments.count, 1)  # from_moments rejects < 2 samples
+    tie_fraction = n_ties / moments.count  # batch_sizes rejects < 2 samples
     extra = {"tie_fraction": tie_fraction, "tie_flag": tie_fraction > 1e-3}
     return EstimateWithError.from_moments(moments, seed, extra=extra)
 
@@ -213,7 +210,9 @@ def _wedge_noncrossing(w: np.ndarray, w_new: np.ndarray, w_prime: np.ndarray,
                        w_prime_new: np.ndarray, rho: float, run: float) -> np.ndarray:
     """P(the rho-correlated bridge pair stays in {W > 0, W' > 0}) over one step.
 
-    The step takes (W, W') from (w, w') to (w_new, w'_new) in time run.
+    It weighs every piece of the survival walk: at rho on a rho-run, at
+    1 on a shared stretch.  The step takes (W, W') from (w, w') to
+    (w_new, w'_new) in time run.
     B1 = W, B2 = (W' - rho W) / sqrt(1 - rho^2) is a planar Brownian
     motion, in which the quadrant is a wedge of angle alpha =
     arccos(-rho).  With polar coordinates (r, theta) measured from its
@@ -226,8 +225,9 @@ def _wedge_noncrossing(w: np.ndarray, w_new: np.ndarray, w_prime: np.ndarray,
     (Carslaw & Jaeger 1959, the wedge problems).  The two one-path
     crossing probabilities p, p' bound the product's error:
     |exact - (1 - p)(1 - p')| <= min(p, p'), so the series is summed
-    only where both exceed _SERIES_CUT.  rho = 0 is the product exactly,
-    and rho = 1 the bridge step of the shared path.
+    only where both exceed _SERIES_CUT.  rho = 0 is the product exactly;
+    at rho = 1 the pair moves in parallel and it is the lower path's
+    bridge step.
 
     The terms exceed their sum by exp(z (1 - cos(theta - theta'))).
     Beyond _SERIES_GAP the series would cancel to rounding noise, and
@@ -286,32 +286,25 @@ def _joint_survival(y: np.ndarray, pairs, rho: float, t0: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Per-sample probability that both coupled paths from height y at t0 stay positive to 1.
 
-    pairs are the sorted, disjoint rho-runs inside [t0, 1].  The walk
-    has no grid: on a shared stretch the pair moves in parallel, so both
-    stay positive iff the lower envelope does, and a stretch before a
-    rho-run is one exact bridge step of its length; each rho-run is one
-    coupled step of its length, weighted by the exact wedge kernel; the
+    pairs are the sorted, disjoint rho-runs inside [t0, 1], each of
+    positive length.  One rule, no grid: each piece before the tail, a
+    shared stretch at correlation 1 (the run-in from t0 or a gap between
+    runs; skipped at zero length) or a rho-run at rho, is one coupled
+    step of its whole length weighted by the exact wedge kernel.  The
     stretch after the last run is the reflection closed form, with no
-    draw.  No crossing weight is factorised across the pair, so the
-    only approximation left is floating point.
+    draw, so the only approximation left is floating point.
     """
     w = np.asarray(y, dtype=np.float64).copy()
     w_prime = w.copy()
     weight = np.ones_like(w)
-    rho = np.float64(rho)  # _coupled_normals takes its scalar fast path
     now = t0
     for lo, hi in pairs:
-        if lo > now:
-            run = lo - now
-            db = rng.standard_normal(w.shape) * math.sqrt(run)
-            low = np.minimum(w, w_prime)
-            weight *= _bridge_noncrossing(low, low + db, run)
-            w, w_prime = w + db, w_prime + db
-        run = hi - lo
-        db, db_prime = _coupled_normals(rho, math.sqrt(run), rng, w.shape)
-        w_new, w_prime_new = w + db, w_prime + db_prime
-        weight *= _wedge_noncrossing(w, w_new, w_prime, w_prime_new, rho, run)
-        w, w_prime = w_new, w_prime_new
+        for run, r in ((lo - now, 1.0), (hi - lo, rho)):
+            if run > 0.0:
+                db, db_prime = _coupled_normals(r, math.sqrt(run), rng, w.shape)
+                w_new, w_prime_new = w + db, w_prime + db_prime
+                weight *= _wedge_noncrossing(w, w_new, w_prime, w_prime_new, r, run)
+                w, w_prime = w_new, w_prime_new
         now = hi
     if now < 1.0:
         low = np.maximum(np.minimum(w, w_prime), 0.0)
@@ -336,6 +329,8 @@ def m_lambda_functional(region_pairs, rho: float, t0: float, n_samples: int,
     ends = [t0, *(x for pair in pairs for x in pair), 1.0]
     if any(b < a for a, b in zip(ends, ends[1:])):
         raise PreconditionError(f"region must be disjoint intervals in [{t0}, 1]")
+    if any(lo >= hi for lo, hi in pairs):
+        raise PreconditionError(f"region components must have positive length, got {pairs}")
     if not 0.0 < t0 < 1.0:
         raise DomainError(f"start time {t0} outside (0,1)")
     if not 0.0 <= rho <= 1.0:

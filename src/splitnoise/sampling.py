@@ -36,12 +36,17 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(_sequence(seed, path).generate_state(1, np.uint64)[0])
 
 
-def batch_sizes(n_samples: int, batch: int) -> list[int]:
-    """Deterministic split of n_samples into batches of at most `batch`."""
-    if n_samples < 0:
-        raise DomainError(f"sample count {n_samples} is negative")
+def _check_samples(n_samples: int):
+    """A sample count lies in [2, SAMPLE_CAP]: one sample has no stderr."""
+    if n_samples < 2:
+        raise DomainError(f"need at least two samples, got {n_samples}")
     if n_samples > SAMPLE_CAP:
         raise ResourceLimitError(f"{n_samples} samples exceed the cap {SAMPLE_CAP}")
+
+
+def batch_sizes(n_samples: int, batch: int) -> list[int]:
+    """Deterministic split of n_samples (checked) into batches of at most `batch`."""
+    _check_samples(n_samples)
     full, rem = divmod(int(n_samples), int(batch))
     return [batch] * full + ([rem] if rem else [])
 

@@ -4,9 +4,10 @@ A walk X with +-1 steps from 0 drives a walk Z through
 Z_{k+1} - Z_k = sgn(X_k) (X_{k+1} - X_k) with sgn(a) = +1 for a >= 0,
 -1 for a < 0.  Unlike the continuous-time analogue, Z determines X: the
 reflection identity |X_n + 1/2| - 1/2 = Z_n + max_{k<=n}(-Z_k) recovers
-|X| and the parity of the last running-minimum time of Z recovers the
-sign.  Everything here is exact integer arithmetic on (optionally
-batched) increment arrays, so the identities can be checked exhaustively.
+|X| and the parity of min Z, which is the parity of the last
+running-minimum time of Z, recovers the sign.  Everything here is exact
+integer arithmetic on (optionally batched) increment arrays, so the
+identities can be checked exhaustively.
 """
 
 from __future__ import annotations
@@ -85,21 +86,14 @@ def identities_hold(dx: np.ndarray) -> np.ndarray:
     ok_reflect = np.all(lhs2 == 2 * (z_pos + running_max_negated(z_pos)), axis=-1)
     return ok_local & ok_reflect
 
-def last_min_index(z_pos: np.ndarray) -> np.ndarray:
-    """r = max{k : Z_k = min_{j<=k} Z_j} along the last axis."""
-    z_pos = np.asarray(z_pos, dtype=np.int64)
-    at_min = z_pos == np.minimum.accumulate(z_pos, axis=-1)
-    n = z_pos.shape[-1]
-    idx = np.arange(n)
-    return np.max(np.where(at_min, idx, -1), axis=-1)
-
 def parity_signs(z_pos: np.ndarray) -> np.ndarray:
-    """+1 if the last running-minimum time of Z is even, else -1.
+    """(-1)^(min_{k<=n} Z_k) along the last axis.
 
-    Recovers sgn(X_n + 1/2) for the walk X reconstructed from Z.
+    Recovers sgn(X_n + 1/2) for the walk X reconstructed from Z.  This
+    is the parity of the last running-minimum time r, since Z_r = min Z
+    and r = Z_r (mod 2).
     """
-    r = last_min_index(z_pos)
-    return np.where(r % 2 == 0, 1, -1)
+    return np.where(np.min(z_pos, axis=-1) % 2 == 0, 1, -1)
 
 
 def all_increment_patterns(n: int) -> np.ndarray:

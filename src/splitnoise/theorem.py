@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coupled import argmin_coincidence, discrete_phi, m_lambda_functional
+from .coupled import _check_steps, argmin_coincidence, discrete_phi, m_lambda_functional
 from .errors import DomainError, PreconditionError, ResourceLimitError
-from .sampling import EstimateWithError, derive_seed, product_estimate
+from .sampling import EstimateWithError, _check_samples, derive_seed, product_estimate
 from .timesets import TimeSet, affine_preimage
 
 ENTRANCE_GAP_FRACTION = 8.0  # entrance paths start at gap/8, the region at gap
@@ -236,6 +236,9 @@ def sensitivity_curve(rho: float, n_list, n_samples: int,
     for i, n in enumerate(n_list):
         row_seed = derive_seed(seed, _TAG_CURVE, i)  # checks the seed at rho = 1 too
         if rho == 1.0:
+            # the size checks discrete_phi makes, in its order
+            _check_steps(n)
+            _check_samples(n_samples)
             rows.append((n, EstimateWithError.exact(1.0)))
         else:
             rows.append((n, discrete_phi(full, rho, n, n_samples, row_seed)))

@@ -234,11 +234,17 @@ _THEOREM_SMALL = ["--n-grid", "64", "--samples", "100", "--nodes", "2",
      "--samples", "100", "--nodes", "2", "--node-samples", "100", "--node-steps", "0"],
     ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--samples", "100",
      "--steps", "0"],
+    ["mc-phi", "--rho", "0.5", "--n-grid-list=", "--samples", "100"],
+    ["sensitivity-curve", "--rho", "1", "--n-list", "0,8", "--samples", "100"],
+    ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--samples", "1"],
+    ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--samples", "-5"],
 ], ids=["n-grid-list", "n-list", "t0", "samples-0", "samples-1", "node-samples-1",
         "discrete-phi-rho-1", "mc-phi-rho-1", "theorem-check-rho-1", "top-0",
         "top-negative", "discrete-phi-seed-negative", "theorem-check-seed-negative",
         "sensitivity-curve-rho-one-seed-negative", "endpoint-not-a-number",
-        "endpoint-zero-denominator", "node-steps-0", "steps-0"])
+        "endpoint-zero-denominator", "node-steps-0", "steps-0", "n-grid-list-empty",
+        "sensitivity-curve-rho-one-n-0", "sensitivity-curve-rho-one-samples-1",
+        "sensitivity-curve-rho-one-samples-negative"])
 def test_bad_input_exit_2(capsys, argv):
     code, err = exit_code(argv, capsys)
     assert code == 2
@@ -283,7 +289,10 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
     ["mc-phi", "--rho", "0.5", "--n-grid", "64", "--samples", str(SAMPLE_CAP + 1)],
     ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--nodes", str(NODE_CAP + 1),
      "--n-grid", "64", "--samples", "100", "--node-steps", "8"],
-], ids=["steps", "node-steps", "samples", "nodes"])
+    ["sensitivity-curve", "--rho", "1", "--n-list", f"8,{STEP_CAP + 1}", "--samples", "100"],
+    ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--samples", str(SAMPLE_CAP + 1)],
+], ids=["steps", "node-steps", "samples", "nodes", "sensitivity-curve-rho-one-n",
+        "sensitivity-curve-rho-one-samples"])
 def test_size_cap_exit_3(capsys, argv):
     code, err = exit_code(argv, capsys)
     assert code == 3

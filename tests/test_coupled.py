@@ -399,6 +399,9 @@ def test_m_lambda_preconditions():
         m_lambda_functional([(0.5, 0.75), (0.6, 0.8)], 0.5, 0.25, 100, seed=0)
     with pytest.raises(PreconditionError):
         m_lambda_functional([(0.5, 1.5)], 0.5, 0.25, 100, seed=0)
+    # a component of zero length would be a wedge step over no time
+    with pytest.raises(PreconditionError):
+        m_lambda_functional([(0.5, 0.5)], 0.5, 0.25, 100, seed=1)
     for rho in (-0.1, 1.1):
         with pytest.raises(DomainError):
             m_lambda_functional([(0.5, 0.75)], rho, 0.25, 100, seed=0)

@@ -88,6 +88,11 @@ def test_parity_rule_exhaustive_length_14():
         got = parity_signs(z_pos[:, : n + 1])
         want = np.where(x_pos[:, n] >= 0, 1, -1)
         assert np.array_equal(got, want), f"parity mismatch at n={n}"
+        # the paper's form: the parity of the last running-minimum time
+        prefix = z_pos[:, : n + 1]
+        at_min = prefix == np.minimum.accumulate(prefix, axis=-1)
+        last = np.max(np.where(at_min, np.arange(n + 1), -1), axis=-1)
+        assert np.array_equal(got, np.where(last % 2 == 0, 1, -1)), f"last-minimum form at n={n}"
 
 
 def test_sgn_convention():
