@@ -52,4 +52,4 @@ empty = verify_theorem(TimeSet.empty(), RHO, seed=1, lhs_n_grid=256, lhs_samples
 print(f"  no perturbation: lhs = {empty.lhs.mean}, rhs = {empty.rhs.mean} (identical paths)")
 full = rhs_integral(TimeSet.full(), RHO, 8, 100, seed=2)
 print(f"  full perturbation: rhs = {full.mean} (no gaps to integrate over; "
-      "the direct probability also dies with refinement)")
+      "the direct route is exactly 0 too)")

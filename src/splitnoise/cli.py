@@ -38,9 +38,17 @@ def _payload(command: str, params: dict, results: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _open_out(path: str, newline: str | None = None):
+    """Open an output file for writing; an unwritable path is a usage error."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -221,7 +229,7 @@ def _run_theorem_check(args) -> int:
         node_steps=args.node_steps, check_stability=args.check_stability,
     )
     if args.factors_csv and report.rhs.extra:
-        with open(args.factors_csv, "w", newline="") as fh:
+        with _open_out(args.factors_csv, newline="") as fh:
             rows = report.rhs.extra["nodes"]
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else
                                     ["component", "t", "weight", "left",

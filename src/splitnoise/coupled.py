@@ -8,6 +8,10 @@ share increments bitwise; pattern-rho steps are freshly mixed.  Every
 estimator draws its coupled increments from one of two kernels:
 _coupled_normals for Brownian pairs, _coupled_signs for +-1 walk pairs.
 
+The argmin coincidence (the direct route) is exact across the gaps
+of A, where the pair shares its increments, and gridded only on A.
+It uses none of the survival kernels below.
+
 Path-survival functionals are estimated without a grid, by one rule:
 up to the end of the last rho-run, each piece (a shared stretch at
 correlation 1 or a rho-run at rho) is one coupled step of its whole
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf, ive
+from scipy.special import erf, erfc, ive
 
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import EstimateWithError, RunningMoments, batch_sizes, derive_rng
@@ -34,7 +38,7 @@ STEP_CAP = 10**7  # grid steps per path: walk length, n_grid, node_steps
 # fixed batch shapes (reproducibility: a pure function of the parameters)
 _WALK_BATCH = 1 << 17
 _SURVIVAL_BATCH = 1 << 16
-_ARGMIN_ELEMENTS = 1 << 24  # target elements per (batch, grid) array
+_ARGMIN_ELEMENTS = 1 << 22  # target batch samples x n_grid on the direct route
 
 # wedge kernel: crossing probability below which the half-plane product
 # is exact, the term size at which a sample's Bessel series stops, and
@@ -57,14 +61,18 @@ def make_pattern(region, rho: float, n: int) -> np.ndarray:
     region is a TimeSet or a list of float (lo, hi) pairs; rho lies in
     [0,1).  Steps in the region get rho, the others 1.
     """
-    if not 0.0 <= rho < 1.0:
-        raise DomainError(f"rho={rho} outside [0,1)")
+    _check_rho(rho)
     _check_steps(n)
     grid = np.arange(n) / n
     inside = np.zeros(n, dtype=bool)
     for lo, hi in region:
         inside |= (grid >= lo) & (grid <= hi)
     return np.where(inside, rho, 1.0)
+
+
+def _check_rho(rho: float):
+    if not 0.0 <= rho < 1.0:
+        raise DomainError(f"rho={rho} outside [0,1)")
 
 
 def _check_steps(n: int):
@@ -138,38 +146,123 @@ def discrete_phi(region, rho: float, n: int, n_samples: int,
 
 def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
                        seed: int) -> EstimateWithError:
-    """P(the coupled Brownian pair attains its grid minima at the same index).
+    """P(the coupled Brownian pair attains its minimum at the same time).
 
-    Ties are resolved to the smallest index, counted, and reported in
-    extra; a tie fraction above 0.1% flags the run.
+    The pair is walked over the pieces of [0,1] in time order.  Each
+    path keeps its lowest candidate minimum and a label for where it
+    lies (time 0 and every shared gap have a label both paths share):
+
+    - a shared gap (before A or between its components) is one exact
+      step: both paths move by one N(0, L) increment d and get the same
+      bridge minimum, (d - sqrt(d^2 + 2 L E)) / 2 above their start with
+      E ~ Exp(1), under the gap's label;
+    - a component of A is ceil(n_grid * length) coupled steps, and each
+      path gets the exact bridge minimum of every step from the step's
+      two grid values, under a label of its own: for rho < 1 the
+      continuous argmins inside A coincide with probability 0;
+    - the last gap, ending at 1, is closed form with no draw
+      (_last_gap), so the empty region gives exactly 1; the full region
+      gives exactly 0.
+
+    The one approximation left: inside a rho-step the two paths'
+    minima are drawn independently given the step's ends.  The bias
+    this leaves shrinks as the grid on A is refined.  A sample is tied
+    when a path's best candidate equals another of its candidates in
+    floating point; a tie fraction above 0.1% flags the run.
     """
+    _check_rho(rho)
     if n_grid < 2:
         raise DomainError("need at least two grid steps")
-    pattern = make_pattern(region, rho, n_grid)
-    sqdt = math.sqrt(1.0 / n_grid)
+    _check_steps(n_grid)
+    components = [(lo, hi, math.ceil(n_grid * (hi - lo))) for lo, hi in region]
     batch = max(1, _ARGMIN_ELEMENTS // n_grid)
     moments = RunningMoments()
     n_ties = 0
     for i, b in enumerate(batch_sizes(n_samples, batch)):
         rng = derive_rng(seed, _TAG_ARGMIN, i)
-        db, db_prime = _coupled_normals(pattern, sqdt, rng, (b, n_grid))
-        idx, ties = _argmin_with_start(np.cumsum(db, axis=1))
-        idx_p, ties_p = _argmin_with_start(np.cumsum(db_prime, axis=1))
-        n_ties += int(np.count_nonzero(ties | ties_p))
-        moments.add((idx == idx_p).astype(np.float64))
+        value, tied = _coincidence_walk(components, rho, b, rng)
+        n_ties += int(np.count_nonzero(tied))
+        moments.add(value)
     tie_fraction = n_ties / moments.count  # batch_sizes rejects < 2 samples
     extra = {"tie_fraction": tie_fraction, "tie_flag": tie_fraction > 1e-3}
     return EstimateWithError.from_moments(moments, seed, extra=extra)
 
 
-def _argmin_with_start(cumsum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Argmin over the path (0, cs_1, ..., cs_n) without materializing the 0."""
-    minval = cumsum.min(axis=1)
-    inner = cumsum.argmin(axis=1) + 1
-    idx = np.where(minval >= 0.0, 0, inner)
-    floor = np.minimum(minval, 0.0)
-    count = (cumsum == floor[:, None]).sum(axis=1) + (floor == 0.0)
-    return idx, count > 1
+_OWN_LABELS = np.array([[-1], [-2]])  # minima inside A: one label per path
+
+
+def _coincidence_walk(components, rho: float, b: int,
+                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample coincidence probability and tie flag of b pairs walked over [0,1].
+
+    components are (lo, hi, steps) in time order.  Axis 0 of every
+    state array is the path, W then W'.
+    """
+    w = np.zeros((2, b))
+    best = np.zeros((2, b))  # time 0, where both paths start
+    label = np.zeros((2, b), dtype=np.int64)
+    tied = np.zeros((2, b), dtype=bool)
+
+    def offer(candidate, own_label, own_tie=False):
+        lower = candidate < best
+        tied[...] = np.where(lower, own_tie, tied | (candidate == best))
+        label[...] = np.where(lower, own_label, label)
+        np.minimum(best, candidate, out=best)
+
+    now = 0.0
+    for k, (lo, hi, steps) in enumerate(components):
+        if lo > now:
+            run = lo - now
+            d = rng.standard_normal(b) * math.sqrt(run)
+            offer(w + _bridge_minimum(d, run, rng), k + 1)
+            w += d
+        dt = (hi - lo) / steps
+        lowest = np.empty((2, b))
+        own_tie = np.empty((2, b), dtype=bool)
+        for path, db in enumerate(_coupled_normals(rho, math.sqrt(dt), rng, (b, steps))):
+            ends = np.cumsum(db, axis=1)  # grid values relative to w
+            lows = _bridge_minimum(db, dt, rng)
+            lows += ends
+            lows -= db
+            low = lows.min(axis=1)
+            own_tie[path] = np.count_nonzero(lows == low[:, None], axis=1) > 1
+            lowest[path] = w[path] + low
+            w[path] += ends[:, -1]
+        offer(lowest, _OWN_LABELS, own_tie)
+        now = hi
+    return _last_gap(w - best, label[0] == label[1], 1.0 - now), tied[0] | tied[1]
+
+
+def _last_gap(height: np.ndarray, same: np.ndarray, length: float) -> np.ndarray:
+    """P(the pair's minima coincide), given the pair before a shared last gap ending at 1.
+
+    height (2, b) is each path's height above its best candidate, same
+    whether the two best candidates share a label.  The gap's minimum
+    is below -h with probability erfc(h / sqrt(2 length)) (reflection).
+    Both paths' minima then fall in the gap, and coincide, with
+    probability erfc at the larger height; neither does with
+    probability erf at the smaller one, and they coincide iff same.
+    """
+    if length <= 0.0:
+        return same.astype(np.float64)
+    x = height / math.sqrt(2.0 * length)
+    return erfc(x.max(axis=0)) + same * erf(x.min(axis=0))
+
+
+def _bridge_minimum(d: np.ndarray, length: float, rng: np.random.Generator) -> np.ndarray:
+    """Exact minimum of a Brownian bridge that rises by d over time length, less its start.
+
+    (d - sqrt(d^2 + 2 length E)) / 2 with E ~ Exp(1): the inverse
+    transform of P(min < m) = exp(-2 m (m - d) / length) (Glasserman,
+    Monte Carlo Methods in Financial Engineering, 2003, ch. 6).
+    """
+    root = rng.standard_exponential(d.shape)
+    root *= 2.0 * length
+    root += d * d
+    np.sqrt(root, out=root)
+    root -= d
+    root *= -0.5
+    return root
 
 
 # -- killed-path survival machinery -----------------------------------------
@@ -325,14 +418,14 @@ def m_lambda_functional(region_pairs, rho: float, t0: float, n_samples: int,
     assumption used here).  The walk has no grid, so n_steps is only
     checked against the step cap.
     """
+    if not 0.0 < t0 < 1.0:
+        raise DomainError(f"start time {t0} outside (0,1)")
     pairs = sorted(region_pairs)
     ends = [t0, *(x for pair in pairs for x in pair), 1.0]
     if any(b < a for a, b in zip(ends, ends[1:])):
         raise PreconditionError(f"region must be disjoint intervals in [{t0}, 1]")
     if any(lo >= hi for lo, hi in pairs):
         raise PreconditionError(f"region components must have positive length, got {pairs}")
-    if not 0.0 < t0 < 1.0:
-        raise DomainError(f"start time {t0} outside (0,1)")
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"rho={rho} outside [0,1]")
     _check_steps(n_steps)

@@ -1,7 +1,8 @@
 """Two independent routes to the limiting sign correlation, compared.
 
 Left-hand side: the probability that a pattern-coupled Brownian pair
-attains its grid minima at the same time, simulated directly.
+attains its minimum at the same time, simulated directly (exact off
+the region, gridded on it).
 
 Right-hand side: an arc-sine-weighted integral over the unperturbed
 gaps.  At a gap time t the perturbation region is pulled back through
@@ -122,7 +123,9 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     Node factors use independent derived streams; the variance combines
     the per-node product variances, so stderr here is propagated rather
     than a direct sample statistic.  Per-node diagnostics ride along in
-    extra["nodes"].
+    extra["nodes"], and extra["top_node"] names the node with the
+    largest variance term (weight^2 x product variance): its component,
+    t and share of the total, or None when the total is 0.
     """
     if region.is_full():
         return EstimateWithError.exact(0.0)
@@ -132,6 +135,7 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     var = 0.0
     count = 0
     rows = []
+    node_vars = []
     for ci, (a, b) in enumerate(region.complement_components()):
         times, weight = arcsine_nodes(a, b, n_nodes)
         for ni, t in enumerate(times):
@@ -140,15 +144,19 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
                                       n_samples_per_node, node_seed, n_steps)
             pm, pv = product_estimate(left, right)
             total += weight * pm
-            var += weight**2 * pv
+            node_vars.append(weight**2 * pv)
+            var += node_vars[-1]
             count += left.n_samples + right.n_samples
             rows.append({
                 "component": ci, "t": t, "weight": weight,
                 "left": left.mean, "left_stderr": left.stderr,
                 "right": right.mean, "right_stderr": right.stderr,
             })
-    return EstimateWithError(mean=total, stderr=math.sqrt(var),
-                             n_samples=count, seed=seed, extra={"nodes": rows})
+    top = int(np.argmax(node_vars))
+    top_node = {"component": rows[top]["component"], "t": rows[top]["t"],
+                "var_share": node_vars[top] / var} if var else None
+    return EstimateWithError(mean=total, stderr=math.sqrt(var), n_samples=count,
+                             seed=seed, extra={"nodes": rows, "top_node": top_node})
 
 
 @dataclass(frozen=True)
@@ -170,10 +178,13 @@ class TheoremReport:
             "A": self.region,
             "rho": self.rho,
             "lhs": self.lhs.as_dict(),
-            "rhs": {k: v for k, v in self.rhs.as_dict().items() if k != "nodes"},
+            "rhs": {k: v for k, v in self.rhs.as_dict().items()
+                    if k not in ("nodes", "top_node")},
             "discrepancy": self.discrepancy,
             "combined_stderr": self.combined_stderr,
             "pass": self.passed,
+            # the quadrature node with the largest share of the RHS variance
+            "rhs_top_node": (self.rhs.extra or {}).get("top_node"),
         }
         # how far apart the routes are and which side's error dominates;
         # both are undefined when neither side has sampling error

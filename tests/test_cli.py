@@ -238,17 +238,29 @@ _THEOREM_SMALL = ["--n-grid", "64", "--samples", "100", "--nodes", "2",
     ["sensitivity-curve", "--rho", "1", "--n-list", "0,8", "--samples", "100"],
     ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--samples", "1"],
     ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--samples", "-5"],
+    ["mc-phi", "--rho", "0.5", "--n-grid", "64", "--samples", "10",
+     "--out", "/nonexistent/x"],
+    ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--node-samples", "100",
+     *_THEOREM_SMALL, "--factors-csv", "/nonexistent/x.csv"],
 ], ids=["n-grid-list", "n-list", "t0", "samples-0", "samples-1", "node-samples-1",
         "discrete-phi-rho-1", "mc-phi-rho-1", "theorem-check-rho-1", "top-0",
         "top-negative", "discrete-phi-seed-negative", "theorem-check-seed-negative",
         "sensitivity-curve-rho-one-seed-negative", "endpoint-not-a-number",
         "endpoint-zero-denominator", "node-steps-0", "steps-0", "n-grid-list-empty",
         "sensitivity-curve-rho-one-n-0", "sensitivity-curve-rho-one-samples-1",
-        "sensitivity-curve-rho-one-samples-negative"])
+        "sensitivity-curve-rho-one-samples-negative", "out-unwritable",
+        "factors-csv-unwritable"])
 def test_bad_input_exit_2(capsys, argv):
     code, err = exit_code(argv, capsys)
     assert code == 2
     assert err.splitlines()[0].startswith("error kind=domain")
+
+
+def test_bad_start_time_is_named(capsys):
+    code, err = exit_code(["consistency-check", "--A", "1/2..3/4", "--rho", "0.5",
+                           "--t0", "1/32,2", "--samples", "100", "--steps", "8"], capsys)
+    assert code == 2
+    assert "start time 2.0" in err.splitlines()[0]
 
 
 @pytest.mark.parametrize("tied_run, means, stderr", [

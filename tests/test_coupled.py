@@ -5,12 +5,15 @@ import pytest
 from scipy import integrate
 from scipy.special import erf
 
+from splitnoise import coupled
 from splitnoise.coupled import (
     STEP_CAP,
+    _bridge_minimum,
     _bridge_noncrossing,
     _coupled_normals,
     _coupled_signs,
     _joint_survival,
+    _last_gap,
     _wedge_noncrossing,
     argmin_coincidence,
     discrete_phi,
@@ -138,6 +141,61 @@ def test_argmin_coincidence_unperturbed():
 def test_argmin_coincidence_independent_paths_rare():
     est = argmin_coincidence(FULL, 0.0, 1 << 10, 4000, seed=3)
     assert est.mean < 0.05
+
+
+def test_argmin_coincidence_full_region_is_exactly_zero():
+    # every candidate minimum lies inside A, where the two paths' labels differ
+    for rho in (0.0, 0.9):
+        est = argmin_coincidence(FULL, rho, 256, 1000, seed=4)
+        assert (est.mean, est.stderr) == (0.0, 0.0)
+
+
+def test_bridge_minimum_matches_reflection():
+    # over a free step d ~ N(0, L) the bridge minimum is the minimum of
+    # Brownian motion on [0, L]: P(min > -a) = erf(a / sqrt(2 L))
+    rng = derive_rng(41, 0)
+    length, n = 0.75, 200_000
+    d = rng.standard_normal(n) * math.sqrt(length)
+    low = _bridge_minimum(d, length, rng)
+    assert np.all(low <= np.minimum(d, 0.0))
+    for a in (0.1, 0.5, 1.0, 2.0):
+        p = math.erf(a / math.sqrt(2.0 * length))
+        se = math.sqrt(p * (1.0 - p) / n)
+        assert abs(np.mean(low > -a) - p) < 4 * se
+
+
+def sampled_last_gap(height, same, length, rng):
+    """The last gap taken as one sampled shared step: a path's minimum moves
+    into the gap iff the gap's bridge minimum lies below -height."""
+    d = rng.standard_normal(height.shape[1]) * math.sqrt(length)
+    inside = _bridge_minimum(d, length, rng) < -height
+    return np.where(inside[0] & inside[1], 1.0, np.where(inside[0] | inside[1], 0.0, same))
+
+
+@pytest.mark.parametrize("length", [0.05, 0.5])
+def test_last_gap_closed_form_matches_sampled_tail(length):
+    rng = derive_rng(42, 0)
+    n = 200_000
+    height = rng.exponential(0.4, size=(2, n))
+    same = rng.random(n) < 0.5
+    closed = _last_gap(height, same, length)
+    sampled = sampled_last_gap(height, same, length, rng)
+    diff = sampled - closed
+    assert abs(diff.mean()) < 4 * diff.std(ddof=1) / math.sqrt(n)
+    assert closed.var() < sampled.var()  # the closed form is the conditional mean
+    assert np.array_equal(_last_gap(height, same, 0.0), same.astype(float))
+
+
+def test_argmin_coincidence_uses_no_survival_kernel(monkeypatch):
+    # the two sides of the theorem must not share code
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the direct route called a survival kernel")
+
+    for name in ("_wedge_noncrossing", "_bridge_noncrossing", "exact_survival_probability"):
+        monkeypatch.setattr(coupled, name, forbidden)
+    for text in ("1/4..1/2,5/8..3/4", "0..1/4,3/4..1", ""):
+        est = argmin_coincidence(TimeSet.parse(text), 0.5, 256, 200, seed=5)
+        assert 0.0 <= est.mean <= 1.0
 
 
 def test_estimators_are_deterministic():
@@ -395,6 +453,9 @@ def test_m_lambda_preconditions():
         m_lambda_functional([(0.1, 0.5)], 0.5, 0.25, 100, seed=0)
     with pytest.raises(DomainError):
         m_lambda_functional([(0.5, 0.75)], 0.5, 0.0, 100, seed=0)
+    # a bad start time is named as such, not as a region outside [t0, 1]
+    with pytest.raises(DomainError, match="start time 2.0"):
+        m_lambda_functional([(0.5, 0.75)], 0.5, 2.0, 100, seed=0)
     with pytest.raises(PreconditionError):
         m_lambda_functional([(0.5, 0.75), (0.6, 0.8)], 0.5, 0.25, 100, seed=0)
     with pytest.raises(PreconditionError):

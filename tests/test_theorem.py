@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from splitnoise.coupled import argmin_coincidence
 from splitnoise.errors import DomainError, PreconditionError
 from splitnoise.sampling import EstimateWithError, derive_rng
 from splitnoise.theorem import (
@@ -157,6 +158,16 @@ def test_verify_theorem_full_region_rhs_zero():
     assert report.lhs.mean < 0.05  # grid coincidences vanish with refinement
 
 
+def test_direct_route_with_no_outer_gap_matches_rhs():
+    # A touches both 0 and 1: no gap before A and no closed-form tail,
+    # so the only shared label is the middle gap's
+    region = TimeSet.parse("0..1/4,3/4..1")
+    lhs = argmin_coincidence(region, 0.5, 2048, 20_000, seed=13)
+    rhs = rhs_integral(region, 0.5, 16, 10_000, seed=14)
+    assert abs(lhs.mean - rhs.mean) < 4 * math.hypot(lhs.stderr, rhs.stderr)
+    assert lhs.extra["tie_fraction"] == 0.0
+
+
 def test_verify_theorem_small_case_passes():
     report = verify_theorem(QUARTER_HALF, 0.5, seed=8, lhs_n_grid=1 << 10,
                             lhs_samples=5000, n_nodes=8, node_samples=5000,
@@ -178,6 +189,28 @@ def test_verdict_reports_z_score_and_variance_share():
     d = verify_theorem(EMPTY, 0.5, seed=6, lhs_n_grid=128, lhs_samples=500,
                        n_nodes=2, node_samples=100).as_dict()
     assert d["z_score"] is None and d["lhs_var_share"] is None
+
+
+def test_verdict_names_top_rhs_node():
+    report = verify_theorem(TimeSet.parse("1/4..1/2,5/8..3/4"), 0.5, seed=8,
+                            lhs_n_grid=256, lhs_samples=500, n_nodes=3,
+                            node_samples=500, node_steps=64)
+    rows = report.rhs.extra["nodes"]
+    terms = [r["weight"] ** 2 * ((r["left_stderr"] * r["right"]) ** 2
+                                 + (r["right_stderr"] * r["left"]) ** 2
+                                 + (r["left_stderr"] * r["right_stderr"]) ** 2)
+             for r in rows]
+    assert sum(terms) == pytest.approx(report.rhs.stderr**2, rel=1e-12)
+    top = rows[int(np.argmax(terms))]
+    node = report.as_dict()["rhs_top_node"]
+    assert (node["component"], node["t"]) == (top["component"], top["t"])
+    assert node["var_share"] == pytest.approx(max(terms) / sum(terms), rel=1e-12)
+    assert 1 / len(rows) <= node["var_share"] <= 1.0
+    assert "top_node" not in report.as_dict()["rhs"]
+    # an exact right-hand side has no node to name
+    d = verify_theorem(EMPTY, 0.5, seed=6, lhs_n_grid=128, lhs_samples=500,
+                       n_nodes=2, node_samples=100).as_dict()
+    assert d["rhs_top_node"] is None
 
 
 def test_sensitivity_curve_identical_at_rho_one():
