@@ -207,9 +207,12 @@ def _run_walsh_spectrum(args) -> int:
         raise DomainError(f"--top {args.top} must be at least 1")
     spectrum = walsh_transform(sgn_functional_table(args.n))
     mass = spectrum.coefficients**2
-    order = np.argsort(-mass, kind="stable")
-    if args.top is not None:
-        order = order[: args.top]
+    candidates = np.arange(mass.size)
+    if args.top is not None and args.top < mass.size:
+        # only the masses at or above the top-th largest can be listed
+        kth = np.partition(mass, mass.size - args.top)[mass.size - args.top]
+        candidates = np.flatnonzero(mass >= kth)
+    order = candidates[np.argsort(-mass[candidates], kind="stable")][: args.top]
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["subset_bitmask", "coefficient", "squared_mass"])
@@ -228,9 +231,9 @@ def _run_theorem_check(args) -> int:
         n_nodes=args.nodes, node_samples=args.node_samples,
         node_steps=args.node_steps, check_stability=args.check_stability,
     )
-    if args.factors_csv and report.rhs.extra:
+    if args.factors_csv:
+        rows = (report.rhs.extra or {}).get("nodes", [])
         with _open_out(args.factors_csv, newline="") as fh:
-            rows = report.rhs.extra["nodes"]
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else
                                     ["component", "t", "weight", "left",
                                      "left_stderr", "right", "right_stderr"])

@@ -4,9 +4,11 @@ the estimators.
 A perturbation region A and a correlation level rho induce a per-step
 correlation pattern on a uniform grid: rho where the step's left
 endpoint lies in A, 1 elsewhere.  Pattern-1 steps of a coupled pair
-share increments bitwise; pattern-rho steps are freshly mixed.  Every
-estimator draws its coupled increments from one of two kernels:
-_coupled_normals for Brownian pairs, _coupled_signs for +-1 walk pairs.
+share increments bitwise; pattern-rho steps are freshly mixed.  The
+Brownian estimators draw their coupled increments from one kernel,
+_coupled_normals.  The walk estimator, discrete_phi, packs 64 +-1 steps
+into a random word and toggles the perturbed ones with exact Bernoulli
+bits; by the parity rule it needs only the two walks' running minima.
 
 The argmin coincidence (the direct route) is exact across the gaps
 of A, where the pair shares its increments, and gridded only on A.
@@ -25,6 +27,7 @@ factorised across the pair, so survival carries no grid bias.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -82,7 +85,7 @@ def _check_steps(n: int):
         raise ResourceLimitError(f"{n} grid steps exceed the cap {STEP_CAP}")
 
 
-# -- coupling kernels --------------------------------------------------------
+# -- coupling kernel ---------------------------------------------------------
 
 def _coupled_normals(rho, sqdt: float, rng: np.random.Generator,
                      shape) -> tuple[np.ndarray, np.ndarray]:
@@ -101,45 +104,116 @@ def _coupled_normals(rho, sqdt: float, rng: np.random.Generator,
     return db, np.where(shared, db, mixed)
 
 
-_HALF = np.float32(0.5)
-
-
-def _coupled_signs(u: np.ndarray, rho) -> tuple[np.ndarray, np.ndarray]:
-    """Coupled +-1 pair (eps, eps') from one float32 uniform per step.
-
-    The four values of the pair take disjoint u-intervals: eps = -1 iff
-    u >= 1/2, and eps' = -eps iff u mod 1/2 >= (1+rho)/4.  So eps and
-    eps' are uniform signs with E[eps eps'] = rho, and eps' = eps
-    wherever rho = 1.  rho is a scalar or broadcasts against u.
-    """
-    neg = u >= _HALF
-    eps = 1 - 2 * neg.astype(np.int32)
-    flip = (u - _HALF * neg) >= np.float32((1.0 + rho) / 4.0)
-    return eps, np.where(flip, -eps, eps)
-
-
 # -- discrete-model correlation estimator ----------------------------------
 
 def discrete_phi(region, rho: float, n: int, n_samples: int,
                  seed: int) -> EstimateWithError:
     """MC estimate of E[sgn(X_n) sgn(X'_n)] for the pattern-coupled walk pair.
 
-    X and X' are reconstructed step by step from the coupled driving
-    increments via dX = sgn(X) dZ.
+    Parity rule: sgn(X_n) = (-1)^(min_{k<=n} Z_k), so each sample is
+    (-1)^(m + m') with m, m' the running minima of the two driving walks;
+    X and X' are never reconstructed.
+
+    Packed draws: bit k of a random_raw word is the sign of step k of a
+    64-step block of Z (set means -1).  Z' is Z with the bits of a flip
+    word toggled, masked to the steps whose left endpoint lies in the
+    region.  Flip bits are exact Bernoulli((1 - rho)/2) (_bernoulli_word),
+    so E[eps eps'] = rho on every perturbed step, and Z' = Z bitwise
+    elsewhere.  The minima advance 16 steps at a time through the
+    displacement and lowest-prefix tables of _prefix_tables.
     """
-    pattern = make_pattern(region, rho, n)
+    masks = _word_masks(make_pattern(region, rho, n) < 1.0)
+    flip = ((1.0 - rho) / 2.0).as_integer_ratio()
     moments = RunningMoments()
     for i, b in enumerate(batch_sizes(n_samples, _WALK_BATCH)):
         rng = derive_rng(seed, _TAG_DISCRETE_PHI, i)
-        x = np.zeros(b, dtype=np.int32)
-        x_prime = np.zeros(b, dtype=np.int32)
-        for rho_k in pattern:
-            eps, eps_prime = _coupled_signs(rng.random(b, dtype=np.float32), rho_k)
-            x += np.where(x >= 0, eps, -eps)
-            x_prime += np.where(x_prime >= 0, eps_prime, -eps_prime)
-        prod = np.where(x >= 0, 1.0, -1.0) * np.where(x_prime >= 0, 1.0, -1.0)
-        moments.add(prod)
+        low = _pair_minima(masks, n, flip, b, rng)
+        moments.add(1 - 2 * ((low[0] + low[1]) & 1))
     return EstimateWithError.from_moments(moments, seed)
+
+
+def _word_masks(perturbed: np.ndarray) -> np.ndarray:
+    """One uint64 per 64-step block, bit k set iff step k of the block is perturbed."""
+    bits = np.zeros(-(-perturbed.size // 64) * 64, dtype=bool)
+    bits[: perturbed.size] = perturbed
+    return np.packbits(bits, bitorder="little").view("<u8")
+
+
+@functools.cache
+def _prefix_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Displacement D[p] and lowest prefix M[p] of the 16-step walk coded by p.
+
+    Bit k of p set means step k is -1.  M[p] is the lowest of the 17
+    partial sums, the empty one included, so M[p] <= 0.
+    """
+    p = np.arange(1 << 16)
+    d = np.zeros(p.size, dtype=np.int64)
+    m = np.zeros_like(d)
+    for k in range(16):
+        d += 1 - 2 * ((p >> k) & 1)
+        np.minimum(m, d, out=m)
+    d.flags.writeable = m.flags.writeable = False  # shared by every call
+    return d, m
+
+
+def _bernoulli_word(ratio: tuple[int, int], rng: np.random.Generator,
+                    b: int) -> np.ndarray:
+    """b words of independent bits, each set with probability exactly num / den.
+
+    ratio = (num, den) with den a power of two, as float.as_integer_ratio
+    gives it.  One uniform word per binary digit of num / den, from the
+    last digit (num's lowest bit) to the first: a 1 ORs the word into the
+    accumulator, a 0 ANDs it.  A bit set with probability P before digit
+    d is set with probability (d + P) / 2 after it, which builds
+    0.d_1 d_2 ... d_K.
+    """
+    num, den = ratio
+    acc = np.zeros(b, dtype=np.uint64)
+    for j in range(den.bit_length() - 1):
+        word = rng.bit_generator.random_raw(b)
+        if num >> j & 1:
+            acc |= word
+        else:
+            acc &= word
+    return acc
+
+
+def _coupled_words(mask, flip: tuple[int, int], rng: np.random.Generator,
+                   b: int) -> np.ndarray:
+    """Coupled +-1 steps of b walk pairs over one 64-step block, as words (2, b).
+
+    Bit k of a word is step k, set meaning -1.  Row 1 is row 0 with the
+    steps in mask toggled by Bernoulli(num / den) flip bits, flip =
+    (num, den); with
+    no bit in mask it is row 0 and no flip word is drawn.
+    """
+    words = np.empty((2, b), dtype=np.uint64)
+    words[0] = rng.bit_generator.random_raw(b)
+    words[1] = words[0]
+    if mask:
+        words[1] ^= _bernoulli_word(flip, rng, b) & mask
+    return words
+
+
+def _pair_minima(masks: np.ndarray, n: int, flip: tuple[int, int], b: int,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Running minima (2, b) of b coupled n-step walk pairs, Z then Z'.
+
+    Per 16-step chunk p of each walk: low = min(low, z + M[p]) and
+    z += D[p].  The unused steps of a last partial chunk are zeroed to
+    +1 steps, which cannot lower the minimum.
+    """
+    d_table, m_table = _prefix_tables()
+    z = np.zeros((2, b), dtype=np.int64)
+    low = np.zeros((2, b), dtype=np.int64)
+    for j, mask in enumerate(masks):
+        # arithmetic shifts of the signed view, then the chunk's low bits
+        signed = _coupled_words(mask, flip, rng, b).view(np.int64)
+        for shift in range(0, min(64, n - 64 * j), 16):
+            p = (signed >> shift) & min(0xFFFF, (1 << (n - 64 * j - shift)) - 1)
+            np.minimum(low, z + m_table[p], out=low)
+            z += d_table[p]
+    return low
 
 
 # -- argmin coincidence (the left-hand side of the main identity) -----------

@@ -37,6 +37,19 @@ def test_walsh_spectrum_csv(capsys):
     assert all(float(r[2]) == 0.25 for r in rows)
 
 
+def test_walsh_spectrum_top_is_prefix_of_full_listing(capsys):
+    code, out, _ = run_cli(["walsh-spectrum", "--n", "10"], capsys)
+    assert code == 0
+    full = out.splitlines()
+    mass = [float(line.split(",")[2]) for line in full[1:]]
+    # a cut inside a run of equal nonzero masses: ties keep index order
+    tie = next(k for k in range(1, len(mass)) if mass[k - 1] == mass[k] > 0.0)
+    for k in (1, 5, tie, 1023, 1024, 5000):
+        code, out, _ = run_cli(["walsh-spectrum", "--n", "10", "--top", str(k)], capsys)
+        assert code == 0
+        assert out.splitlines() == full[: k + 1]
+
+
 def test_discrete_phi_payload(capsys):
     code, out, _ = run_cli(
         ["discrete-phi", "--A", "1/4..1/2", "--rho", "0.5", "--n", "32",
@@ -71,6 +84,20 @@ def test_theorem_check_report_and_csv(tmp_path, capsys):
     header = csv_path.read_text().splitlines()[0]
     assert header.split(",") == ["component", "t", "weight", "left",
                                  "left_stderr", "right", "right_stderr"]
+
+
+@pytest.mark.parametrize("region", ["", "0..1"], ids=["empty", "full"])
+def test_theorem_check_exact_region_writes_header_only_csv(region, tmp_path, capsys):
+    # no quadrature runs on these regions, so the factor table is empty
+    csv_path = tmp_path / "factors.csv"
+    code, out, _ = run_cli(
+        ["theorem-check", "--A", region, "--rho", "0.5", "--n-grid", "64",
+         "--samples", "100", "--nodes", "2", "--node-samples", "100", "--seed", "7",
+         "--factors-csv", str(csv_path)], capsys)
+    assert code == 0
+    assert json.loads(out)["results"]["pass"] is True
+    assert csv_path.read_text().splitlines() == [
+        "component,t,weight,left,left_stderr,right,right_stderr"]
 
 
 def test_mc_phi_convergence_table(capsys):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -5,16 +6,19 @@ import pytest
 from scipy import integrate
 from scipy.special import erf
 
-from splitnoise import coupled
+from splitnoise import coupled, tanaka, walsh
 from splitnoise.coupled import (
     STEP_CAP,
     _bridge_minimum,
     _bridge_noncrossing,
+    _bernoulli_word,
     _coupled_normals,
-    _coupled_signs,
+    _coupled_words,
     _joint_survival,
     _last_gap,
+    _prefix_tables,
     _wedge_noncrossing,
+    _word_masks,
     argmin_coincidence,
     discrete_phi,
     entrance_heights,
@@ -48,10 +52,18 @@ def test_make_pattern_examples():
         make_pattern(FULL, -0.1, 8)
 
 
+def flip_ratio(rho):
+    """The flip probability (1 - rho)/2 as an exact (numerator, power-of-two denominator)."""
+    return ((1.0 - rho) / 2.0).as_integer_ratio()
+
+
 def coupled_walk(pattern, rng, size):
-    """Coupled sign pair from the estimator's kernel, one uniform per step."""
-    u = rng.random((size, pattern.size), dtype=np.float32)
-    return _coupled_signs(u, pattern)
+    """Coupled sign pair (size, n) from the estimator's word kernel, n <= 64."""
+    words = _coupled_words(_word_masks(pattern < 1.0)[0], flip_ratio(pattern.min()), rng,
+                           size)
+    bits = (words[..., None] >> np.arange(pattern.size, dtype=np.uint64)) & np.uint64(1)
+    signs = 1 - 2 * bits.astype(np.int64)
+    return signs[0], signs[1]
 
 
 def coupled_bm(pattern, rng, size):
@@ -120,11 +132,63 @@ def test_discrete_phi_unperturbed_is_exactly_one():
 def test_discrete_phi_matches_walsh_oracle():
     from splitnoise.walsh import sign_correlation_exact
 
-    for region, rho, seed in [(FULL, 0.5, 21), (QUARTER_HALF, 0.3, 22)]:
-        n = 16
+    # n = 1, 13, 17, 20 end off the 16-step chunk and inside the 64-step word
+    cases = [(FULL, 0.5, 16, 200_000, 21), (QUARTER_HALF, 0.3, 16, 200_000, 22)]
+    cases += [(region, 0.5, n, 100_000, 600 + n)
+              for region in (FULL, QUARTER_HALF) for n in (1, 13, 17, 20)]
+    for region, rho, n, n_samples, seed in cases:
         exact = sign_correlation_exact(make_pattern(region, rho, n))
-        est = discrete_phi(region, rho, n, 200_000, seed=seed)
-        assert abs(est.mean - exact) < 4 * est.stderr
+        est = discrete_phi(region, rho, n, n_samples, seed=seed)
+        # a region that misses every step (n = 1 on 1/4..1/2) is exact
+        assert (abs(est.mean - exact) < 4 * est.stderr
+                or (est.stderr == 0.0 and est.mean == exact))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3, 0.5, 0.9])
+def test_flip_bits_are_exact_bernoulli(rho):
+    # every bit of a flip word is set with probability (1 - rho)/2
+    b = 20_000
+    q = (1.0 - rho) / 2.0
+    words = _bernoulli_word(flip_ratio(rho), derive_rng(61, 0), b)
+    ones = np.unpackbits(words.view(np.uint8)).sum()
+    se = math.sqrt(q * (1.0 - q) / (64 * b))
+    assert abs(ones / (64 * b) - q) < 4 * se
+
+
+def test_flip_bits_only_on_perturbed_steps():
+    pat = make_pattern(QUARTER_HALF, 0.5, 64)
+    mask = _word_masks(pat < 1.0)[0]
+    assert mask == sum(1 << k for k in range(16, 33))  # steps 16..32: k/64 in [1/4, 1/2]
+    words = _coupled_words(mask, flip_ratio(0.5), derive_rng(62, 0), 5000)
+    flips = words[0] ^ words[1]
+    assert not np.any(flips & ~mask)
+    assert np.count_nonzero(flips) > 0
+
+
+def test_prefix_tables_match_cumsum():
+    # D[p] is the 16-step displacement, M[p] the lowest partial sum
+    # (the empty one included) of the walk whose step k is -1 iff bit k of p
+    d, m = _prefix_tables()
+    p = np.arange(1 << 16)
+    steps = 1 - 2 * ((p[:, None] >> np.arange(16)) & 1)
+    sums = np.cumsum(steps, axis=1)
+    assert np.array_equal(d, sums[:, -1])
+    assert np.array_equal(m, np.minimum(sums.min(axis=1), 0))
+
+
+def test_discrete_phi_uses_no_oracle(monkeypatch):
+    # the estimator must not share code with the Walsh and tanaka oracles
+    def forbidden(*args, **kwargs):
+        raise AssertionError("discrete_phi called an oracle")
+
+    for module in (walsh, tanaka):
+        for name, fn in inspect.getmembers(module, inspect.isfunction):
+            if not name.startswith("_") and fn.__module__ == module.__name__:
+                assert all(value is not fn for value in vars(coupled).values())
+                monkeypatch.setattr(module, name, forbidden)
+    for text in ("", "1/4..1/2", "0..1"):
+        est = discrete_phi(TimeSet.parse(text), 0.5, 100, 1000, seed=63)
+        assert -1.0 <= est.mean <= 1.0
 
 
 def test_discrete_phi_resource_cap():
