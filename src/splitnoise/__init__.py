@@ -15,7 +15,6 @@ from .coupled import (
     entrance_mass,
     exact_survival_probability,
     m_lambda_functional,
-    make_pattern,
 )
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import EstimateWithError, derive_rng, derive_seed

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .coupled import argmin_coincidence, discrete_phi, m_lambda_functional
+from .coupled import _check_steps, argmin_coincidence, discrete_phi, m_lambda_functional
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import derive_seed
 from .theorem import rhs_integral, sensitivity_curve, verify_theorem
@@ -225,11 +225,12 @@ def _run_walsh_spectrum(args) -> int:
 
 def _run_theorem_check(args) -> int:
     region = TimeSet.parse(args.A)
+    _check_steps(args.node_steps)  # survival has no grid: checked and echoed only
     report = verify_theorem(
         region, args.rho, seed=args.seed,
         lhs_n_grid=args.n_grid, lhs_samples=args.samples,
         n_nodes=args.nodes, node_samples=args.node_samples,
-        node_steps=args.node_steps, check_stability=args.check_stability,
+        check_stability=args.check_stability,
     )
     if args.factors_csv:
         rows = (report.rhs.extra or {}).get("nodes", [])

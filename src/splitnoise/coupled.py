@@ -1,14 +1,13 @@
-"""Coupled-path Monte Carlo: perturbation patterns, coupling kernels and
-the estimators.
+"""Coupled-path Monte Carlo: coupling kernels and the estimators.
 
-A perturbation region A and a correlation level rho induce a per-step
-correlation pattern on a uniform grid: rho where the step's left
-endpoint lies in A, 1 elsewhere.  Pattern-1 steps of a coupled pair
-share increments bitwise; pattern-rho steps are freshly mixed.  The
-Brownian estimators draw their coupled increments from one kernel,
-_coupled_normals.  The walk estimator, discrete_phi, packs 64 +-1 steps
-into a random word and toggles the perturbed ones with exact Bernoulli
-bits; by the parity rule it needs only the two walks' running minima.
+A perturbation region A and a correlation level rho couple a pair of
+paths: their increments correlate at rho on A and are shared bitwise
+elsewhere.  Only the walk estimator, discrete_phi, works per step: it
+packs 64 +-1 steps into a random word, toggles the steps whose left
+endpoint lies in A with exact Bernoulli bits, and by the parity rule
+needs only the two walks' running minima.  The Brownian routes draw
+scalar-rho increment pairs from one kernel, _coupled_normals, at rho
+on a piece of A and at 1 on a shared piece.
 
 The argmin coincidence (the direct route) is exact across the gaps
 of A, where the pair shares its increments, and gridded only on A.
@@ -36,7 +35,7 @@ from scipy.special import erf, erfc, ive
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import EstimateWithError, RunningMoments, batch_sizes, derive_rng
 
-STEP_CAP = 10**7  # grid steps per path: walk length, n_grid, node_steps
+STEP_CAP = 10**7  # steps per path: walk length, n_grid, --node-steps, --steps
 
 # fixed batch shapes (reproducibility: a pure function of the parameters)
 _WALK_BATCH = 1 << 17
@@ -56,22 +55,7 @@ _TAG_ARGMIN = 2
 _TAG_MLAMBDA = 4
 
 
-# -- correlation patterns -------------------------------------------------
-
-def make_pattern(region, rho: float, n: int) -> np.ndarray:
-    """Per-step rho on the n-step grid of [0, 1], each step sampled at its left endpoint.
-
-    region is a TimeSet or a list of float (lo, hi) pairs; rho lies in
-    [0,1).  Steps in the region get rho, the others 1.
-    """
-    _check_rho(rho)
-    _check_steps(n)
-    grid = np.arange(n) / n
-    inside = np.zeros(n, dtype=bool)
-    for lo, hi in region:
-        inside |= (grid >= lo) & (grid <= hi)
-    return np.where(inside, rho, 1.0)
-
+# -- argument checks ----------------------------------------------------------
 
 def _check_rho(rho: float):
     if not 0.0 <= rho < 1.0:
@@ -87,28 +71,24 @@ def _check_steps(n: int):
 
 # -- coupling kernel ---------------------------------------------------------
 
-def _coupled_normals(rho, sqdt: float, rng: np.random.Generator,
+def _coupled_normals(rho: float, sqdt: float, rng: np.random.Generator,
                      shape) -> tuple[np.ndarray, np.ndarray]:
-    """Coupled N(0, dt) increment pair (db, db') with per-step correlation rho.
+    """Coupled N(0, dt) increment pair (db, db') at correlation rho.
 
-    rho is a float or an array that broadcasts against shape.
-    db' = rho db + sqrt(1-rho^2) sqdt z with a fresh normal z; where
-    rho = 1 it is db bitwise, and when every rho = 1 no second normal is
-    drawn.
+    db' = rho db + sqrt(1-rho^2) sqdt z with a fresh normal z; at rho = 1
+    it is db itself and no second normal is drawn.
     """
     db = rng.standard_normal(shape) * sqdt
-    shared = np.equal(rho, 1.0)
-    if shared.all():
+    if rho == 1.0:
         return db, db
-    mixed = rho * db + np.sqrt(1.0 - rho**2) * sqdt * rng.standard_normal(shape)
-    return db, np.where(shared, db, mixed)
+    return db, rho * db + math.sqrt(1.0 - rho**2) * sqdt * rng.standard_normal(shape)
 
 
 # -- discrete-model correlation estimator ----------------------------------
 
 def discrete_phi(region, rho: float, n: int, n_samples: int,
                  seed: int) -> EstimateWithError:
-    """MC estimate of E[sgn(X_n) sgn(X'_n)] for the pattern-coupled walk pair.
+    """MC estimate of E[sgn(X_n) sgn(X'_n)] for the walk pair coupled on the region.
 
     Parity rule: sgn(X_n) = (-1)^(min_{k<=n} Z_k), so each sample is
     (-1)^(m + m') with m, m' the running minima of the two driving walks;
@@ -122,7 +102,9 @@ def discrete_phi(region, rho: float, n: int, n_samples: int,
     elsewhere.  The minima advance 16 steps at a time through the
     displacement and lowest-prefix tables of _prefix_tables.
     """
-    masks = _word_masks(make_pattern(region, rho, n) < 1.0)
+    _check_rho(rho)
+    _check_steps(n)
+    masks = _word_masks(region, n)
     flip = ((1.0 - rho) / 2.0).as_integer_ratio()
     moments = RunningMoments()
     for i, b in enumerate(batch_sizes(n_samples, _WALK_BATCH)):
@@ -132,10 +114,16 @@ def discrete_phi(region, rho: float, n: int, n_samples: int,
     return EstimateWithError.from_moments(moments, seed)
 
 
-def _word_masks(perturbed: np.ndarray) -> np.ndarray:
-    """One uint64 per 64-step block, bit k set iff step k of the block is perturbed."""
-    bits = np.zeros(-(-perturbed.size // 64) * 64, dtype=bool)
-    bits[: perturbed.size] = perturbed
+def _word_masks(region, n: int) -> np.ndarray:
+    """One uint64 per 64-step block of the n-step walk, bit k set iff step k is perturbed.
+
+    Step k is perturbed iff its left endpoint k/n lies in a (lo, hi)
+    component of the region (a TimeSet or float pairs).
+    """
+    grid = np.arange(n) / n
+    bits = np.zeros(-(-n // 64) * 64, dtype=bool)
+    for lo, hi in region:
+        bits[:n] |= (grid >= lo) & (grid <= hi)
     return np.packbits(bits, bitorder="little").view("<u8")
 
 
@@ -489,8 +477,9 @@ def m_lambda_functional(region_pairs, rho: float, t0: float, n_samples: int,
     Requires the region to be disjoint intervals inside [t0,1]; by the
     restriction consistency of the entrance family the value does not
     depend on the choice of t0 (this is a test target, not an
-    assumption used here).  The walk has no grid, so n_steps is only
-    checked against the step cap.
+    assumption used here).  The walk has no grid; n_steps is kept, and
+    checked against the step cap, because the benchmark tracer reads it
+    and consistency-check --steps reaches it.
     """
     if not 0.0 < t0 < 1.0:
         raise DomainError(f"start time {t0} outside (0,1)")

@@ -52,14 +52,18 @@ def arcsine_nodes(a: float, b: float, n_nodes: int) -> tuple[list[float], float]
     """
     if not (0.0 <= a < b <= 1.0):
         raise DomainError(f"bad interval ({a}, {b})")
-    if n_nodes < 1:
-        raise DomainError("need at least one node")
-    if n_nodes > NODE_CAP:
-        raise ResourceLimitError(f"{n_nodes} nodes per gap exceed the cap {NODE_CAP}")
+    _check_nodes(n_nodes)
     ta, tb = arcsine_theta(a), arcsine_theta(b)
     w = (tb - ta) / n_nodes
     thetas = ta + (np.arange(n_nodes) + 0.5) * w
     return [math.sin(math.pi * th / 2.0) ** 2 for th in thetas], w
+
+
+def _check_nodes(n_nodes: int):
+    if n_nodes < 1:
+        raise DomainError("need at least one node")
+    if n_nodes > NODE_CAP:
+        raise ResourceLimitError(f"{n_nodes} nodes per gap exceed the cap {NODE_CAP}")
 
 
 def entrance_start_time(gap: float) -> float:
@@ -75,25 +79,23 @@ def entrance_start_time(gap: float) -> float:
 
 
 def _side_factor(region: TimeSet, rho: float, scale: float, shift: float,
-                 n_samples: int, seed: int, n_steps: int) -> EstimateWithError:
+                 n_samples: int, seed: int) -> EstimateWithError:
     pulled = affine_preimage(region, scale, shift)
     if not pulled:
         return EstimateWithError.exact(1.0)
     t0 = entrance_start_time(pulled[0][0])
-    return m_lambda_functional(pulled, rho, t0, n_samples, seed, n_steps=n_steps)
+    return m_lambda_functional(pulled, rho, t0, n_samples, seed)
 
 
 def rhs_factors(t: float, region: TimeSet, rho: float, n_samples: int,
-                seed: int, n_steps: int = 1024
-                ) -> tuple[EstimateWithError, EstimateWithError]:
+                seed: int) -> tuple[EstimateWithError, EstimateWithError]:
     """The two pulled-back survival-correlation factors at gap time t.
 
     Returns (left, right): left sees the region before t through
     x -> t(1-x), right the region after t through x -> t + (1-t)x.  A
     side with no region points is exactly 1.  t must lie strictly
     inside a gap: a t in the region, endpoints included, is a
-    PreconditionError.  The factors are grid-free; n_steps is only
-    checked against the step cap.
+    PreconditionError.
     """
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"time {t} outside [0,1]")
@@ -105,19 +107,16 @@ def rhs_factors(t: float, region: TimeSet, rho: float, n_samples: int,
     if t >= 1.0:
         right = EstimateWithError.exact(1.0)
     else:
-        right = _side_factor(region, rho, 1.0 - t, t, n_samples,
-                             derive_seed(seed, 1), n_steps)
+        right = _side_factor(region, rho, 1.0 - t, t, n_samples, derive_seed(seed, 1))
     if t <= 0.0:
         left = EstimateWithError.exact(1.0)
     else:
-        left = _side_factor(region, rho, -t, t, n_samples,
-                            derive_seed(seed, 0), n_steps)
+        left = _side_factor(region, rho, -t, t, n_samples, derive_seed(seed, 0))
     return left, right
 
 
 def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
-                 n_samples_per_node: int, seed: int,
-                 n_steps: int = 1024) -> EstimateWithError:
+                 n_samples_per_node: int, seed: int) -> EstimateWithError:
     """Arc-sine integral of the factor products over the gaps of the region.
 
     Node factors use independent derived streams; the variance combines
@@ -127,6 +126,8 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     largest variance term (weight^2 x product variance): its component,
     t and share of the total, or None when the total is 0.
     """
+    _check_nodes(n_nodes)
+    _check_samples(n_samples_per_node)  # before the exact regions' shortcut
     if region.is_full():
         return EstimateWithError.exact(0.0)
     if not region:
@@ -140,8 +141,7 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
         times, weight = arcsine_nodes(a, b, n_nodes)
         for ni, t in enumerate(times):
             node_seed = derive_seed(seed, _TAG_NODE, ci, ni)
-            left, right = rhs_factors(t, region, rho,
-                                      n_samples_per_node, node_seed, n_steps)
+            left, right = rhs_factors(t, region, rho, n_samples_per_node, node_seed)
             pm, pv = product_estimate(left, right)
             total += weight * pm
             node_vars.append(weight**2 * pv)
@@ -200,7 +200,6 @@ class TheoremReport:
 def verify_theorem(region: TimeSet, rho: float, seed: int,
                    lhs_n_grid: int = 1 << 13, lhs_samples: int = 20_000,
                    n_nodes: int = 24, node_samples: int = 20_000,
-                   node_steps: int = 1024,
                    check_stability: bool = False) -> TheoremReport:
     """Run both routes and compare at four combined standard errors.
 
@@ -211,8 +210,7 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     """
     lhs = argmin_coincidence(region, rho, lhs_n_grid, lhs_samples,
                              derive_seed(seed, _TAG_LHS))
-    rhs = rhs_integral(region, rho, n_nodes, node_samples,
-                       derive_seed(seed, _TAG_RHS), node_steps)
+    rhs = rhs_integral(region, rho, n_nodes, node_samples, derive_seed(seed, _TAG_RHS))
     discrepancy = lhs.mean - rhs.mean
     combined = math.sqrt(lhs.stderr**2 + rhs.stderr**2)
     lhs_refined = None

@@ -235,6 +235,25 @@ _THEOREM_SMALL = ["--n-grid", "64", "--samples", "100", "--nodes", "2",
                   "--node-steps", "8"]
 
 
+def exact_region_cases(bad_flags):
+    """theorem-check argvs and ids: the empty and the full region, each with one bad flag.
+
+    Their RHS is exact, but its size flags are still checked.
+    """
+    cases = [(name, text, flag, value) for name, text in (("empty", ""), ("full", "0..1"))
+             for flag, value in bad_flags]
+    argvs = [["theorem-check", "--A", text, "--rho", "0.5", "--node-samples", "100",
+              *_THEOREM_SMALL, flag, value] for _, text, flag, value in cases]
+    return argvs, [f"{name}-region{flag[1:]}" for name, _, flag, _ in cases]
+
+
+_EXACT_BAD = exact_region_cases([("--nodes", "0"), ("--node-samples", "1"),
+                                 ("--node-steps", "0")])
+_EXACT_CAP = exact_region_cases([("--nodes", str(NODE_CAP + 1)),
+                                 ("--node-samples", str(SAMPLE_CAP + 1)),
+                                 ("--node-steps", str(STEP_CAP + 1))])
+
+
 @pytest.mark.parametrize("argv", [
     ["mc-phi", "--rho", "0.5", "--n-grid-list", "128,x", "--samples", "100"],
     ["sensitivity-curve", "--rho", "0.5", "--n-list", "8,1.5", "--samples", "100"],
@@ -269,6 +288,7 @@ _THEOREM_SMALL = ["--n-grid", "64", "--samples", "100", "--nodes", "2",
      "--out", "/nonexistent/x"],
     ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--node-samples", "100",
      *_THEOREM_SMALL, "--factors-csv", "/nonexistent/x.csv"],
+    *_EXACT_BAD[0],
 ], ids=["n-grid-list", "n-list", "t0", "samples-0", "samples-1", "node-samples-1",
         "discrete-phi-rho-1", "mc-phi-rho-1", "theorem-check-rho-1", "top-0",
         "top-negative", "discrete-phi-seed-negative", "theorem-check-seed-negative",
@@ -276,7 +296,7 @@ _THEOREM_SMALL = ["--n-grid", "64", "--samples", "100", "--nodes", "2",
         "endpoint-zero-denominator", "node-steps-0", "steps-0", "n-grid-list-empty",
         "sensitivity-curve-rho-one-n-0", "sensitivity-curve-rho-one-samples-1",
         "sensitivity-curve-rho-one-samples-negative", "out-unwritable",
-        "factors-csv-unwritable"])
+        "factors-csv-unwritable", *_EXACT_BAD[1]])
 def test_bad_input_exit_2(capsys, argv):
     code, err = exit_code(argv, capsys)
     assert code == 2
@@ -330,8 +350,9 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
      "--n-grid", "64", "--samples", "100", "--node-steps", "8"],
     ["sensitivity-curve", "--rho", "1", "--n-list", f"8,{STEP_CAP + 1}", "--samples", "100"],
     ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--samples", str(SAMPLE_CAP + 1)],
+    *_EXACT_CAP[0],
 ], ids=["steps", "node-steps", "samples", "nodes", "sensitivity-curve-rho-one-n",
-        "sensitivity-curve-rho-one-samples"])
+        "sensitivity-curve-rho-one-samples", *_EXACT_CAP[1]])
 def test_size_cap_exit_3(capsys, argv):
     code, err = exit_code(argv, capsys)
     assert code == 3

@@ -1,5 +1,6 @@
 import inspect
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from splitnoise.coupled import (
     entrance_mass,
     exact_survival_probability,
     m_lambda_functional,
-    make_pattern,
 )
 from splitnoise.errors import DomainError, PreconditionError, ResourceLimitError
 from splitnoise.sampling import derive_rng
@@ -41,15 +41,21 @@ EMPTY = TimeSet.empty()
 QUARTER_HALF = TimeSet.parse("1/4..1/2")
 
 
-def test_make_pattern_examples():
-    assert np.all(make_pattern(FULL, 0.3, 16) == 0.3)
-    assert np.all(make_pattern(EMPTY, 0.3, 16) == 1.0)
-    pat = make_pattern(QUARTER_HALF, 0.3, 8)
-    assert np.array_equal(pat, [1, 1, 0.3, 0.3, 0.3, 1, 1, 1])
+def oracle_rho(region, rho, n):
+    """The oracles' per-step rho, in exact arithmetic: step k is perturbed iff lo <= k/n <= hi."""
+    return np.array([rho if any(lo <= Fraction(k, n) <= hi for lo, hi in region.components)
+                     else 1.0 for k in range(n)])
+
+
+def test_word_masks_examples():
+    assert _word_masks(QUARTER_HALF, 8)[0] == 0b11100  # steps 2, 3, 4
+    assert _word_masks(QUARTER_HALF, 13)[0] == 0b1110000  # steps 4, 5, 6
+    assert np.array_equal(_word_masks(FULL, 80), [2**64 - 1, 2**16 - 1])
+    assert np.array_equal(_word_masks(EMPTY, 80), [0, 0])
     with pytest.raises(DomainError):
-        make_pattern(FULL, 1.0, 8)
+        discrete_phi(FULL, 1.0, 8, 100, seed=0)
     with pytest.raises(DomainError):
-        make_pattern(FULL, -0.1, 8)
+        discrete_phi(FULL, -0.1, 8, 100, seed=0)
 
 
 def flip_ratio(rho):
@@ -57,48 +63,50 @@ def flip_ratio(rho):
     return ((1.0 - rho) / 2.0).as_integer_ratio()
 
 
-def coupled_walk(pattern, rng, size):
+def coupled_walk(region, rho, n, rng, size):
     """Coupled sign pair (size, n) from the estimator's word kernel, n <= 64."""
-    words = _coupled_words(_word_masks(pattern < 1.0)[0], flip_ratio(pattern.min()), rng,
-                           size)
-    bits = (words[..., None] >> np.arange(pattern.size, dtype=np.uint64)) & np.uint64(1)
+    words = _coupled_words(_word_masks(region, n)[0], flip_ratio(rho), rng, size)
+    bits = (words[..., None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)
     signs = 1 - 2 * bits.astype(np.int64)
     return signs[0], signs[1]
 
 
-def coupled_bm(pattern, rng, size):
-    """Coupled Brownian increments on [0,1] from the estimators' kernel."""
-    return _coupled_normals(pattern, math.sqrt(1.0 / pattern.size), rng,
-                            (size, pattern.size))
+def coupled_bm(region, rho, n, rng, size):
+    """Coupled Brownian increments (size, n) on [0,1] from the estimators' kernel.
+
+    One kernel call at rho draws the perturbed steps, one at 1 the others.
+    """
+    perturbed = oracle_rho(region, rho, n) < 1.0
+    k, sqdt = int(np.count_nonzero(perturbed)), math.sqrt(1.0 / n)
+    db, db_p = np.empty((2, size, n))
+    db[:, perturbed], db_p[:, perturbed] = _coupled_normals(rho, sqdt, rng, (size, k))
+    db[:, ~perturbed], db_p[:, ~perturbed] = _coupled_normals(1.0, sqdt, rng, (size, n - k))
+    return db, db_p
 
 
 def test_coupled_walk_marginals_and_coupling():
     rng = derive_rng(3, 0)
-    pat = make_pattern(EMPTY, 0.5, 8)
-    eps, eps_p = coupled_walk(pat, rng, size=2000)
+    eps, eps_p = coupled_walk(EMPTY, 0.5, 8, rng, size=2000)
     assert np.array_equal(eps, eps_p)
 
     n = 100_000
-    pat = make_pattern(FULL, 0.5, 4)
-    eps, eps_p = coupled_walk(pat, derive_rng(4, 0), size=n)
+    eps, eps_p = coupled_walk(FULL, 0.5, 4, derive_rng(4, 0), size=n)
     corr = (eps * eps_p).mean(axis=0)
     assert np.all(np.abs(corr - 0.5) < 3 / math.sqrt(n))
     assert np.all(np.abs(eps_p.mean(axis=0)) < 4 / math.sqrt(n))
 
-    pat0 = make_pattern(FULL, 0.0, 4)
-    eps, eps_p = coupled_walk(pat0, derive_rng(5, 0), size=n)
+    eps, eps_p = coupled_walk(FULL, 0.0, 4, derive_rng(5, 0), size=n)
     assert np.all(np.abs((eps * eps_p).mean(axis=0)) < 3 / math.sqrt(n))
 
 
 def test_coupled_bm_identical_when_unperturbed():
-    db, db_p = coupled_bm(make_pattern(EMPTY, 0.5, 64), derive_rng(6, 0), size=100)
+    db, db_p = coupled_bm(EMPTY, 0.5, 64, derive_rng(6, 0), size=100)
     assert np.array_equal(np.cumsum(db, axis=1), np.cumsum(db_p, axis=1))
 
 
 def test_coupled_bm_pattern_one_steps_match_bitwise():
-    pat = make_pattern(QUARTER_HALF, 0.5, 32)
-    db, db_p = coupled_bm(pat, derive_rng(7, 0), size=500)
-    ones = pat == 1.0
+    db, db_p = coupled_bm(QUARTER_HALF, 0.5, 32, derive_rng(7, 0), size=500)
+    ones = oracle_rho(QUARTER_HALF, 0.5, 32) == 1.0
     assert np.array_equal(db[:, ones], db_p[:, ones])
     assert not np.array_equal(db[:, ~ones], db_p[:, ~ones])
     # a scalar rho, as in the survival step loop, mixes the whole step
@@ -109,7 +117,7 @@ def test_coupled_bm_pattern_one_steps_match_bitwise():
 def test_coupled_bm_terminal_moments():
     # var(B_1) = 1; cov(B_1, B'_1) = |A^c| + rho |A| = 7/8 for A=[1/4,1/2], rho=1/2
     n = 100_000
-    db, db_p = coupled_bm(make_pattern(QUARTER_HALF, 0.5, 64), derive_rng(8, 0), size=n)
+    db, db_p = coupled_bm(QUARTER_HALF, 0.5, 64, derive_rng(8, 0), size=n)
     b1, b1p = db.sum(axis=1), db_p.sum(axis=1)
     se = 3 / math.sqrt(n)
     assert abs(b1.var() - 1.0) < 3 * se
@@ -118,9 +126,8 @@ def test_coupled_bm_terminal_moments():
 
 
 def test_coupled_bm_increment_variance_one_percent():
-    pat = make_pattern(FULL, 0.5, 16)
-    for inc in coupled_bm(pat, derive_rng(9, 0), size=100_000):
-        assert abs(inc.var() * pat.size - 1.0) < 0.01
+    for inc in coupled_bm(FULL, 0.5, 16, derive_rng(9, 0), size=100_000):
+        assert abs(inc.var() * 16 - 1.0) < 0.01
 
 
 def test_discrete_phi_unperturbed_is_exactly_one():
@@ -137,7 +144,7 @@ def test_discrete_phi_matches_walsh_oracle():
     cases += [(region, 0.5, n, 100_000, 600 + n)
               for region in (FULL, QUARTER_HALF) for n in (1, 13, 17, 20)]
     for region, rho, n, n_samples, seed in cases:
-        exact = sign_correlation_exact(make_pattern(region, rho, n))
+        exact = sign_correlation_exact(oracle_rho(region, rho, n))
         est = discrete_phi(region, rho, n, n_samples, seed=seed)
         # a region that misses every step (n = 1 on 1/4..1/2) is exact
         assert (abs(est.mean - exact) < 4 * est.stderr
@@ -156,8 +163,7 @@ def test_flip_bits_are_exact_bernoulli(rho):
 
 
 def test_flip_bits_only_on_perturbed_steps():
-    pat = make_pattern(QUARTER_HALF, 0.5, 64)
-    mask = _word_masks(pat < 1.0)[0]
+    mask = _word_masks(QUARTER_HALF, 64)[0]
     assert mask == sum(1 << k for k in range(16, 33))  # steps 16..32: k/64 in [1/4, 1/2]
     words = _coupled_words(mask, flip_ratio(0.5), derive_rng(62, 0), 5000)
     flips = words[0] ^ words[1]
@@ -471,11 +477,10 @@ def test_discrete_bridge_identity():
     # validation of the survival-correlation route
     n, start, rho = 12, 2, 0.5
     table = walk_survival_table(n, start)
-    pat = make_pattern(FULL, rho, n)
-    exact = noise_functional(walsh_transform(table), pat)
+    exact = noise_functional(walsh_transform(table), oracle_rho(FULL, rho, n))
 
     n_samples = 200_000
-    eps, eps_p = coupled_walk(pat, derive_rng(36, 0), size=n_samples)
+    eps, eps_p = coupled_walk(FULL, rho, n, derive_rng(36, 0), size=n_samples)
     bits = np.arange(n, dtype=np.uint32)
     mask = ((eps < 0).astype(np.uint32) << bits).sum(axis=1)
     mask_p = ((eps_p < 0).astype(np.uint32) << bits).sum(axis=1)

@@ -65,11 +65,11 @@ def test_entrance_start_rule():
 
 
 def test_rhs_factors_empty_sides():
-    left, right = rhs_factors(0.6, QUARTER_HALF, 0.5, 100, seed=1, n_steps=64)
+    left, right = rhs_factors(0.6, QUARTER_HALF, 0.5, 100, seed=1)
     assert right == EstimateWithError.exact(1.0)
     assert left.n_samples == 100
 
-    left, right = rhs_factors(0.1, QUARTER_HALF, 0.5, 100, seed=1, n_steps=64)
+    left, right = rhs_factors(0.1, QUARTER_HALF, 0.5, 100, seed=1)
     assert left == EstimateWithError.exact(1.0)
     assert right.n_samples == 100
 
@@ -84,7 +84,7 @@ def test_rhs_factors_at_boundary_times():
     for t, sampled in [(0.0, (False, True)), (0.05, (False, True)),
                        (0.3, (True, True)), (0.9, (True, False)),
                        (1.0, (True, False))]:
-        factors = rhs_factors(t, B, 0.5, 100, seed=1, n_steps=16)
+        factors = rhs_factors(t, B, 0.5, 100, seed=1)
         for est, side_sampled in zip(factors, sampled):
             if side_sampled:
                 assert est.n_samples == 100, t
@@ -112,7 +112,7 @@ def test_rhs_factor_pullback_set():
 
 def test_rhs_factors_at_rho_one_are_mass_conservation():
     # all correlations 1: both factors reduce to the entrance mass, i.e. 1
-    left, right = rhs_factors(0.6, QUARTER_HALF, 1.0, 20_000, seed=2, n_steps=256)
+    left, right = rhs_factors(0.6, QUARTER_HALF, 1.0, 20_000, seed=2)
     assert right.mean == 1.0
     assert abs(left.mean - 1.0) < 4 * left.stderr
 
@@ -126,15 +126,15 @@ def test_rhs_integral_frozen_regression_value():
     # pinned by the first cross-validated high-precision run (48 nodes x
     # 50k samples, 1536 steps): rhs = 0.62703 +- 0.00075 for this pair,
     # in agreement with the direct route at 2^13/2^14 grids
-    est = rhs_integral(QUARTER_HALF, 0.5, 16, 10_000, seed=12, n_steps=512)
+    est = rhs_integral(QUARTER_HALF, 0.5, 16, 10_000, seed=12)
     assert est.mean == pytest.approx(0.62703, abs=4 * est.stderr + 2e-3)
     assert 0.0 < est.mean < 1.0
 
 
 def test_rhs_integral_monotone_in_region():
-    small = rhs_integral(QUARTER_HALF, 0.5, 8, 4000, seed=4, n_steps=256)
+    small = rhs_integral(QUARTER_HALF, 0.5, 8, 4000, seed=4)
     large = rhs_integral(TimeSet.parse("1/4..1/2,5/8..3/4"), 0.5, 8, 4000,
-                         seed=5, n_steps=256)
+                         seed=5)
     tol = 4 * math.hypot(small.stderr, large.stderr)
     assert small.mean >= large.mean - tol
     rows = small.extra["nodes"]
@@ -170,8 +170,7 @@ def test_direct_route_with_no_outer_gap_matches_rhs():
 
 def test_verify_theorem_small_case_passes():
     report = verify_theorem(QUARTER_HALF, 0.5, seed=8, lhs_n_grid=1 << 10,
-                            lhs_samples=5000, n_nodes=8, node_samples=5000,
-                            node_steps=256)
+                            lhs_samples=5000, n_nodes=8, node_samples=5000)
     assert report.passed
     assert abs(report.discrepancy) <= 4 * report.combined_stderr
     d = report.as_dict()
@@ -180,7 +179,7 @@ def test_verify_theorem_small_case_passes():
 
 def test_verdict_reports_z_score_and_variance_share():
     report = verify_theorem(QUARTER_HALF, 0.5, seed=8, lhs_n_grid=256, lhs_samples=500,
-                            n_nodes=2, node_samples=500, node_steps=64)
+                            n_nodes=2, node_samples=500)
     d = report.as_dict()
     assert d["z_score"] == report.discrepancy / report.combined_stderr
     assert d["lhs_var_share"] == report.lhs.stderr**2 / report.combined_stderr**2
@@ -194,7 +193,7 @@ def test_verdict_reports_z_score_and_variance_share():
 def test_verdict_names_top_rhs_node():
     report = verify_theorem(TimeSet.parse("1/4..1/2,5/8..3/4"), 0.5, seed=8,
                             lhs_n_grid=256, lhs_samples=500, n_nodes=3,
-                            node_samples=500, node_steps=64)
+                            node_samples=500)
     rows = report.rhs.extra["nodes"]
     terms = [r["weight"] ** 2 * ((r["left_stderr"] * r["right"]) ** 2
                                  + (r["right_stderr"] * r["left"]) ** 2
