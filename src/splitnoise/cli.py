@@ -38,20 +38,25 @@ def _payload(command: str, params: dict, results: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _open_out(path: str, newline: str | None = None):
-    """Open an output file for writing; an unwritable path is a usage error."""
-    try:
-        return open(path, "w", newline=newline)
-    except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
+def _csv(header: list[str], rows) -> str:
+    """A CSV document: the header line, then one line per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _emit(text: str, out: str | None):
-    if out:
-        with _open_out(out) as fh:
-            fh.write(text)
-    else:
+    """Write text to the file out, or to stdout; a failed open, write or close is a usage error."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        with open(out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -185,15 +190,14 @@ def _run_mc_phi(args) -> int:
     region = TimeSet.parse(args.A)
     if args.n_grid_list is not None:
         grids = _parse_list(args.n_grid_list, "--n-grid-list")
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n_grid", "estimate", "stderr", "n_samples", "tie_fraction"])
+        rows = []
         for i, g in enumerate(grids):
             est = argmin_coincidence(region, args.rho, g, args.samples,
                                      derive_seed(args.seed, i))
-            writer.writerow([g, repr(est.mean), repr(est.stderr), est.n_samples,
-                             repr(est.extra["tie_fraction"])])
-        _emit(buf.getvalue(), args.out)
+            rows.append([g, repr(est.mean), repr(est.stderr), est.n_samples,
+                         repr(est.extra["tie_fraction"])])
+        _emit(_csv(["n_grid", "estimate", "stderr", "n_samples", "tie_fraction"], rows),
+              args.out)
         return 0
     est = argmin_coincidence(region, args.rho, args.n_grid, args.samples, args.seed)
     params = {"A": str(region), "rho": args.rho, "n_grid": args.n_grid,
@@ -213,13 +217,9 @@ def _run_walsh_spectrum(args) -> int:
         kth = np.partition(mass, mass.size - args.top)[mass.size - args.top]
         candidates = np.flatnonzero(mass >= kth)
     order = candidates[np.argsort(-mass[candidates], kind="stable")][: args.top]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["subset_bitmask", "coefficient", "squared_mass"])
-    for idx in order:
-        writer.writerow([int(idx), repr(float(spectrum.coefficients[idx])),
-                         repr(float(mass[idx]))])
-    _emit(buf.getvalue(), args.out)
+    rows = [[int(idx), repr(float(spectrum.coefficients[idx])), repr(float(mass[idx]))]
+            for idx in order]
+    _emit(_csv(["subset_bitmask", "coefficient", "squared_mass"], rows), args.out)
     return 0
 
 
@@ -233,13 +233,9 @@ def _run_theorem_check(args) -> int:
         check_stability=args.check_stability,
     )
     if args.factors_csv:
+        fields = ["component", "t", "weight", "left", "left_stderr", "right", "right_stderr"]
         rows = (report.rhs.extra or {}).get("nodes", [])
-        with _open_out(args.factors_csv, newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else
-                                    ["component", "t", "weight", "left",
-                                     "left_stderr", "right", "right_stderr"])
-            writer.writeheader()
-            writer.writerows(rows)
+        _emit(_csv(fields, ([row[k] for k in fields] for row in rows)), args.factors_csv)
     params = {"A": str(region), "rho": args.rho, "n_grid": args.n_grid,
               "samples": args.samples, "nodes": args.nodes,
               "node_samples": args.node_samples, "node_steps": args.node_steps,
@@ -251,12 +247,9 @@ def _run_theorem_check(args) -> int:
 def _run_sensitivity_curve(args) -> int:
     n_list = _parse_list(args.n_list, "--n-list")
     rows = sensitivity_curve(args.rho, n_list, args.samples, args.seed)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "estimate", "stderr", "n_samples"])
-    for n, est in rows:
-        writer.writerow([n, repr(est.mean), repr(est.stderr), est.n_samples])
-    _emit(buf.getvalue(), args.out)
+    _emit(_csv(["n", "estimate", "stderr", "n_samples"],
+               ([n, repr(est.mean), repr(est.stderr), est.n_samples] for n, est in rows)),
+          args.out)
     return 0
 
 

@@ -42,11 +42,11 @@ _WALK_BATCH = 1 << 17
 _SURVIVAL_BATCH = 1 << 16
 _ARGMIN_ELEMENTS = 1 << 22  # target batch samples x n_grid on the direct route
 
-# wedge kernel: crossing probability below which the half-plane product
-# is exact, the term size at which a sample's Bessel series stops, and
-# the angular energy beyond which the series cancels to rounding noise
-_SERIES_CUT = 1e-13
-_SERIES_TOL = 1e-16
+# wedge kernel: the truncation error allowed in one weight (the product
+# stands in below this crossing probability, and a sample's Bessel series
+# stops at this term size), and the angular energy beyond which the
+# series cancels to rounding noise
+_SERIES_TOL = 1e-13
 _SERIES_GAP = 20.0
 
 # estimator stream tags for seed derivation
@@ -380,7 +380,7 @@ def _wedge_noncrossing(w: np.ndarray, w_new: np.ndarray, w_prime: np.ndarray,
     (Carslaw & Jaeger 1959, the wedge problems).  The two one-path
     crossing probabilities p, p' bound the product's error:
     |exact - (1 - p)(1 - p')| <= min(p, p'), so the series is summed
-    only where both exceed _SERIES_CUT.  rho = 0 is the product exactly;
+    only where both exceed _SERIES_TOL.  rho = 0 is the product exactly;
     at rho = 1 the pair moves in parallel and it is the lower path's
     bridge step.
 
@@ -396,7 +396,7 @@ def _wedge_noncrossing(w: np.ndarray, w_new: np.ndarray, w_prime: np.ndarray,
     if rho == 0.0:
         return q
     exponent = 2.0 * np.maximum(w * w_new, w_prime * w_prime_new) / run
-    near = np.flatnonzero((q > 0.0) & (exponent < -math.log(_SERIES_CUT)))
+    near = np.flatnonzero((q > 0.0) & (exponent < -math.log(_SERIES_TOL)))
     if near.size:
         q[near] = _wedge_series(w[near], w_new[near], w_prime[near],
                                 w_prime_new[near], rho, run, q[near])
@@ -410,7 +410,9 @@ def _wedge_series(w, w_new, w_prime, w_prime_new, rho: float, run: float,
     Each sample sums terms until its own term bound, ive(nu, z) times
     the prefactor, drops below _SERIES_TOL: ive decreases in nu, so the
     term count follows each sample's z, not the batch's largest.
-    Samples past _SERIES_GAP keep their half-plane product.
+    Samples past _SERIES_GAP keep their half-plane product.  A batch
+    that starts on the diagonal w = w' has theta = alpha / 2, where
+    every even term vanishes, so only odd n are summed.
     """
     edge = math.asin(rho)
     alpha = 0.5 * math.pi + edge
@@ -427,9 +429,10 @@ def _wedge_series(w, w_new, w_prime, w_prime_new, rho: float, run: float,
     scale = (4.0 * math.pi / alpha) * np.exp(np.minimum(gap, _SERIES_GAP))
     total = np.zeros_like(z)
     live = np.flatnonzero(gap <= _SERIES_GAP)
-    n = 0
+    step = 2 if np.array_equal(w, w_prime) else 1
+    n = 1 - step
     while live.size:
-        n += 1
+        n += step
         nu = n * math.pi / alpha
         term = ive(nu, z[live])
         total[live] += np.sin(nu * theta[live]) * np.sin(nu * theta_new[live]) * term
@@ -476,8 +479,9 @@ def m_lambda_functional(region_pairs, rho: float, t0: float, n_samples: int,
     with weight t0**-1/2, and both coupled paths must survive to 1.
     Requires the region to be disjoint intervals inside [t0,1]; by the
     restriction consistency of the entrance family the value does not
-    depend on the choice of t0 (this is a test target, not an
-    assumption used here).  The walk has no grid; n_steps is kept, and
+    depend on the choice of t0.  That is what lets the theorem's RHS
+    start at the region's first point, with no run-in; the tests and
+    consistency-check verify it.  The walk has no grid; n_steps is kept, and
     checked against the step cap, because the benchmark tracer reads it
     and consistency-check --steps reaches it.
     """

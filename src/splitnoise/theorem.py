@@ -25,8 +25,6 @@ from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import EstimateWithError, _check_samples, derive_seed, product_estimate
 from .timesets import TimeSet, affine_preimage
 
-ENTRANCE_GAP_FRACTION = 8.0  # entrance paths start at gap/8, the region at gap
-ENTRANCE_START_FLOOR = 2.0**-16
 NODE_CAP = 10**5  # quadrature nodes per gap
 
 # sub-stream tags
@@ -66,25 +64,14 @@ def _check_nodes(n_nodes: int):
         raise ResourceLimitError(f"{n_nodes} nodes per gap exceed the cap {NODE_CAP}")
 
 
-def entrance_start_time(gap: float) -> float:
-    """Entrance start for a pulled-back region whose lowest point is `gap` away.
-
-    The run-in to the region is one exact bridge step, so t0 only sets
-    the entrance law and the length of that step.  The floor bounds the
-    entrance weight t0**-1/2, and with it the variance, at nodes next to
-    the region.
-    """
-    t0 = max(gap / ENTRANCE_GAP_FRACTION, ENTRANCE_START_FLOOR)
-    return min(t0, gap)
-
-
 def _side_factor(region: TimeSet, rho: float, scale: float, shift: float,
                  n_samples: int, seed: int) -> EstimateWithError:
     pulled = affine_preimage(region, scale, shift)
     if not pulled:
         return EstimateWithError.exact(1.0)
-    t0 = entrance_start_time(pulled[0][0])
-    return m_lambda_functional(pulled, rho, t0, n_samples, seed)
+    # the factor does not depend on its entrance time, so heights enter at
+    # the region's first point, inside (0,1) for a t inside a gap: no run-in
+    return m_lambda_functional(pulled, rho, pulled[0][0], n_samples, seed)
 
 
 def rhs_factors(t: float, region: TimeSet, rho: float, n_samples: int,

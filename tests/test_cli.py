@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -254,6 +255,10 @@ _EXACT_CAP = exact_region_cases([("--nodes", str(NODE_CAP + 1)),
                                  ("--node-steps", str(STEP_CAP + 1))])
 
 
+_NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                     reason="no /dev/full device to fail a write")
+
+
 @pytest.mark.parametrize("argv", [
     ["mc-phi", "--rho", "0.5", "--n-grid-list", "128,x", "--samples", "100"],
     ["sensitivity-curve", "--rho", "0.5", "--n-list", "8,1.5", "--samples", "100"],
@@ -288,6 +293,13 @@ _EXACT_CAP = exact_region_cases([("--nodes", str(NODE_CAP + 1)),
      "--out", "/nonexistent/x"],
     ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--node-samples", "100",
      *_THEOREM_SMALL, "--factors-csv", "/nonexistent/x.csv"],
+    # the open succeeds and the write fails
+    pytest.param(["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--node-samples", "100",
+                  *_THEOREM_SMALL, "--out", "/dev/full"], marks=_NEEDS_DEV_FULL),
+    pytest.param(["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--node-samples", "100",
+                  *_THEOREM_SMALL, "--factors-csv", "/dev/full"], marks=_NEEDS_DEV_FULL),
+    pytest.param(["sensitivity-curve", "--rho", "0.5", "--n-list", "8,16", "--samples", "100",
+                  "--out", "/dev/full"], marks=_NEEDS_DEV_FULL),
     *_EXACT_BAD[0],
 ], ids=["n-grid-list", "n-list", "t0", "samples-0", "samples-1", "node-samples-1",
         "discrete-phi-rho-1", "mc-phi-rho-1", "theorem-check-rho-1", "top-0",
@@ -296,7 +308,8 @@ _EXACT_CAP = exact_region_cases([("--nodes", str(NODE_CAP + 1)),
         "endpoint-zero-denominator", "node-steps-0", "steps-0", "n-grid-list-empty",
         "sensitivity-curve-rho-one-n-0", "sensitivity-curve-rho-one-samples-1",
         "sensitivity-curve-rho-one-samples-negative", "out-unwritable",
-        "factors-csv-unwritable", *_EXACT_BAD[1]])
+        "factors-csv-unwritable", "out-full", "factors-csv-full", "csv-out-full",
+        *_EXACT_BAD[1]])
 def test_bad_input_exit_2(capsys, argv):
     code, err = exit_code(argv, capsys)
     assert code == 2

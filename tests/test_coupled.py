@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import erf
+from scipy.special import erf, ive
 
 from splitnoise import coupled, tanaka, walsh
 from splitnoise.coupled import (
     STEP_CAP,
+    _SERIES_GAP,
     _bridge_minimum,
     _bridge_noncrossing,
     _bernoulli_word,
@@ -463,6 +464,31 @@ def test_wedge_kernel_lies_in_unit_interval():
             assert np.all((q >= 0.0) & (q <= 1.0))
 
 
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9, 0.999])
+@pytest.mark.parametrize("run", [1e-3, 0.3, 1.0])
+def test_wedge_series_odd_terms_on_the_diagonal(monkeypatch, rho, run):
+    # a batch that starts on w = w' sums odd terms only; one appended
+    # off-diagonal sample forces every term on the same samples
+    rng = derive_rng(40, 0)
+    w, w_new, w_p_new = rng.exponential(math.sqrt(run), (3, 5_000))
+    alpha = math.acos(-rho)
+    orders = []
+    monkeypatch.setattr(coupled, "ive", lambda nu, z: orders.append(nu) or ive(nu, z))
+    diagonal = _wedge_noncrossing(w, w_new, w.copy(), w_p_new, rho, run)
+    assert orders and all(round(nu * alpha / math.pi) % 2 == 1 for nu in orders)
+    extra = math.sqrt(run) * np.array([0.5, 0.4, 0.3, 0.6])
+    ends = [np.append(v, e) for v, e in zip((w, w_new, w.copy(), w_p_new), extra)]
+    every = _wedge_noncrossing(*ends, rho, run)[:-1]
+    # the terms exceed their sum by exp(gap), the step's angular energy,
+    # and so does the rounding in either sum: 1e-12 where gap is 0
+    c = math.sqrt(1.0 - rho**2)
+    b2 = (w_p_new - rho * w_new) / c
+    z = w * math.sqrt(2.0 / (1.0 + rho)) * np.hypot(w_new, b2) / run
+    gap = z * (1.0 - np.cos(alpha / 2 - math.asin(rho) - np.arctan2(b2, w_new)))
+    bound = 1e-12 * np.exp(np.minimum(gap, _SERIES_GAP))
+    assert np.all(np.abs(diagonal - every) <= bound)
+
+
 def test_m_lambda_does_not_depend_on_run_splitting():
     # a rho-run taken as one exact step or as four equal exact steps
     one = m_lambda_functional([(0.5, 0.75)], 0.5, 0.125, 100_000, seed=45)
@@ -515,6 +541,10 @@ def test_m_lambda_start_time_invariance():
     a = m_lambda_functional(region, 0.5, 1 / 32, 150_000, seed=43, n_steps=512)
     b = m_lambda_functional(region, 0.5, 1 / 8, 150_000, seed=44, n_steps=512)
     assert abs(a.mean - b.mean) < 4 * math.hypot(a.stderr, b.stderr)
+    # entering at the region's first point, with no run-in, as the RHS does
+    c = m_lambda_functional(region, 0.5, 0.5, 150_000, seed=47, n_steps=512)
+    for d in (a, b):
+        assert abs(c.mean - d.mean) < 4 * math.hypot(c.stderr, d.stderr)
 
 
 def test_m_lambda_preconditions():

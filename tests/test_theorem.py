@@ -9,7 +9,6 @@ from splitnoise.sampling import EstimateWithError, derive_rng
 from splitnoise.theorem import (
     arcsine_nodes,
     arcsine_theta,
-    entrance_start_time,
     rhs_factors,
     rhs_integral,
     sensitivity_curve,
@@ -56,12 +55,6 @@ def test_arcsine_mean_against_argmin_simulation():
     g = idx / n_grid
     se = g.std() / math.sqrt(n_samples)
     assert abs(g.mean() - quad) < 4 * se
-
-
-def test_entrance_start_rule():
-    assert entrance_start_time(0.08) == pytest.approx(0.01)
-    assert entrance_start_time(1e-9) == 1e-9  # never beyond the gap
-    assert entrance_start_time(2.0**-15) == 2.0**-16  # floored below gap/8
 
 
 def test_rhs_factors_empty_sides():
