@@ -10,8 +10,9 @@ scalar-rho increment pairs from one kernel, _coupled_normals, at rho
 on a piece of A and at 1 on a shared piece.
 
 The argmin coincidence (the direct route) is exact across the gaps
-of A, where the pair shares its increments, and gridded only on A.
-It uses none of the survival kernels below.
+of A, where the pair shares its increments, and gridded only on A;
+with refine, one walk covers the grid and the doubled grid from the
+same draws.  It uses none of the survival kernels below.
 
 Path-survival functionals are estimated without a grid, by one rule:
 up to the end of the last rho-run, each piece (a shared stretch at
@@ -40,7 +41,11 @@ STEP_CAP = 10**7  # steps per path: walk length, n_grid, --node-steps, --steps
 # fixed batch shapes (reproducibility: a pure function of the parameters)
 _WALK_BATCH = 1 << 17
 _SURVIVAL_BATCH = 1 << 16
-_ARGMIN_ELEMENTS = 1 << 22  # target batch samples x n_grid on the direct route
+_ARGMIN_BATCH = 1 << 11  # samples per batch on the direct route
+# elements per array in one block of A's steps: the fastest of 2^13, 2^15,
+# 2^17 and 2^19 on a 4096-step grid, 1200 samples; from 2^17 up the
+# block's temporaries page-fault on every call
+_ARGMIN_BLOCK = 1 << 15
 
 # wedge kernel: the truncation error allowed in one weight (the product
 # stands in below this crossing probability, and a sample's Bessel series
@@ -72,16 +77,30 @@ def _check_steps(n: int):
 # -- coupling kernel ---------------------------------------------------------
 
 def _coupled_normals(rho: float, sqdt: float, rng: np.random.Generator,
-                     shape) -> tuple[np.ndarray, np.ndarray]:
+                     shape, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Coupled N(0, dt) increment pair (db, db') at correlation rho.
 
     db' = rho db + sqrt(1-rho^2) sqdt z with a fresh normal z; at rho = 1
-    it is db itself and no second normal is drawn.
+    it is db itself and no second normal is drawn.  For rho < 1 the pair
+    is written to out, a (2, *shape) array, when one is given.
     """
-    db = rng.standard_normal(shape) * sqdt
     if rho == 1.0:
+        db = rng.standard_normal(shape) * sqdt
         return db, db
-    return db, rho * db + math.sqrt(1.0 - rho**2) * sqdt * rng.standard_normal(shape)
+    db, db_prime = rng.standard_normal((2, *shape), out=out)  # db's normals, then z
+    db *= sqdt
+    return db, _partner(rho, db, sqdt, db_prime, out=db_prime)
+
+
+def _partner(rho: float, db: np.ndarray, sqdt: float, z: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """rho db + sqrt(1-rho^2) sqdt z: db's partner at correlation rho, from the standard normals z.
+
+    out may be z itself.
+    """
+    out = np.multiply(z, math.sqrt(1.0 - rho**2) * sqdt, out=out)
+    out += rho * db
+    return out
 
 
 # -- discrete-model correlation estimator ----------------------------------
@@ -149,20 +168,26 @@ def _bernoulli_word(ratio: tuple[int, int], rng: np.random.Generator,
     """b words of independent bits, each set with probability exactly num / den.
 
     ratio = (num, den) with den a power of two, as float.as_integer_ratio
-    gives it.  One uniform word per binary digit of num / den, from the
-    last digit (num's lowest bit) to the first: a 1 ORs the word into the
-    accumulator, a 0 ANDs it.  A bit set with probability P before digit
-    d is set with probability (d + P) / 2 after it, which builds
-    0.d_1 d_2 ... d_K.
+    gives it.  Each bit compares a uniform U with q = num / den =
+    0.q_1 q_2 ... q_K, one random word per binary digit of U, from the
+    first digit down, and is set iff U < q.  A bit stays open while U's
+    digits equal q's: a 1-digit of q sets the open bits whose U-digit is
+    0, and a 0-digit closes the open bits whose U-digit is 1.  Each digit
+    closes about half of the open bits, so the words stop after about
+    log2(64 b) digits, not K.
     """
     num, den = ratio
     acc = np.zeros(b, dtype=np.uint64)
-    for j in range(den.bit_length() - 1):
+    open_bits = np.full(b, ~np.uint64(0))
+    for j in reversed(range(den.bit_length() - 1)):
         word = rng.bit_generator.random_raw(b)
         if num >> j & 1:
-            acc |= word
+            acc |= open_bits & ~word
+            open_bits &= word
         else:
-            acc &= word
+            open_bits &= ~word
+        if j and not open_bits.any():  # every bit decided: no more words
+            break
     return acc
 
 
@@ -207,7 +232,7 @@ def _pair_minima(masks: np.ndarray, n: int, flip: tuple[int, int], b: int,
 # -- argmin coincidence (the left-hand side of the main identity) -----------
 
 def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
-                       seed: int) -> EstimateWithError:
+                       seed: int, refine: bool = False) -> EstimateWithError:
     """P(the coupled Brownian pair attains its minimum at the same time).
 
     The pair is walked over the pieces of [0,1] in time order.  Each
@@ -231,39 +256,67 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     this leaves shrinks as the grid on A is refined.  A sample is tied
     when a path's best candidate equals another of its candidates in
     floating point; a tie fraction above 0.1% flags the run.
+
+    With refine, the same draws also walk the doubled grid
+    (_two_level_block): extra["refined"] is the estimate at 2 n_grid,
+    with its own tie fields, and extra["grid_bias"] the mean and stderr
+    of the per-sample difference, refined minus this estimate.  Each
+    level has exactly its own grid's law; the paired difference has a
+    far smaller spread than two independent runs.
     """
     _check_rho(rho)
     if n_grid < 2:
         raise DomainError("need at least two grid steps")
     _check_steps(n_grid)
+    if refine:
+        _check_steps(2 * n_grid)
     components = [(lo, hi, math.ceil(n_grid * (hi - lo))) for lo, hi in region]
-    batch = max(1, _ARGMIN_ELEMENTS // n_grid)
-    moments = RunningMoments()
-    n_ties = 0
-    for i, b in enumerate(batch_sizes(n_samples, batch)):
+    levels = [RunningMoments() for _ in range(1 + refine)]
+    bias = RunningMoments()
+    n_ties = np.zeros(len(levels), dtype=np.int64)
+    for i, b in enumerate(batch_sizes(n_samples, _ARGMIN_BATCH)):
         rng = derive_rng(seed, _TAG_ARGMIN, i)
-        value, tied = _coincidence_walk(components, rho, b, rng)
-        n_ties += int(np.count_nonzero(tied))
-        moments.add(value)
-    tie_fraction = n_ties / moments.count  # batch_sizes rejects < 2 samples
-    extra = {"tie_fraction": tie_fraction, "tie_flag": tie_fraction > 1e-3}
-    return EstimateWithError.from_moments(moments, seed, extra=extra)
+        values, tied = _coincidence_walk(components, rho, b, rng, refine)
+        for moments, value in zip(levels, values):
+            moments.add(value)
+        n_ties += np.count_nonzero(tied, axis=1)
+        if refine:
+            bias.add(values[1] - values[0])
+    fractions = n_ties / levels[0].count  # batch_sizes rejects fewer than 2 samples
+    est, *refined = [
+        EstimateWithError.from_moments(moments, seed, extra={
+            "tie_fraction": float(fraction), "tie_flag": bool(fraction > 1e-3)})
+        for moments, fraction in zip(levels, fractions)
+    ]
+    if refine:
+        est.extra["refined"] = refined[0]
+        est.extra["grid_bias"] = EstimateWithError.from_moments(bias, seed)
+    return est
 
 
-_OWN_LABELS = np.array([[-1], [-2]])  # minima inside A: one label per path
+# minima inside A: one label per path (W' keeps its label on both levels)
+_OWN_LABELS = np.array([[-1], [-2], [-2]])
 
 
-def _coincidence_walk(components, rho: float, b: int,
-                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _coincidence_walk(components, rho: float, b: int, rng: np.random.Generator,
+                      refine: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample coincidence probability and tie flag of b pairs walked over [0,1].
 
-    components are (lo, hi, steps) in time order.  Axis 0 of every
-    state array is the path, W then W'.
+    components are (lo, hi, steps) in time order.  Both results are
+    (levels, b): the grid, then with refine the doubled grid.  Axis 0
+    of every state array is the path: W, then W' on each level.  A's
+    steps are walked in blocks of about _ARGMIN_BLOCK elements per
+    array, whose temporaries are allocated once per shape (scratch) and
+    reused.  Each block offers every path's lowest bridge minimum
+    as a candidate, which also carries the tie test across blocks.
     """
-    w = np.zeros((2, b))
-    best = np.zeros((2, b))  # time 0, where both paths start
-    label = np.zeros((2, b), dtype=np.int64)
-    tied = np.zeros((2, b), dtype=bool)
+    rows = 3 if refine else 2
+    walk_block = _two_level_block if refine else _one_level_block
+    scratch = functools.cache(lambda name, shape: np.empty(shape))
+    w = np.zeros((rows, b))
+    best = np.zeros((rows, b))  # time 0, where both paths start
+    label = np.zeros((rows, b), dtype=np.int64)
+    tied = np.zeros((rows, b), dtype=bool)
 
     def offer(candidate, own_label, own_tie=False):
         lower = candidate < best
@@ -279,20 +332,94 @@ def _coincidence_walk(components, rho: float, b: int,
             offer(w + _bridge_minimum(d, run, rng), k + 1)
             w += d
         dt = (hi - lo) / steps
-        lowest = np.empty((2, b))
-        own_tie = np.empty((2, b), dtype=bool)
-        for path, db in enumerate(_coupled_normals(rho, math.sqrt(dt), rng, (b, steps))):
-            ends = np.cumsum(db, axis=1)  # grid values relative to w
-            lows = _bridge_minimum(db, dt, rng)
-            lows += ends
-            lows -= db
-            low = lows.min(axis=1)
-            own_tie[path] = np.count_nonzero(lows == low[:, None], axis=1) > 1
-            lowest[path] = w[path] + low
-            w[path] += ends[:, -1]
-        offer(lowest, _OWN_LABELS, own_tie)
+        block = max(1, _ARGMIN_BLOCK // b)
+        for first in range(0, steps, block):
+            shape = (min(block, steps - first), b)
+            lows, own_tie, moves = walk_block(rho, dt, shape, rng, scratch)
+            lows += w
+            offer(lows, _OWN_LABELS[:rows], own_tie)
+            w += moves
         now = hi
-    return _last_gap(w - best, label[0] == label[1], 1.0 - now), tied[0] | tied[1]
+    height = w - best
+    values = np.empty((rows - 1, b))
+    for level in range(1, rows):
+        values[level - 1] = _last_gap(height[[0, level]], label[0] == label[level], 1.0 - now)
+    return values, tied[0] | tied[1:]
+
+
+def _lowest(lows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each sample's lowest candidate in lows (m, b), and whether another one equals it."""
+    low = lows.min(axis=0)
+    return low, np.add.reduce(lows == low, axis=0, dtype=np.intp) > 1
+
+
+def _one_level_block(rho: float, dt: float, shape, rng: np.random.Generator, scratch):
+    """Lowest bridge minima (2, b), their tie flags and the moves of W, W' over shape = (m, b) steps.
+
+    Minima are relative to each path's position before the block;
+    scratch(name, shape) hands out the block's reusable arrays.
+    """
+    pair = _coupled_normals(rho, math.sqrt(dt), rng, shape, out=scratch("steps", (2, *shape)))
+    expo = rng.standard_exponential(out=scratch("expo", (2, *shape)))
+    expo *= 2.0 * dt
+    start, low = scratch("start", shape), scratch("low", shape)
+    lows = np.empty((2, shape[1]))
+    ties = np.empty((2, shape[1]), dtype=bool)
+    moves = np.empty((2, shape[1]))
+    for path, db in enumerate(pair):
+        np.cumsum(db, axis=0, out=start)
+        moves[path] = start[-1]
+        start -= db
+        start += _bridge_low(db, expo[path], out=low)
+        lows[path], ties[path] = _lowest(start)
+    return lows, ties, moves
+
+
+def _two_level_block(rho: float, dt: float, shape, rng: np.random.Generator, scratch):
+    """_one_level_block on two grids at once, from one set of draws: rows W, W', W' doubled.
+
+    Per coarse step W draws its increment S and midpoint noise delta,
+    W' its increment S' = rho S + sqrt(1 - rho^2) xi and the noise eta;
+    both noises are N(0, dt/4), the midpoint's spread given the ends.
+    A path's candidate for a coarse step is the lower of its two
+    half-step bridge minima, with the same exponentials on both levels.
+    On the grid W''s midpoint noise is eta alone, so given the coarse
+    ends the two paths' minima are independent: the one-level law.  On
+    the doubled grid it is rho delta + sqrt(1 - rho^2) eta, so each
+    half-step pair is rho-coupled: the one-level law at 2 n_grid.  W's
+    minima and both paths' moves are the same on both levels; only W''s
+    minima differ.  Four normals and four exponentials per coarse step,
+    as many as one run on the doubled grid.
+    """
+    sqdt = math.sqrt(dt)
+    totals = _coupled_normals(rho, sqdt, rng, shape, out=scratch("steps", (2, *shape)))
+    noise = scratch("noise", (3, *shape))  # delta, eta, and W''s doubled-grid noise
+    rng.standard_normal(out=noise[:2])
+    _partner(rho, noise[0], 1.0, noise[1], out=noise[2])
+    noise *= 0.5 * sqdt  # the midpoint's sd given the step's ends
+    expo = rng.standard_exponential(out=scratch("expo", (2, 2, *shape)))
+    expo *= dt  # 2 (dt / 2) E: the half-step bridge minimum's root term
+    start, midpoint, rise, low, other = (scratch(name, shape) for name in
+                                         ("start", "midpoint", "rise", "low", "other"))
+    lows = np.empty((3, shape[1]))
+    ties = np.empty((3, shape[1]), dtype=bool)
+    moves = np.empty((3, shape[1]))
+    for path, total in enumerate(totals):
+        np.cumsum(total, axis=0, out=start)
+        moves[path] = start[-1]
+        start -= total
+        np.multiply(total, 0.5, out=midpoint)
+        for row in (1, 2) if path else (0,):
+            np.add(midpoint, noise[row], out=rise)  # the first half-step's rise
+            _bridge_low(rise, expo[path, 0], out=other)
+            second = np.subtract(midpoint, noise[row], out=noise[row])
+            _bridge_low(second, expo[path, 1], out=low)
+            low += rise
+            np.minimum(low, other, out=low)
+            low += start
+            lows[row], ties[row] = _lowest(low)
+    moves[2] = moves[1]
+    return lows, ties, moves
 
 
 def _last_gap(height: np.ndarray, same: np.ndarray, length: float) -> np.ndarray:
@@ -320,11 +447,20 @@ def _bridge_minimum(d: np.ndarray, length: float, rng: np.random.Generator) -> n
     """
     root = rng.standard_exponential(d.shape)
     root *= 2.0 * length
-    root += d * d
-    np.sqrt(root, out=root)
-    root -= d
-    root *= -0.5
-    return root
+    return _bridge_low(d, root)
+
+
+def _bridge_low(d: np.ndarray, root: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(d - sqrt(d^2 + root)) / 2, the bridge minimum of _bridge_minimum given root = 2 length E.
+
+    out, if given, must not be d.
+    """
+    low = np.multiply(d, d, out=out)
+    low += root
+    np.sqrt(low, out=low)
+    low -= d
+    low *= -0.5
+    return low
 
 
 # -- killed-path survival machinery -----------------------------------------

@@ -16,7 +16,7 @@ singularities vanish exactly and nodes carry equal weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +30,6 @@ NODE_CAP = 10**5  # quadrature nodes per gap
 # sub-stream tags
 _TAG_LHS = 101
 _TAG_RHS = 102
-_TAG_LHS_REFINED = 103
 _TAG_CURVE = 104
 _TAG_NODE = 105
 
@@ -158,6 +157,7 @@ class TheoremReport:
     combined_stderr: float
     passed: bool
     lhs_refined: EstimateWithError | None = None
+    grid_bias: EstimateWithError | None = None
     stability_ok: bool | None = None
 
     def as_dict(self) -> dict:
@@ -180,6 +180,8 @@ class TheoremReport:
         out["lhs_var_share"] = self.lhs.stderr**2 / var if var else None
         if self.lhs_refined is not None:
             out["lhs_refined"] = self.lhs_refined.as_dict()
+            # refined minus lhs, per sample of the one coupled run
+            out["grid_bias"] = {"estimate": self.grid_bias.mean, "stderr": self.grid_bias.stderr}
             out["grid_stability_ok"] = self.stability_ok
         return out
 
@@ -190,30 +192,37 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
                    check_stability: bool = False) -> TheoremReport:
     """Run both routes and compare at four combined standard errors.
 
-    With check_stability, the direct route is repeated on the doubled
-    grid and the two direct estimates must also agree at four sigma;
-    a disagreement fails the check, as does a direct-route run with its
-    tie flag set.
+    With check_stability, the one direct run also walks the doubled grid
+    from the same draws (argmin_coincidence with refine), and the paired
+    per-sample difference, grid_bias, must lie within four of its own
+    standard errors.  A disagreement fails the check, as does the tie
+    flag of either grid.  When no sample tells the grids apart on a
+    region with a sampled component (common on a region that reaches
+    1, where each grid scores 0 or 1), that stderr is 0 and a band of
+    width 0 cannot fail; it is then 1 / lhs_samples, the stderr of one
+    sample that differs by 1 (the least nonzero stderr 0/1 scores can
+    give).  Every size, the doubled grid's included, is checked
+    before the first draw.
     """
+    _check_nodes(n_nodes)
+    _check_samples(node_samples)
     lhs = argmin_coincidence(region, rho, lhs_n_grid, lhs_samples,
-                             derive_seed(seed, _TAG_LHS))
+                             derive_seed(seed, _TAG_LHS), refine=check_stability)
     rhs = rhs_integral(region, rho, n_nodes, node_samples, derive_seed(seed, _TAG_RHS))
     discrepancy = lhs.mean - rhs.mean
     combined = math.sqrt(lhs.stderr**2 + rhs.stderr**2)
-    lhs_refined = None
-    stability_ok = None
-    if check_stability:
-        lhs_refined = argmin_coincidence(region, rho, 2 * lhs_n_grid, lhs_samples,
-                                         derive_seed(seed, _TAG_LHS_REFINED))
-        pair = math.sqrt(lhs.stderr**2 + lhs_refined.stderr**2)
-        stability_ok = abs(lhs.mean - lhs_refined.mean) <= 4.0 * pair
+    lhs_refined = lhs.extra.pop("refined", None)
+    grid_bias = lhs.extra.pop("grid_bias", None)
+    if grid_bias is not None and grid_bias.stderr == 0.0 and region and not region.is_full():
+        grid_bias = replace(grid_bias, stderr=1.0 / grid_bias.n_samples)
+    stability_ok = None if grid_bias is None else abs(grid_bias.mean) <= 4.0 * grid_bias.stderr
     tied = any(est.extra["tie_flag"] for est in (lhs, lhs_refined) if est is not None)
     return TheoremReport(
         region=str(region), rho=rho, lhs=lhs, rhs=rhs,
         discrepancy=discrepancy, combined_stderr=combined,
         passed=(abs(discrepancy) <= 4.0 * combined and not tied
                 and stability_ok is not False),
-        lhs_refined=lhs_refined, stability_ok=stability_ok,
+        lhs_refined=lhs_refined, grid_bias=grid_bias, stability_ok=stability_ok,
     )
 
 

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from splitnoise import theorem
+from splitnoise import coupled, theorem
 from splitnoise.cli import main
 from splitnoise.coupled import STEP_CAP
 from splitnoise.sampling import SAMPLE_CAP, EstimateWithError
@@ -330,24 +330,32 @@ def test_bad_start_time_is_named(capsys):
     (None, (0.5, 0.9), 0.001),
 ], ids=["no-ties", "lhs", "lhs-refined", "unstable-grid"])
 def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
-    """A tie flag on either direct run, or a doubled grid that disagrees, fails the check."""
+    """A tie flag on either grid of the one coupled run, or a grid bias beyond 4 sigma, fails the check."""
     runs = []
 
-    def direct_route(*args):
-        tied = len(runs) == tied_run
-        mean = means[len(runs)]
-        runs.append(args)
-        return EstimateWithError(mean, stderr, 100, seed=0,
+    def level(i):
+        tied = i == tied_run
+        return EstimateWithError(means[i], stderr, 100, seed=0,
                                  extra={"tie_fraction": 0.01 * tied, "tie_flag": tied})
 
+    def direct_route(*args, refine=False):
+        runs.append(refine)
+        est = level(0)
+        est.extra["refined"] = level(1)
+        est.extra["grid_bias"] = EstimateWithError(means[1] - means[0], stderr, 100, seed=0)
+        return est
+
     monkeypatch.setattr(theorem, "argmin_coincidence", direct_route)
-    # the other route agrees with the first direct run
+    # the other route agrees with the direct route on the grid
     monkeypatch.setattr(theorem, "rhs_integral",
                         lambda *args: EstimateWithError(means[0], stderr, 100, seed=0))
     code, out, _ = run_cli(["theorem-check", "--A", "", "--rho", "0.5",
                             "--check-stability"], capsys)
     results = json.loads(out)["results"]
-    assert len(runs) == 2 and results["discrepancy"] == 0.0
+    assert runs == [True] and results["discrepancy"] == 0.0
+    assert results["grid_bias"] == {"estimate": means[1] - means[0], "stderr": stderr}
+    assert results["lhs_refined"]["estimate"] == means[1]
+    assert "refined" not in results["lhs"] and "grid_bias" not in results["lhs"]
     stable = means[0] == means[1]
     assert results["grid_stability_ok"] is stable
     assert results["pass"] is (tied_run is None and stable)
@@ -363,10 +371,17 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
      "--n-grid", "64", "--samples", "100", "--node-steps", "8"],
     ["sensitivity-curve", "--rho", "1", "--n-list", f"8,{STEP_CAP + 1}", "--samples", "100"],
     ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--samples", str(SAMPLE_CAP + 1)],
+    ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--n-grid", str(STEP_CAP // 2 + 1),
+     "--check-stability", "--samples", "100", "--nodes", "2", "--node-samples", "100"],
     *_EXACT_CAP[0],
 ], ids=["steps", "node-steps", "samples", "nodes", "sensitivity-curve-rho-one-n",
-        "sensitivity-curve-rho-one-samples", *_EXACT_CAP[1]])
-def test_size_cap_exit_3(capsys, argv):
+        "sensitivity-curve-rho-one-samples", "doubled-grid", *_EXACT_CAP[1]])
+def test_size_cap_exit_3(monkeypatch, capsys, argv):
+    # every cap is checked before the first draw: the direct route's walk never runs
+    def forbidden(*args):
+        raise AssertionError("a draw came before the size checks")
+
+    monkeypatch.setattr(coupled, "_coincidence_walk", forbidden)
     code, err = exit_code(argv, capsys)
     assert code == 3
     assert err.splitlines()[0].startswith("error kind=resource")

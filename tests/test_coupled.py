@@ -163,6 +163,24 @@ def test_flip_bits_are_exact_bernoulli(rho):
     assert abs(ones / (64 * b) - q) < 4 * se
 
 
+class _DigitWords:
+    """A stand-in bit source: word i holds digit i (first digit first) of U_k = k/8 at bit k."""
+
+    def __init__(self):
+        self.words = [np.array([sum(((k >> (2 - i)) & 1) << k for k in range(8))],
+                               dtype=np.uint64) for i in range(3)]
+        self.bit_generator = self
+
+    def random_raw(self, b):
+        return self.words.pop(0)
+
+
+def test_flip_bits_compare_every_three_digit_uniform():
+    # q = 3/8: of the eight 3-digit uniforms k/8 exactly k = 0, 1, 2 lie below q
+    word = _bernoulli_word((3, 8), _DigitWords(), 1)
+    assert int(word[0]) & 0xFF == 0b111
+
+
 def test_flip_bits_only_on_perturbed_steps():
     mask = _word_masks(QUARTER_HALF, 64)[0]
     assert mask == sum(1 << k for k in range(16, 33))  # steps 16..32: k/64 in [1/4, 1/2]
@@ -221,6 +239,31 @@ def test_argmin_coincidence_full_region_is_exactly_zero():
         assert (est.mean, est.stderr) == (0.0, 0.0)
 
 
+def test_two_level_run_has_each_grids_law():
+    # 4 steps on A at rho 0.9, where the grid bias is about 0.005: the
+    # coarse level must match a plain run at n_grid, the fine level one
+    # at 2 n_grid, and the paired difference must resolve the bias
+    two = argmin_coincidence(QUARTER_HALF, 0.9, 16, 200_000, seed=81, refine=True)
+    refined, bias = two.extra["refined"], two.extra["grid_bias"]
+    for level, n_grid, seed in ((two, 16, 82), (refined, 32, 83)):
+        plain = argmin_coincidence(QUARTER_HALF, 0.9, n_grid, 200_000, seed=seed)
+        assert abs(level.mean - plain.mean) < 4 * math.hypot(level.stderr, plain.stderr)
+        assert level.extra["tie_fraction"] == 0.0
+    assert bias.mean == pytest.approx(refined.mean - two.mean, abs=1e-12)
+    assert bias.mean > 4 * bias.stderr
+    # the paired band is narrower than two independent runs' band
+    assert bias.stderr < math.hypot(two.stderr, refined.stderr) / 2
+
+
+def test_two_level_run_is_exact_on_exact_regions():
+    for region, value in ((EMPTY, 1.0), (FULL, 0.0)):
+        two = argmin_coincidence(region, 0.5, 256, 1000, seed=84, refine=True)
+        for level in (two, two.extra["refined"]):
+            assert (level.mean, level.stderr) == (value, 0.0)
+        bias = two.extra["grid_bias"]
+        assert (bias.mean, bias.stderr) == (0.0, 0.0)
+
+
 def test_bridge_minimum_matches_reflection():
     # over a free step d ~ N(0, L) the bridge minimum is the minimum of
     # Brownian motion on [0, L]: P(min > -a) = erf(a / sqrt(2 L))
@@ -265,8 +308,9 @@ def test_argmin_coincidence_uses_no_survival_kernel(monkeypatch):
     for name in ("_wedge_noncrossing", "_bridge_noncrossing", "exact_survival_probability"):
         monkeypatch.setattr(coupled, name, forbidden)
     for text in ("1/4..1/2,5/8..3/4", "0..1/4,3/4..1", ""):
-        est = argmin_coincidence(TimeSet.parse(text), 0.5, 256, 200, seed=5)
-        assert 0.0 <= est.mean <= 1.0
+        for refine in (False, True):
+            est = argmin_coincidence(TimeSet.parse(text), 0.5, 256, 200, seed=5, refine=refine)
+            assert 0.0 <= est.mean <= 1.0
 
 
 def test_estimators_are_deterministic():
@@ -275,6 +319,11 @@ def test_estimators_are_deterministic():
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
     a = argmin_coincidence(QUARTER_HALF, 0.5, 128, 2000, seed=78)
     b = argmin_coincidence(QUARTER_HALF, 0.5, 128, 2000, seed=78)
+    assert (a.mean, a.stderr) == (b.mean, b.stderr)
+    a = argmin_coincidence(QUARTER_HALF, 0.5, 128, 2000, seed=78, refine=True)
+    b = argmin_coincidence(QUARTER_HALF, 0.5, 128, 2000, seed=78, refine=True)
+    for key in ("refined", "grid_bias"):
+        assert (a.extra[key].mean, a.extra[key].stderr) == (b.extra[key].mean, b.extra[key].stderr)
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
     a = m_lambda_functional([(0.5, 0.75)], 0.5, 0.125, 4000, seed=79, n_steps=128)
     b = m_lambda_functional([(0.5, 0.75)], 0.5, 0.125, 4000, seed=79, n_steps=128)

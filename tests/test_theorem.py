@@ -5,7 +5,8 @@ import pytest
 
 from splitnoise.coupled import argmin_coincidence
 from splitnoise.errors import DomainError, PreconditionError
-from splitnoise.sampling import EstimateWithError, derive_rng
+from splitnoise import theorem
+from splitnoise.sampling import EstimateWithError, derive_rng, derive_seed
 from splitnoise.theorem import (
     arcsine_nodes,
     arcsine_theta,
@@ -168,6 +169,29 @@ def test_verify_theorem_small_case_passes():
     assert abs(report.discrepancy) <= 4 * report.combined_stderr
     d = report.as_dict()
     assert d["pass"] and "nodes" not in d["rhs"]
+
+
+def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
+    # on 1/2..1 each grid scores 0 or 1, and at 100 samples no sample
+    # tells the two grids apart: the paired stderr is 0
+    region = TimeSet.parse("1/2..1")
+    raw = argmin_coincidence(region, 0.5, 4096, 100, derive_seed(1, theorem._TAG_LHS),
+                             refine=True).extra["grid_bias"]
+    assert (raw.mean, raw.stderr) == (0.0, 0.0)
+    report = verify_theorem(region, 0.5, seed=1, lhs_n_grid=4096, lhs_samples=100,
+                            n_nodes=2, node_samples=100, check_stability=True)
+    assert (report.grid_bias.mean, report.grid_bias.stderr) == (0.0, 0.01)
+    assert report.stability_ok
+    assert report.as_dict()["grid_bias"] == {"estimate": 0.0, "stderr": 0.01}
+    # one step on A against two, at rho 0.9: the bias (about 0.02) fails
+    # it, on the sample stderr
+    report = verify_theorem(region, 0.9, seed=1, lhs_n_grid=2, lhs_samples=20_000,
+                            n_nodes=2, node_samples=100, check_stability=True)
+    raw = argmin_coincidence(region, 0.9, 2, 20_000, derive_seed(1, theorem._TAG_LHS),
+                             refine=True).extra["grid_bias"]
+    assert (report.grid_bias.mean, report.grid_bias.stderr) == (raw.mean, raw.stderr)
+    assert report.grid_bias.mean > 4 * report.grid_bias.stderr > 0.0
+    assert not report.stability_ok and not report.passed
 
 
 def test_verdict_reports_z_score_and_variance_share():
