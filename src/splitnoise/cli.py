@@ -23,7 +23,7 @@ from . import __version__
 from .coupled import _check_steps, argmin_coincidence, discrete_phi, m_lambda_functional
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import derive_seed
-from .theorem import rhs_integral, sensitivity_curve, verify_theorem
+from .theorem import sensitivity_curve, verify_theorem
 from .timesets import TimeSet
 from .walsh import sgn_functional_table, walsh_transform
 
@@ -77,7 +77,7 @@ _REQUIRED = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="splitnoise",
         description="Noise-sensitivity experiments for the discrete Tanaka model.",
@@ -126,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--t0", default="1/32,1/8", help="comma-separated pair of start times (fractions ok)")
     p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--steps", type=int, default=1024,
-                   help="checked and echoed; survival has no grid")
     return ap
 
 
@@ -259,14 +257,13 @@ def _run_consistency_check(args) -> int:
     if len(starts) != 2:
         raise DomainError("--t0 takes exactly two comma-separated start times")
     runs = [
-        m_lambda_functional(region, args.rho, t0, args.samples,
-                            derive_seed(args.seed, i), n_steps=args.steps)
+        m_lambda_functional(region, args.rho, t0, args.samples, derive_seed(args.seed, i))
         for i, t0 in enumerate(starts)
     ]
     gap = abs(runs[0].mean - runs[1].mean)
     tol = 4.0 * (runs[0].stderr**2 + runs[1].stderr**2) ** 0.5
     params = {"A": str(region), "rho": args.rho, "t0": starts,
-              "samples": args.samples, "steps": args.steps, "seed": args.seed}
+              "samples": args.samples, "seed": args.seed}
     results = {
         "runs": [est.as_dict() for est in runs],
         "difference": gap,
@@ -289,7 +286,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser()
+    ap = _build_parser()
     args = _merge_config(argv, ap)
     try:
         return _COMMANDS[args.command](args)

@@ -36,7 +36,7 @@ from scipy.special import erf, erfc, ive
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import EstimateWithError, RunningMoments, batch_sizes, derive_rng
 
-STEP_CAP = 10**7  # steps per path: walk length, n_grid, --node-steps, --steps
+STEP_CAP = 10**7  # steps per path: walk length, n_grid, --node-steps
 
 # fixed batch shapes (reproducibility: a pure function of the parameters)
 _WALK_BATCH = 1 << 17
@@ -329,7 +329,9 @@ def _coincidence_walk(components, rho: float, b: int, rng: np.random.Generator,
         if lo > now:
             run = lo - now
             d = rng.standard_normal(b) * math.sqrt(run)
-            offer(w + _bridge_minimum(d, run, rng), k + 1)
+            root = rng.standard_exponential(b)
+            root *= 2.0 * run
+            offer(w + _bridge_low(d, root), k + 1)
             w += d
         dt = (hi - lo) / steps
         block = max(1, _ARGMIN_BLOCK // b)
@@ -438,22 +440,13 @@ def _last_gap(height: np.ndarray, same: np.ndarray, length: float) -> np.ndarray
     return erfc(x.max(axis=0)) + same * erf(x.min(axis=0))
 
 
-def _bridge_minimum(d: np.ndarray, length: float, rng: np.random.Generator) -> np.ndarray:
-    """Exact minimum of a Brownian bridge that rises by d over time length, less its start.
-
-    (d - sqrt(d^2 + 2 length E)) / 2 with E ~ Exp(1): the inverse
-    transform of P(min < m) = exp(-2 m (m - d) / length) (Glasserman,
-    Monte Carlo Methods in Financial Engineering, 2003, ch. 6).
-    """
-    root = rng.standard_exponential(d.shape)
-    root *= 2.0 * length
-    return _bridge_low(d, root)
-
-
 def _bridge_low(d: np.ndarray, root: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(d - sqrt(d^2 + root)) / 2, the bridge minimum of _bridge_minimum given root = 2 length E.
+    """Exact minimum, less its start, of a Brownian bridge that rises by d over time length.
 
-    out, if given, must not be d.
+    (d - sqrt(d^2 + root)) / 2 with root = 2 length E and E ~ Exp(1):
+    the inverse transform of P(min < m) = exp(-2 m (m - d) / length)
+    (Glasserman, Monte Carlo Methods in Financial Engineering, 2003,
+    ch. 6).  out, if given, must not be d.
     """
     low = np.multiply(d, d, out=out)
     low += root
@@ -465,7 +458,7 @@ def _bridge_low(d: np.ndarray, root: np.ndarray, out: np.ndarray | None = None) 
 
 # -- killed-path survival machinery -----------------------------------------
 
-def exact_survival_probability(y: float | np.ndarray, horizon: float) -> float | np.ndarray:
+def _exact_survival_probability(y: float | np.ndarray, horizon: float) -> float | np.ndarray:
     """P(BM from height y stays positive over a window of length horizon).
 
     Reflection principle: equals P(|N(0, horizon)| < y) = erf(y / sqrt(2 horizon)).
@@ -473,20 +466,13 @@ def exact_survival_probability(y: float | np.ndarray, horizon: float) -> float |
     return erf(np.asarray(y) / math.sqrt(2.0 * horizon))
 
 
-def entrance_mass(t: float) -> float:
-    """Total mass of the excursion entrance measure at time t: t**-1/2."""
-    return t**-0.5
-
-
-def entrance_heights(t: float, rng: np.random.Generator,
-                     size: int | None = None) -> np.ndarray | float:
+def _entrance_heights(t: float, rng: np.random.Generator,
+                      size: int | None = None) -> np.ndarray | float:
     """Heights from the normalized entrance density (y/t) exp(-y^2/2t).
 
     Inverse transform of the Rayleigh(sqrt(t)) law: y = sqrt(-2t ln U)
     with U uniform on (0,1].
     """
-    if not 0.0 < t < 1.0:
-        raise DomainError(f"entrance time {t} outside (0,1)")
     u = 1.0 - rng.random(size)  # (0,1]: keeps the log finite
     return np.sqrt(-2.0 * t * np.log(u))
 
@@ -602,7 +588,7 @@ def _joint_survival(y: np.ndarray, pairs, rho: float, t0: float,
         now = hi
     if now < 1.0:
         low = np.maximum(np.minimum(w, w_prime), 0.0)
-        weight *= exact_survival_probability(low, 1.0 - now)
+        weight *= _exact_survival_probability(low, 1.0 - now)
     return weight
 
 
@@ -618,8 +604,7 @@ def m_lambda_functional(region_pairs, rho: float, t0: float, n_samples: int,
     depend on the choice of t0.  That is what lets the theorem's RHS
     start at the region's first point, with no run-in; the tests and
     consistency-check verify it.  The walk has no grid; n_steps is kept, and
-    checked against the step cap, because the benchmark tracer reads it
-    and consistency-check --steps reaches it.
+    checked against the step cap, because the benchmark tracer reads it.
     """
     if not 0.0 < t0 < 1.0:
         raise DomainError(f"start time {t0} outside (0,1)")
@@ -632,10 +617,10 @@ def m_lambda_functional(region_pairs, rho: float, t0: float, n_samples: int,
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"rho={rho} outside [0,1]")
     _check_steps(n_steps)
-    mass = entrance_mass(t0)
+    mass = t0**-0.5  # the excursion entrance measure's total mass at t0
     moments = RunningMoments()
     for i, b in enumerate(batch_sizes(n_samples, _SURVIVAL_BATCH)):
         rng = derive_rng(seed, _TAG_MLAMBDA, i)
-        y = entrance_heights(t0, rng, b)
+        y = _entrance_heights(t0, rng, b)
         moments.add(mass * _joint_survival(y, pairs, rho, t0, rng))
     return EstimateWithError.from_moments(moments, seed)

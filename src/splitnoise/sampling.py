@@ -72,9 +72,6 @@ class RunningMoments:
         self.m2 += bm2 + delta * delta * self.count * b / total
         self.count = total
 
-    def stderr(self) -> float:
-        return math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
-
 
 @dataclass(frozen=True)
 class EstimateWithError:
@@ -101,8 +98,9 @@ class EstimateWithError:
         """The sampled estimate; fewer than two samples would give no stderr."""
         if moments.count < 2:
             raise DomainError(f"need at least two samples, got {moments.count}")
-        return cls(mean=moments.mean, stderr=moments.stderr(),
-                   n_samples=moments.count, seed=seed, extra=extra)
+        stderr = math.sqrt(moments.m2 / (moments.count - 1)) / math.sqrt(moments.count)
+        return cls(mean=moments.mean, stderr=stderr, n_samples=moments.count,
+                   seed=seed, extra=extra)
 
     def as_dict(self) -> dict:
         out = {

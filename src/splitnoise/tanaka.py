@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 
-def sgn(a: np.ndarray | int) -> np.ndarray | int:
+def _sgn(a: np.ndarray | int) -> np.ndarray | int:
     """Sign with sgn(0) = +1 (the convention the whole model relies on)."""
     if np.isscalar(a):
         return 1 if a >= 0 else -1
@@ -27,7 +27,7 @@ def sgn(a: np.ndarray | int) -> np.ndarray | int:
 def x_to_z_increments(dx: np.ndarray) -> np.ndarray:
     """Drive increments dZ_k = sgn(X_k) dX_k from walk increments."""
     dx = np.asarray(dx, dtype=np.int64)
-    return sgn(positions(dx)[..., :-1]) * dx
+    return _sgn(positions(dx)[..., :-1]) * dx
 
 def z_to_x_increments(dz: np.ndarray) -> np.ndarray:
     """The unique walk with dX_k = sgn(X_k) dZ_k; inverse of x_to_z_increments.
@@ -40,7 +40,7 @@ def z_to_x_increments(dz: np.ndarray) -> np.ndarray:
     dx = np.empty_like(dz)
     x = np.zeros(dz.shape[:-1], dtype=np.int64)
     for k in range(dz.shape[-1]):
-        dx[..., k] = sgn(x) * dz[..., k]
+        dx[..., k] = _sgn(x) * dz[..., k]
         x = x + dx[..., k]
     return dx
 
@@ -62,11 +62,11 @@ def local_time_positions(pos: np.ndarray) -> np.ndarray:
     zeros = np.zeros(pos.shape[:-1] + (1,), dtype=np.int64)
     return np.concatenate([zeros, np.cumsum(hits, axis=-1)], axis=-1)
 
-def running_max_negated(pos: np.ndarray) -> np.ndarray:
+def _running_max_negated(pos: np.ndarray) -> np.ndarray:
     """max_{k<=n}(-Z_k) along the last axis."""
     return np.maximum.accumulate(-np.asarray(pos, dtype=np.int64), axis=-1)
 
-def folded_positions(pos: np.ndarray) -> np.ndarray:
+def _folded_positions(pos: np.ndarray) -> np.ndarray:
     """|X_n + 1/2| - 1/2 in exact integers, via doubled quantities."""
     pos = np.asarray(pos, dtype=np.int64)
     return (np.abs(2 * pos + 1) - 1) // 2
@@ -81,9 +81,9 @@ def identities_hold(dx: np.ndarray) -> np.ndarray:
     dx = np.asarray(dx, dtype=np.int64)
     x_pos = positions(dx)
     z_pos = positions(x_to_z_increments(dx))
-    lhs2 = 2 * folded_positions(x_pos)
+    lhs2 = 2 * _folded_positions(x_pos)
     ok_local = np.all(lhs2 == 2 * (z_pos + local_time_positions(x_pos)), axis=-1)
-    ok_reflect = np.all(lhs2 == 2 * (z_pos + running_max_negated(z_pos)), axis=-1)
+    ok_reflect = np.all(lhs2 == 2 * (z_pos + _running_max_negated(z_pos)), axis=-1)
     return ok_local & ok_reflect
 
 def parity_signs(z_pos: np.ndarray) -> np.ndarray:

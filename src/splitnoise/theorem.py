@@ -26,6 +26,7 @@ from .sampling import EstimateWithError, _check_samples, derive_seed, product_es
 from .timesets import TimeSet, affine_preimage
 
 NODE_CAP = 10**5  # quadrature nodes per gap
+_TAIL_4SIGMA = 6.33e-5  # P(|Z| > 4) for a standard normal Z
 
 # sub-stream tags
 _TAG_LHS = 101
@@ -34,23 +35,16 @@ _TAG_CURVE = 104
 _TAG_NODE = 105
 
 
-def arcsine_theta(t: float) -> float:
-    """Inverse of t = sin^2(pi theta / 2) on [0,1]."""
-    return 2.0 / math.pi * math.asin(math.sqrt(t))
-
-
-def arcsine_nodes(a: float, b: float, n_nodes: int) -> tuple[list[float], float]:
+def _arcsine_nodes(a: float, b: float, n_nodes: int) -> tuple[list[float], float]:
     """Equal-weight midpoint nodes realizing the arc-sine integral over [a,b].
 
-    Returns (times, weight) for the law dt / (pi sqrt(t(1-t))): every
-    node carries the same weight, and the n_nodes weights total
-    theta(b) - theta(a), the arc-sine measure of [a,b]; over all of
-    [0,1] they sum to 1.
+    Returns (times, weight) for the law dt / (pi sqrt(t(1-t))): with
+    t = sin^2(pi theta / 2) the nodes are the midpoints of n_nodes equal
+    steps in theta, so every node carries the same weight, and the
+    n_nodes weights total theta(b) - theta(a), the arc-sine measure of
+    [a,b]; over all of [0,1] they sum to 1.
     """
-    if not (0.0 <= a < b <= 1.0):
-        raise DomainError(f"bad interval ({a}, {b})")
-    _check_nodes(n_nodes)
-    ta, tb = arcsine_theta(a), arcsine_theta(b)
+    ta, tb = (2.0 / math.pi * math.asin(math.sqrt(t)) for t in (a, b))
     w = (tb - ta) / n_nodes
     thetas = ta + (np.arange(n_nodes) + 0.5) * w
     return [math.sin(math.pi * th / 2.0) ** 2 for th in thetas], w
@@ -63,42 +57,31 @@ def _check_nodes(n_nodes: int):
         raise ResourceLimitError(f"{n_nodes} nodes per gap exceed the cap {NODE_CAP}")
 
 
-def _side_factor(region: TimeSet, rho: float, scale: float, shift: float,
-                 n_samples: int, seed: int) -> EstimateWithError:
-    pulled = affine_preimage(region, scale, shift)
-    if not pulled:
-        return EstimateWithError.exact(1.0)
-    # the factor does not depend on its entrance time, so heights enter at
-    # the region's first point, inside (0,1) for a t inside a gap: no run-in
-    return m_lambda_functional(pulled, rho, pulled[0][0], n_samples, seed)
-
-
-def rhs_factors(t: float, region: TimeSet, rho: float, n_samples: int,
-                seed: int) -> tuple[EstimateWithError, EstimateWithError]:
+def _rhs_factors(t: float, region: TimeSet, rho: float, n_samples: int,
+                 seed: int) -> tuple[EstimateWithError, EstimateWithError]:
     """The two pulled-back survival-correlation factors at gap time t.
 
     Returns (left, right): left sees the region before t through
     x -> t(1-x), right the region after t through x -> t + (1-t)x.  A
     side with no region points is exactly 1.  t must lie strictly
     inside a gap: a t in the region, endpoints included, is a
-    PreconditionError.
+    PreconditionError.  Float rounding can put a node time there, or
+    at 0 or 1, where a side's map degenerates and the side is empty.
     """
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"time {t} outside [0,1]")
     for lo, hi in region:
         if lo < t < hi:
             raise PreconditionError(f"t={t} lies in the interior of {region}")
         if t in (lo, hi):
             raise PreconditionError(f"t={t} is an endpoint of {region}")
-    if t >= 1.0:
-        right = EstimateWithError.exact(1.0)
-    else:
-        right = _side_factor(region, rho, 1.0 - t, t, n_samples, derive_seed(seed, 1))
-    if t <= 0.0:
-        left = EstimateWithError.exact(1.0)
-    else:
-        left = _side_factor(region, rho, -t, t, n_samples, derive_seed(seed, 0))
-    return left, right
+    factors = []
+    for side, (outside, scale) in enumerate(((t <= 0.0, -t), (t >= 1.0, 1.0 - t))):
+        pulled = [] if outside else affine_preimage(region, scale, t)
+        # the factor does not depend on its entrance time, so heights enter at
+        # the region's first point, inside (0,1) for a t inside a gap: no run-in
+        factors.append(m_lambda_functional(pulled, rho, pulled[0][0], n_samples,
+                                           derive_seed(seed, side))
+                       if pulled else EstimateWithError.exact(1.0))
+    return tuple(factors)
 
 
 def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
@@ -124,10 +107,10 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     rows = []
     node_vars = []
     for ci, (a, b) in enumerate(region.complement_components()):
-        times, weight = arcsine_nodes(a, b, n_nodes)
+        times, weight = _arcsine_nodes(a, b, n_nodes)
         for ni, t in enumerate(times):
             node_seed = derive_seed(seed, _TAG_NODE, ci, ni)
-            left, right = rhs_factors(t, region, rho, n_samples_per_node, node_seed)
+            left, right = _rhs_factors(t, region, rho, n_samples_per_node, node_seed)
             pm, pv = product_estimate(left, right)
             total += weight * pm
             node_vars.append(weight**2 * pv)
@@ -203,18 +186,29 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     sample that differs by 1 (the least nonzero stderr 0/1 scores can
     give).  Every size, the doubled grid's included, is checked
     before the first draw.
+
+    The direct route gets the same guard: on a region that reaches 1
+    each sample scores 0 or 1, and a rare coincidence can leave every
+    sample at 0 and the stderr at 0.  When all n LHS samples are equal
+    on a sampled region, the LHS stderr is reported as s = (1 -
+    q^(1/n)) / 4 with q = _TAIL_4SIGMA: 4 s is the largest rate p with
+    (1 - p)^n >= q, the exact binomial bound a count of 0 (or of n)
+    leaves at 4 sigma.
     """
     _check_nodes(n_nodes)
     _check_samples(node_samples)
     lhs = argmin_coincidence(region, rho, lhs_n_grid, lhs_samples,
                              derive_seed(seed, _TAG_LHS), refine=check_stability)
     rhs = rhs_integral(region, rho, n_nodes, node_samples, derive_seed(seed, _TAG_RHS))
-    discrepancy = lhs.mean - rhs.mean
-    combined = math.sqrt(lhs.stderr**2 + rhs.stderr**2)
     lhs_refined = lhs.extra.pop("refined", None)
     grid_bias = lhs.extra.pop("grid_bias", None)
-    if grid_bias is not None and grid_bias.stderr == 0.0 and region and not region.is_full():
-        grid_bias = replace(grid_bias, stderr=1.0 / grid_bias.n_samples)
+    if region and not region.is_full():
+        if lhs.stderr == 0.0:
+            lhs = replace(lhs, stderr=(1.0 - _TAIL_4SIGMA ** (1.0 / lhs.n_samples)) / 4.0)
+        if grid_bias is not None and grid_bias.stderr == 0.0:
+            grid_bias = replace(grid_bias, stderr=1.0 / grid_bias.n_samples)
+    discrepancy = lhs.mean - rhs.mean
+    combined = math.sqrt(lhs.stderr**2 + rhs.stderr**2)
     stability_ok = None if grid_bias is None else abs(grid_bias.mean) <= 4.0 * grid_bias.stderr
     tied = any(est.extra["tie_flag"] for est in (lhs, lhs_refined) if est is not None)
     return TheoremReport(

@@ -45,8 +45,10 @@ class TimeSet:
     Built from any iterable of (lo, hi) endpoint pairs (Fractions, ints or
     text); components are stored sorted and disjoint as Fraction pairs,
     touching components merged, so equality, text form and complement
-    are canonical.  Instances are immutable and safe to share across
-    estimator tasks.
+    are canonical.  Every estimator reads the float image, so a region
+    whose float endpoints lose a component or a gap (one shorter than
+    the rounding, at 0 and 1 too) is a DomainError.  Instances are
+    immutable and safe to share across estimator tasks.
     """
 
     components: tuple
@@ -56,7 +58,12 @@ class TimeSet:
         for lo, hi in comps:
             if not lo < hi:
                 raise DomainError(f"empty or inverted component [{lo}, {hi}]")
-        object.__setattr__(self, "components", tuple(merge_intervals(comps)))
+        comps = _merge_intervals(comps)
+        ends = [0, *(x for pair in comps for x in pair), 1]
+        for a, b in zip(ends, ends[1:]):
+            if a < b and not float(a) < float(b):
+                raise DomainError(f"[{a}, {b}] vanishes in floating point")
+        object.__setattr__(self, "components", tuple(comps))
 
     @classmethod
     def parse(cls, text: str) -> "TimeSet":
@@ -113,7 +120,7 @@ class TimeSet:
         return gaps
 
 
-def merge_intervals(pairs: Iterable[tuple]) -> list[tuple]:
+def _merge_intervals(pairs: Iterable[tuple]) -> list[tuple]:
     """Sort, drop empties, and merge overlapping/touching intervals.
 
     Endpoints are floats or Fractions (exact comparisons).
@@ -149,4 +156,4 @@ def affine_preimage(region: Iterable[tuple[float, float]],
         a, b = max(a, 0.0) + 0.0, min(b, 1.0)  # +0.0 normalizes -0.0
         if b > a:
             out.append((a, b))
-    return merge_intervals(out)
+    return _merge_intervals(out)

@@ -47,9 +47,6 @@ class FunctionTable:
             )
         object.__setattr__(self, "values", vals)
 
-    def mean_square(self) -> float:
-        return float(np.mean(self.values**2))
-
 
 @dataclass(frozen=True)
 class ChaosSpectrum:
@@ -64,9 +61,6 @@ class ChaosSpectrum:
         if coeffs.shape != (1 << self.n,):
             raise DomainError("coefficient array has wrong length")
         object.__setattr__(self, "coefficients", coeffs)
-
-    def total_mass(self) -> float:
-        return float(np.sum(self.coefficients**2))
 
 
 def _fwht(values: np.ndarray) -> np.ndarray:
@@ -88,23 +82,19 @@ def walsh_transform(table: FunctionTable) -> ChaosSpectrum:
     return ChaosSpectrum(table.n, _fwht(table.values) / (1 << table.n))
 
 
-def inverse_walsh(spectrum: ChaosSpectrum) -> FunctionTable:
-    """Synthesis: f(eps) = sum_T coeff(T) prod_{k in T} eps_k."""
-    return FunctionTable(spectrum.n, _fwht(spectrum.coefficients))
-
-
 def spectral_measure(spectrum: ChaosSpectrum, tol: float = 1e-9) -> np.ndarray:
     """Probability table P(S = T) = coeff(T)^2 over subsets.
 
     Requires the source table to have unit norm (Parseval mass 1).
     """
-    mass = spectrum.total_mass()
+    measure = spectrum.coefficients**2
+    mass = float(np.sum(measure))
     if abs(mass - 1.0) > tol:
         raise PreconditionError(f"spectrum mass {mass} is not 1 within {tol}")
-    return spectrum.coefficients**2
+    return measure
 
 
-def subset_weights(rho: np.ndarray) -> np.ndarray:
+def _subset_weights(rho: np.ndarray) -> np.ndarray:
     """weights[T] = prod_{k in T} rho_k for every subset bitmask T."""
     rho = np.asarray(rho, dtype=np.float64)
     w = np.ones(1)
@@ -124,10 +114,10 @@ def noise_functional(spectrum: ChaosSpectrum, rho: np.ndarray) -> float:
         raise DomainError("rho vector length must match coordinate count")
     if np.any(np.abs(rho) > 1.0):
         raise DomainError("correlations must lie in [-1,1]")
-    return float(np.sum(spectrum.coefficients**2 * subset_weights(rho)))
+    return float(np.sum(spectrum.coefficients**2 * _subset_weights(rho)))
 
 
-def noise_operator(table: FunctionTable, rho: np.ndarray) -> FunctionTable:
+def _noise_operator(table: FunctionTable, rho: np.ndarray) -> FunctionTable:
     """Per-coordinate averaging (T_rho f)(eps) = E[f(eps') | eps].
 
     Coordinate k of eps' equals eps_k with probability (1+rho_k)/2,
@@ -156,7 +146,7 @@ def exact_correlation(table: FunctionTable, rho: np.ndarray) -> float:
 
     Independent of the Walsh route: computes f . T_rho f / 2**n.
     """
-    smoothed = noise_operator(table, rho)
+    smoothed = _noise_operator(table, rho)
     return float(np.mean(table.values * smoothed.values))
 
 
@@ -177,7 +167,7 @@ def sgn_functional_table(n: int) -> FunctionTable:
     return FunctionTable(n, np.where(x >= 0, 1.0, -1.0))
 
 
-def walk_survival_table(n: int, start: int) -> FunctionTable:
+def _walk_survival_table(n: int, start: int) -> FunctionTable:
     """Indicator that start + walk stays strictly positive for n steps.
 
     The discrete stand-in for the killed-path survival functional; used

@@ -9,10 +9,9 @@ import pytest
 
 from splitnoise.cli import main as cli_main
 from splitnoise.coupled import (
+    _entrance_heights,
+    _exact_survival_probability,
     discrete_phi,
-    entrance_heights,
-    entrance_mass,
-    exact_survival_probability,
     m_lambda_functional,
 )
 from splitnoise.sampling import derive_rng
@@ -81,14 +80,14 @@ def test_criterion_3_spectral_oracle_identity():
         worst_gap = max(worst_gap, abs(
             noise_functional(spectrum, rho) - exact_correlation(table, rho)))
         worst_parseval = max(worst_parseval, abs(
-            spectrum.total_mass() - table.mean_square()))
+            np.sum(spectrum.coefficients**2) - np.mean(table.values**2)))
     for n in range(1, 21):
         table = sgn_functional_table(n)
         rho = rng.uniform(0.0, 1.0, size=n)
         spectrum = walsh_transform(table)
         worst_gap = max(worst_gap, abs(
             noise_functional(spectrum, rho) - exact_correlation(table, rho)))
-        worst_parseval = max(worst_parseval, abs(spectrum.total_mass() - 1.0))
+        worst_parseval = max(worst_parseval, abs(np.sum(spectrum.coefficients**2) - 1.0))
     ok = worst_gap < 1e-10 and worst_parseval < 1e-12
     _report(3, ok, f"100 random tables (n<=12) + sign tables (n<=20): "
                    f"max |spectral-averaging| gap {worst_gap:.2e} < 1e-10, "
@@ -116,8 +115,8 @@ def test_criterion_5_entrance_law_mass():
     details = []
     ok = True
     for t, seed in ((1 / 16, 505), (1 / 4, 506)):
-        y = entrance_heights(t, derive_rng(seed, 0), 1_000_000)
-        vals = entrance_mass(t) * exact_survival_probability(y, 1.0 - t)
+        y = _entrance_heights(t, derive_rng(seed, 0), 1_000_000)
+        vals = t**-0.5 * _exact_survival_probability(y, 1.0 - t)
         mean = float(vals.mean())
         ok &= abs(mean - 1.0) <= 0.01
         details.append(f"t={t}: {mean:.4f}")
@@ -196,8 +195,7 @@ def test_criterion_9_cli_reproducibility(tmp_path):
          "--samples", "1000", "--nodes", "4", "--node-samples", "1000",
          "--node-steps", "128", "--seed", "9"],
         ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5",
-         "--t0", "1/32,1/8", "--samples", "5000", "--steps", "128",
-         "--seed", "9"],
+         "--t0", "1/32,1/8", "--samples", "5000", "--seed", "9"],
         ["sensitivity-curve", "--rho", "0.5", "--n-list", "8,16",
          "--samples", "2000", "--seed", "9"],
     ]

@@ -126,11 +126,9 @@ def test_sensitivity_curve_csv(capsys):
     (["theorem-check", "--A", "1/4..1/2,5/8..3/4", "--rho", "0.5", "--n-grid", "256",
       "--samples", "500", "--nodes", "2", "--node-samples", "500", "--seed", "3"],
      "--node-steps"),
-    (["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--samples", "2000",
-      "--seed", "3"], "--steps"),
-], ids=["theorem-check", "consistency-check"])
+], ids=["theorem-check"])
 def test_grid_flags_change_no_result(capsys, argv, flag):
-    """Survival is grid-free: the step flags are checked and echoed, nothing more."""
+    """Survival is grid-free: the step flag is checked and echoed, nothing more."""
     docs = []
     for steps in ("128", "1024"):
         code, out, _ = run_cli(argv + [flag, steps], capsys)
@@ -144,12 +142,34 @@ def test_grid_flags_change_no_result(capsys, argv, flag):
 def test_consistency_check(capsys):
     code, out, _ = run_cli(
         ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5",
-         "--t0", "1/32,1/8", "--samples", "20000", "--steps", "256",
-         "--seed", "5"], capsys)
+         "--t0", "1/32,1/8", "--samples", "20000", "--seed", "5"], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["consistent"]
     assert len(doc["results"]["runs"]) == 2
+
+
+def test_all_equal_lhs_samples_get_a_binomial_stderr(capsys):
+    # on 1/256..1 each sample scores 0 or 1, and at 200 samples all of
+    # them score 0 about one run in six: the LHS stderr is then the
+    # zero-count binomial bound over 4, not 0, and the verdict holds
+    code, out, _ = run_cli(
+        ["theorem-check", "--A", "1/256..1", "--rho", "0.5", "--n-grid", "256",
+         "--samples", "200", "--nodes", "4", "--node-samples", "400", "--seed", "0"], capsys)
+    results = json.loads(out)["results"]
+    assert results["lhs"]["estimate"] == 0.0
+    assert results["lhs"]["stderr"] == (1.0 - 6.33e-5 ** (1 / 200)) / 4
+    assert 4 * results["lhs"]["stderr"] == pytest.approx(0.047, abs=5e-4)
+    assert results["combined_stderr"] > results["lhs"]["stderr"]
+    assert results["pass"] and code == 0
+
+
+def test_consistency_check_has_no_steps_flag(capsys):
+    # survival has no grid, so the step flag is gone: an unknown argument
+    code, err = exit_code(["consistency-check", "--A", "1/2..3/4", "--rho", "0.5",
+                           "--samples", "100", "--steps", "8"], capsys)
+    assert code == 2
+    assert "--steps" in err
 
 
 def test_usage_error_exit_2(capsys):
@@ -263,11 +283,9 @@ _NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
     ["mc-phi", "--rho", "0.5", "--n-grid-list", "128,x", "--samples", "100"],
     ["sensitivity-curve", "--rho", "0.5", "--n-list", "8,1.5", "--samples", "100"],
     ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--t0", "1/32,zz",
-     "--samples", "100", "--steps", "8"],
-    ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--samples", "0",
-     "--steps", "8"],
-    ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--samples", "1",
-     "--steps", "8"],
+     "--samples", "100"],
+    ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--samples", "0"],
+    ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--samples", "1"],
     ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--node-samples", "1",
      *_THEOREM_SMALL],
     ["discrete-phi", "--rho", "1", "--n", "8", "--samples", "100"],
@@ -283,8 +301,6 @@ _NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
     ["mc-phi", "--A", "1/0..1/2", "--rho", "0.5"],
     ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--n-grid", "64",
      "--samples", "100", "--nodes", "2", "--node-samples", "100", "--node-steps", "0"],
-    ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--samples", "100",
-     "--steps", "0"],
     ["mc-phi", "--rho", "0.5", "--n-grid-list=", "--samples", "100"],
     ["sensitivity-curve", "--rho", "1", "--n-list", "0,8", "--samples", "100"],
     ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--samples", "1"],
@@ -300,16 +316,21 @@ _NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
                   *_THEOREM_SMALL, "--factors-csv", "/dev/full"], marks=_NEEDS_DEV_FULL),
     pytest.param(["sensitivity-curve", "--rho", "0.5", "--n-list", "8,16", "--samples", "100",
                   "--out", "/dev/full"], marks=_NEEDS_DEV_FULL),
+    # a gap of 2^-60 vanishes in float, at 1 and between components
+    ["theorem-check", "--A", "0..1152921504606846975/1152921504606846976", "--rho", "0.5",
+     "--node-samples", "100", *_THEOREM_SMALL],
+    ["theorem-check", "--A", "0..1/2,576460752303423489/1152921504606846976..1",
+     "--rho", "0.5", "--node-samples", "100", *_THEOREM_SMALL],
     *_EXACT_BAD[0],
 ], ids=["n-grid-list", "n-list", "t0", "samples-0", "samples-1", "node-samples-1",
         "discrete-phi-rho-1", "mc-phi-rho-1", "theorem-check-rho-1", "top-0",
         "top-negative", "discrete-phi-seed-negative", "theorem-check-seed-negative",
         "sensitivity-curve-rho-one-seed-negative", "endpoint-not-a-number",
-        "endpoint-zero-denominator", "node-steps-0", "steps-0", "n-grid-list-empty",
+        "endpoint-zero-denominator", "node-steps-0", "n-grid-list-empty",
         "sensitivity-curve-rho-one-n-0", "sensitivity-curve-rho-one-samples-1",
         "sensitivity-curve-rho-one-samples-negative", "out-unwritable",
         "factors-csv-unwritable", "out-full", "factors-csv-full", "csv-out-full",
-        *_EXACT_BAD[1]])
+        "last-gap-vanishes", "inner-gap-vanishes", *_EXACT_BAD[1]])
 def test_bad_input_exit_2(capsys, argv):
     code, err = exit_code(argv, capsys)
     assert code == 2
@@ -318,7 +339,7 @@ def test_bad_input_exit_2(capsys, argv):
 
 def test_bad_start_time_is_named(capsys):
     code, err = exit_code(["consistency-check", "--A", "1/2..3/4", "--rho", "0.5",
-                           "--t0", "1/32,2", "--samples", "100", "--steps", "8"], capsys)
+                           "--t0", "1/32,2", "--samples", "100"], capsys)
     assert code == 2
     assert "start time 2.0" in err.splitlines()[0]
 

@@ -11,11 +11,13 @@ from splitnoise import coupled, tanaka, walsh
 from splitnoise.coupled import (
     STEP_CAP,
     _SERIES_GAP,
-    _bridge_minimum,
+    _bridge_low,
     _bridge_noncrossing,
     _bernoulli_word,
     _coupled_normals,
     _coupled_words,
+    _entrance_heights,
+    _exact_survival_probability,
     _joint_survival,
     _last_gap,
     _prefix_tables,
@@ -23,19 +25,12 @@ from splitnoise.coupled import (
     _word_masks,
     argmin_coincidence,
     discrete_phi,
-    entrance_heights,
-    entrance_mass,
-    exact_survival_probability,
     m_lambda_functional,
 )
 from splitnoise.errors import DomainError, PreconditionError, ResourceLimitError
 from splitnoise.sampling import derive_rng
 from splitnoise.timesets import TimeSet
-from splitnoise.walsh import (
-    noise_functional,
-    walk_survival_table,
-    walsh_transform,
-)
+from splitnoise.walsh import _walk_survival_table, noise_functional, walsh_transform
 
 FULL = TimeSet.full()
 EMPTY = TimeSet.empty()
@@ -206,11 +201,14 @@ def test_discrete_phi_uses_no_oracle(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("discrete_phi called an oracle")
 
+    patched = []
     for module in (walsh, tanaka):
         for name, fn in inspect.getmembers(module, inspect.isfunction):
-            if not name.startswith("_") and fn.__module__ == module.__name__:
+            if fn.__module__ == module.__name__:  # private helpers included
                 assert all(value is not fn for value in vars(coupled).values())
                 monkeypatch.setattr(module, name, forbidden)
+                patched.append(name)
+    assert {"_fwht", "_noise_operator", "_sgn", "walsh_transform", "parity_signs"} <= set(patched)
     for text in ("", "1/4..1/2", "0..1"):
         est = discrete_phi(TimeSet.parse(text), 0.5, 100, 1000, seed=63)
         assert -1.0 <= est.mean <= 1.0
@@ -264,13 +262,18 @@ def test_two_level_run_is_exact_on_exact_regions():
         assert (bias.mean, bias.stderr) == (0.0, 0.0)
 
 
+def bridge_minimum(d, length, rng):
+    """The exact bridge minimum of a step of this length that rises by d, drawn as in a gap of the direct route."""
+    return _bridge_low(d, 2.0 * length * rng.standard_exponential(d.shape))
+
+
 def test_bridge_minimum_matches_reflection():
     # over a free step d ~ N(0, L) the bridge minimum is the minimum of
     # Brownian motion on [0, L]: P(min > -a) = erf(a / sqrt(2 L))
     rng = derive_rng(41, 0)
     length, n = 0.75, 200_000
     d = rng.standard_normal(n) * math.sqrt(length)
-    low = _bridge_minimum(d, length, rng)
+    low = bridge_minimum(d, length, rng)
     assert np.all(low <= np.minimum(d, 0.0))
     for a in (0.1, 0.5, 1.0, 2.0):
         p = math.erf(a / math.sqrt(2.0 * length))
@@ -282,7 +285,7 @@ def sampled_last_gap(height, same, length, rng):
     """The last gap taken as one sampled shared step: a path's minimum moves
     into the gap iff the gap's bridge minimum lies below -height."""
     d = rng.standard_normal(height.shape[1]) * math.sqrt(length)
-    inside = _bridge_minimum(d, length, rng) < -height
+    inside = bridge_minimum(d, length, rng) < -height
     return np.where(inside[0] & inside[1], 1.0, np.where(inside[0] | inside[1], 0.0, same))
 
 
@@ -301,11 +304,21 @@ def test_last_gap_closed_form_matches_sampled_tail(length):
 
 
 def test_argmin_coincidence_uses_no_survival_kernel(monkeypatch):
-    # the two sides of the theorem must not share code
+    # the two sides of the theorem must not share code: every function
+    # of coupled's survival section, and the Bessel function, is off limits
     def forbidden(*args, **kwargs):
         raise AssertionError("the direct route called a survival kernel")
 
-    for name in ("_wedge_noncrossing", "_bridge_noncrossing", "exact_survival_probability"):
+    lines = inspect.getsource(coupled).splitlines()
+    section = 1 + next(i for i, line in enumerate(lines)
+                       if line.startswith("# -- killed-path survival"))
+    survival = [name for name, fn in inspect.getmembers(coupled, inspect.isfunction)
+                if fn.__module__ == coupled.__name__ and fn.__code__.co_firstlineno > section]
+    assert {"_exact_survival_probability", "_entrance_heights", "_bridge_noncrossing",
+            "_wedge_noncrossing", "_wedge_series", "_joint_survival",
+            "m_lambda_functional"} <= set(survival)
+    assert "argmin_coincidence" not in survival and "_bridge_low" not in survival
+    for name in survival + ["ive"]:
         monkeypatch.setattr(coupled, name, forbidden)
     for text in ("1/4..1/2,5/8..3/4", "0..1/4,3/4..1", ""):
         for refine in (False, True):
@@ -332,15 +345,8 @@ def test_estimators_are_deterministic():
 
 def test_entrance_sampler():
     rng = derive_rng(12, 0)
-    assert entrance_heights(0.25, rng) > 0
-    assert entrance_mass(0.25) == 2.0
-    with pytest.raises(DomainError):
-        entrance_heights(0.0, rng)
-    with pytest.raises(DomainError):
-        entrance_heights(1.0, rng)
-
-    # weighted unit expectation is the entrance mass t**-1/2
-    y = entrance_heights(1 / 16, rng, 100_000)
+    assert _entrance_heights(0.25, rng) > 0
+    y = _entrance_heights(1 / 16, rng, 100_000)
     assert np.all(y > 0)
     # Rayleigh moments: E[y] = sqrt(pi t / 2), E[y^2] = 2t
     t = 1 / 16
@@ -352,8 +358,8 @@ def test_entrance_mass_conservation_closed_form():
     # weight times exact survival probability integrates to one
     for t, seed in ((1 / 16, 13), (1 / 4, 14)):
         rng = derive_rng(seed, 0)
-        y = entrance_heights(t, rng, 400_000)
-        vals = entrance_mass(t) * exact_survival_probability(y, 1.0 - t)
+        y = _entrance_heights(t, rng, 400_000)
+        vals = t**-0.5 * _exact_survival_probability(y, 1.0 - t)
         se = vals.std() / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) < 4 * se + 1e-3
 
@@ -372,7 +378,7 @@ def test_survival_corr_matches_reflection():
         z = derive_rng(31, 0).standard_normal(100_000)
         vals = _bridge_noncrossing(np.full(z.size, y), y + math.sqrt(s) * z, s)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
-        assert abs(vals.mean() - exact_survival_probability(y, s)) < 4 * se + 1e-4
+        assert abs(vals.mean() - _exact_survival_probability(y, s)) < 4 * se + 1e-4
     z = derive_rng(32, 0).standard_normal(1000)
     vals = _bridge_noncrossing(np.full(z.size, 100.0), 100.0 + math.sqrt(s) * z, s)
     assert vals.mean() == pytest.approx(1.0, abs=1e-12)
@@ -384,7 +390,7 @@ def test_shared_pattern_survival_is_closed_form():
     rng = derive_rng(31, 0)
     state = rng.bit_generator.state
     vals = _joint_survival(y, [], 0.5, 0.25, rng)
-    assert np.array_equal(vals, exact_survival_probability(y, 0.75))
+    assert np.array_equal(vals, _exact_survival_probability(y, 0.75))
     assert rng.bit_generator.state == state
 
 
@@ -428,9 +434,9 @@ def test_collapsed_survival_matches_stepwise(region):
     pat = window_pattern(region, 0.5, n_steps, t0)
     dt = (1.0 - t0) / n_steps
     rng = derive_rng(51, 0)
-    ref = _stepwise_survival(entrance_heights(t0, rng, n_samples), pat, dt, rng)
+    ref = _stepwise_survival(_entrance_heights(t0, rng, n_samples), pat, dt, rng)
     rng = derive_rng(52, 0)
-    fast = _joint_survival(entrance_heights(t0, rng, n_samples), region, 0.5, t0, rng)
+    fast = _joint_survival(_entrance_heights(t0, rng, n_samples), region, 0.5, t0, rng)
     se = math.hypot(ref.std(ddof=1), fast.std(ddof=1)) / math.sqrt(n_samples)
     assert abs(ref.mean() - fast.mean()) < 4 * se
     assert fast.var(ddof=1) < ref.var(ddof=1)
@@ -551,7 +557,7 @@ def test_discrete_bridge_identity():
     # spectral-noise functional of the survival table: the discrete
     # validation of the survival-correlation route
     n, start, rho = 12, 2, 0.5
-    table = walk_survival_table(n, start)
+    table = _walk_survival_table(n, start)
     exact = noise_functional(walsh_transform(table), oracle_rho(FULL, rho, n))
 
     n_samples = 200_000

@@ -96,6 +96,6 @@ def test_parity_rule_exhaustive_length_14():
 
 
 def test_sgn_convention():
-    assert tanaka.sgn(0) == 1
-    assert tanaka.sgn(-1) == -1
-    assert np.array_equal(tanaka.sgn(np.array([-2, 0, 3])), [-1, 1, 1])
+    assert tanaka._sgn(0) == 1
+    assert tanaka._sgn(-1) == -1
+    assert np.array_equal(tanaka._sgn(np.array([-2, 0, 3])), [-1, 1, 1])

@@ -8,9 +8,8 @@ from splitnoise.errors import DomainError, PreconditionError
 from splitnoise import theorem
 from splitnoise.sampling import EstimateWithError, derive_rng, derive_seed
 from splitnoise.theorem import (
-    arcsine_nodes,
-    arcsine_theta,
-    rhs_factors,
+    _arcsine_nodes,
+    _rhs_factors,
     rhs_integral,
     sensitivity_curve,
     verify_theorem,
@@ -23,27 +22,27 @@ QUARTER_HALF = TimeSet.parse("1/4..1/2")
 
 
 def test_arcsine_substitution_is_exact():
-    assert arcsine_theta(0.0) == 0.0
-    assert arcsine_theta(1.0) == pytest.approx(1.0, abs=1e-15)
-    assert arcsine_theta(0.5) == pytest.approx(0.5, abs=1e-15)
+    # theta(t) is 0, 1/2 and 1 at t = 0, 1/2 and 1: one node's weight is
+    # the arc-sine measure of its interval, and its time the midpoint's
+    times, weight = _arcsine_nodes(0.0, 1.0, 1)
+    assert weight == pytest.approx(1.0, abs=1e-15)
+    assert times[0] == pytest.approx(0.5, abs=1e-15)
+    for a, b in ((0.0, 0.5), (0.5, 1.0)):
+        assert _arcsine_nodes(a, b, 1)[1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_arcsine_nodes_weights():
-    times, weight = arcsine_nodes(0.0, 1.0, 64)
+    times, weight = _arcsine_nodes(0.0, 1.0, 64)
     assert len(times) * weight == pytest.approx(1.0, abs=1e-12)
-    half, weight = arcsine_nodes(0.0, 0.5, 64)
+    half, weight = _arcsine_nodes(0.0, 0.5, 64)
     assert len(half) * weight == pytest.approx(0.5, abs=1e-12)
     assert all(0.0 < t < 0.5 for t in half)
-    with pytest.raises(DomainError):
-        arcsine_nodes(0.5, 0.25, 4)
-    with pytest.raises(DomainError):
-        arcsine_nodes(0.0, 1.0, 0)
 
 
 def test_arcsine_mean_against_argmin_simulation():
     # quadrature of f(t)=t gives the arc-sine mean 1/2; cross-check with
     # the argmin time of a simulated Brownian path
-    times, weight = arcsine_nodes(0.0, 1.0, 256)
+    times, weight = _arcsine_nodes(0.0, 1.0, 256)
     quad = sum(weight * t for t in times)
     assert quad == pytest.approx(0.5, abs=1e-6)
 
@@ -59,16 +58,16 @@ def test_arcsine_mean_against_argmin_simulation():
 
 
 def test_rhs_factors_empty_sides():
-    left, right = rhs_factors(0.6, QUARTER_HALF, 0.5, 100, seed=1)
+    left, right = _rhs_factors(0.6, QUARTER_HALF, 0.5, 100, seed=1)
     assert right == EstimateWithError.exact(1.0)
     assert left.n_samples == 100
 
-    left, right = rhs_factors(0.1, QUARTER_HALF, 0.5, 100, seed=1)
+    left, right = _rhs_factors(0.1, QUARTER_HALF, 0.5, 100, seed=1)
     assert left == EstimateWithError.exact(1.0)
     assert right.n_samples == 100
 
     with pytest.raises(PreconditionError):
-        rhs_factors(0.3, QUARTER_HALF, 0.5, 100, seed=1)
+        _rhs_factors(0.3, QUARTER_HALF, 0.5, 100, seed=1)
 
 
 def test_rhs_factors_at_boundary_times():
@@ -78,23 +77,21 @@ def test_rhs_factors_at_boundary_times():
     for t, sampled in [(0.0, (False, True)), (0.05, (False, True)),
                        (0.3, (True, True)), (0.9, (True, False)),
                        (1.0, (True, False))]:
-        factors = rhs_factors(t, B, 0.5, 100, seed=1)
+        factors = _rhs_factors(t, B, 0.5, 100, seed=1)
         for est, side_sampled in zip(factors, sampled):
             if side_sampled:
                 assert est.n_samples == 100, t
             else:
                 assert est == EstimateWithError.exact(1.0), t
     with pytest.raises(PreconditionError):
-        rhs_factors(0.6, B, 0.5, 100, seed=1)
-    with pytest.raises(DomainError):
-        rhs_factors(1.5, B, 0.5, 100, seed=1)
+        _rhs_factors(0.6, B, 0.5, 100, seed=1)
 
 
 @pytest.mark.parametrize("t", [0.25, 0.5])
 def test_rhs_factors_at_region_endpoints(t):
     # a touching side's pull-back starts at 0, where no entrance law starts
     with pytest.raises(PreconditionError, match=rf"t={t} is an endpoint of 1/4\.\.1/2"):
-        rhs_factors(t, QUARTER_HALF, 0.5, 100, seed=1)
+        _rhs_factors(t, QUARTER_HALF, 0.5, 100, seed=1)
 
 
 def test_rhs_factor_pullback_set():
@@ -106,7 +103,7 @@ def test_rhs_factor_pullback_set():
 
 def test_rhs_factors_at_rho_one_are_mass_conservation():
     # all correlations 1: both factors reduce to the entrance mass, i.e. 1
-    left, right = rhs_factors(0.6, QUARTER_HALF, 1.0, 20_000, seed=2)
+    left, right = _rhs_factors(0.6, QUARTER_HALF, 1.0, 20_000, seed=2)
     assert right.mean == 1.0
     assert abs(left.mean - 1.0) < 4 * left.stderr
 
@@ -114,6 +111,9 @@ def test_rhs_factors_at_rho_one_are_mass_conservation():
 def test_rhs_integral_edge_cases():
     assert rhs_integral(EMPTY, 0.5, 8, 100, seed=3) == EstimateWithError.exact(1.0)
     assert rhs_integral(FULL, 0.5, 8, 100, seed=3) == EstimateWithError.exact(0.0)
+    # the node count is checked here, once, for every gap
+    with pytest.raises(DomainError):
+        rhs_integral(QUARTER_HALF, 0.5, 0, 100, seed=3)
 
 
 def test_rhs_integral_frozen_regression_value():

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from splitnoise.errors import DomainError
-from splitnoise.timesets import TimeSet, affine_preimage, merge_intervals
+from splitnoise.timesets import TimeSet, _merge_intervals, affine_preimage
 
 
 def _contains(region, t):
@@ -30,6 +30,19 @@ def test_dyadic_parse_and_range():
             TimeSet.parse(text)
     with pytest.raises(DomainError):
         TimeSet([(Fraction(1, 3), Fraction(1, 2))])
+
+
+def test_timeset_rejects_what_vanishes_in_float():
+    # every estimator reads float endpoints: a gap or a component shorter
+    # than the rounding, inside or at 0 and 1, would drop out of the walk
+    tiny = Fraction(1, 2**60)
+    for pairs in [[(0, 1 - tiny)], [(0, Fraction(1, 2)), (Fraction(1, 2) + tiny, 1)],
+                  [(Fraction(1, 4), Fraction(1, 4) + tiny)], [(Fraction(1, 2**1100), 1)]]:
+        with pytest.raises(DomainError, match="vanishes in floating point"):
+            TimeSet(pairs)
+    # a gap of one float spacing survives
+    B = TimeSet([(0, Fraction(1, 2)), (Fraction(1, 2) + Fraction(1, 2**53), 1)])
+    assert len(B.complement_components()) == 1
 
 
 def test_timeset_parse_roundtrip():
@@ -97,7 +110,7 @@ def test_affine_preimage_roundtrip():
         # to the image of [0,1]
         back = affine_preimage(pre, 1.0 / scale, -shift / scale)
         lo_img, hi_img = sorted((shift, scale + shift))
-        clipped = merge_intervals(
+        clipped = _merge_intervals(
             (max(lo, lo_img, 0.0), min(hi, hi_img, 1.0)) for lo, hi in A
         )
         assert len(back) == len(clipped)
