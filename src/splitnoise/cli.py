@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .coupled import _check_steps, argmin_coincidence, discrete_phi, m_lambda_functional
+from .coupled import _check_grid, _check_steps, argmin_coincidence, discrete_phi, m_lambda_functional
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import derive_seed
 from .theorem import sensitivity_curve, verify_theorem
@@ -188,6 +188,8 @@ def _run_mc_phi(args) -> int:
     region = TimeSet.parse(args.A)
     if args.n_grid_list is not None:
         grids = _parse_list(args.n_grid_list, "--n-grid-list")
+        for g in grids:  # every grid first; the first run checks the rest before it draws
+            _check_grid(g)
         rows = []
         for i, g in enumerate(grids):
             est = argmin_coincidence(region, args.rho, g, args.samples,

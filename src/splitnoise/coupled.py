@@ -11,7 +11,7 @@ on a piece of A and at 1 on a shared piece.
 
 The argmin coincidence (the direct route) is exact across the gaps
 of A, where the pair shares its increments, and gridded only on A;
-with refine, one walk covers the grid and the doubled grid from the
+with refine, it walks the doubled grid and derives the grid from the
 same draws.  It uses none of the survival kernels below.
 
 Path-survival functionals are estimated without a grid, by one rule:
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import erf, erfc, ive
@@ -37,14 +38,15 @@ from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import EstimateWithError, RunningMoments, batch_sizes, derive_rng
 
 STEP_CAP = 10**7  # steps per path: walk length, n_grid, --node-steps
+_TAIL_4SIGMA = 6.33e-5  # P(|Z| > 4) for a standard normal Z
 
 # fixed batch shapes (reproducibility: a pure function of the parameters)
 _WALK_BATCH = 1 << 17
 _SURVIVAL_BATCH = 1 << 16
 _ARGMIN_BATCH = 1 << 11  # samples per batch on the direct route
 # elements per array in one block of A's steps: the fastest of 2^13, 2^15,
-# 2^17 and 2^19 on a 4096-step grid, 1200 samples; from 2^17 up the
-# block's temporaries page-fault on every call
+# 2^17 and 2^19 on 1/4..1/2 at n_grid 4096, 1200 samples, plain and refined;
+# from 2^17 up (2^19 plain) the block's temporaries page-fault on every call
 _ARGMIN_BLOCK = 1 << 15
 
 # wedge kernel: the truncation error allowed in one weight (the product
@@ -72,6 +74,12 @@ def _check_steps(n: int):
         raise DomainError("need at least one step")
     if n > STEP_CAP:
         raise ResourceLimitError(f"{n} grid steps exceed the cap {STEP_CAP}")
+
+
+def _check_grid(n_grid: int):
+    if n_grid < 2:
+        raise DomainError("need at least two grid steps")
+    _check_steps(n_grid)
 
 
 # -- coupling kernel ---------------------------------------------------------
@@ -257,20 +265,26 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     when a path's best candidate equals another of its candidates in
     floating point; a tie fraction above 0.1% flags the run.
 
-    With refine, the same draws also walk the doubled grid
-    (_two_level_block): extra["refined"] is the estimate at 2 n_grid,
-    with its own tie fields, and extra["grid_bias"] the mean and stderr
-    of the per-sample difference, refined minus this estimate.  Each
-    level has exactly its own grid's law; the paired difference has a
-    far smaller spread than two independent runs.
+    With refine, the run walks the doubled grid, and the coarse grid is
+    derived from the same draws (_one_level_block): extra["refined"] is
+    the estimate at 2 n_grid, with its own tie fields, and
+    extra["grid_bias"] the mean and stderr of the per-sample
+    difference, refined minus this estimate.  Each level has exactly
+    its own grid's law; the paired difference has a far smaller spread
+    than two independent runs.
+
+    A 4-sigma band of width 0 cannot fail, so a zero stderr is replaced
+    on a region neither empty nor full.  There (on one that reaches 1,
+    each sample scores 0 or 1) a level whose n samples are all equal
+    gets s = (1 - q^(1/n)) / 4, q = _TAIL_4SIGMA: 4 s is the largest p
+    with (1 - p)^n >= q, the exact binomial bound of a count of 0 (or n)
+    at 4 sigma.  A grid_bias gets 1 / n, the stderr of one sample that
+    differs by 1, the least nonzero stderr 0/1 scores can give.
     """
     _check_rho(rho)
-    if n_grid < 2:
-        raise DomainError("need at least two grid steps")
-    _check_steps(n_grid)
-    if refine:
-        _check_steps(2 * n_grid)
-    components = [(lo, hi, math.ceil(n_grid * (hi - lo))) for lo, hi in region]
+    _check_grid(n_grid)
+    _check_steps((1 + refine) * n_grid)  # the grid walked
+    components = [(lo, hi, (1 + refine) * math.ceil(n_grid * (hi - lo))) for lo, hi in region]
     levels = [RunningMoments() for _ in range(1 + refine)]
     bias = RunningMoments()
     n_ties = np.zeros(len(levels), dtype=np.int64)
@@ -284,14 +298,21 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
             bias.add(values[1] - values[0])
     fractions = n_ties / levels[0].count  # batch_sizes rejects fewer than 2 samples
     est, *refined = [
-        EstimateWithError.from_moments(moments, seed, extra={
-            "tie_fraction": float(fraction), "tie_flag": bool(fraction > 1e-3)})
+        _nonzero_stderr(EstimateWithError.from_moments(moments, seed, extra={
+            "tie_fraction": float(fraction), "tie_flag": bool(fraction > 1e-3)}),
+            region, (1.0 - _TAIL_4SIGMA ** (1.0 / moments.count)) / 4.0)
         for moments, fraction in zip(levels, fractions)
     ]
     if refine:
         est.extra["refined"] = refined[0]
-        est.extra["grid_bias"] = EstimateWithError.from_moments(bias, seed)
+        est.extra["grid_bias"] = _nonzero_stderr(EstimateWithError.from_moments(bias, seed),
+                                                 region, 1.0 / bias.count)
     return est
+
+
+def _nonzero_stderr(est: EstimateWithError, region, floor: float) -> EstimateWithError:
+    """est, with a stderr of 0 reported as floor on a region neither empty nor full."""
+    return replace(est, stderr=floor) if est.stderr == 0.0 and region and not region.is_full() else est
 
 
 # minima inside A: one label per path (W' keeps its label on both levels)
@@ -303,15 +324,16 @@ def _coincidence_walk(components, rho: float, b: int, rng: np.random.Generator,
     """Per-sample coincidence probability and tie flag of b pairs walked over [0,1].
 
     components are (lo, hi, steps) in time order.  Both results are
-    (levels, b): the grid, then with refine the doubled grid.  Axis 0
-    of every state array is the path: W, then W' on each level.  A's
-    steps are walked in blocks of about _ARGMIN_BLOCK elements per
-    array, whose temporaries are allocated once per shape (scratch) and
-    reused.  Each block offers every path's lowest bridge minimum
-    as a candidate, which also carries the tie test across blocks.
+    (levels, b): with refine the grid of step pairs, then the grid
+    walked.  Axis 0 of every state array is the path: W, W', and with
+    refine W' on the grid of step pairs.  A's steps are walked in blocks
+    of about _ARGMIN_BLOCK elements per array (an even step count with
+    refine: no pair straddles two blocks), whose temporaries are
+    allocated once per shape (scratch) and reused.  Each block offers
+    every path's lowest bridge minimum as a candidate, which also
+    carries the tie test across blocks.
     """
-    rows = 3 if refine else 2
-    walk_block = _two_level_block if refine else _one_level_block
+    rows = 2 + refine
     scratch = functools.cache(lambda name, shape: np.empty(shape))
     w = np.zeros((rows, b))
     best = np.zeros((rows, b))  # time 0, where both paths start
@@ -335,18 +357,19 @@ def _coincidence_walk(components, rho: float, b: int, rng: np.random.Generator,
             w += d
         dt = (hi - lo) / steps
         block = max(1, _ARGMIN_BLOCK // b)
+        if refine:
+            block += block % 2
         for first in range(0, steps, block):
             shape = (min(block, steps - first), b)
-            lows, own_tie, moves = walk_block(rho, dt, shape, rng, scratch)
+            lows, own_tie, moves = _one_level_block(rho, dt, shape, rng, scratch, refine)
             lows += w
             offer(lows, _OWN_LABELS[:rows], own_tie)
             w += moves
         now = hi
     height = w - best
-    values = np.empty((rows - 1, b))
-    for level in range(1, rows):
-        values[level - 1] = _last_gap(height[[0, level]], label[0] == label[level], 1.0 - now)
-    return values, tied[0] | tied[1:]
+    levels = range(rows - 1, 0, -1)  # with refine, the grid of step pairs first
+    values = np.array([_last_gap(height[[0, r]], label[0] == label[r], 1.0 - now) for r in levels])
+    return values, tied[0] | tied[list(levels)]
 
 
 def _lowest(lows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -355,72 +378,52 @@ def _lowest(lows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low, np.add.reduce(lows == low, axis=0, dtype=np.intp) > 1
 
 
-def _one_level_block(rho: float, dt: float, shape, rng: np.random.Generator, scratch):
-    """Lowest bridge minima (2, b), their tie flags and the moves of W, W' over shape = (m, b) steps.
+def _one_level_block(rho: float, dt: float, shape, rng: np.random.Generator, scratch,
+                     refine: bool = False):
+    """Lowest bridge minima, their tie flags and the moves of W, W' over shape = (m, b) steps.
 
     Minima are relative to each path's position before the block;
-    scratch(name, shape) hands out the block's reusable arrays.
+    scratch(name, shape) hands out the block's reusable arrays.  With
+    refine (m even) a third row is W' on the grid of step pairs, from the
+    same draws: steps (g0, g1) of W and (h0, h1) of W' make one step where
+    W' rises by h0 + h1 with midpoint noise
+    eta = ((h0 - h1) - rho (g0 - g1)) / (2 sqrt(1 - rho^2)).
+    As (h0 - h1) / 2 = rho (g0 - g1) / 2 + sqrt(1 - rho^2) eta, eta is
+    N(0, dt / 2), the midpoint's spread given the ends, independent of
+    W's noise and of both rises: the law at half the grid.  Its
+    candidate is the lower of the two half-step bridge minima, on W''s
+    exponentials; W's minima and both moves are the same on both grids.
     """
     pair = _coupled_normals(rho, math.sqrt(dt), rng, shape, out=scratch("steps", (2, *shape)))
     expo = rng.standard_exponential(out=scratch("expo", (2, *shape)))
     expo *= 2.0 * dt
     start, low = scratch("start", shape), scratch("low", shape)
-    lows = np.empty((2, shape[1]))
-    ties = np.empty((2, shape[1]), dtype=bool)
-    moves = np.empty((2, shape[1]))
+    lows, moves = np.empty((2, 2 + refine, shape[1]))
+    ties = np.empty((2 + refine, shape[1]), dtype=bool)
     for path, db in enumerate(pair):
         np.cumsum(db, axis=0, out=start)
         moves[path] = start[-1]
         start -= db
+        if refine and path:  # before start takes W''s minima
+            g, h = pair
+            eta, half, other = (scratch(name, start[::2].shape) for name in ("eta", "half", "other"))
+            np.subtract(h[::2], h[1::2], out=eta)
+            np.subtract(g[::2], g[1::2], out=other)
+            other *= rho
+            eta -= other
+            eta *= 0.5 / math.sqrt(1.0 - rho**2)
+            np.add(h[::2], h[1::2], out=half)
+            half *= 0.5
+            np.subtract(half, eta, out=other)  # the second half's rise
+            eta += half  # the first half's rise
+            _bridge_low(other, expo[1, 1::2], out=half)
+            half += eta
+            np.minimum(half, _bridge_low(eta, expo[1, ::2], out=other), out=half)
+            half += start[::2]
+            lows[2], ties[2] = _lowest(half)
+            moves[2] = moves[1]
         start += _bridge_low(db, expo[path], out=low)
         lows[path], ties[path] = _lowest(start)
-    return lows, ties, moves
-
-
-def _two_level_block(rho: float, dt: float, shape, rng: np.random.Generator, scratch):
-    """_one_level_block on two grids at once, from one set of draws: rows W, W', W' doubled.
-
-    Per coarse step W draws its increment S and midpoint noise delta,
-    W' its increment S' = rho S + sqrt(1 - rho^2) xi and the noise eta;
-    both noises are N(0, dt/4), the midpoint's spread given the ends.
-    A path's candidate for a coarse step is the lower of its two
-    half-step bridge minima, with the same exponentials on both levels.
-    On the grid W''s midpoint noise is eta alone, so given the coarse
-    ends the two paths' minima are independent: the one-level law.  On
-    the doubled grid it is rho delta + sqrt(1 - rho^2) eta, so each
-    half-step pair is rho-coupled: the one-level law at 2 n_grid.  W's
-    minima and both paths' moves are the same on both levels; only W''s
-    minima differ.  Four normals and four exponentials per coarse step,
-    as many as one run on the doubled grid.
-    """
-    sqdt = math.sqrt(dt)
-    totals = _coupled_normals(rho, sqdt, rng, shape, out=scratch("steps", (2, *shape)))
-    noise = scratch("noise", (3, *shape))  # delta, eta, and W''s doubled-grid noise
-    rng.standard_normal(out=noise[:2])
-    _partner(rho, noise[0], 1.0, noise[1], out=noise[2])
-    noise *= 0.5 * sqdt  # the midpoint's sd given the step's ends
-    expo = rng.standard_exponential(out=scratch("expo", (2, 2, *shape)))
-    expo *= dt  # 2 (dt / 2) E: the half-step bridge minimum's root term
-    start, midpoint, rise, low, other = (scratch(name, shape) for name in
-                                         ("start", "midpoint", "rise", "low", "other"))
-    lows = np.empty((3, shape[1]))
-    ties = np.empty((3, shape[1]), dtype=bool)
-    moves = np.empty((3, shape[1]))
-    for path, total in enumerate(totals):
-        np.cumsum(total, axis=0, out=start)
-        moves[path] = start[-1]
-        start -= total
-        np.multiply(total, 0.5, out=midpoint)
-        for row in (1, 2) if path else (0,):
-            np.add(midpoint, noise[row], out=rise)  # the first half-step's rise
-            _bridge_low(rise, expo[path, 0], out=other)
-            second = np.subtract(midpoint, noise[row], out=noise[row])
-            _bridge_low(second, expo[path, 1], out=low)
-            low += rise
-            np.minimum(low, other, out=low)
-            low += start
-            lows[row], ties[row] = _lowest(low)
-    moves[2] = moves[1]
     return lows, ties, moves
 
 

@@ -16,7 +16,7 @@ singularities vanish exactly and nodes carry equal weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .sampling import EstimateWithError, _check_samples, derive_seed, product_es
 from .timesets import TimeSet, affine_preimage
 
 NODE_CAP = 10**5  # quadrature nodes per gap
-_TAIL_4SIGMA = 6.33e-5  # P(|Z| > 4) for a standard normal Z
 
 # sub-stream tags
 _TAG_LHS = 101
@@ -179,21 +178,9 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     from the same draws (argmin_coincidence with refine), and the paired
     per-sample difference, grid_bias, must lie within four of its own
     standard errors.  A disagreement fails the check, as does the tie
-    flag of either grid.  When no sample tells the grids apart on a
-    region with a sampled component (common on a region that reaches
-    1, where each grid scores 0 or 1), that stderr is 0 and a band of
-    width 0 cannot fail; it is then 1 / lhs_samples, the stderr of one
-    sample that differs by 1 (the least nonzero stderr 0/1 scores can
-    give).  Every size, the doubled grid's included, is checked
-    before the first draw.
-
-    The direct route gets the same guard: on a region that reaches 1
-    each sample scores 0 or 1, and a rare coincidence can leave every
-    sample at 0 and the stderr at 0.  When all n LHS samples are equal
-    on a sampled region, the LHS stderr is reported as s = (1 -
-    q^(1/n)) / 4 with q = _TAIL_4SIGMA: 4 s is the largest rate p with
-    (1 - p)^n >= q, the exact binomial bound a count of 0 (or of n)
-    leaves at 4 sigma.
+    flag of either grid.  Every size, the doubled grid's included, is
+    checked before the first draw.  argmin_coincidence replaces a zero
+    stderr where it is not exact, so no band here has width 0.
     """
     _check_nodes(n_nodes)
     _check_samples(node_samples)
@@ -202,11 +189,6 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     rhs = rhs_integral(region, rho, n_nodes, node_samples, derive_seed(seed, _TAG_RHS))
     lhs_refined = lhs.extra.pop("refined", None)
     grid_bias = lhs.extra.pop("grid_bias", None)
-    if region and not region.is_full():
-        if lhs.stderr == 0.0:
-            lhs = replace(lhs, stderr=(1.0 - _TAIL_4SIGMA ** (1.0 / lhs.n_samples)) / 4.0)
-        if grid_bias is not None and grid_bias.stderr == 0.0:
-            grid_bias = replace(grid_bias, stderr=1.0 / grid_bias.n_samples)
     discrepancy = lhs.mean - rhs.mean
     combined = math.sqrt(lhs.stderr**2 + rhs.stderr**2)
     stability_ok = None if grid_bias is None else abs(grid_bias.mean) <= 4.0 * grid_bias.stderr
@@ -230,15 +212,11 @@ def sensitivity_curve(rho: float, n_list, n_samples: int,
     n_list = [int(n) for n in n_list]
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError("walk lengths must be strictly ascending")
-    full = TimeSet.full()
-    rows = []
-    for i, n in enumerate(n_list):
-        row_seed = derive_seed(seed, _TAG_CURVE, i)  # checks the seed at rho = 1 too
-        if rho == 1.0:
-            # the size checks discrete_phi makes, in its order
-            _check_steps(n)
-            _check_samples(n_samples)
-            rows.append((n, EstimateWithError.exact(1.0)))
-        else:
-            rows.append((n, discrete_phi(full, rho, n, n_samples, row_seed)))
-    return rows
+    for n in n_list:  # every size and the seed before the first draw
+        _check_steps(n)
+    _check_samples(n_samples)
+    seeds = [derive_seed(seed, _TAG_CURVE, i) for i in range(len(n_list))]
+    if rho == 1.0:
+        return [(n, EstimateWithError.exact(1.0)) for n in n_list]
+    return [(n, discrete_phi(TimeSet.full(), rho, n, n_samples, row_seed))
+            for n, row_seed in zip(n_list, seeds)]

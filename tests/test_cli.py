@@ -162,6 +162,14 @@ def test_all_equal_lhs_samples_get_a_binomial_stderr(capsys):
     assert 4 * results["lhs"]["stderr"] == pytest.approx(0.047, abs=5e-4)
     assert results["combined_stderr"] > results["lhs"]["stderr"]
     assert results["pass"] and code == 0
+    # the direct route reports the same bound on its own
+    code, out, _ = run_cli(
+        ["mc-phi", "--A", "1/256..1", "--rho", "0.5", "--n-grid", "256",
+         "--samples", "200", "--seed", "1"], capsys)
+    results = json.loads(out)["results"]
+    assert results["estimate"] == 0.0
+    assert results["stderr"] == (1.0 - 6.33e-5 ** (1 / 200)) / 4
+    assert code == 0
 
 
 def test_consistency_check_has_no_steps_flag(capsys):
@@ -302,6 +310,7 @@ _NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
     ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--n-grid", "64",
      "--samples", "100", "--nodes", "2", "--node-samples", "100", "--node-steps", "0"],
     ["mc-phi", "--rho", "0.5", "--n-grid-list=", "--samples", "100"],
+    ["mc-phi", "--rho", "0.5", "--n-grid-list", "64,1", "--samples", "100"],
     ["sensitivity-curve", "--rho", "1", "--n-list", "0,8", "--samples", "100"],
     ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--samples", "1"],
     ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--samples", "-5"],
@@ -326,7 +335,7 @@ _NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
         "discrete-phi-rho-1", "mc-phi-rho-1", "theorem-check-rho-1", "top-0",
         "top-negative", "discrete-phi-seed-negative", "theorem-check-seed-negative",
         "sensitivity-curve-rho-one-seed-negative", "endpoint-not-a-number",
-        "endpoint-zero-denominator", "node-steps-0", "n-grid-list-empty",
+        "endpoint-zero-denominator", "node-steps-0", "n-grid-list-empty", "n-grid-list-1",
         "sensitivity-curve-rho-one-n-0", "sensitivity-curve-rho-one-samples-1",
         "sensitivity-curve-rho-one-samples-negative", "out-unwritable",
         "factors-csv-unwritable", "out-full", "factors-csv-full", "csv-out-full",
@@ -394,15 +403,22 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
     ["sensitivity-curve", "--rho", "1", "--n-list", "8,16", "--samples", str(SAMPLE_CAP + 1)],
     ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--n-grid", str(STEP_CAP // 2 + 1),
      "--check-stability", "--samples", "100", "--nodes", "2", "--node-samples", "100"],
+    # a list is checked in full before its first entry runs
+    ["mc-phi", "--A", "1/4..1/2", "--rho", "0.5", "--n-grid-list", f"4096,{STEP_CAP + 1}",
+     "--samples", "100"],
+    ["sensitivity-curve", "--rho", "0.5", "--n-list", f"4096,{STEP_CAP + 1}", "--samples", "100"],
     *_EXACT_CAP[0],
 ], ids=["steps", "node-steps", "samples", "nodes", "sensitivity-curve-rho-one-n",
-        "sensitivity-curve-rho-one-samples", "doubled-grid", *_EXACT_CAP[1]])
+        "sensitivity-curve-rho-one-samples", "doubled-grid", "n-grid-list",
+        "sensitivity-curve-n", *_EXACT_CAP[1]])
 def test_size_cap_exit_3(monkeypatch, capsys, argv):
-    # every cap is checked before the first draw: the direct route's walk never runs
+    # every cap is checked before the first draw: neither the direct
+    # route's walk nor the walk pairs' minima run
     def forbidden(*args):
         raise AssertionError("a draw came before the size checks")
 
     monkeypatch.setattr(coupled, "_coincidence_walk", forbidden)
+    monkeypatch.setattr(coupled, "_pair_minima", forbidden)
     code, err = exit_code(argv, capsys)
     assert code == 3
     assert err.splitlines()[0].startswith("error kind=resource")

@@ -253,6 +253,22 @@ def test_two_level_run_has_each_grids_law():
     assert bias.stderr < math.hypot(two.stderr, refined.stderr) / 2
 
 
+def test_refined_level_is_the_plain_walk_at_twice_the_grid():
+    # with an even block of steps (2048 samples a batch, and 1024 in the
+    # last of 3072) and 2 ceil(n_grid len) = ceil(2 n_grid len) on every
+    # component, the refined level is the plain run at 2 n_grid, bit for bit
+    for text in ("1/4..1/2", "1/4..1/2,5/8..3/4", "0..1/2", "1/2..1"):
+        for n_samples in (2048, 3072):
+            two = argmin_coincidence(TimeSet.parse(text), 0.5, 256, n_samples, seed=85,
+                                     refine=True)
+            plain = argmin_coincidence(TimeSet.parse(text), 0.5, 512, n_samples, seed=85)
+            refined = two.extra["refined"]
+            for est in (refined, plain):
+                assert est.stderr > 0.0
+            assert (refined.mean, refined.stderr, refined.extra["tie_fraction"]) == \
+                (plain.mean, plain.stderr, plain.extra["tie_fraction"])
+
+
 def test_two_level_run_is_exact_on_exact_regions():
     for region, value in ((EMPTY, 1.0), (FULL, 0.0)):
         two = argmin_coincidence(region, 0.5, 256, 1000, seed=84, refine=True)

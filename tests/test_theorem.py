@@ -173,11 +173,12 @@ def test_verify_theorem_small_case_passes():
 
 def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
     # on 1/2..1 each grid scores 0 or 1, and at 100 samples no sample
-    # tells the two grids apart: the paired stderr is 0
+    # tells the two grids apart: the paired sample stderr is 0, and the
+    # direct route reports 1/100 in its place
     region = TimeSet.parse("1/2..1")
     raw = argmin_coincidence(region, 0.5, 4096, 100, derive_seed(1, theorem._TAG_LHS),
                              refine=True).extra["grid_bias"]
-    assert (raw.mean, raw.stderr) == (0.0, 0.0)
+    assert (raw.mean, raw.stderr) == (0.0, 0.01)
     report = verify_theorem(region, 0.5, seed=1, lhs_n_grid=4096, lhs_samples=100,
                             n_nodes=2, node_samples=100, check_stability=True)
     assert (report.grid_bias.mean, report.grid_bias.stderr) == (0.0, 0.01)
