@@ -12,6 +12,8 @@ identities can be checked exhaustively.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -34,15 +36,17 @@ def z_to_x_increments(dz: np.ndarray) -> np.ndarray:
 
     A step recursion, kept independent of the closed form above and of
     the parity rule, so the round trip and the parity check compare two
-    separate codes.
+    separate codes.  Steps along a time-major copy, so each step reads
+    and writes one contiguous row; the result is laid out like dz.
     """
     dz = np.asarray(dz, dtype=np.int64)
-    dx = np.empty_like(dz)
-    x = np.zeros(dz.shape[:-1], dtype=np.int64)
-    for k in range(dz.shape[-1]):
-        dx[..., k] = _sgn(x) * dz[..., k]
-        x = x + dx[..., k]
-    return dx
+    dx = np.moveaxis(dz, -1, 0).copy()  # dx[k] = dZ_k, turned into dX_k in place
+    steps = dx.reshape(dx.shape[0], math.prod(dz.shape[:-1]))  # a row per step
+    x = np.zeros(steps.shape[1], dtype=np.int64)
+    for step in steps:
+        step *= _sgn(x)
+        x += step
+    return np.ascontiguousarray(np.moveaxis(dx, 0, -1))
 
 def positions(increments: np.ndarray) -> np.ndarray:
     """Prepend the starting 0 and cumulate increments along the last axis."""

@@ -15,6 +15,7 @@ operator applied to the raw table.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,23 +64,60 @@ class ChaosSpectrum:
         object.__setattr__(self, "coefficients", coeffs)
 
 
+# A 16x16 block times at most 1024 columns is under OpenBLAS's threading
+# threshold (m*n*k <= 2**18), so every product below stays on one core:
+# on a small machine waking a thread pool costs more than these products.
+_BLOCK_BITS = 4
+_COLUMNS = 1024
+
+
+@functools.cache
+def _hadamard_block() -> np.ndarray:
+    """The 16x16 Sylvester-Hadamard matrix; its leading 2**r square is H_{2**r}."""
+    h = np.ones((1, 1))
+    for _ in range(_BLOCK_BITS):
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
+
+
 def _fwht(values: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform, O(n 2**n)."""
-    a = values.astype(np.float64, copy=True)
-    h = 1
+    """Unnormalized fast Walsh-Hadamard transform, O(n 2**n).
+
+    Each pass transforms four index bits at once, as a product with the
+    16x16 Hadamard block (the last pass takes the remaining bits), so
+    the table is read and written ceil(n/4) times, not n.  Every partial
+    sum of a +-1 or 0/1 table is an integer below 2**53, so such tables
+    transform exactly.
+    """
+    a = np.asarray(values, dtype=np.float64)
     size = a.size
-    while h < size:
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        a[:, :h] += a[:, h:]
-        a[:, h:] = left - a[:, h:]
-        h *= 2
+    n = size.bit_length() - 1
+    low = 0  # index bits below this one are done
+    while low < n:
+        bits = min(_BLOCK_BITS, n - low)
+        block = _hadamard_block()[: 1 << bits, : 1 << bits]
+        if low == 0:
+            # rows of 2**bits consecutive entries, times the symmetric block
+            rows = min(size >> bits, _COLUMNS)
+            a = np.matmul(a.reshape(-1, rows, 1 << bits), block)
+        else:
+            # the block times (2**bits, cols) column stripes of stride 2**low
+            cols = min(1 << low, _COLUMNS)
+            shape = (-1, 1 << bits, (1 << low) // cols, cols)
+            out = np.empty(size)
+            np.matmul(block, a.reshape(shape).transpose(0, 2, 1, 3),
+                      out=out.reshape(shape).transpose(0, 2, 1, 3))
+            a = out
+        low += bits
     return a.reshape(size)
 
 
 def walsh_transform(table: FunctionTable) -> ChaosSpectrum:
     """Analysis: coeff(T) = 2**-n sum_eps f(eps) prod_{k in T} eps_k."""
-    return ChaosSpectrum(table.n, _fwht(table.values) / (1 << table.n))
+    coefficients = _fwht(table.values)
+    coefficients /= 1 << table.n
+    return ChaosSpectrum(table.n, coefficients)
 
 
 def spectral_measure(spectrum: ChaosSpectrum, tol: float = 1e-9) -> np.ndarray:
@@ -92,6 +130,16 @@ def spectral_measure(spectrum: ChaosSpectrum, tol: float = 1e-9) -> np.ndarray:
     if abs(mass - 1.0) > tol:
         raise PreconditionError(f"spectrum mass {mass} is not 1 within {tol}")
     return measure
+
+
+def _checked_rho(rho, n: int) -> np.ndarray:
+    """rho as n per-step correlations, each in [-1, 1] (NaN is rejected)."""
+    rho = np.asarray(rho, dtype=np.float64)
+    if rho.shape != (n,):
+        raise DomainError("rho vector length must match coordinate count")
+    if not np.all(np.abs(rho) <= 1.0):
+        raise DomainError("correlations must lie in [-1,1]")
+    return rho
 
 
 def _subset_weights(rho: np.ndarray) -> np.ndarray:
@@ -109,11 +157,7 @@ def noise_functional(spectrum: ChaosSpectrum, rho: np.ndarray) -> float:
     Equals sum_T coeff(T)^2 prod_{k in T} rho_k; for a unit-norm source
     this is the correlation of f under per-coordinate rho_k-noise.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    if rho.shape != (spectrum.n,):
-        raise DomainError("rho vector length must match coordinate count")
-    if np.any(np.abs(rho) > 1.0):
-        raise DomainError("correlations must lie in [-1,1]")
+    rho = _checked_rho(rho, spectrum.n)
     return float(np.sum(spectrum.coefficients**2 * _subset_weights(rho)))
 
 
@@ -122,23 +166,25 @@ def _noise_operator(table: FunctionTable, rho: np.ndarray) -> FunctionTable:
 
     Coordinate k of eps' equals eps_k with probability (1+rho_k)/2,
     independently.  Applied as a tensor product of 2x2 mixes; never
-    touches the Walsh domain.
+    touches the Walsh domain.  The mix of a pair (x, y) differing in
+    coordinate k is x - f (x - y), y + f (x - y) with f = (1 - rho_k)/2,
+    done in place with one half-size scratch array.
     """
-    rho = np.asarray(rho, dtype=np.float64)
-    if rho.shape != (table.n,):
-        raise DomainError("rho vector length must match coordinate count")
-    a = table.values.astype(np.float64, copy=True)
+    rho = _checked_rho(rho, table.n)
+    a = table.values.copy()
     size = a.size
+    scratch = np.empty(size // 2)
     h = 1
     for r in rho:
-        keep = (1.0 + r) / 2.0
-        flip = (1.0 - r) / 2.0
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        a[:, :h] = keep * left + flip * a[:, h:]
-        a[:, h:] = keep * a[:, h:] + flip * left
+        pairs = a.reshape(-1, 2, h)
+        x, y = pairs[:, 0], pairs[:, 1]
+        d = scratch.reshape(-1, h)
+        np.subtract(x, y, out=d)
+        d *= (1.0 - r) / 2.0
+        x -= d
+        y += d
         h *= 2
-    return FunctionTable(table.n, a.reshape(size))
+    return FunctionTable(table.n, a)
 
 
 def exact_correlation(table: FunctionTable, rho: np.ndarray) -> float:
@@ -155,15 +201,16 @@ def exact_correlation(table: FunctionTable, rho: np.ndarray) -> float:
 def sgn_functional_table(n: int) -> FunctionTable:
     """sgn(X_n) as a function of the driving increments, all 2**n paths.
 
-    Walks the reconstruction X_{k+1} = X_k + sgn(X_k) eps_{k+1} in
-    parallel over every sign pattern.
+    Walks the reconstruction X_{k+1} = X_k + sgn(X_k) eps_{k+1} once per
+    prefix: after step k, x holds X_k for every pattern of the first k
+    steps, and step k+1 doubles it into eps = +1 (bit k clear, the lower
+    half of the index range) followed by eps = -1.
     """
     _check_size(n)
-    idx = np.arange(1 << n, dtype=np.uint32)
-    x = np.zeros(1 << n, dtype=np.int32)
-    for k in range(n):
-        eps_k = 1 - 2 * ((idx >> np.uint32(k)) & 1).astype(np.int32)
-        x += np.where(x >= 0, eps_k, -eps_k)
+    x = np.zeros(1, dtype=np.int8)  # |X_k| <= k <= TABLE_CAP
+    for _ in range(n):
+        s = np.where(x >= 0, np.int8(1), np.int8(-1))
+        x = np.concatenate([x + s, x - s])
     return FunctionTable(n, np.where(x >= 0, 1.0, -1.0))
 
 
@@ -188,6 +235,6 @@ def _walk_survival_table(n: int, start: int) -> FunctionTable:
 
 def sign_correlation_exact(rho: np.ndarray) -> float:
     """Exact E[sgn(X_n) sgn(X'_n)] for per-step correlations rho (len n)."""
-    rho = np.asarray(rho, dtype=np.float64)
+    rho = _checked_rho(rho, np.size(rho))
     table = sgn_functional_table(rho.size)
     return noise_functional(walsh_transform(table), rho)

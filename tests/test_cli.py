@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -49,6 +50,14 @@ def test_walsh_spectrum_top_is_prefix_of_full_listing(capsys):
         code, out, _ = run_cli(["walsh-spectrum", "--n", "10", "--top", str(k)], capsys)
         assert code == 0
         assert out.splitlines() == full[: k + 1]
+
+
+def test_walsh_spectrum_payload_is_pinned(capsys):
+    # the stdout of the n = 16 listing, fixed when the transform was one bit per pass
+    code, out, _ = run_cli(["walsh-spectrum", "--n", "16", "--top", "32"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "caf9d1010655e0c5e6c86fe13d9d876350a58ae1646ae9256b1019510387f8ff")
 
 
 def test_discrete_phi_payload(capsys):

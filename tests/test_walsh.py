@@ -19,14 +19,15 @@ from splitnoise.walsh import (
 )
 
 
-def brute_force_coefficient(values: np.ndarray, subset: int) -> float:
-    # independent O(4^n) oracle: sum over patterns of f(eps) * prod eps_k
-    n = int(np.log2(values.size))
-    total = 0.0
-    for idx in range(values.size):
-        chi = (-1) ** bin(subset & idx).count("1")
-        total += values[idx] * chi
-    return total / values.size
+def brute_force_coefficients(values: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    # independent O(4^n) oracle: coeff(T) = mean over patterns of f(eps) * prod_{k in T} eps_k,
+    # the product being -1 to the number of bits T shares with the pattern's index;
+    # values may hold one table per column
+    shared = np.bitwise_and.outer(subsets.astype(np.int32),
+                                  np.arange(len(values), dtype=np.int32))
+    for shift in (16, 8, 4, 2, 1):  # xor-fold the shared bits down to their parity
+        shared ^= shared >> shift
+    return (1.0 - 2.0 * (shared & 1)) @ values / len(values)
 
 
 def test_sgn_table_small():
@@ -38,9 +39,9 @@ def test_sgn_table_small():
 
 
 def test_sgn_table_matches_walk_reconstruction():
-    n = 10
-    x_end = positions(z_to_x_increments(all_increment_patterns(n)))[:, -1]
-    assert np.array_equal(sgn_functional_table(n).values, np.where(x_end >= 0, 1.0, -1.0))
+    for n in range(1, 15):
+        x_end = positions(z_to_x_increments(all_increment_patterns(n)))[:, -1]
+        assert np.array_equal(sgn_functional_table(n).values, np.where(x_end >= 0, 1.0, -1.0))
 
 
 def test_table_cap():
@@ -62,14 +63,21 @@ def test_walsh_n2_sign_coefficients():
 
 
 def test_walsh_matches_brute_force():
+    # every n up to 13 covers each remainder of n modulo the transform's
+    # four bits per pass; integer tables have integer partial sums, so
+    # they must match exactly
     rng = np.random.default_rng(5)
-    for n in (1, 3, 6):
-        table = FunctionTable(n, rng.standard_normal(1 << n))
-        s = walsh_transform(table)
-        for subset in range(1 << n):
-            assert s.coefficients[subset] == pytest.approx(
-                brute_force_coefficient(table.values, subset), abs=1e-12
-            )
+    for n in range(1, 14):
+        sign = sgn_functional_table(n).values
+        survival = _walk_survival_table(n, 2).values
+        noise = rng.standard_normal(1 << n)
+        tables = np.stack([sign, survival, noise], axis=1)
+        fast = np.stack([_fwht(t) for t in tables.T], axis=1) / (1 << n)
+        for start in range(0, 1 << n, 1024):
+            subsets = np.arange(start, min(start + 1024, 1 << n))
+            brute = brute_force_coefficients(tables, subsets)
+            assert np.array_equal(fast[subsets, :2], brute[:, :2]), n
+            assert np.max(np.abs(fast[subsets, 2] - brute[:, 2])) <= 1e-12, n
 
 
 def test_walsh_roundtrip_and_parseval():
@@ -122,6 +130,19 @@ def test_exact_correlation_edge_cases():
     assert exact_correlation(table, np.ones(5)) == pytest.approx(1.0, abs=1e-12)
     mean = table.values.mean()
     assert exact_correlation(table, np.zeros(5)) == pytest.approx(mean**2, abs=1e-12)
+
+
+def test_every_route_rejects_correlations_outside_unit_interval():
+    table = sgn_functional_table(4)
+    spectrum = walsh_transform(table)
+    for bad in (1.5, -1.5, np.nan):
+        rho = np.array([bad, 0.5, 0.5, 0.5])
+        with pytest.raises(DomainError):
+            exact_correlation(table, rho)
+        with pytest.raises(DomainError):
+            noise_functional(spectrum, rho)
+        with pytest.raises(DomainError):
+            sign_correlation_exact(rho)
 
 
 def test_noise_functional_equals_exact_correlation():
