@@ -8,6 +8,12 @@ reflection identity |X_n + 1/2| - 1/2 = Z_n + max_{k<=n}(-Z_k) recovers
 running-minimum time of Z, recovers the sign.  Everything here is exact
 integer arithmetic on (optionally batched) increment arrays, so the
 identities can be checked exhaustively.
+
+The exhaustive check streams: `identities_hold` walks X, Z, the local
+time and the running maximum of -Z forward one step at a time over
+blocks of paths, so its state is a few integers per path, and
+`parity_signs` takes its row minima column by column over row blocks
+that fit in cache.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+_ROW_BLOCK = 4096  # paths per block: a block's rows of a 2^16-path table stay in cache
 
 
 def _sgn(a: np.ndarray | int) -> np.ndarray | int:
@@ -51,8 +59,9 @@ def z_to_x_increments(dz: np.ndarray) -> np.ndarray:
 def positions(increments: np.ndarray) -> np.ndarray:
     """Prepend the starting 0 and cumulate increments along the last axis."""
     inc = np.asarray(increments, dtype=np.int64)
-    zeros = np.zeros(inc.shape[:-1] + (1,), dtype=np.int64)
-    return np.concatenate([zeros, np.cumsum(inc, axis=-1)], axis=-1)
+    out = np.zeros(inc.shape[:-1] + (inc.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(inc, axis=-1, out=out[..., 1:])
+    return out
 
 def local_time_positions(pos: np.ndarray) -> np.ndarray:
     """L_n = #{k < n : X_k and X_{k+1} both in {0,-1}}, L_0 = 0.
@@ -62,46 +71,63 @@ def local_time_positions(pos: np.ndarray) -> np.ndarray:
     """
     pos = np.asarray(pos, dtype=np.int64)
     near = (pos == 0) | (pos == -1)
-    hits = (near[..., :-1] & near[..., 1:]).astype(np.int64)
-    zeros = np.zeros(pos.shape[:-1] + (1,), dtype=np.int64)
-    return np.concatenate([zeros, np.cumsum(hits, axis=-1)], axis=-1)
-
-def _running_max_negated(pos: np.ndarray) -> np.ndarray:
-    """max_{k<=n}(-Z_k) along the last axis."""
-    return np.maximum.accumulate(-np.asarray(pos, dtype=np.int64), axis=-1)
-
-def _folded_positions(pos: np.ndarray) -> np.ndarray:
-    """|X_n + 1/2| - 1/2 in exact integers, via doubled quantities."""
-    pos = np.asarray(pos, dtype=np.int64)
-    return (np.abs(2 * pos + 1) - 1) // 2
+    return positions(near[..., :-1] & near[..., 1:])
 
 def identities_hold(dx: np.ndarray) -> np.ndarray:
     """Check the two pathwise reflection identities at every time.
 
     For each path: folded X equals both Z_n + L_n and
     Z_n + max_{k<=n}(-Z_k), for all n up to the path length.
-    Returns a boolean per leading-axis entry (scalar True for 1-D input).
+    Returns a boolean per leading-axis entry (scalar for 1-D input).
+
+    Streams time-major over blocks of _ROW_BLOCK paths, keeping X_k, Z_k,
+    L_k and max_{j<=k}(-Z_j) for each path of the block: the state is a
+    few integers per path, and no (paths, steps) temporary is built
+    beyond the block's own copy of dx.  Z is driven here step by step,
+    not by x_to_z_increments or z_to_x_increments, so the round trip
+    and this check stay separate codes.
     """
     dx = np.asarray(dx, dtype=np.int64)
-    x_pos = positions(dx)
-    z_pos = positions(x_to_z_increments(dx))
-    lhs2 = 2 * _folded_positions(x_pos)
-    ok_local = np.all(lhs2 == 2 * (z_pos + local_time_positions(x_pos)), axis=-1)
-    ok_reflect = np.all(lhs2 == 2 * (z_pos + _running_max_negated(z_pos)), axis=-1)
-    return ok_local & ok_reflect
+    paths = dx.reshape(math.prod(dx.shape[:-1]), dx.shape[-1])
+    ok = np.ones(paths.shape[0], dtype=bool)
+    for start in range(0, paths.shape[0], _ROW_BLOCK):
+        block_ok = ok[start:start + _ROW_BLOCK]
+        x = z = local = top = 0  # X_k, Z_k, L_k and max_{j<=k}(-Z_j) at k = 0
+        near = True  # X_k in {0, -1}
+        for step in paths[start:start + _ROW_BLOCK].T.copy():  # one contiguous row per step
+            z = z + _sgn(x) * step
+            x = x + step
+            now = (x == 0) | (x == -1)
+            local = local + (near & now)
+            near = now
+            top = np.maximum(top, -z)
+            folded = x ^ (x >> 63)  # |X + 1/2| - 1/2: x for x >= 0, -x - 1 below
+            block_ok &= (folded == z + local) & (folded == z + top)
+    return ok.reshape(dx.shape[:-1])[()]
 
 def parity_signs(z_pos: np.ndarray) -> np.ndarray:
     """(-1)^(min_{k<=n} Z_k) along the last axis.
 
     Recovers sgn(X_n + 1/2) for the walk X reconstructed from Z.  This
     is the parity of the last running-minimum time r, since Z_r = min Z
-    and r = Z_r (mod 2).
+    and r = Z_r (mod 2).  The minimum is taken column by column over
+    blocks of _ROW_BLOCK rows, which stay in cache even when the rows
+    are short, strided prefixes of a longer array.
     """
-    return np.where(np.min(z_pos, axis=-1) % 2 == 0, 1, -1)
+    z = np.asarray(z_pos, dtype=np.int64)
+    rows = z.reshape(math.prod(z.shape[:-1]), z.shape[-1])
+    low = np.empty(rows.shape[0], dtype=np.int64)
+    for start in range(0, rows.shape[0], _ROW_BLOCK):
+        block = rows[start:start + _ROW_BLOCK]
+        block_low = low[start:start + _ROW_BLOCK]
+        block_low[:] = block[:, 0]
+        for column in block.T[1:]:
+            np.minimum(block_low, column, out=block_low)
+    return (1 - 2 * (low & 1)).reshape(z.shape[:-1])
 
 
 def all_increment_patterns(n: int) -> np.ndarray:
     """All 2**n +-1 increment rows, row i encoding bits of i (bit k set -> step k is -1)."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    bits = (idx[:, None] >> np.arange(n, dtype=np.uint32)[None, :]) & 1
-    return (1 - 2 * bits.astype(np.int64))
+    idx = np.arange(1 << n, dtype="<u4")  # little-endian, so byte order is bit order
+    bits = np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1, count=n, bitorder="little")
+    return np.subtract(1, 2 * bits, dtype=np.int64)

@@ -214,25 +214,6 @@ def sgn_functional_table(n: int) -> FunctionTable:
     return FunctionTable(n, np.where(x >= 0, 1.0, -1.0))
 
 
-def _walk_survival_table(n: int, start: int) -> FunctionTable:
-    """Indicator that start + walk stays strictly positive for n steps.
-
-    The discrete stand-in for the killed-path survival functional; used
-    to validate the two-path correlation route against the spectrum.
-    """
-    _check_size(n)
-    if start <= 0:
-        raise DomainError("starting height must be positive")
-    idx = np.arange(1 << n, dtype=np.uint32)
-    pos = np.full(1 << n, start, dtype=np.int32)
-    alive = np.ones(1 << n, dtype=bool)
-    for k in range(n):
-        eps_k = 1 - 2 * ((idx >> np.uint32(k)) & 1).astype(np.int32)
-        pos += eps_k
-        alive &= pos > 0
-    return FunctionTable(n, alive.astype(np.float64))
-
-
 def sign_correlation_exact(rho: np.ndarray) -> float:
     """Exact E[sgn(X_n) sgn(X'_n)] for per-step correlations rho (len n)."""
     rho = _checked_rho(rho, np.size(rho))

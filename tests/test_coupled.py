@@ -30,7 +30,8 @@ from splitnoise.coupled import (
 from splitnoise.errors import DomainError, PreconditionError, ResourceLimitError
 from splitnoise.sampling import derive_rng
 from splitnoise.timesets import TimeSet
-from splitnoise.walsh import _walk_survival_table, noise_functional, walsh_transform
+from splitnoise.walsh import noise_functional, walsh_transform
+from walk_tables import walk_survival_table
 
 FULL = TimeSet.full()
 EMPTY = TimeSet.empty()
@@ -573,7 +574,7 @@ def test_discrete_bridge_identity():
     # spectral-noise functional of the survival table: the discrete
     # validation of the survival-correlation route
     n, start, rho = 12, 2, 0.5
-    table = _walk_survival_table(n, start)
+    table = walk_survival_table(n, start)
     exact = noise_functional(walsh_transform(table), oracle_rho(FULL, rho, n))
 
     n_samples = 200_000

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 
 from splitnoise import tanaka
@@ -74,6 +76,66 @@ def test_identities_empty_path():
     assert identities_hold(np.array([], dtype=np.int64))
 
 
+def array_identities(dx):
+    # the array form of the check: every (paths, steps) quantity built in full
+    dx = np.asarray(dx, dtype=np.int64)
+    x_pos = positions(dx)
+    z_pos = positions(x_to_z_increments(dx))
+    folded = (np.abs(2 * x_pos + 1) - 1) // 2
+    ok_local = np.all(folded == z_pos + local_time_positions(x_pos), axis=-1)
+    ok_reflect = np.all(folded == z_pos + np.maximum.accumulate(-z_pos, axis=-1), axis=-1)
+    return ok_local & ok_reflect
+
+
+def test_streamed_identities_match_array_form():
+    rng = np.random.default_rng(16)
+    walks = 1 - 2 * rng.integers(0, 2, size=(300, 200))
+    assert np.array_equal(identities_hold(walks), array_identities(walks))
+    assert identities_hold(walks).all()
+    # steps of size 2 and 0 break the identities on some paths; a batch
+    # spanning several row blocks must flag exactly the same ones
+    jumps = rng.integers(-2, 3, size=(2 * tanaka._ROW_BLOCK + 3, 20))
+    got = identities_hold(jumps)
+    assert np.array_equal(got, array_identities(jumps))
+    assert got.any() and not got.all()
+    for shape in [(4, 5, 30), (7, 0), (0, 9), (0, 0)]:
+        dx = 1 - 2 * rng.integers(0, 2, size=shape)
+        got, want = identities_hold(dx), array_identities(dx)
+        assert got.shape == want.shape == shape[:-1]
+        assert np.array_equal(got, want)
+    one = identities_hold(walks[0])
+    assert np.ndim(one) == 0 and bool(one) == bool(array_identities(walks[0]))
+
+
+def test_identities_fail_where_they_should():
+    # X = 0, -2 and Z = 0, -2: folded X is 1 but Z + L and Z + max(-Z) are -2 and 0
+    assert not identities_hold(np.array([-2]))
+    assert not array_identities(np.array([-2]))
+    assert np.array_equal(identities_hold(np.array([[1, 1], [-2, 0], [-1, 1]])),
+                          [True, False, True])
+
+
+def traced_peak(fn, *args):
+    """Bytes allocated at the peak of one call, as numpy reports them to tracemalloc."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_exhaustive_check_memory():
+    dx = all_increment_patterns(16)
+    # the streamed check keeps a few integers per path: below the input itself
+    assert traced_peak(identities_hold, dx) < dx.nbytes
+    # positions cumulates into its output, with no full-size temporary
+    out_bytes = dx.shape[0] * (dx.shape[1] + 1) * 8
+    assert traced_peak(positions, dx) <= 1.25 * out_bytes
+
+
 def test_parity_rule_examples():
     z_pos = positions(np.array([-1, -1, 1]))
     assert parity_signs(z_pos) == 1  # r = 2, X_3 = 1
@@ -93,6 +155,22 @@ def test_parity_rule_exhaustive_length_14():
         at_min = prefix == np.minimum.accumulate(prefix, axis=-1)
         last = np.max(np.where(at_min, np.arange(n + 1), -1), axis=-1)
         assert np.array_equal(got, np.where(last % 2 == 0, 1, -1)), f"last-minimum form at n={n}"
+
+
+def test_parity_signs_match_row_minimum():
+    def reference(z):
+        return np.where(np.min(z, axis=-1) % 2 == 0, 1, -1)
+
+    rng = np.random.default_rng(17)
+    z_pos = positions(1 - 2 * rng.integers(0, 2, size=((1 << 14) + 3, 40)))
+    for k in range(41):
+        prefix = z_pos[:, : k + 1]  # strided rows; 2^14 + 3 of them leave a short last block
+        assert np.array_equal(parity_signs(prefix), reference(prefix)), f"k={k}"
+    batched = z_pos[:21].reshape(3, 7, 41)
+    assert np.array_equal(parity_signs(batched), reference(batched))
+    for row in z_pos[:5]:
+        got = parity_signs(row)
+        assert np.ndim(got) == 0 and got == reference(row)
 
 
 def test_sgn_convention():

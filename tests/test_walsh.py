@@ -9,7 +9,6 @@ from splitnoise.walsh import (
     _fwht,
     _noise_operator,
     _subset_weights,
-    _walk_survival_table,
     exact_correlation,
     noise_functional,
     sgn_functional_table,
@@ -17,6 +16,7 @@ from splitnoise.walsh import (
     spectral_measure,
     walsh_transform,
 )
+from walk_tables import walk_survival_table
 
 
 def brute_force_coefficients(values: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -69,7 +69,7 @@ def test_walsh_matches_brute_force():
     rng = np.random.default_rng(5)
     for n in range(1, 14):
         sign = sgn_functional_table(n).values
-        survival = _walk_survival_table(n, 2).values
+        survival = walk_survival_table(n, 2).values
         noise = rng.standard_normal(1 << n)
         tables = np.stack([sign, survival, noise], axis=1)
         fast = np.stack([_fwht(t) for t in tables.T], axis=1) / (1 << n)
@@ -179,18 +179,18 @@ def test_full_interval_decay_within_parity():
 
 
 def test_walk_survival_table():
-    t = _walk_survival_table(3, 2)
+    t = walk_survival_table(3, 2)
     # dies only if both first steps go down
     expect = np.ones(8)
     expect[3] = 0.0  # steps -,-,+
     expect[7] = 0.0  # steps -,-,-
     assert np.array_equal(t.values, expect)
     with pytest.raises(DomainError):
-        _walk_survival_table(3, 0)
+        walk_survival_table(3, 0)
 
 
 def test_survival_table_oracle_identity():
-    table = _walk_survival_table(12, 2)
+    table = walk_survival_table(12, 2)
     rho = np.full(12, 0.6)
     assert noise_functional(walsh_transform(table), rho) == pytest.approx(
         exact_correlation(table, rho), abs=1e-12
