@@ -12,7 +12,9 @@ on a piece of A and at 1 on a shared piece.
 The argmin coincidence (the direct route) is exact across the gaps
 of A, where the pair shares its increments, and gridded only on A;
 with refine, it walks the doubled grid and derives the grid from the
-same draws.  It uses none of the survival kernels below.
+same draws.  The first and the last gap take no draw: their shared
+minima are integrated out in closed form, through bivariate-normal
+probabilities (Owen 1956).  It uses none of the survival kernels below.
 
 Path-survival functionals are estimated without a grid, by one rule:
 up to the end of the last rho-run, each piece (a shared stretch at
@@ -32,7 +34,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.special import erf, erfc, ive
+from scipy.special import erf, erfc, ive, ndtr, owens_t
 
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import EstimateWithError, RunningMoments, batch_sizes, derive_rng
@@ -247,17 +249,25 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     path keeps its lowest candidate minimum and a label for where it
     lies (time 0 and every shared gap have a label both paths share):
 
-    - a shared gap (before A or between its components) is one exact
-      step: both paths move by one N(0, L) increment d and get the same
-      bridge minimum, (d - sqrt(d^2 + 2 L E)) / 2 above their start with
+    - a shared gap between components of A is one exact step: both
+      paths move by one N(0, L) increment d and get the same bridge
+      minimum, (d - sqrt(d^2 + 2 L E)) / 2 above their start with
       E ~ Exp(1), under the gap's label;
     - a component of A is ceil(n_grid * length) coupled steps, and each
       path gets the exact bridge minimum of every step from the step's
       two grid values, under a label of its own: for rho < 1 the
       continuous argmins inside A coincide with probability 0;
-    - the last gap, ending at 1, is closed form with no draw
-      (_last_gap), so the empty region gives exactly 1; the full region
-      gives exactly 0.
+    - the first gap [0, lo] and the last gap, ending at 1, take no
+      draw.  Heights are measured from W(lo): the first gap's minimum
+      is then -X with X ~ sqrt(lo) |Z|, shared by both paths and
+      independent of the rest, and the last gap's minimum lies Y ~
+      sqrt(L) |Z'| below each path's end.  A sample scores the
+      probability of coincidence given its walk with X and Y
+      integrated out (_outer_gaps, through bivariate-normal
+      probabilities: Owen, "Tables for computing bivariate normal
+      probabilities", Ann. Math. Statist. 27, 1956).  With no first
+      gap only the last is integrated out (_last_gap), so the empty
+      region gives exactly 1; the full region gives exactly 0.
 
     The one approximation left: inside a rho-step the two paths'
     minima are drawn independently given the step's ends.  The bias
@@ -274,12 +284,13 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     than two independent runs.
 
     A 4-sigma band of width 0 cannot fail, so a zero stderr is replaced
-    on a region neither empty nor full.  There (on one that reaches 1,
-    each sample scores 0 or 1) a level whose n samples are all equal
-    gets s = (1 - q^(1/n)) / 4, q = _TAIL_4SIGMA: 4 s is the largest p
-    with (1 - p)^n >= q, the exact binomial bound of a count of 0 (or n)
-    at 4 sigma.  A grid_bias gets 1 / n, the stderr of one sample that
-    differs by 1, the least nonzero stderr 0/1 scores can give.
+    on a region neither empty nor full.  There (on one that touches 0
+    and reaches 1, each sample scores 0 or 1) a level whose n samples
+    are all equal gets s = (1 - q^(1/n)) / 4, q = _TAIL_4SIGMA: 4 s is
+    the largest p with (1 - p)^n >= q, the exact binomial bound of a
+    count of 0 (or n) at 4 sigma.  A grid_bias gets 1 / n, the stderr
+    of one sample that differs by 1, the least nonzero stderr 0/1
+    scores can give.
     """
     _check_rho(rho)
     _check_grid(n_grid)
@@ -335,8 +346,11 @@ def _coincidence_walk(components, rho: float, b: int, rng: np.random.Generator,
     """
     rows = 2 + refine
     scratch = functools.cache(lambda name, shape: np.empty(shape))
-    w = np.zeros((rows, b))
-    best = np.zeros((rows, b))  # time 0, where both paths start
+    head = components[0][0] if components else 0.0  # the first gap's length
+    w = np.zeros((rows, b))  # heights from W(head)
+    # time 0, where both paths start; after a first gap, none yet (the
+    # gap's minimum is integrated out at the end)
+    best = np.full((rows, b), np.inf if head > 0.0 else 0.0)
     label = np.zeros((rows, b), dtype=np.int64)
     tied = np.zeros((rows, b), dtype=bool)
 
@@ -346,7 +360,7 @@ def _coincidence_walk(components, rho: float, b: int, rng: np.random.Generator,
         label[...] = np.where(lower, own_label, label)
         np.minimum(best, candidate, out=best)
 
-    now = 0.0
+    now = head
     for k, (lo, hi, steps) in enumerate(components):
         if lo > now:
             run = lo - now
@@ -366,10 +380,13 @@ def _coincidence_walk(components, rho: float, b: int, rng: np.random.Generator,
             offer(lows, _OWN_LABELS[:rows], own_tie)
             w += moves
         now = hi
-    height = w - best
     levels = range(rows - 1, 0, -1)  # with refine, the grid of step pairs first
-    values = np.array([_last_gap(height[[0, r]], label[0] == label[r], 1.0 - now) for r in levels])
-    return values, tied[0] | tied[list(levels)]
+    if head > 0.0:
+        values = [_outer_gaps(w[[0, r]], best[[0, r]], label[0] == label[r], head, 1.0 - now)
+                  for r in levels]
+    else:
+        values = [_last_gap((w - best)[[0, r]], label[0] == label[r], 1.0 - now) for r in levels]
+    return np.array(values), tied[0] | tied[list(levels)]
 
 
 def _lowest(lows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -441,6 +458,53 @@ def _last_gap(height: np.ndarray, same: np.ndarray, length: float) -> np.ndarray
         return same.astype(np.float64)
     x = height / math.sqrt(2.0 * length)
     return erfc(x.max(axis=0)) + same * erf(x.min(axis=0))
+
+
+def _outer_gaps(e: np.ndarray, a: np.ndarray, same: np.ndarray, lo: float,
+                length: float) -> np.ndarray:
+    """P(the pair's minima coincide), given its walk from W(lo) to the last gap of this length.
+
+    e (2, b) is each path's end height and a its lowest candidate, both
+    from W(lo); same says whether the two candidates share a label (a
+    middle gap).  The first gap's minimum is -X with X ~ sigma |Z|,
+    sigma^2 = lo, and the last gap's lies Y ~ tau |Z'| below each end,
+    tau^2 = length.  Both minima fall in the first gap iff X > alpha =
+    max(-a) and X - Y > -min e; both in the last iff Y > beta =
+    max(e - a) and Y - X > max e; neither iff X < min(-a) and Y <
+    min(e - a), and then they coincide iff same.  As -min e <= alpha
+    and max e <= beta, each of the first two is one bivariate-normal
+    probability in (Z, (sigma Z - tau Z') / sqrt(sigma^2 + tau^2)).
+    """
+    sigma = math.sqrt(lo)
+    alpha = -a.min(axis=0) / sigma
+    value = 2.0 * ndtr(-alpha)  # P(X > alpha)
+    inside = erf(-a.max(axis=0) / (sigma * math.sqrt(2.0)))  # P(X < min(-a))
+    if length <= 0.0:
+        return value + same * inside
+    tau = math.sqrt(length)
+    spread = math.hypot(sigma, tau)
+    rise = e - a
+    beta = rise.max(axis=0) / tau
+    value -= 4.0 * _binormal_cdf(-alpha, -e.min(axis=0) / spread, -sigma / spread)
+    value += 2.0 * ndtr(-beta) - 4.0 * _binormal_cdf(-beta, e.max(axis=0) / spread, -tau / spread)
+    return value + same * inside * erf(rise.min(axis=0) / (tau * math.sqrt(2.0)))
+
+
+def _binormal_cdf(h: np.ndarray, k: np.ndarray, r: float) -> np.ndarray:
+    """P(Z1 < h, Z2 < k) for standard normals at correlation r, |r| < 1; h, k not both 0.
+
+    Owen (1956), through his T function:
+    Phi(h) / 2 + Phi(k) / 2 - T(h, (k - r h) / (h c)) - T(k, (h - r k) / (k c)) - b0
+    with c = sqrt(1 - r^2), and b0 = 1/2 iff h k < 0, or h k = 0 and
+    h + k < 0.  At h = 0 the first T is T(0, +-inf) = +-1/4, on the sign
+    of k; adding 0.0 turns -0.0 into 0.0, so that sign is k's.
+    """
+    h, k = h + 0.0, k + 0.0
+    c = math.sqrt(1.0 - r * r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = owens_t(h, (k - r * h) / (h * c)) + owens_t(k, (h - r * k) / (k * c))
+    hk = h * k
+    return 0.5 * (ndtr(h) + ndtr(k)) - t - 0.5 * ((hk < 0.0) | ((hk == 0.0) & (h + k < 0.0)))
 
 
 def _bridge_low(d: np.ndarray, root: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

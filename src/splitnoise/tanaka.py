@@ -37,7 +37,11 @@ def _sgn(a: np.ndarray | int) -> np.ndarray | int:
 def x_to_z_increments(dx: np.ndarray) -> np.ndarray:
     """Drive increments dZ_k = sgn(X_k) dX_k from walk increments."""
     dx = np.asarray(dx, dtype=np.int64)
-    return _sgn(positions(dx)[..., :-1]) * dx
+    sign = positions(dx)[..., :-1]
+    sign >>= 63  # -1 where X_k < 0, else 0: the walk's table becomes the sign table
+    dz = dx ^ sign  # ~dx where X_k < 0
+    dz -= sign  # ~dx + 1 = -dx
+    return dz
 
 def z_to_x_increments(dz: np.ndarray) -> np.ndarray:
     """The unique walk with dX_k = sgn(X_k) dZ_k; inverse of x_to_z_increments.

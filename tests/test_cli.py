@@ -159,11 +159,12 @@ def test_consistency_check(capsys):
 
 
 def test_all_equal_lhs_samples_get_a_binomial_stderr(capsys):
-    # on 1/256..1 each sample scores 0 or 1, and at 200 samples all of
-    # them score 0 about one run in six: the LHS stderr is then the
-    # zero-count binomial bound over 4, not 0, and the verdict holds
+    # on a region that touches 0 and reaches 1 each sample scores 0 or
+    # 1, and at 200 samples all of them score 0 in most runs: the LHS
+    # stderr is then the zero-count binomial bound over 4, not 0, and
+    # the verdict holds
     code, out, _ = run_cli(
-        ["theorem-check", "--A", "1/256..1", "--rho", "0.5", "--n-grid", "256",
+        ["theorem-check", "--A", "0..1/2,129/256..1", "--rho", "0.5", "--n-grid", "256",
          "--samples", "200", "--nodes", "4", "--node-samples", "400", "--seed", "0"], capsys)
     results = json.loads(out)["results"]
     assert results["lhs"]["estimate"] == 0.0
@@ -173,11 +174,20 @@ def test_all_equal_lhs_samples_get_a_binomial_stderr(capsys):
     assert results["pass"] and code == 0
     # the direct route reports the same bound on its own
     code, out, _ = run_cli(
-        ["mc-phi", "--A", "1/256..1", "--rho", "0.5", "--n-grid", "256",
+        ["mc-phi", "--A", "0..1/2,129/256..1", "--rho", "0.5", "--n-grid", "256",
          "--samples", "200", "--seed", "1"], capsys)
     results = json.loads(out)["results"]
     assert results["estimate"] == 0.0
     assert results["stderr"] == (1.0 - 6.33e-5 ** (1 / 200)) / 4
+    assert code == 0
+    # on 1/256..1 the first gap is integrated out: samples are no longer
+    # 0 or 1, and the stderr is a real sample stderr, not the floor
+    code, out, _ = run_cli(
+        ["mc-phi", "--A", "1/256..1", "--rho", "0.5", "--n-grid", "256",
+         "--samples", "200", "--seed", "1"], capsys)
+    results = json.loads(out)["results"]
+    assert results["estimate"] > 0.0
+    assert 0.0 < results["stderr"] < (1.0 - 6.33e-5 ** (1 / 200)) / 4
     assert code == 0
 
 

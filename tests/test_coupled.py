@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import erf, ive
+from scipy.special import erf, ive, ndtr
 
 from splitnoise import coupled, tanaka, walsh
 from splitnoise.coupled import (
@@ -14,12 +14,14 @@ from splitnoise.coupled import (
     _bridge_low,
     _bridge_noncrossing,
     _bernoulli_word,
+    _binormal_cdf,
     _coupled_normals,
     _coupled_words,
     _entrance_heights,
     _exact_survival_probability,
     _joint_survival,
     _last_gap,
+    _outer_gaps,
     _prefix_tables,
     _wedge_noncrossing,
     _word_masks,
@@ -318,6 +320,76 @@ def test_last_gap_closed_form_matches_sampled_tail(length):
     assert abs(diff.mean()) < 4 * diff.std(ddof=1) / math.sqrt(n)
     assert closed.var() < sampled.var()  # the closed form is the conditional mean
     assert np.array_equal(_last_gap(height, same, 0.0), same.astype(float))
+
+
+def test_binormal_cdf_matches_quadrature():
+    # P(Z1 < h, Z2 < k) = integral over x < h of phi(x) Phi((k - r x) / c),
+    # across every branch of Owen's b0: h k < 0, h = 0 and k = 0, both signs
+    rng = derive_rng(43, 0)
+    h, k = rng.normal(0.0, 1.5, size=(2, 60))
+    h[:10], k[10:20] = 0.0, 0.0
+    h[20:25], k[25:30] = -0.0, -0.0
+    r = -rng.random(60) * 0.99
+    for hi, ki, ri in zip(h, k, r):
+        c = math.sqrt(1.0 - ri * ri)
+        exact = integrate.quad(lambda x: math.exp(-x * x / 2.0) * ndtr((ki - ri * x) / c),
+                               -np.inf, hi, epsabs=1e-15, limit=200)[0] / math.sqrt(2.0 * math.pi)
+        assert _binormal_cdf(np.array([hi]), np.array([ki]), ri)[0] == \
+            pytest.approx(exact, abs=1e-13)
+
+
+def drawn_first_gap(e, a, same, lo, rng):
+    """Heights above the best candidate, and shared-label flags, with the first
+    gap drawn as one shared step: its minimum from W(lo) is the bridge minimum
+    less the gap's rise."""
+    d = rng.standard_normal(e.shape[1]) * math.sqrt(lo)
+    gap = bridge_minimum(d, lo, rng) - d
+    below = gap < a
+    same = np.where(below[0] & below[1], True, np.where(below[0] | below[1], False, same))
+    return e - np.minimum(gap, a), same
+
+
+@pytest.mark.parametrize("length", [0.3, 0.0])
+@pytest.mark.parametrize("same", [True, False])
+def test_outer_gaps_closed_form_matches_drawn_gaps(length, same):
+    # both outer gaps drawn as shared steps, a million times, against the
+    # closed form with both integrated out
+    rng = derive_rng(44, 0)
+    n, lo = 1_000_000, 0.25
+    a = -rng.exponential(0.4, size=(2, n))
+    e = a + rng.exponential(0.5, size=(2, n))
+    flags = np.full(n, same)
+    closed = _outer_gaps(e, a, flags, lo, length)
+    sampled = sampled_last_gap(*drawn_first_gap(e, a, flags, lo, rng), length, rng)
+    diff = sampled - closed
+    assert abs(diff.mean()) < 4 * diff.std(ddof=1) / math.sqrt(n)
+    assert closed.var() < sampled.var()
+
+
+@pytest.mark.parametrize("text, rho", [("1/4..1/2", 0.3), ("1/4..1/2,5/8..3/4", 0.5),
+                                       ("1/2..1", 0.5)])
+def test_integrated_first_gap_matches_drawn_gap_on_the_same_walks(monkeypatch, text, rho):
+    # each A walk is scored twice: with the first gap integrated out, and
+    # with it drawn as one shared step before the last gap's closed form
+    calls = []
+
+    def recording(e, a, same, lo, length):
+        calls.append((e.copy(), a.copy(), same.copy(), lo, length))
+        return _outer_gaps(e, a, same, lo, length)
+
+    monkeypatch.setattr(coupled, "_outer_gaps", recording)
+    n = 20_000
+    est = argmin_coincidence(TimeSet.parse(text), rho, 256, n, seed=45)
+    rng = derive_rng(46, 0)
+    integrated = np.concatenate([_outer_gaps(*call) for call in calls])
+    drawn = np.concatenate([_last_gap(*drawn_first_gap(e, a, same, lo, rng), length)
+                            for e, a, same, lo, length in calls])
+    assert integrated.size == drawn.size == n
+    assert est.mean == pytest.approx(integrated.mean(), abs=1e-12)
+    diff = drawn - integrated
+    assert abs(diff.mean()) < 4 * diff.std(ddof=1) / math.sqrt(n)
+    # the LHS stderr falls by at least a fifth against the drawn gap's
+    assert est.stderr <= 0.8 * drawn.std(ddof=1) / math.sqrt(n)
 
 
 def test_argmin_coincidence_uses_no_survival_kernel(monkeypatch):

@@ -172,10 +172,10 @@ def test_verify_theorem_small_case_passes():
 
 
 def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
-    # on 1/2..1 each grid scores 0 or 1, and at 100 samples no sample
-    # tells the two grids apart: the paired sample stderr is 0, and the
-    # direct route reports 1/100 in its place
-    region = TimeSet.parse("1/2..1")
+    # on a region that touches 0 and reaches 1 each grid scores 0 or 1,
+    # and at 100 samples no sample tells the two grids apart: the paired
+    # sample stderr is 0, and the direct route reports 1/100 in its place
+    region = TimeSet.parse("0..1/2,129/256..1")
     raw = argmin_coincidence(region, 0.5, 4096, 100, derive_seed(1, theorem._TAG_LHS),
                              refine=True).extra["grid_bias"]
     assert (raw.mean, raw.stderr) == (0.0, 0.01)
@@ -184,6 +184,12 @@ def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
     assert (report.grid_bias.mean, report.grid_bias.stderr) == (0.0, 0.01)
     assert report.stability_ok
     assert report.as_dict()["grid_bias"] == {"estimate": 0.0, "stderr": 0.01}
+    # on 1/2..1 the first gap is integrated out, so samples are not 0 or
+    # 1 and the paired stderr is a real sample stderr, not the floor
+    region = TimeSet.parse("1/2..1")
+    raw = argmin_coincidence(region, 0.5, 4096, 100, derive_seed(1, theorem._TAG_LHS),
+                             refine=True).extra["grid_bias"]
+    assert 0.0 < raw.stderr < 0.01
     # one step on A against two, at rho 0.9: the bias (about 0.02) fails
     # it, on the sample stderr
     report = verify_theorem(region, 0.9, seed=1, lhs_n_grid=2, lhs_samples=20_000,
