@@ -24,20 +24,20 @@ from splitnoise.walsh import (
 print("Spectrum of sgn(X_4)")
 print("--------------------")
 table = sgn_functional_table(4)
-spectrum = walsh_transform(table)
-mass = spectral_measure(spectrum)
+coefficients = walsh_transform(table)
+mass = spectral_measure(coefficients)
 order = np.argsort(-mass)
 print("subset  coeff    mass")
 for idx in order[:8]:
     members = [k + 1 for k in range(4) if idx >> k & 1]
-    print(f"{str(members):10s} {spectrum.coefficients[idx]:+.4f}  {mass[idx]:.4f}")
+    print(f"{str(members):10s} {coefficients[idx]:+.4f}  {mass[idx]:.4f}")
 print(f"total mass (Parseval): {mass.sum():.12f}")
 print()
 
 print("Two routes to the same correlation")
 print("----------------------------------")
 rho = np.array([0.5, 1.0, 0.2, 0.9])
-via_spectrum = noise_functional(spectrum, rho)
+via_spectrum = noise_functional(coefficients, rho)
 via_average = exact_correlation(table, rho)
 print(f"spectral route : {via_spectrum:.12f}")
 print(f"averaging route: {via_average:.12f}")

@@ -209,15 +209,15 @@ def _run_mc_phi(args) -> int:
 def _run_walsh_spectrum(args) -> int:
     if args.top is not None and args.top < 1:
         raise DomainError(f"--top {args.top} must be at least 1")
-    spectrum = walsh_transform(sgn_functional_table(args.n))
-    mass = spectrum.coefficients**2
+    coefficients = walsh_transform(sgn_functional_table(args.n))
+    mass = coefficients**2
     candidates = np.arange(mass.size)
     if args.top is not None and args.top < mass.size:
         # only the masses at or above the top-th largest can be listed
         kth = np.partition(mass, mass.size - args.top)[mass.size - args.top]
         candidates = np.flatnonzero(mass >= kth)
     order = candidates[np.argsort(-mass[candidates], kind="stable")][: args.top]
-    rows = [[int(idx), repr(float(spectrum.coefficients[idx])), repr(float(mass[idx]))]
+    rows = [[int(idx), repr(float(coefficients[idx])), repr(float(mass[idx]))]
             for idx in order]
     _emit(_csv(["subset_bitmask", "coefficient", "squared_mass"], rows), args.out)
     return 0
@@ -239,7 +239,7 @@ def _run_theorem_check(args) -> int:
     params = {"A": str(region), "rho": args.rho, "n_grid": args.n_grid,
               "samples": args.samples, "nodes": args.nodes,
               "node_samples": args.node_samples, "node_steps": args.node_steps,
-              "seed": args.seed}
+              "check_stability": args.check_stability, "seed": args.seed}
     _emit(_payload("theorem-check", params, report.as_dict()), args.out)
     return 0 if report.passed else 1
 

@@ -99,18 +99,9 @@ def _coupled_normals(rho: float, sqdt: float, rng: np.random.Generator,
         return db, db
     db, db_prime = rng.standard_normal((2, *shape), out=out)  # db's normals, then z
     db *= sqdt
-    return db, _partner(rho, db, sqdt, db_prime, out=db_prime)
-
-
-def _partner(rho: float, db: np.ndarray, sqdt: float, z: np.ndarray,
-             out: np.ndarray | None = None) -> np.ndarray:
-    """rho db + sqrt(1-rho^2) sqdt z: db's partner at correlation rho, from the standard normals z.
-
-    out may be z itself.
-    """
-    out = np.multiply(z, math.sqrt(1.0 - rho**2) * sqdt, out=out)
-    out += rho * db
-    return out
+    db_prime *= math.sqrt(1.0 - rho**2) * sqdt
+    db_prime += rho * db
+    return db, db_prime
 
 
 # -- discrete-model correlation estimator ----------------------------------

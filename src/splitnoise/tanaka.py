@@ -25,10 +25,8 @@ import numpy as np
 _ROW_BLOCK = 4096  # paths per block: a block's rows of a 2^16-path table stay in cache
 
 
-def _sgn(a: np.ndarray | int) -> np.ndarray | int:
+def _sgn(a: np.ndarray | int) -> np.ndarray:
     """Sign with sgn(0) = +1 (the convention the whole model relies on)."""
-    if np.isscalar(a):
-        return 1 if a >= 0 else -1
     return np.where(np.asarray(a) >= 0, 1, -1)
 
 

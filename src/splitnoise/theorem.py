@@ -41,19 +41,27 @@ def _arcsine_nodes(a: float, b: float, n_nodes: int) -> tuple[list[float], float
     t = sin^2(pi theta / 2) the nodes are the midpoints of n_nodes equal
     steps in theta, so every node carries the same weight, and the
     n_nodes weights total theta(b) - theta(a), the arc-sine measure of
-    [a,b]; over all of [0,1] they sum to 1.
+    [a,b]; over all of [0,1] they sum to 1.  sin^2 can round a node of a
+    narrow gap onto an end, so every time is clamped to the floats
+    strictly inside (a,b), which _check_nodes requires to exist.
     """
     ta, tb = (2.0 / math.pi * math.asin(math.sqrt(t)) for t in (a, b))
     w = (tb - ta) / n_nodes
     thetas = ta + (np.arange(n_nodes) + 0.5) * w
-    return [math.sin(math.pi * th / 2.0) ** 2 for th in thetas], w
+    lo, hi = math.nextafter(a, b), math.nextafter(b, a)
+    return [min(max(math.sin(math.pi * th / 2.0) ** 2, lo), hi) for th in thetas], w
 
 
-def _check_nodes(n_nodes: int):
+def _check_nodes(n_nodes: int, region: TimeSet):
+    """Check the node count, and that every gap of the region has a float strictly inside."""
     if n_nodes < 1:
         raise DomainError("need at least one node")
     if n_nodes > NODE_CAP:
         raise ResourceLimitError(f"{n_nodes} nodes per gap exceed the cap {NODE_CAP}")
+    for a, b in region.complement_components():
+        if math.nextafter(a, b) >= b:
+            raise DomainError(f"the gap ({a!r}, {b!r}) of {region} has no float strictly "
+                              "inside to put a quadrature node at")
 
 
 def _rhs_factors(t: float, region: TimeSet, rho: float, n_samples: int,
@@ -94,7 +102,7 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     largest variance term (weight^2 x product variance): its component,
     t and share of the total, or None when the total is 0.
     """
-    _check_nodes(n_nodes)
+    _check_nodes(n_nodes, region)
     _check_samples(n_samples_per_node)  # before the exact regions' shortcut
     if region.is_full():
         return EstimateWithError.exact(0.0)
@@ -182,7 +190,7 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     checked before the first draw.  argmin_coincidence replaces a zero
     stderr where it is not exact, so no band here has width 0.
     """
-    _check_nodes(n_nodes)
+    _check_nodes(n_nodes, region)
     _check_samples(node_samples)
     lhs = argmin_coincidence(region, rho, lhs_n_grid, lhs_samples,
                              derive_seed(seed, _TAG_LHS), refine=check_stability)

@@ -49,21 +49,6 @@ class FunctionTable:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True)
-class ChaosSpectrum:
-    """Walsh coefficients indexed by coordinate subsets (bitmask)."""
-
-    n: int
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        _check_size(self.n)
-        coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if coeffs.shape != (1 << self.n,):
-            raise DomainError("coefficient array has wrong length")
-        object.__setattr__(self, "coefficients", coeffs)
-
-
 # A 16x16 block times at most 1024 columns is under OpenBLAS's threading
 # threshold (m*n*k <= 2**18), so every product below stays on one core:
 # on a small machine waking a thread pool costs more than these products.
@@ -113,19 +98,23 @@ def _fwht(values: np.ndarray) -> np.ndarray:
     return a.reshape(size)
 
 
-def walsh_transform(table: FunctionTable) -> ChaosSpectrum:
-    """Analysis: coeff(T) = 2**-n sum_eps f(eps) prod_{k in T} eps_k."""
+def walsh_transform(table: FunctionTable) -> np.ndarray:
+    """Analysis: coeff(T) = 2**-n sum_eps f(eps) prod_{k in T} eps_k.
+
+    Returns the 2**n coefficients as one float array, indexed by the
+    subset bitmask T.
+    """
     coefficients = _fwht(table.values)
     coefficients /= 1 << table.n
-    return ChaosSpectrum(table.n, coefficients)
+    return coefficients
 
 
-def spectral_measure(spectrum: ChaosSpectrum, tol: float = 1e-9) -> np.ndarray:
+def spectral_measure(coefficients: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Probability table P(S = T) = coeff(T)^2 over subsets.
 
     Requires the source table to have unit norm (Parseval mass 1).
     """
-    measure = spectrum.coefficients**2
+    measure = coefficients**2
     mass = float(np.sum(measure))
     if abs(mass - 1.0) > tol:
         raise PreconditionError(f"spectrum mass {mass} is not 1 within {tol}")
@@ -144,24 +133,27 @@ def _checked_rho(rho, n: int) -> np.ndarray:
 
 def _subset_weights(rho: np.ndarray) -> np.ndarray:
     """weights[T] = prod_{k in T} rho_k for every subset bitmask T."""
-    rho = np.asarray(rho, dtype=np.float64)
     w = np.ones(1)
     for r in rho:
         w = np.concatenate([w, w * r])
     return w
 
 
-def noise_functional(spectrum: ChaosSpectrum, rho: np.ndarray) -> float:
+def noise_functional(coefficients: np.ndarray, rho: np.ndarray) -> float:
     """E[prod_{k in S} rho_k] under the spectral measure (up to total mass).
 
     Equals sum_T coeff(T)^2 prod_{k in T} rho_k; for a unit-norm source
-    this is the correlation of f under per-coordinate rho_k-noise.
+    this is the correlation of f under per-coordinate rho_k-noise.  The
+    coefficients must number 2**len(rho).
     """
-    rho = _checked_rho(rho, spectrum.n)
-    return float(np.sum(spectrum.coefficients**2 * _subset_weights(rho)))
+    rho = _checked_rho(rho, np.size(rho))
+    _check_size(rho.size)
+    if np.shape(coefficients) != (1 << rho.size,):
+        raise DomainError("coefficient array has wrong length")
+    return float(np.sum(np.square(coefficients) * _subset_weights(rho)))
 
 
-def _noise_operator(table: FunctionTable, rho: np.ndarray) -> FunctionTable:
+def _noise_operator(table: FunctionTable, rho: np.ndarray) -> np.ndarray:
     """Per-coordinate averaging (T_rho f)(eps) = E[f(eps') | eps].
 
     Coordinate k of eps' equals eps_k with probability (1+rho_k)/2,
@@ -184,7 +176,7 @@ def _noise_operator(table: FunctionTable, rho: np.ndarray) -> FunctionTable:
         x -= d
         y += d
         h *= 2
-    return FunctionTable(table.n, a)
+    return a
 
 
 def exact_correlation(table: FunctionTable, rho: np.ndarray) -> float:
@@ -192,8 +184,7 @@ def exact_correlation(table: FunctionTable, rho: np.ndarray) -> float:
 
     Independent of the Walsh route: computes f . T_rho f / 2**n.
     """
-    smoothed = _noise_operator(table, rho)
-    return float(np.mean(table.values * smoothed.values))
+    return float(np.mean(table.values * _noise_operator(table, rho)))
 
 
 # -- concrete functionals of the discrete Tanaka model --------------------

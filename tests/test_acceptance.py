@@ -76,18 +76,18 @@ def test_criterion_3_spectral_oracle_identity():
         n = int(rng.integers(1, 13))
         table = FunctionTable(n, rng.standard_normal(1 << n))
         rho = rng.uniform(-1.0, 1.0, size=n)
-        spectrum = walsh_transform(table)
+        coefficients = walsh_transform(table)
         worst_gap = max(worst_gap, abs(
-            noise_functional(spectrum, rho) - exact_correlation(table, rho)))
+            noise_functional(coefficients, rho) - exact_correlation(table, rho)))
         worst_parseval = max(worst_parseval, abs(
-            np.sum(spectrum.coefficients**2) - np.mean(table.values**2)))
+            np.sum(coefficients**2) - np.mean(table.values**2)))
     for n in range(1, 21):
         table = sgn_functional_table(n)
         rho = rng.uniform(0.0, 1.0, size=n)
-        spectrum = walsh_transform(table)
+        coefficients = walsh_transform(table)
         worst_gap = max(worst_gap, abs(
-            noise_functional(spectrum, rho) - exact_correlation(table, rho)))
-        worst_parseval = max(worst_parseval, abs(np.sum(spectrum.coefficients**2) - 1.0))
+            noise_functional(coefficients, rho) - exact_correlation(table, rho)))
+        worst_parseval = max(worst_parseval, abs(np.sum(coefficients**2) - 1.0))
     ok = worst_gap < 1e-10 and worst_parseval < 1e-12
     _report(3, ok, f"100 random tables (n<=12) + sign tables (n<=20): "
                    f"max |spectral-averaging| gap {worst_gap:.2e} < 1e-10, "

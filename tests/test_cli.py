@@ -110,6 +110,41 @@ def test_theorem_check_exact_region_writes_header_only_csv(region, tmp_path, cap
         "component,t,weight,left,left_stderr,right,right_stderr"]
 
 
+def test_theorem_check_echoes_check_stability(capsys):
+    # the flag changes the results, so the payload's parameters carry it
+    for flag, value in (([], False), (["--check-stability"], True)):
+        code, out, _ = run_cli(["theorem-check", "--A", "", "--rho", "0.5", "--seed", "7",
+                                "--node-samples", "100", *_THEOREM_SMALL, *flag], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["parameters"]["check_stability"] is value
+        assert ("grid_stability_ok" in doc["results"]) is value
+
+
+# a gap of 2^-50 after 1/2 holds 7 floats; one of 2^-53 holds none
+_NARROW_GAP = "0..1/2,562949953421313/1125899906842624..1"
+_ULP_GAP = "1/4..1/2,4503599627370497/9007199254740992..3/4"
+
+
+def test_theorem_check_on_a_narrow_gap_gives_a_verdict(capsys):
+    code, out, _ = run_cli(["theorem-check", "--A", _NARROW_GAP, "--rho", "0.5",
+                            "--n-grid", "64", "--samples", "400", "--nodes", "8",
+                            "--node-samples", "200", "--seed", "1"], capsys)
+    assert code == (0 if json.loads(out)["results"]["pass"] else 1)
+
+
+def test_theorem_check_rejects_a_gap_with_no_float_inside(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the direct route ran before the gap was checked")
+
+    monkeypatch.setattr(theorem, "argmin_coincidence", forbidden)
+    code, err = exit_code(["theorem-check", "--A", _ULP_GAP, "--rho", "0.5",
+                           "--node-samples", "100", *_THEOREM_SMALL], capsys)
+    assert code == 2
+    assert err.splitlines()[0].startswith("error kind=domain")
+    assert "the gap (0.5, 0.5000000000000001)" in err
+
+
 def test_mc_phi_convergence_table(capsys):
     code, out, _ = run_cli(
         ["mc-phi", "--A", "1/4..1/2", "--rho", "0.5",

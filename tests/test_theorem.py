@@ -39,6 +39,25 @@ def test_arcsine_nodes_weights():
     assert all(0.0 < t < 0.5 for t in half)
 
 
+def test_arcsine_nodes_lie_strictly_inside_a_narrow_gap():
+    # sin^2 rounds some nodes of a 2^-50 gap onto its ends; they are
+    # clamped to the 7 floats strictly inside
+    a, b = 0.5, 0.5 + 2.0**-50
+    for n_nodes in (1, 8, 64):
+        times, _ = _arcsine_nodes(a, b, n_nodes)
+        assert all(a < t < b for t in times)
+
+
+def test_rhs_rejects_a_gap_with_no_float_inside_before_any_draw(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a factor was drawn before the gap was checked")
+
+    monkeypatch.setattr(theorem, "m_lambda_functional", forbidden)
+    region = TimeSet.parse("1/4..1/2,4503599627370497/9007199254740992..3/4")
+    with pytest.raises(DomainError, match=r"the gap \(0.5, 0.5000000000000001\)"):
+        rhs_integral(region, 0.5, 2, 100, seed=1)
+
+
 def test_arcsine_mean_against_argmin_simulation():
     # quadrature of f(t)=t gives the arc-sine mean 1/2; cross-check with
     # the argmin time of a simulated Brownian path

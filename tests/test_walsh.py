@@ -4,7 +4,7 @@ import pytest
 from splitnoise.errors import DomainError, PreconditionError, ResourceLimitError
 from splitnoise.tanaka import all_increment_patterns, positions, z_to_x_increments
 from splitnoise.walsh import (
-    ChaosSpectrum,
+    TABLE_CAP,
     FunctionTable,
     _fwht,
     _noise_operator,
@@ -52,14 +52,15 @@ def test_table_cap():
 
 
 def test_walsh_constant_table():
-    s = walsh_transform(FunctionTable(3, np.ones(8)))
-    assert s.coefficients[0] == 1.0
-    assert np.all(s.coefficients[1:] == 0.0)
+    c = walsh_transform(FunctionTable(3, np.ones(8)))
+    assert c.dtype == np.float64
+    assert c[0] == 1.0
+    assert np.all(c[1:] == 0.0)
 
 
 def test_walsh_n2_sign_coefficients():
-    s = walsh_transform(sgn_functional_table(2))
-    assert np.array_equal(s.coefficients, [0.5, 0.5, -0.5, 0.5])
+    c = walsh_transform(sgn_functional_table(2))
+    assert np.array_equal(c, [0.5, 0.5, -0.5, 0.5])
 
 
 def test_walsh_matches_brute_force():
@@ -84,11 +85,11 @@ def test_walsh_roundtrip_and_parseval():
     rng = np.random.default_rng(17)
     for n in (2, 5, 9):
         table = FunctionTable(n, rng.standard_normal(1 << n))
-        spectrum = walsh_transform(table)
+        coefficients = walsh_transform(table)
         # synthesis is the unnormalized transform of the coefficients
-        back = _fwht(spectrum.coefficients)
+        back = _fwht(coefficients)
         assert np.allclose(back, table.values, atol=1e-12)
-        assert np.sum(spectrum.coefficients**2) == pytest.approx(
+        assert np.sum(coefficients**2) == pytest.approx(
             np.mean(table.values**2), abs=1e-12)
 
 
@@ -98,13 +99,13 @@ def test_spectral_measure():
     assert np.array_equal(m, [0.25, 0.25, 0.25, 0.25])
     assert m.sum() == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(PreconditionError):
-        spectral_measure(ChaosSpectrum(1, np.array([1.0, 1.0])))
+        spectral_measure(np.array([1.0, 1.0]))
 
 
 def test_empty_mass_equals_direct_mean():
     for n in (3, 8, 13):
         table = sgn_functional_table(n)
-        assert walsh_transform(table).coefficients[0] == pytest.approx(
+        assert walsh_transform(table)[0] == pytest.approx(
             table.values.mean(), abs=1e-12
         )
 
@@ -115,14 +116,33 @@ def test_subset_weights():
 
 
 def test_noise_functional_examples():
-    s = walsh_transform(sgn_functional_table(2))
-    assert noise_functional(s, np.ones(2)) == pytest.approx(1.0, abs=1e-12)
-    assert noise_functional(s, np.zeros(2)) == pytest.approx(s.coefficients[0] ** 2, abs=1e-12)
-    assert noise_functional(s, np.array([0.5, 0.5])) == pytest.approx(9 / 16, abs=1e-12)
+    c = walsh_transform(sgn_functional_table(2))
+    assert noise_functional(c, np.ones(2)) == pytest.approx(1.0, abs=1e-12)
+    assert noise_functional(c, np.zeros(2)) == pytest.approx(c[0] ** 2, abs=1e-12)
+    assert noise_functional(c, np.array([0.5, 0.5])) == pytest.approx(9 / 16, abs=1e-12)
     with pytest.raises(DomainError):
-        noise_functional(s, np.array([0.5]))
+        noise_functional(c, np.array([0.5]))
     with pytest.raises(DomainError):
-        noise_functional(s, np.array([1.5, 0.0]))
+        noise_functional(c, np.array([1.5, 0.0]))
+
+
+def test_noise_functional_checks_a_plain_array():
+    # the coefficient array carries no n of its own: rho fixes it, and
+    # every mismatch is a DomainError before numpy broadcasting sees it
+    c = np.full(8, 2.0**-1.5)
+    rho = np.full(3, 0.5)
+    assert noise_functional(c, rho) == pytest.approx(27 / 64, abs=1e-12)
+    for bad in (c[:4], c[:7], np.append(c, 0.0), c.reshape(2, 4)):
+        with pytest.raises(DomainError, match="coefficient array has wrong length"):
+            noise_functional(bad, rho)
+    for bad_rho in (rho[:2], np.full(4, 0.5), np.full((3, 1), 0.5), 0.5, []):
+        with pytest.raises(DomainError):
+            noise_functional(c, bad_rho)
+    for bad in (1.5, -1.0000001, np.nan):
+        with pytest.raises(DomainError):
+            noise_functional(c, np.array([0.5, bad, 0.5]))
+    with pytest.raises(ResourceLimitError):
+        noise_functional(np.ones(4), np.full(TABLE_CAP + 1, 0.5))
 
 
 def test_exact_correlation_edge_cases():
@@ -134,13 +154,13 @@ def test_exact_correlation_edge_cases():
 
 def test_every_route_rejects_correlations_outside_unit_interval():
     table = sgn_functional_table(4)
-    spectrum = walsh_transform(table)
+    coefficients = walsh_transform(table)
     for bad in (1.5, -1.5, np.nan):
         rho = np.array([bad, 0.5, 0.5, 0.5])
         with pytest.raises(DomainError):
             exact_correlation(table, rho)
         with pytest.raises(DomainError):
-            noise_functional(spectrum, rho)
+            noise_functional(coefficients, rho)
         with pytest.raises(DomainError):
             sign_correlation_exact(rho)
 
@@ -160,8 +180,8 @@ def test_noise_functional_equals_exact_correlation():
 def test_noise_operator_is_smoothing():
     table = FunctionTable(4, np.random.default_rng(3).standard_normal(16))
     smoothed = _noise_operator(table, np.full(4, 0.5))
-    assert np.mean(smoothed.values**2) <= np.mean(table.values**2)
-    assert smoothed.values.mean() == pytest.approx(table.values.mean(), abs=1e-12)
+    assert np.mean(smoothed**2) <= np.mean(table.values**2)
+    assert smoothed.mean() == pytest.approx(table.values.mean(), abs=1e-12)
 
 
 def test_sign_correlation_exact_values():
