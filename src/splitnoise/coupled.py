@@ -5,9 +5,10 @@ paths: their increments correlate at rho on A and are shared bitwise
 elsewhere.  Only the walk estimator, discrete_phi, works per step: it
 packs 64 +-1 steps into a random word, toggles the steps whose left
 endpoint lies in A with exact Bernoulli bits, and by the parity rule
-needs only the two walks' running minima.  The Brownian routes draw
-scalar-rho increment pairs from one kernel, _coupled_normals, at rho
-on a piece of A and at 1 on a shared piece.
+needs only the two walks' running minima.  The Brownian routes turn
+standard normals into scalar-rho increment pairs with one kernel,
+_couple, at rho on a piece of A and at 1 on a shared piece: the direct
+route on fresh draws (_coupled_normals), survival on given normals.
 
 The argmin coincidence (the direct route) is exact across the gaps
 of A, where the pair shares its increments, and gridded only on A;
@@ -24,7 +25,10 @@ length, weighted by the Dirichlet heat kernel of the wedge
 stays positive inside the piece given its ends.  At correlation 1 the
 pair moves in parallel and the kernel is the lower path's bridge step.
 The shared tail is the reflection closed form.  No crossing weight is
-factorised across the pair, so survival carries no grid bias.
+factorised across the pair, so survival carries no grid bias.  Its
+points are randomized quasi-Monte Carlo (sampling.ScrambledHalton, 16
+independent replicates), turned into heights and normals by inverse
+transforms; the direct route and the walk draw plain streams.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.special import erf, erfc, ive, ndtr, owens_t
+from scipy.special import erf, erfc, ive, ndtr, ndtri, owens_t
 
 from .errors import DomainError, PreconditionError, ResourceLimitError
-from .sampling import EstimateWithError, RunningMoments, batch_sizes, derive_rng
+from .sampling import EstimateWithError, RunningMoments, ScrambledHalton, batch_sizes, derive_rng
 
 STEP_CAP = 10**7  # steps per path: walk length, n_grid, --node-steps
 _TAIL_4SIGMA = 6.33e-5  # P(|Z| > 4) for a standard normal Z
@@ -88,20 +92,30 @@ def _check_grid(n_grid: int):
 
 def _coupled_normals(rho: float, sqdt: float, rng: np.random.Generator,
                      shape, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Coupled N(0, dt) increment pair (db, db') at correlation rho.
+    """Coupled N(0, dt) increment pair (db, db') at correlation rho, from rng's normals.
 
-    db' = rho db + sqrt(1-rho^2) sqdt z with a fresh normal z; at rho = 1
-    it is db itself and no second normal is drawn.  For rho < 1 the pair
-    is written to out, a (2, *shape) array, when one is given.
+    _couple on fresh standard normals: two per increment pair, db's then
+    z's, written to out, a (2, *shape) array, when one is given; at
+    rho = 1 only db's are drawn.
     """
     if rho == 1.0:
-        db = rng.standard_normal(shape) * sqdt
-        return db, db
-    db, db_prime = rng.standard_normal((2, *shape), out=out)  # db's normals, then z
-    db *= sqdt
-    db_prime *= math.sqrt(1.0 - rho**2) * sqdt
-    db_prime += rho * db
-    return db, db_prime
+        return _couple(1.0, sqdt, rng.standard_normal(shape))
+    return _couple(rho, sqdt, *rng.standard_normal((2, *shape), out=out))
+
+
+def _couple(rho: float, sqdt: float, z: np.ndarray,
+            z_prime: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The coupling kernel: increments db = sqdt z and db' = rho db + sqrt(1-rho^2) sqdt z'.
+
+    Given standard normals z and z', it works in place on them; at
+    rho = 1, db' is db itself and z' is not read.
+    """
+    z *= sqdt
+    if rho == 1.0:
+        return z, z
+    z_prime *= math.sqrt(1.0 - rho**2) * sqdt
+    z_prime += rho * z
+    return z, z_prime
 
 
 # -- discrete-model correlation estimator ----------------------------------
@@ -526,13 +540,17 @@ def _exact_survival_probability(y: float | np.ndarray, horizon: float) -> float 
 
 def _entrance_heights(t: float, rng: np.random.Generator,
                       size: int | None = None) -> np.ndarray | float:
-    """Heights from the normalized entrance density (y/t) exp(-y^2/2t).
+    """Heights from the normalized entrance density at fresh uniforms of rng (_heights_at)."""
+    return _heights_at(t, rng.random(size))
 
-    Inverse transform of the Rayleigh(sqrt(t)) law: y = sqrt(-2t ln U)
-    with U uniform on (0,1].
+
+def _heights_at(t: float, u: np.ndarray | float) -> np.ndarray | float:
+    """Heights from the normalized entrance density (y/t) exp(-y^2/2t), at uniforms u in [0,1).
+
+    Inverse transform of the Rayleigh(sqrt(t)) law: y = sqrt(-2t ln(1 - u)),
+    where 1 - u in (0,1] keeps the log finite.
     """
-    u = 1.0 - rng.random(size)  # (0,1]: keeps the log finite
-    return np.sqrt(-2.0 * t * np.log(u))
+    return np.sqrt(-2.0 * t * np.log(1.0 - u))
 
 
 def _bridge_noncrossing(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
@@ -621,7 +639,7 @@ def _wedge_series(w, w_new, w_prime, w_prime_new, rho: float, run: float,
 
 
 def _joint_survival(y: np.ndarray, pairs, rho: float, t0: float,
-                    rng: np.random.Generator) -> np.ndarray:
+                    normals: np.ndarray) -> np.ndarray:
     """Per-sample probability that both coupled paths from height y at t0 stay positive to 1.
 
     pairs are the sorted, disjoint rho-runs inside [t0, 1], each of
@@ -631,15 +649,20 @@ def _joint_survival(y: np.ndarray, pairs, rho: float, t0: float,
     step of its whole length weighted by the exact wedge kernel.  The
     stretch after the last run is the reflection closed form, with no
     draw, so the only approximation left is floating point.
+
+    normals holds the steps' standard normals, one row per shared
+    stretch and two per rho-run, in time order; _couple turns them into
+    increments in place.
     """
     w = np.asarray(y, dtype=np.float64).copy()
     w_prime = w.copy()
     weight = np.ones_like(w)
-    now = t0
+    now, row = t0, 0
     for lo, hi in pairs:
-        for run, r in ((lo - now, 1.0), (hi - lo, rho)):
+        for run, r, width in ((lo - now, 1.0, 1), (hi - lo, rho, 2)):
             if run > 0.0:
-                db, db_prime = _coupled_normals(r, math.sqrt(run), rng, w.shape)
+                db, db_prime = _couple(r, math.sqrt(run), *normals[row:row + width])
+                row += width
                 w_new, w_prime_new = w + db, w_prime + db_prime
                 weight *= _wedge_noncrossing(w, w_new, w_prime, w_prime_new, r, run)
                 w, w_prime = w_new, w_prime_new
@@ -663,6 +686,15 @@ def m_lambda_functional(region_pairs, rho: float, t0: float, n_samples: int,
     start at the region's first point, with no run-in; the tests and
     consistency-check verify it.  The walk has no grid; n_steps is kept, and
     checked against the step cap, because the benchmark tracer reads it.
+
+    The n_samples points are randomized quasi-Monte Carlo: a
+    ScrambledHalton set in QMC_REPLICATES independent replicates, all
+    walked in one _joint_survival pass per _SURVIVAL_BATCH points.
+    Coordinate 0 gives the entrance height (_heights_at); then, in time
+    order, each shared stretch takes one coordinate and each rho-run
+    two, mapped to standard normals by ndtri.  The estimate is the mean
+    of the replicate means, and its stderr their spread (R - 1 degrees
+    of freedom, R = extra["replicates"]).
     """
     if not 0.0 < t0 < 1.0:
         raise DomainError(f"start time {t0} outside (0,1)")
@@ -675,10 +707,14 @@ def m_lambda_functional(region_pairs, rho: float, t0: float, n_samples: int,
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"rho={rho} outside [0,1]")
     _check_steps(n_steps)
+    # a coordinate for the height, one per shared stretch before a run, two per run
+    dims = 1 + sum((lo > now) + 2 for now, (lo, _) in zip(ends[::2], pairs))
+    points = ScrambledHalton(n_samples, dims, _SURVIVAL_BATCH, seed, _TAG_MLAMBDA)
+    sums = np.zeros(points.replicates)
+    for labels, u in points.batches():
+        y = _heights_at(t0, u[0])
+        weight = _joint_survival(y, pairs, rho, t0, ndtri(u[1:], out=u[1:]))
+        sums += np.bincount(labels, weight, minlength=points.replicates)
     mass = t0**-0.5  # the excursion entrance measure's total mass at t0
-    moments = RunningMoments()
-    for i, b in enumerate(batch_sizes(n_samples, _SURVIVAL_BATCH)):
-        rng = derive_rng(seed, _TAG_MLAMBDA, i)
-        y = _entrance_heights(t0, rng, b)
-        moments.add(mass * _joint_survival(y, pairs, rho, t0, rng))
-    return EstimateWithError.from_moments(moments, seed)
+    return EstimateWithError.from_replicates(mass * sums / points.sizes, n_samples, seed,
+                                             extra={"replicates": points.replicates})

@@ -7,10 +7,12 @@ the region, gridded on it).
 Right-hand side: an arc-sine-weighted integral over the unperturbed
 gaps.  At a gap time t the perturbation region is pulled back through
 the two scaling maps x -> t + (1-t)x and x -> t(1-x), and each pulled-
-back set feeds an entrance-law survival-correlation estimate.  The
+back set feeds an entrance-law survival-correlation estimate (a
+randomized quasi-Monte Carlo one, m_lambda_functional).  The
 quadrature substitutes t = sin^2(pi theta / 2), under which the
 arc-sine weight becomes the uniform measure in theta, so the endpoint
-singularities vanish exactly and nodes carry equal weights.
+singularities vanish exactly; nodes are graded toward a gap's interior
+ends, where the factors vanish like a small power of the distance.
 """
 
 from __future__ import annotations
@@ -34,22 +36,48 @@ _TAG_CURVE = 104
 _TAG_NODE = 105
 
 
-def _arcsine_nodes(a: float, b: float, n_nodes: int) -> tuple[list[float], float]:
-    """Equal-weight midpoint nodes realizing the arc-sine integral over [a,b].
+# the node grading of a gap, g(u) and g'(u), by which of its ends (lower, upper) are interior
+_GRADINGS = {
+    (True, False): (lambda u: u * u, lambda u: 2.0 * u),
+    (False, True): (lambda u: 1.0 - (1.0 - u) ** 2, lambda u: 2.0 * (1.0 - u)),
+    (True, True): (lambda u: u * u * (3.0 - 2.0 * u), lambda u: 6.0 * u * (1.0 - u)),
+}
 
-    Returns (times, weight) for the law dt / (pi sqrt(t(1-t))): with
-    t = sin^2(pi theta / 2) the nodes are the midpoints of n_nodes equal
-    steps in theta, so every node carries the same weight, and the
-    n_nodes weights total theta(b) - theta(a), the arc-sine measure of
-    [a,b]; over all of [0,1] they sum to 1.  sin^2 can round a node of a
-    narrow gap onto an end, so every time is clamped to the floats
-    strictly inside (a,b), which _check_nodes requires to exist.
+
+def _arcsine_nodes(a: float, b: float, n_nodes: int,
+                   interior: tuple[bool, bool] = (False, False)) -> tuple[list[float], float | np.ndarray]:
+    """Midpoint nodes realizing the arc-sine integral over [a,b], graded toward interior ends.
+
+    Returns (times, weight) for the law dt / (pi sqrt(t(1-t))).  With
+    t = sin^2(pi theta / 2) the law is uniform in theta, and theta =
+    theta(a) + (theta(b) - theta(a)) g(u) at the midpoints u of n_nodes
+    equal steps, each node weighing g'(u) (theta(b) - theta(a)) /
+    n_nodes.  g depends on which ends are interior, that is, ends of
+    region components, where a factor vanishes like delta^beta with
+    beta = pi / (2 arccos(-rho)) - 1/2:
+
+    - neither: g = u, and weight is the one float every node carries;
+      over all of [0,1] the weights sum to 1;
+    - lower: g = u^2; upper: g = 1 - (1 - u)^2; both: g = u^2 (3 - 2u).
+      weight is then an array of per-node weights.  They total
+      theta(b) - theta(a), times 1 + 1/(2 n_nodes^2) when both ends are
+      interior (the midpoint rule's error on the quadratic g').
+
+    On a delta^beta cusp the graded rule's error is O(n_nodes^-2); the
+    equal-weight rule's is O(n_nodes^-(1 + beta)), and it reads high.
+    sin^2 can round a node of a narrow gap onto an end, so every time is
+    clamped to the floats strictly inside (a,b), which _check_nodes
+    requires to exist.
     """
     ta, tb = (2.0 / math.pi * math.asin(math.sqrt(t)) for t in (a, b))
-    w = (tb - ta) / n_nodes
-    thetas = ta + (np.arange(n_nodes) + 0.5) * w
+    u = (np.arange(n_nodes) + 0.5) / n_nodes
+    if any(interior):
+        g, slope = _GRADINGS[interior]
+        thetas, weight = ta + (tb - ta) * g(u), (tb - ta) / n_nodes * slope(u)
+    else:
+        thetas, weight = ta + (tb - ta) * u, (tb - ta) / n_nodes
     lo, hi = math.nextafter(a, b), math.nextafter(b, a)
-    return [min(max(math.sin(math.pi * th / 2.0) ** 2, lo), hi) for th in thetas], w
+    return [min(max(math.sin(math.pi * th / 2.0) ** 2, lo), hi) for th in thetas], weight
 
 
 def _check_nodes(n_nodes: int, region: TimeSet):
@@ -71,18 +99,20 @@ def _rhs_factors(t: float, region: TimeSet, rho: float, n_samples: int,
     Returns (left, right): left sees the region before t through
     x -> t(1-x), right the region after t through x -> t + (1-t)x.  A
     side with no region points is exactly 1.  t must lie strictly
-    inside a gap: a t in the region, endpoints included, is a
-    PreconditionError.  Float rounding can put a node time there, or
-    at 0 or 1, where a side's map degenerates and the side is empty.
+    inside a gap: a t outside (0,1) is a DomainError, where a side's
+    map degenerates, and a t in the region, endpoints included, is a
+    PreconditionError.
     """
+    if not 0.0 < t < 1.0:
+        raise DomainError(f"node time t={t} lies outside (0,1)")
     for lo, hi in region:
         if lo < t < hi:
             raise PreconditionError(f"t={t} lies in the interior of {region}")
         if t in (lo, hi):
             raise PreconditionError(f"t={t} is an endpoint of {region}")
     factors = []
-    for side, (outside, scale) in enumerate(((t <= 0.0, -t), (t >= 1.0, 1.0 - t))):
-        pulled = [] if outside else affine_preimage(region, scale, t)
+    for side, scale in enumerate((-t, 1.0 - t)):
+        pulled = affine_preimage(region, scale, t)
         # the factor does not depend on its entrance time, so heights enter at
         # the region's first point, inside (0,1) for a t inside a gap: no run-in
         factors.append(m_lambda_functional(pulled, rho, pulled[0][0], n_samples,
@@ -95,9 +125,12 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
                  n_samples_per_node: int, seed: int) -> EstimateWithError:
     """Arc-sine integral of the factor products over the gaps of the region.
 
+    Nodes are graded toward each gap's interior ends (_arcsine_nodes).
     Node factors use independent derived streams; the variance combines
     the per-node product variances, so stderr here is propagated rather
-    than a direct sample statistic.  Per-node diagnostics ride along in
+    than a direct sample statistic.  Each factor's variance comes from
+    its extra["replicates"] randomized-QMC replicates, and so does the
+    count reported here.  Per-node diagnostics ride along in
     extra["nodes"], and extra["top_node"] names the node with the
     largest variance term (weight^2 x product variance): its component,
     t and share of the total, or None when the total is 0.
@@ -114,15 +147,17 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     rows = []
     node_vars = []
     for ci, (a, b) in enumerate(region.complement_components()):
-        times, weight = _arcsine_nodes(a, b, n_nodes)
-        for ni, t in enumerate(times):
+        times, weights = _arcsine_nodes(a, b, n_nodes, (a > 0.0, b < 1.0))
+        for ni, (t, weight) in enumerate(zip(times, np.broadcast_to(weights, len(times)))):
             node_seed = derive_seed(seed, _TAG_NODE, ci, ni)
             left, right = _rhs_factors(t, region, rho, n_samples_per_node, node_seed)
             pm, pv = product_estimate(left, right)
+            weight = float(weight)
             total += weight * pm
             node_vars.append(weight**2 * pv)
             var += node_vars[-1]
             count += left.n_samples + right.n_samples
+            replicates = (left.extra or right.extra)["replicates"]
             rows.append({
                 "component": ci, "t": t, "weight": weight,
                 "left": left.mean, "left_stderr": left.stderr,
@@ -131,8 +166,9 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     top = int(np.argmax(node_vars))
     top_node = {"component": rows[top]["component"], "t": rows[top]["t"],
                 "var_share": node_vars[top] / var} if var else None
-    return EstimateWithError(mean=total, stderr=math.sqrt(var), n_samples=count,
-                             seed=seed, extra={"nodes": rows, "top_node": top_node})
+    return EstimateWithError(mean=total, stderr=math.sqrt(var), n_samples=count, seed=seed,
+                             extra={"nodes": rows, "top_node": top_node,
+                                    "replicates": replicates})
 
 
 @dataclass(frozen=True)

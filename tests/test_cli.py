@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -191,6 +193,35 @@ def test_consistency_check(capsys):
     doc = json.loads(out)
     assert doc["results"]["consistent"]
     assert len(doc["results"]["runs"]) == 2
+
+
+def test_survival_errors_name_their_replicates(capsys):
+    # each factor's stderr is the spread of 16 randomized-QMC replicate
+    # means, and the payloads say so next to it
+    code, out, _ = run_cli(
+        ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5",
+         "--t0", "1/32,1/8", "--samples", "2000", "--seed", "5"], capsys)
+    assert code == 0
+    assert [run["replicates"] for run in json.loads(out)["results"]["runs"]] == [16, 16]
+    code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--seed", "7",
+                            "--node-samples", "100", *_THEOREM_SMALL], capsys)
+    results = json.loads(out)["results"]
+    assert results["rhs"]["replicates"] == 16 and "replicates" not in results["lhs"]
+
+
+def test_theorem_check_imports_no_scipy_stats():
+    # the point generator is numpy only: scipy.stats would double the
+    # process's resident memory
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = ("import contextlib, io, sys\n"
+              "from splitnoise import cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    cli.main(['theorem-check', '--A', '1/4..1/2,5/8..3/4', '--rho', '0.5',"
+              " '--n-grid', '64', '--samples', '100', '--nodes', '2', '--node-samples', '100'])\n"
+              "print('scipy.stats' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_all_equal_lhs_samples_get_a_binomial_stderr(capsys):

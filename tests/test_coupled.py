@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -455,7 +456,8 @@ def test_entrance_mass_conservation_closed_form():
 
 def fixed_height_survival(y, pairs, rho, t0, n_samples, seed):
     """Mean and stderr of the two-path survival weight from a fixed height."""
-    vals = _joint_survival(np.full(n_samples, float(y)), pairs, rho, t0, derive_rng(seed, 0))
+    vals = _joint_survival(np.full(n_samples, float(y)), pairs, rho, t0,
+                           derive_rng(seed, 0).standard_normal((3 * len(pairs), n_samples)))
     return vals.mean(), vals.std(ddof=1) / math.sqrt(n_samples)
 
 
@@ -478,7 +480,7 @@ def test_shared_pattern_survival_is_closed_form():
     y = np.array([0.3, 0.8, 1.5, 100.0])
     rng = derive_rng(31, 0)
     state = rng.bit_generator.state
-    vals = _joint_survival(y, [], 0.5, 0.25, rng)
+    vals = _joint_survival(y, [], 0.5, 0.25, np.empty((0, y.size)))
     assert np.array_equal(vals, _exact_survival_probability(y, 0.75))
     assert rng.bit_generator.state == state
 
@@ -525,7 +527,8 @@ def test_collapsed_survival_matches_stepwise(region):
     rng = derive_rng(51, 0)
     ref = _stepwise_survival(_entrance_heights(t0, rng, n_samples), pat, dt, rng)
     rng = derive_rng(52, 0)
-    fast = _joint_survival(_entrance_heights(t0, rng, n_samples), region, 0.5, t0, rng)
+    fast = _joint_survival(_entrance_heights(t0, rng, n_samples), region, 0.5, t0,
+                           rng.standard_normal((3 * len(region), n_samples)))
     se = math.hypot(ref.std(ddof=1), fast.std(ddof=1)) / math.sqrt(n_samples)
     assert abs(ref.mean() - fast.mean()) < 4 * se
     assert fast.var(ddof=1) < ref.var(ddof=1)
@@ -689,6 +692,59 @@ def test_m_lambda_start_time_invariance():
     c = m_lambda_functional(region, 0.5, 0.5, 150_000, seed=47, n_steps=512)
     for d in (a, b):
         assert abs(c.mean - d.mean) < 4 * math.hypot(c.stderr, d.stderr)
+
+
+def test_m_lambda_replicate_stderr_is_calibrated_and_beats_plain_mc():
+    # the one-component factor as the RHS takes it (heights enter at the
+    # region), at 400 points in 16 replicates, over 200 seeds
+    region, rho, t0, n = [(0.5, 0.75)], 0.5, 0.5, 400
+    ests = [m_lambda_functional(region, rho, t0, n, seed=s) for s in range(200)]
+    assert all(est.n_samples == n and est.extra == {"replicates": 16} for est in ests)
+    means = np.array([est.mean for est in ests])
+    empirical = means.var(ddof=1)
+    reported = np.mean([est.stderr**2 for est in ests])
+    assert 0.75 <= reported / empirical <= 1.33
+    # plain Monte Carlo on the same kernel: fresh heights and normals
+    rng = derive_rng(53, 0)
+    y = _entrance_heights(t0, rng, 100_000)
+    plain = t0**-0.5 * _joint_survival(y, region, rho, t0, rng.standard_normal((2, y.size)))
+    assert abs(means.mean() - plain.mean()) < 4 * math.sqrt(empirical / 200 + plain.var() / y.size)
+    assert math.sqrt(empirical) <= 0.5 * plain.std(ddof=1) / math.sqrt(n)
+
+
+def test_m_lambda_at_small_sample_counts():
+    # fewer points than replicates: one point each; 17 leaves one replicate with two
+    for n, replicates in ((2, 2), (17, 16)):
+        est = m_lambda_functional([(0.5, 0.75)], 0.5, 0.5, n, seed=48)
+        assert est.n_samples == n and est.extra == {"replicates": replicates}
+        assert 0.0 < est.mean < 2.0 and est.stderr > 0.0
+
+
+@pytest.mark.slow
+def test_m_lambda_memory_at_a_million_points():
+    # the batches keep every array O(_SURVIVAL_BATCH * coordinates): the
+    # plain Monte Carlo estimator this replaced peaked at 9.6 MiB here
+    m_lambda_functional([(0.5, 0.75)], 0.5, 1 / 32, 100, seed=49)  # caches warm
+    tracemalloc.start()
+    try:
+        est = m_lambda_functional([(0.5, 0.75)], 0.5, 1 / 32, 1_000_000, seed=49)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples == 1_000_000 and est.stderr > 0.0
+    assert peak <= 1.5 * 9.6 * 2**20
+
+
+def test_argmin_coincidence_uses_no_quasi_monte_carlo(monkeypatch):
+    # the direct route draws its own streams: no point set, no ndtri
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the direct route called quasi-Monte Carlo code")
+
+    for name in ("ScrambledHalton", "ndtri"):
+        monkeypatch.setattr(coupled, name, forbidden)
+    est = argmin_coincidence(TimeSet.parse("1/4..1/2,5/8..3/4"), 0.5, 256, 200, seed=5,
+                             refine=True)
+    assert 0.0 <= est.mean <= 1.0
 
 
 def test_m_lambda_preconditions():

@@ -48,6 +48,44 @@ def test_arcsine_nodes_lie_strictly_inside_a_narrow_gap():
         assert all(a < t < b for t in times)
 
 
+def theta(t):
+    return 2.0 / math.pi * math.asin(math.sqrt(t))
+
+
+_INTERIOR = [((0.25, 0.5), (True, True)), ((0.0, 0.25), (False, True)),
+             ((0.5, 1.0), (True, False))]
+
+
+@pytest.mark.parametrize("gap, interior", _INTERIOR, ids=["both", "upper", "lower"])
+@pytest.mark.parametrize("beta", [0.084, 0.170, 0.337])
+def test_graded_nodes_are_second_order_on_a_cusp(gap, interior, beta):
+    # a factor vanishes like delta^beta at an interior end (beta 0.084 at
+    # rho 0.9, 0.170 at 0.7, 0.337 at 0.3); in theta its integral is a Beta
+    # function, and the graded rule's error falls by 4 per doubling
+    ta, tb = theta(gap[0]), theta(gap[1])
+    lower, upper = (beta if end else 0.0 for end in interior)
+    exact = (tb - ta) ** (1.0 + lower + upper) * math.gamma(1 + lower) * math.gamma(1 + upper) \
+        / math.gamma(2 + lower + upper)
+    errors = []
+    for n_nodes in (8, 16, 32, 64):
+        times, weight = _arcsine_nodes(*gap, n_nodes, interior)
+        th = np.array([theta(t) for t in times])
+        errors.append(abs(np.sum(weight * (th - ta) ** lower * (tb - th) ** upper) - exact))
+    assert all(coarse >= 3.5 * fine for coarse, fine in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("gap, interior", _INTERIOR, ids=["both", "upper", "lower"])
+def test_graded_node_weights_total_the_arcsine_measure(gap, interior):
+    # the midpoint rule integrates g' = 2u or 2(1 - u) exactly, and
+    # 6u(1 - u) with error 1/(2 n^2)
+    for n_nodes in (1, 8, 24):
+        times, weight = _arcsine_nodes(*gap, n_nodes, interior)
+        excess = 1.0 + 0.5 / n_nodes**2 if all(interior) else 1.0
+        assert weight.shape == (n_nodes,) and np.all(weight > 0.0)
+        assert weight.sum() == pytest.approx((theta(gap[1]) - theta(gap[0])) * excess, rel=1e-12)
+        assert all(gap[0] < t < gap[1] for t in times) and times == sorted(times)
+
+
 def test_rhs_rejects_a_gap_with_no_float_inside_before_any_draw(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a factor was drawn before the gap was checked")
@@ -91,11 +129,13 @@ def test_rhs_factors_empty_sides():
 
 def test_rhs_factors_at_boundary_times():
     # a side is sampled exactly when the region has points on that side of
-    # t: before the region, between components, after it, and at 0 and 1
+    # t: before the region, between components and after it; at 0 and 1 a
+    # side's map degenerates, and no node lies there
     B = TimeSet.parse("1/8..1/4,1/2..3/4")
-    for t, sampled in [(0.0, (False, True)), (0.05, (False, True)),
-                       (0.3, (True, True)), (0.9, (True, False)),
-                       (1.0, (True, False))]:
+    for t in (0.0, 1.0):
+        with pytest.raises(DomainError, match=f"t={t}"):
+            _rhs_factors(t, B, 0.5, 100, seed=1)
+    for t, sampled in [(0.05, (False, True)), (0.3, (True, True)), (0.9, (True, False))]:
         factors = _rhs_factors(t, B, 0.5, 100, seed=1)
         for est, side_sampled in zip(factors, sampled):
             if side_sampled:
