@@ -15,7 +15,12 @@ of A, where the pair shares its increments, and gridded only on A;
 with refine, it walks the doubled grid and derives the grid from the
 same draws.  The first and the last gap take no draw: their shared
 minima are integrated out in closed form, through bivariate-normal
-probabilities (Owen 1956).  It uses none of the survival kernels below.
+probabilities (Owen 1956).  The pair's displacement over A and its
+middle gaps is stratified: each batch draws its end points in polar
+cells of the plane (_polar_cells, from plain uniforms), and the walk
+goes toward them as a chain of bridge steps, one per middle gap and
+per block of A's steps; the estimate weighs the cell means.  It uses
+none of the survival kernels below.
 
 Path-survival functionals are estimated without a grid, by one rule:
 up to the end of the last rho-run, each piece (a shared stretch at
@@ -255,9 +260,9 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     lies (time 0 and every shared gap have a label both paths share):
 
     - a shared gap between components of A is one exact step: both
-      paths move by one N(0, L) increment d and get the same bridge
-      minimum, (d - sqrt(d^2 + 2 L E)) / 2 above their start with
-      E ~ Exp(1), under the gap's label;
+      paths move by one increment d and get the same bridge minimum,
+      (d - sqrt(d^2 + 2 L E)) / 2 above their start with E ~ Exp(1),
+      under the gap's label;
     - a component of A is ceil(n_grid * length) coupled steps, and each
       path gets the exact bridge minimum of every step from the step's
       two grid values, under a label of its own: for rho < 1 the
@@ -273,6 +278,18 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
       probabilities", Ann. Math. Statist. 27, 1956).  With no first
       gap only the last is integrated out (_last_gap), so the empty
       region gives exactly 1; the full region gives exactly 0.
+
+    The walk is stratified on what the score depends on most: the
+    pair's displacement from the start of A to the end of its last
+    component.  Each batch draws that end point from _polar_cells and
+    walks the middle gaps and A's steps as bridges toward it
+    (_coincidence_walk), so a sample has the free walk's law given its
+    cell.  A batch's estimate weighs its cell means by the cells'
+    probabilities, and its variance comes from each cell's own samples
+    (_stratified: one degree of freedom per cell of 2 samples); the
+    batches weigh b / n.  Batches hold 2048 samples, and a last batch
+    of 1 joins the one before, so every batch holds at least one cell.
+    extra["strata"] is the number of cells.
 
     The one approximation left: inside a rho-step the two paths'
     minima are drawn independently given the step's ends.  The bias
@@ -290,39 +307,46 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
 
     A 4-sigma band of width 0 cannot fail, so a zero stderr is replaced
     on a region neither empty nor full.  There (on one that touches 0
-    and reaches 1, each sample scores 0 or 1) a level whose n samples
-    are all equal gets s = (1 - q^(1/n)) / 4, q = _TAIL_4SIGMA: 4 s is
-    the largest p with (1 - p)^n >= q, the exact binomial bound of a
-    count of 0 (or n) at 4 sigma.  A grid_bias gets 1 / n, the stderr
-    of one sample that differs by 1, the least nonzero stderr 0/1
-    scores can give.
+    and reaches 1, each sample scores 0 or 1) a level of n samples with
+    stderr 0 gets s = (1 - q^(1/n)) / 4, q = _TAIL_4SIGMA: 4 s is the
+    largest p with (1 - p)^n >= q, the exact binomial bound of a count
+    of 0 (or n) at 4 sigma.  A grid_bias gets 1 / n, the stderr of one
+    sample that differs by 1, the least nonzero stderr 0/1 scores can
+    give.
     """
     _check_rho(rho)
     _check_grid(n_grid)
     _check_steps((1 + refine) * n_grid)  # the grid walked
     components = [(lo, hi, (1 + refine) * math.ceil(n_grid * (hi - lo))) for lo, hi in region]
-    levels = [RunningMoments() for _ in range(1 + refine)]
-    bias = RunningMoments()
-    n_ties = np.zeros(len(levels), dtype=np.int64)
-    for i, b in enumerate(batch_sizes(n_samples, _ARGMIN_BATCH)):
+    sizes = batch_sizes(n_samples, _ARGMIN_BATCH)
+    if sizes[-1] == 1:
+        sizes[-2:] = [sizes[-2] + 1]
+    # per row (the levels, then with refine their difference): the sums
+    # of b times the batch estimate and of b^2 times its variance
+    sums = np.zeros((2, 1 + 2 * refine))
+    n_ties = np.zeros(1 + refine, dtype=np.int64)
+    for i, b in enumerate(sizes):
         rng = derive_rng(seed, _TAG_ARGMIN, i)
-        values, tied = _coincidence_walk(components, rho, b, rng, refine)
-        for moments, value in zip(levels, values):
-            moments.add(value)
-        n_ties += np.count_nonzero(tied, axis=1)
+        target, cell, weight = _polar_cells(b, rng)
+        values, tied = _coincidence_walk(components, rho, target, rng, refine)
         if refine:
-            bias.add(values[1] - values[0])
-    fractions = n_ties / levels[0].count  # batch_sizes rejects fewer than 2 samples
+            values = np.vstack([values, values[1] - values[0]])
+        mean, var = _stratified(values, cell, weight)
+        sums += [b * mean, b * b * var]
+        n_ties += np.count_nonzero(tied, axis=1)
+    means, stderrs = sums[0] / n_samples, np.sqrt(sums[1]) / n_samples
+    strata = sum(b // 2 for b in sizes)
     est, *refined = [
-        _nonzero_stderr(EstimateWithError.from_moments(moments, seed, extra={
-            "tie_fraction": float(fraction), "tie_flag": bool(fraction > 1e-3)}),
-            region, (1.0 - _TAIL_4SIGMA ** (1.0 / moments.count)) / 4.0)
-        for moments, fraction in zip(levels, fractions)
+        _nonzero_stderr(EstimateWithError(float(mean), float(stderr), n_samples, seed, extra={
+            "tie_fraction": float(fraction), "tie_flag": bool(fraction > 1e-3),
+            "strata": strata}), region, (1.0 - _TAIL_4SIGMA ** (1.0 / n_samples)) / 4.0)
+        for mean, stderr, fraction in zip(means, stderrs, n_ties / n_samples)
     ]
     if refine:
         est.extra["refined"] = refined[0]
-        est.extra["grid_bias"] = _nonzero_stderr(EstimateWithError.from_moments(bias, seed),
-                                                 region, 1.0 / bias.count)
+        est.extra["grid_bias"] = _nonzero_stderr(
+            EstimateWithError(float(means[2]), float(stderrs[2]), n_samples, seed),
+            region, 1.0 / n_samples)
     return est
 
 
@@ -331,24 +355,80 @@ def _nonzero_stderr(est: EstimateWithError, region, floor: float) -> EstimateWit
     return replace(est, stderr=floor) if est.stderr == 0.0 and region and not region.is_full() else est
 
 
+def _polar_cells(b: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b stratified standard normal pairs (2, b), each point's cell (b,), and the cells' probabilities.
+
+    The plane is cut into c = b // 2 cells: m = isqrt(c) radial bands
+    of equal probability, band k holding the radii with 1 - exp(-r^2/2)
+    in [k / m, (k + 1) / m), and band k cut into s_k equal angular
+    sectors, s_k = floor((k + 1) c / m) - floor(k c / m).  Cell j of
+    band k has probability 1 / (m s_k).  Points 2i and 2i + 1 lie in
+    cell i; the last cell also takes point b - 1 when b is odd.  Each
+    point is N(0, I) given its cell, from two plain uniforms u, v (Box
+    and Muller): r = sqrt(-2 ln(1 - (k + u) / m)) at the angle
+    2 pi (j + v) / s_k.
+    """
+    cells = b // 2
+    bands = math.isqrt(cells)
+    sectors = np.diff(np.arange(bands + 1) * cells // bands)
+    band = np.repeat(np.arange(bands), sectors)
+    sector = np.arange(cells) - np.repeat(np.cumsum(sectors) - sectors, sectors)
+    cell = np.minimum(np.arange(b) // 2, cells - 1)
+    u, v = rng.random((2, b))
+    k, s = band[cell], sectors[band[cell]]
+    radius = np.sqrt(-2.0 * np.log((bands - k - u) / bands))
+    angle = (2.0 * math.pi) * (sector[cell] + v) / s
+    return radius * np.array([np.cos(angle), np.sin(angle)]), cell, 1.0 / (bands * sectors[band])
+
+
+def _stratified(values: np.ndarray, cell: np.ndarray,
+                weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stratified estimate of each row of values (k, b), and its variance.
+
+    cell is each sample's cell and weight each cell's probability.  The
+    weighted cell means are divided by the weights' own sum, summed in
+    the same order, so a row of ones gives exactly 1 (and of zeros 0).
+    The variance is the sum of weight^2 s^2 / count over the cells, s^2
+    the sample variance of a cell's own samples.
+    """
+    count = np.bincount(cell)
+    means = np.array([np.bincount(cell, row) for row in values]) / count
+    dev = values - means[:, cell]
+    var = np.array([np.bincount(cell, row * row) for row in dev]) / (count * (count - 1.0))
+    total = weight.sum()
+    return (np.array([(row * weight).sum() for row in means]) / total,
+            np.array([(row * weight * weight).sum() for row in var]) / (total * total))
+
+
 # minima inside A: one label per path (W' keeps its label on both levels)
 _OWN_LABELS = np.array([[-1], [-2], [-2]])
 
 
-def _coincidence_walk(components, rho: float, b: int, rng: np.random.Generator,
+def _coincidence_walk(components, rho: float, target: np.ndarray, rng: np.random.Generator,
                       refine: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample coincidence probability and tie flag of b pairs walked over [0,1].
 
-    components are (lo, hi, steps) in time order.  Both results are
-    (levels, b): with refine the grid of step pairs, then the grid
-    walked.  Axis 0 of every state array is the path: W, W', and with
-    refine W' on the grid of step pairs.  A's steps are walked in blocks
-    of about _ARGMIN_BLOCK elements per array (an even step count with
-    refine: no pair straddles two blocks), whose temporaries are
-    allocated once per shape (scratch) and reused.  Each block offers
-    every path's lowest bridge minimum as a candidate, which also
-    carries the tie test across blocks.
+    components are (lo, hi, steps) in time order, and target (2, b)
+    holds standard normals: the end point, scaled to unit variance, of
+    each pair's (S, D) = ((W + W') / sqrt(2), (W - W') / sqrt(2)) from
+    the start of A to the end of its last component.  S and D are
+    independent Brownian motions, at variance rates 1 + rho and 1 - rho
+    on A and 2 and 0 on a shared gap.  The middle gaps and A's blocks of
+    steps are walked as pieces, each a bridge step toward the target: a
+    piece of variance v, with V left (its own included), moves each
+    coordinate by (v / V) of what is left to go plus N(0, v (V - v) / V)
+    noise, and the last piece moves exactly what is left.
+
+    Both results are (levels, b): with refine the grid of step pairs,
+    then the grid walked.  Axis 0 of every state array is the path: W,
+    W', and with refine W' on the grid of step pairs.  A's steps are
+    walked in blocks of about _ARGMIN_BLOCK elements per array (an even
+    step count with refine: no pair straddles two blocks), whose
+    temporaries are allocated once per shape (scratch) and reused.  Each
+    block offers every path's lowest bridge minimum as a candidate,
+    which also carries the tie test across blocks.
     """
+    b = target.shape[1]
     rows = 2 + refine
     scratch = functools.cache(lambda name, shape: np.empty(shape))
     head = components[0][0] if components else 0.0  # the first gap's length
@@ -365,33 +445,58 @@ def _coincidence_walk(components, rho: float, b: int, rng: np.random.Generator,
         label[...] = np.where(lower, own_label, label)
         np.minimum(best, candidate, out=best)
 
+    block = max(1, _ARGMIN_BLOCK // b)
+    if refine:
+        block += block % 2
+    pieces = []  # (steps, dt, label): a middle gap is one step under its label, 0 on A
     now = head
     for k, (lo, hi, steps) in enumerate(components):
         if lo > now:
-            run = lo - now
-            d = rng.standard_normal(b) * math.sqrt(run)
-            root = rng.standard_exponential(b)
-            root *= 2.0 * run
-            offer(w + _bridge_low(d, root), k + 1)
-            w += d
-        dt = (hi - lo) / steps
-        block = max(1, _ARGMIN_BLOCK // b)
-        if refine:
-            block += block % 2
-        for first in range(0, steps, block):
-            shape = (min(block, steps - first), b)
-            lows, own_tie, moves = _one_level_block(rho, dt, shape, rng, scratch, refine)
-            lows += w
-            offer(lows, _OWN_LABELS[:rows], own_tie)
-            w += moves
+            pieces.append((1, lo - now, k + 1))
+        pieces += [(min(block, steps - first), (hi - lo) / steps, 0)
+                   for first in range(0, steps, block)]
         now = hi
-    levels = range(rows - 1, 0, -1)  # with refine, the grid of step pairs first
+    # each piece's variance in S and D, and the variance left from it on
+    var = np.reshape([(2.0 * dt, 0.0) if gap else (m * dt * (1.0 + rho), m * dt * (1.0 - rho))
+                      for m, dt, gap in pieces], (-1, 2))
+    var_left = np.cumsum(var[::-1], axis=0)[::-1]
+    left = target * np.sqrt(var.sum(axis=0))[:, None]  # (S, D) still to go
+    for (m, dt, gap), v, v_left in zip(pieces, var, var_left):
+        moving = 1 if gap else 2  # a shared gap moves S alone
+        step = left[:moving] * (v / v_left)[:moving, None]
+        step += rng.standard_normal((moving, b)) * np.sqrt(v * (v_left - v) / v_left)[:moving, None]
+        left[:moving] -= step
+        if gap:
+            d = step[0] * math.sqrt(0.5)
+            root = rng.standard_exponential(b)
+            root *= 2.0 * dt
+            offer(w + _bridge_low(d, root), gap)
+            w += d
+            continue
+        move = np.array([step[0] + step[1], step[0] - step[1]]) * math.sqrt(0.5)
+        lows, own_tie, moves = _one_level_block(rho, dt, (m, b), move, rng, scratch, refine)
+        lows += w
+        offer(lows, _OWN_LABELS[:rows], own_tie)
+        w += moves
+    levels = list(range(rows - 1, 0, -1))  # with refine, the grid of step pairs first
+    return _end_scores(w, best, label[0] == label[levels], head, 1.0 - now), tied[0] | tied[levels]
+
+
+def _end_scores(w: np.ndarray, best: np.ndarray, same: np.ndarray, head: float,
+                tail: float) -> np.ndarray:
+    """Per-level coincidence probability (levels, b) of pairs walked to the last gap.
+
+    w and best (rows, b) are each path's end height and lowest
+    candidate, from W(head); row 0 is W and the rows after it the W' of
+    each level, last first.  same (levels, b) says whether W's
+    candidate and a level's W' candidate share a label.  The outer gaps
+    of lengths head and tail are integrated out.
+    """
+    levels = range(w.shape[0] - 1, 0, -1)
     if head > 0.0:
-        values = [_outer_gaps(w[[0, r]], best[[0, r]], label[0] == label[r], head, 1.0 - now)
-                  for r in levels]
-    else:
-        values = [_last_gap((w - best)[[0, r]], label[0] == label[r], 1.0 - now) for r in levels]
-    return np.array(values), tied[0] | tied[list(levels)]
+        return np.array([_outer_gaps(w[[0, r]], best[[0, r]], s, head, tail)
+                         for r, s in zip(levels, same)])
+    return np.array([_last_gap((w - best)[[0, r]], s, tail) for r, s in zip(levels, same)])
 
 
 def _lowest(lows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,23 +505,31 @@ def _lowest(lows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return low, np.add.reduce(lows == low, axis=0, dtype=np.intp) > 1
 
 
-def _one_level_block(rho: float, dt: float, shape, rng: np.random.Generator, scratch,
-                     refine: bool = False):
+def _one_level_block(rho: float, dt: float, shape, move: np.ndarray,
+                     rng: np.random.Generator, scratch, refine: bool = False):
     """Lowest bridge minima, their tie flags and the moves of W, W' over shape = (m, b) steps.
 
-    Minima are relative to each path's position before the block;
-    scratch(name, shape) hands out the block's reusable arrays.  With
-    refine (m even) a third row is W' on the grid of step pairs, from the
-    same draws: steps (g0, g1) of W and (h0, h1) of W' make one step where
-    W' rises by h0 + h1 with midpoint noise
+    The block moves W and W' by move (2, b): each path's free coupled
+    steps are shifted by one constant so that they sum to its move, the
+    exact coupled bridge (the steps less their mean are independent of
+    their sum).  Minima are relative to each path's position before the
+    block; scratch(name, shape) hands out the block's reusable arrays.
+    With refine (m even) a third row is W' on the grid of step pairs,
+    from the same draws: steps (g0, g1) of W and (h0, h1) of W' make one
+    step where W' rises by h0 + h1 with midpoint noise
     eta = ((h0 - h1) - rho (g0 - g1)) / (2 sqrt(1 - rho^2)).
     As (h0 - h1) / 2 = rho (g0 - g1) / 2 + sqrt(1 - rho^2) eta, eta is
     N(0, dt / 2), the midpoint's spread given the ends, independent of
-    W's noise and of both rises: the law at half the grid.  Its
-    candidate is the lower of the two half-step bridge minima, on W''s
-    exponentials; W's minima and both moves are the same on both grids.
+    W's noise and of both rises: the law at half the grid.  The shifts
+    cancel in eta.  Its candidate is the lower of the two half-step
+    bridge minima, on W''s exponentials; W's minima and both moves are
+    the same on both grids.
     """
-    pair = _coupled_normals(rho, math.sqrt(dt), rng, shape, out=scratch("steps", (2, *shape)))
+    pair = scratch("steps", (2, *shape))
+    _coupled_normals(rho, math.sqrt(dt), rng, shape, out=pair)
+    shift = move - pair.sum(axis=1)
+    shift /= shape[0]
+    pair += shift[:, None]
     expo = rng.standard_exponential(out=scratch("expo", (2, *shape)))
     expo *= 2.0 * dt
     start, low = scratch("start", shape), scratch("low", shape)

@@ -209,6 +209,21 @@ def test_survival_errors_name_their_replicates(capsys):
     assert results["rhs"]["replicates"] == 16 and "replicates" not in results["lhs"]
 
 
+def test_direct_route_reports_its_strata(capsys):
+    # the LHS is stratified in cells of 2 samples (3 in a batch's last
+    # cell when its size is odd), and the payloads say how many, as the
+    # RHS names its replicates
+    code, out, _ = run_cli(["mc-phi", "--A", "1/4..1/2", "--rho", "0.5", "--n-grid", "64",
+                            "--samples", "2049", "--seed", "3"], capsys)
+    assert code == 0 and json.loads(out)["results"]["strata"] == 1024
+    code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--seed", "7",
+                            "--node-samples", "100", *_THEOREM_SMALL, "--check-stability"],
+                           capsys)
+    results = json.loads(out)["results"]
+    assert results["lhs"]["strata"] == results["lhs_refined"]["strata"] == 50
+    assert "strata" not in results["rhs"]
+
+
 def test_theorem_check_imports_no_scipy_stats():
     # the point generator is numpy only: scipy.stats would double the
     # process's resident memory
