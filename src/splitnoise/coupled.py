@@ -46,7 +46,7 @@ import numpy as np
 from scipy.special import erf, erfc, ive, ndtr, ndtri, owens_t
 
 from .errors import DomainError, PreconditionError, ResourceLimitError
-from .sampling import EstimateWithError, RunningMoments, ScrambledHalton, batch_sizes, derive_rng
+from .sampling import EstimateWithError, ScrambledHalton, batch_sizes, derive_rng
 
 STEP_CAP = 10**7  # steps per path: walk length, n_grid, --node-steps
 _TAIL_4SIGMA = 6.33e-5  # P(|Z| > 4) for a standard normal Z
@@ -139,18 +139,22 @@ def discrete_phi(region, rho: float, n: int, n_samples: int,
     region.  Flip bits are exact Bernoulli((1 - rho)/2) (_bernoulli_word),
     so E[eps eps'] = rho on every perturbed step, and Z' = Z bitwise
     elsewhere.  The minima advance 16 steps at a time through the
-    displacement and lowest-prefix tables of _prefix_tables.
+    displacement and lowest-prefix tables of _prefix_tables.  Of the N =
+    n_samples signs only the count of odd m + m' is kept: the mean is
+    (N - 2 odd) / N, and the stderr sqrt((1 - mean^2) / (N - 1)) is the
+    sample stderr of N values +-1.
     """
     _check_rho(rho)
     _check_steps(n)
     masks = _word_masks(region, n)
     flip = ((1.0 - rho) / 2.0).as_integer_ratio()
-    moments = RunningMoments()
+    odd = 0
     for i, b in enumerate(batch_sizes(n_samples, _WALK_BATCH)):
-        rng = derive_rng(seed, _TAG_DISCRETE_PHI, i)
-        low = _pair_minima(masks, n, flip, b, rng)
-        moments.add(1 - 2 * ((low[0] + low[1]) & 1))
-    return EstimateWithError.from_moments(moments, seed)
+        low = _pair_minima(masks, n, flip, b, derive_rng(seed, _TAG_DISCRETE_PHI, i))
+        odd += int(np.count_nonzero((low[0] + low[1]) & 1))
+    mean = (n_samples - 2 * odd) / n_samples
+    return EstimateWithError(mean, math.sqrt((1.0 - mean * mean) / (n_samples - 1)),
+                             n_samples, seed)
 
 
 def _word_masks(region, n: int) -> np.ndarray:
@@ -649,12 +653,6 @@ def _exact_survival_probability(y: float | np.ndarray, horizon: float) -> float 
     Reflection principle: equals P(|N(0, horizon)| < y) = erf(y / sqrt(2 horizon)).
     """
     return erf(np.asarray(y) / math.sqrt(2.0 * horizon))
-
-
-def _entrance_heights(t: float, rng: np.random.Generator,
-                      size: int | None = None) -> np.ndarray | float:
-    """Heights from the normalized entrance density at fresh uniforms of rng (_heights_at)."""
-    return _heights_at(t, rng.random(size))
 
 
 def _heights_at(t: float, u: np.ndarray | float) -> np.ndarray | float:

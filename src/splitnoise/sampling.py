@@ -8,12 +8,12 @@ functions of the call parameters, so a run is a deterministic function
 of (parameters, seed) regardless of how batches would be scheduled.
 A randomized quasi-Monte Carlo point set (ScrambledHalton) follows the
 same rule: batch i's uniform fills come from ``[seed, *tag, i]``, and
-batch 0's generator first draws the set's digit permutations.
+batch 0's generator first draws the set's digit permutations.  Each
+sampled estimate is its estimator's closed form, with no running sums.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -25,9 +25,6 @@ from .errors import DomainError, ResourceLimitError
 SAMPLE_CAP = 10**9  # samples per estimator call
 QMC_REPLICATES = 16  # independent randomizations behind a quasi-Monte Carlo estimate
 
-# table reads per generation block (replicates x digit levels x points):
-# bounds the generator's temporaries at any point count
-_GATHER_BLOCK = 1 << 16
 _BELOW_ONE = 1.0 - 2.0**-53  # the largest double below 1
 
 
@@ -62,7 +59,6 @@ def batch_sizes(n_samples: int, batch: int) -> list[int]:
     return [batch] * full + ([rem] if rem else [])
 
 
-@functools.cache
 def _primes(count: int) -> tuple[int, ...]:
     """The first count primes."""
     primes: list[int] = []
@@ -72,48 +68,6 @@ def _primes(count: int) -> tuple[int, ...]:
             primes.append(candidate)
         candidate += 1
     return tuple(primes)
-
-
-@functools.lru_cache(maxsize=64)
-def _halton_layout(dims: int, size: int, replicates: int):
-    """The digit levels of the first dims primes for indices below size, and their tables.
-
-    Coordinate j (prime b) has m_j >= 1 digit levels, with b^m_j >=
-    size; a larger prime needs no more levels, so level k is used by
-    coordinates 0..used[k]-1.  Each level has a table row of b entries
-    per replicate, one replicate after another, rows by coordinate,
-    then level.  Returns used and:
-
-    - rows (3, levels, 1): each level's row start, b^k and b, ordered
-      level-major (the rows from used[0] + ... + used[k-1] on are level
-      k's);
-    - keys: per table entry, its row in the top bits and its digit in
-      the low bits, with the bits of mask between them free for a
-      random sort key (digits = the low-bit mask);
-    - weight: per table entry, b^-(k+1) of its level;
-    - fills (dims, 1, 1): each coordinate's b^-m_j.
-    """
-    bases = _primes(dims)
-    levels = [next(m for m in itertools.count(1) if b**m >= size) for b in bases]
-    row_bases = [b for b, m in zip(bases, levels) for _ in range(m)]
-    starts = itertools.accumulate(row_bases, initial=0)
-    rows = [[(next(starts), b**k, b) for k in range(m)] for b, m in zip(bases, levels)]
-    used = tuple(sum(m > k for m in levels) for k in range(levels[0]))
-    level_major = np.array([rows[j][k] for k in range(levels[0]) for j in range(used[k])])
-    n_rows = replicates * len(row_bases)
-    row_bits, digit_bits = n_rows.bit_length(), max(bases).bit_length()
-    row = np.repeat(np.arange(n_rows, dtype=np.uint64), np.tile(row_bases, replicates))
-    digit = np.concatenate([np.arange(b, dtype=np.uint64) for b in row_bases] * replicates)
-    keys = (row << np.uint64(64 - row_bits)) | digit
-    weight = np.concatenate([np.full(b, float(b) ** -(k + 1))
-                             for b, m in zip(bases, levels) for k in range(m)] * replicates)
-    fills = np.array([float(b) ** -m for b, m in zip(bases, levels)])[:, None, None]
-    tables = (level_major.T[:, :, None], keys, weight, fills)
-    for array in tables:
-        array.flags.writeable = False  # shared by every call
-    digits = np.uint64((1 << digit_bits) - 1)
-    mask = np.uint64((1 << (64 - row_bits)) - 1) & ~digits
-    return used, tables, mask, digits
 
 
 class ScrambledHalton:
@@ -138,11 +92,12 @@ class ScrambledHalton:
     keeps it above 0, and a sum that rounds to 1 is set to the largest
     double below 1.
 
-    A permutation is the order of its row's entries sorted by random
-    keys: one sort of every row at once, each entry's row in the top
-    bits of its key and its digit in the low bits.  Two entries of a
-    row tie, and keep their digits' order, only when their random bits
-    (more than 40 below 10^4 coordinates) are all equal.
+    A permutation is the stable sort order of b random keys: random_raw
+    words drawn by replicate, coordinate, level and digit, with the top
+    bits that would count every row and the low bits that would hold a
+    digit cleared, which keeps the point stream of the earlier packed
+    keys.  Two digits tie, and keep their order, only when their other
+    bits (more than 40 below 10^4 coordinates) are all equal.
     """
 
     def __init__(self, n_points: int, dims: int, batch: int, seed: int, *tag: int):
@@ -162,30 +117,30 @@ class ScrambledHalton:
         the permutations.
         """
         reps, size, smallest = self.replicates, int(self.sizes[0]), int(self.sizes[-1])
-        used, (rows, keys, weight, fills), mask, digits = _halton_layout(self._dims, size, reps)
+        bases = _primes(self._dims)
+        levels = [next(m for m in itertools.count(1) if b**m >= size) for b in bases]
         rng = derive_rng(self._seed, *self._tag, 0)
-        order = rng.bit_generator.random_raw(keys.size)
-        order &= mask
-        order |= keys
-        order.sort()
-        order &= digits
-        table = np.ascontiguousarray((order * weight).reshape(reps, -1).T)  # (entries, R)
-        start, power, base = rows
-        block = max(1, _GATHER_BLOCK // (reps * len(start)))
+        keys = rng.bit_generator.random_raw((reps, sum(m * b for b, m in zip(bases, levels))))
+        top, low = (reps * sum(levels)).bit_length(), max(bases).bit_length()
+        keys &= np.uint64(((1 << (64 - top)) - 1) & ~((1 << low) - 1))
+        tables = []  # per coordinate (m, b, R): level k's digits times b^-(k+1)
+        for b, m in zip(bases, levels):
+            block, keys = keys[:, :m * b], keys[:, m * b:]
+            digits = block.reshape(reps, m, b).argsort(axis=-1, kind="stable")
+            # Python's float power: numpy's can be 1 ulp off
+            scale = np.array([float(b) ** -(k + 1) for k in range(m)])[:, None]
+            tables.append(np.ascontiguousarray((digits * scale).transpose(1, 2, 0)))
         for index, first in enumerate(range(0, size, self._chunk)):
             count = min(self._chunk, size - first)
             if index:
                 rng = derive_rng(self._seed, *self._tag, index)
             points = rng.random((self._dims, count, reps))
             np.subtract(1.0, points, out=points)
-            points *= fills
-            for lo in range(0, count, block):
-                i = np.arange(first + lo, first + min(count, lo + block))
-                scrambled = table[start + i // power % base]  # (levels, indices, R)
-                row = 0
-                for n in used:
-                    points[:n, lo:lo + i.size] += scrambled[row:row + n]
-                    row += n
+            i = np.arange(first, first + count)
+            for coordinate, b, table in zip(points, bases, tables):
+                coordinate *= float(b) ** -len(table)
+                for k, level in enumerate(table):
+                    coordinate += level.take(i // b**k % b, axis=0)
             np.minimum(points, _BELOW_ONE, out=points)
             labels = np.arange(count * reps) % reps
             points = points.reshape(self._dims, -1)
@@ -193,28 +148,6 @@ class ScrambledHalton:
                 keep = (first + np.arange(count)[:, None] < self.sizes).ravel()
                 labels, points = labels[keep], points[:, keep]
             yield labels, points
-
-
-@dataclass
-class RunningMoments:
-    """Streaming mean/variance with order-fixed pairwise combination."""
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def add(self, values: np.ndarray):
-        values = np.asarray(values, dtype=np.float64).ravel()
-        b = values.size
-        if b == 0:
-            return
-        bmean = float(values.mean())
-        bm2 = float(((values - bmean) ** 2).sum())
-        total = self.count + b
-        delta = bmean - self.mean
-        self.mean += delta * b / total
-        self.m2 += bm2 + delta * delta * self.count * b / total
-        self.count = total
 
 
 @dataclass(frozen=True)
@@ -238,16 +171,6 @@ class EstimateWithError:
     @classmethod
     def exact(cls, value: float) -> "EstimateWithError":
         return cls(mean=float(value), stderr=0.0, n_samples=0, seed=None)
-
-    @classmethod
-    def from_moments(cls, moments: RunningMoments, seed: int | None,
-                     extra: dict | None = None) -> "EstimateWithError":
-        """The sampled estimate; fewer than two samples would give no stderr."""
-        if moments.count < 2:
-            raise DomainError(f"need at least two samples, got {moments.count}")
-        stderr = math.sqrt(moments.m2 / (moments.count - 1)) / math.sqrt(moments.count)
-        return cls(mean=moments.mean, stderr=stderr, n_samples=moments.count,
-                   seed=seed, extra=extra)
 
     @classmethod
     def from_replicates(cls, means: np.ndarray, n_samples: int, seed: int | None,

@@ -35,6 +35,10 @@ _TAG_RHS = 102
 _TAG_CURVE = 104
 _TAG_NODE = 105
 
+# the grid bias allowed, per combined stderr: a bias of a quarter sigma
+# moves a 4-sigma test's false-alarm rate from 6.3e-5 to about 1e-4
+_GRID_ALLOWANCE = 0.25
+
 
 # the node grading of a gap, g(u) and g'(u), by which of its ends (lower, upper) are interior
 _GRADINGS = {
@@ -208,6 +212,7 @@ class TheoremReport:
             out["lhs_refined"] = self.lhs_refined.as_dict()
             # refined minus lhs, per sample of the one coupled run
             out["grid_bias"] = {"estimate": self.grid_bias.mean, "stderr": self.grid_bias.stderr}
+            out["grid_bias_allowance"] = _GRID_ALLOWANCE * self.combined_stderr
             out["grid_stability_ok"] = self.stability_ok
         return out
 
@@ -220,11 +225,14 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
 
     With check_stability, the one direct run also walks the doubled grid
     from the same draws (argmin_coincidence with refine), and the paired
-    per-sample difference, grid_bias, must lie within four of its own
-    standard errors.  A disagreement fails the check, as does the tie
-    flag of either grid.  Every size, the doubled grid's included, is
-    checked before the first draw.  argmin_coincidence replaces a zero
-    stderr where it is not exact, so no band here has width 0.
+    per-sample difference is grid_bias.  No finite grid is unbiased, so
+    the check asks whether the bias is both resolved and material: it
+    fails when |grid_bias| less four of its own standard errors exceeds
+    the allowance, _GRID_ALLOWANCE times the combined stderr.  A failed
+    check fails the verdict, as does the tie flag of either grid.  Every
+    size, the doubled grid's included, is checked before the first draw.
+    argmin_coincidence replaces a zero stderr where it is not exact, so
+    no band here has width 0.
     """
     _check_nodes(n_nodes, region)
     _check_samples(node_samples)
@@ -235,7 +243,8 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     grid_bias = lhs.extra.pop("grid_bias", None)
     discrepancy = lhs.mean - rhs.mean
     combined = math.sqrt(lhs.stderr**2 + rhs.stderr**2)
-    stability_ok = None if grid_bias is None else abs(grid_bias.mean) <= 4.0 * grid_bias.stderr
+    stability_ok = None if grid_bias is None else (
+        abs(grid_bias.mean) - 4.0 * grid_bias.stderr <= _GRID_ALLOWANCE * combined)
     tied = any(est.extra["tie_flag"] for est in (lhs, lhs_refined) if est is not None)
     return TheoremReport(
         region=str(region), rho=rho, lhs=lhs, rhs=rhs,

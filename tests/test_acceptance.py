@@ -9,8 +9,8 @@ import pytest
 
 from splitnoise.cli import main as cli_main
 from splitnoise.coupled import (
-    _entrance_heights,
     _exact_survival_probability,
+    _heights_at,
     discrete_phi,
     m_lambda_functional,
 )
@@ -115,7 +115,7 @@ def test_criterion_5_entrance_law_mass():
     details = []
     ok = True
     for t, seed in ((1 / 16, 505), (1 / 4, 506)):
-        y = _entrance_heights(t, derive_rng(seed, 0), 1_000_000)
+        y = _heights_at(t, derive_rng(seed, 0).random(1_000_000))
         vals = t**-0.5 * _exact_survival_probability(y, 1.0 - t)
         mean = float(vals.mean())
         ok &= abs(mean - 1.0) <= 0.01

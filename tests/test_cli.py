@@ -492,6 +492,22 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
     assert code == (0 if tied_run is None and stable else 1)
 
 
+def test_an_immaterial_grid_bias_passes_the_stability_check(capsys):
+    # at n_grid 1024 and 40k samples the doubled grid resolves a bias of
+    # about 9e-5 (4 of its stderrs), which no finite grid avoids; it is a
+    # small share of the verdict's band, and the two routes agree
+    code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.9",
+                            "--n-grid", "1024", "--samples", "40000", "--nodes", "8",
+                            "--node-samples", "400", "--seed", "3", "--check-stability"], capsys)
+    results = json.loads(out)["results"]
+    bias, allowance = results["grid_bias"], results["grid_bias_allowance"]
+    assert bias["estimate"] > 4 * bias["stderr"] > 0.0
+    assert allowance == results["combined_stderr"] / 4
+    assert abs(bias["estimate"]) - 4 * bias["stderr"] <= allowance
+    assert results["grid_stability_ok"] is True and results["pass"] is True
+    assert code == 0
+
+
 @pytest.mark.parametrize("argv", [
     ["mc-phi", "--rho", "0.5", "--n-grid", str(STEP_CAP + 1), "--samples", "100"],
     ["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--node-steps", str(STEP_CAP + 1),

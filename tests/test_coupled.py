@@ -18,11 +18,12 @@ from splitnoise.coupled import (
     _binormal_cdf,
     _coupled_normals,
     _coupled_words,
-    _entrance_heights,
     _exact_survival_probability,
+    _heights_at,
     _joint_survival,
     _last_gap,
     _outer_gaps,
+    _pair_minima,
     _polar_cells,
     _prefix_tables,
     _wedge_noncrossing,
@@ -32,7 +33,7 @@ from splitnoise.coupled import (
     m_lambda_functional,
 )
 from splitnoise.errors import DomainError, PreconditionError, ResourceLimitError
-from splitnoise.sampling import derive_rng
+from splitnoise.sampling import batch_sizes, derive_rng
 from splitnoise.timesets import TimeSet
 from splitnoise.walsh import noise_functional, walsh_transform
 from walk_tables import walk_survival_table
@@ -135,6 +136,27 @@ def test_discrete_phi_unperturbed_is_exactly_one():
     est = discrete_phi(EMPTY, 0.5, 64, 1000, seed=1)
     assert est.mean == 1.0
     assert est.stderr == 0.0
+
+
+def test_discrete_phi_is_the_sign_count():
+    # three batches: the estimate is a count of odd minimum sums over
+    # every batch's stream, with the closed-form stderr of n values +-1
+    n_samples, n, rho, seed = 2 * coupled._WALK_BATCH + 1001, 24, 0.5, 31
+    est = discrete_phi(QUARTER_HALF, rho, n, n_samples, seed=seed)
+    masks, flip = _word_masks(QUARTER_HALF, n), flip_ratio(rho)
+    signs = []
+    for i, b in enumerate(batch_sizes(n_samples, coupled._WALK_BATCH)):
+        low = _pair_minima(masks, n, flip, b, derive_rng(seed, coupled._TAG_DISCRETE_PHI, i))
+        signs.append(1 - 2 * ((low[0] + low[1]) & 1))
+    assert len(signs) == 3
+    signs = np.concatenate(signs)
+    odd = int(np.count_nonzero(signs < 0))
+    mean = (n_samples - 2 * odd) / n_samples
+    assert est.n_samples == n_samples and est.mean == mean
+    assert est.stderr == math.sqrt((1.0 - mean * mean) / (n_samples - 1))
+    assert est.stderr == pytest.approx(signs.std(ddof=1) / math.sqrt(n_samples), rel=1e-12)
+    est = discrete_phi(EMPTY, rho, n, n_samples, seed=seed)
+    assert (est.mean, est.stderr) == (1.0, 0.0)
 
 
 def test_discrete_phi_matches_walsh_oracle():
@@ -561,7 +583,7 @@ def test_argmin_coincidence_uses_no_survival_kernel(monkeypatch):
                        if line.startswith("# -- killed-path survival"))
     survival = [name for name, fn in inspect.getmembers(coupled, inspect.isfunction)
                 if fn.__module__ == coupled.__name__ and fn.__code__.co_firstlineno > section]
-    assert {"_exact_survival_probability", "_entrance_heights", "_bridge_noncrossing",
+    assert {"_exact_survival_probability", "_heights_at", "_bridge_noncrossing",
             "_wedge_noncrossing", "_wedge_series", "_joint_survival",
             "m_lambda_functional"} <= set(survival)
     assert "argmin_coincidence" not in survival and "_bridge_low" not in survival
@@ -592,8 +614,8 @@ def test_estimators_are_deterministic():
 
 def test_entrance_sampler():
     rng = derive_rng(12, 0)
-    assert _entrance_heights(0.25, rng) > 0
-    y = _entrance_heights(1 / 16, rng, 100_000)
+    assert _heights_at(0.25, rng.random()) > 0
+    y = _heights_at(1 / 16, rng.random(100_000))
     assert np.all(y > 0)
     # Rayleigh moments: E[y] = sqrt(pi t / 2), E[y^2] = 2t
     t = 1 / 16
@@ -605,7 +627,7 @@ def test_entrance_mass_conservation_closed_form():
     # weight times exact survival probability integrates to one
     for t, seed in ((1 / 16, 13), (1 / 4, 14)):
         rng = derive_rng(seed, 0)
-        y = _entrance_heights(t, rng, 400_000)
+        y = _heights_at(t, rng.random(400_000))
         vals = t**-0.5 * _exact_survival_probability(y, 1.0 - t)
         se = vals.std() / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) < 4 * se + 1e-3
@@ -682,9 +704,9 @@ def test_collapsed_survival_matches_stepwise(region):
     pat = window_pattern(region, 0.5, n_steps, t0)
     dt = (1.0 - t0) / n_steps
     rng = derive_rng(51, 0)
-    ref = _stepwise_survival(_entrance_heights(t0, rng, n_samples), pat, dt, rng)
+    ref = _stepwise_survival(_heights_at(t0, rng.random(n_samples)), pat, dt, rng)
     rng = derive_rng(52, 0)
-    fast = _joint_survival(_entrance_heights(t0, rng, n_samples), region, 0.5, t0,
+    fast = _joint_survival(_heights_at(t0, rng.random(n_samples)), region, 0.5, t0,
                            rng.standard_normal((3 * len(region), n_samples)))
     se = math.hypot(ref.std(ddof=1), fast.std(ddof=1)) / math.sqrt(n_samples)
     assert abs(ref.mean() - fast.mean()) < 4 * se
@@ -863,7 +885,7 @@ def test_m_lambda_replicate_stderr_is_calibrated_and_beats_plain_mc():
     assert 0.75 <= reported / empirical <= 1.33
     # plain Monte Carlo on the same kernel: fresh heights and normals
     rng = derive_rng(53, 0)
-    y = _entrance_heights(t0, rng, 100_000)
+    y = _heights_at(t0, rng.random(100_000))
     plain = t0**-0.5 * _joint_survival(y, region, rho, t0, rng.standard_normal((2, y.size)))
     assert abs(means.mean() - plain.mean()) < 4 * math.sqrt(empirical / 200 + plain.var() / y.size)
     assert math.sqrt(empirical) <= 0.5 * plain.std(ddof=1) / math.sqrt(n)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,33 @@ def test_a_replicate_of_b_to_the_k_points_stratifies_its_coordinate(coordinate, 
         for r in range(QMC_REPLICATES):
             cells = np.floor(points[coordinate, labels == r] * b**k).astype(int)
             assert np.array_equal(np.sort(cells), np.arange(b**k))
+
+
+# sha256 over every batch's labels bytes, then its points bytes, at seed 1
+_POINT_DIGESTS = {
+    (2, 1, 1 << 16): "ed8f14a53cb0460d668c907655e3308e0769e9b1b5aa634f8c86a7ee1594672e",
+    (17, 4, 1 << 16): "dac118fab6becdb4fc757f1b8ba463d9bc5cd22141129173c21706e8d819fb6f",
+    (400, 3, 1 << 16): "02d9a69efd6fe4b3ef562682878e4d97cb9db1180c24fe0c4d65d785514dacbe",
+    (800, 6, 1 << 16): "561d4da15889786345d775b9752a8f625bd63b31c71818f7495ec1ba5e235f89",
+    (5000, 13, 1 << 16): "364af95cd1dde19ecdfd023fe84f9a5fc0a4ac9f6ef788d55045eb20b5f652f9",
+    (20_000, 3, 1 << 16): "e05039f1e85cebcf800681d543c0d91f5985b900dc14fdf1227bddf6b8bf3e88",
+    (20_000, 6, 1 << 16): "941ea5134d3accaf09cf77d7d2fd5cd3d3bd68abbab16325502a3eed61eefbaa",
+    (100_000, 6, 1 << 16): "10f2e88854ac44d8b88f27423dc0eea37831e979755f29f2fd61a8399116db28",
+    (1_000_000, 6, 1 << 16): "4f5a60a096906d7e5d4fbdcf9c88561c20e2f416b0b5f16a7d4b97384ac9831a",
+    (1000, 5, 64): "058c260dc99d45014f6bed65089230f5c922567521aab05a2a1df3629615968b",
+}
+
+
+@pytest.mark.parametrize("n_points, dims, batch", list(_POINT_DIGESTS))
+def test_halton_point_stream_is_pinned(n_points, dims, batch):
+    # the RHS payloads depend on every bit of these points: one batch and
+    # many (100k and 1e6 points, and batch 64), replicates of equal size
+    # and of two sizes (17 and 5000 points)
+    digest = hashlib.sha256()
+    for labels, points in ScrambledHalton(n_points, dims, batch, 1, 4).batches():
+        digest.update(labels.tobytes())
+        digest.update(points.tobytes())
+    assert digest.hexdigest() == _POINT_DIGESTS[n_points, dims, batch]
 
 
 def test_halton_points_are_uniform():
