@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .coupled import _check_grid, _check_steps, argmin_coincidence, discrete_phi, m_lambda_functional
 from .errors import DomainError, PreconditionError, ResourceLimitError
-from .sampling import derive_seed
-from .theorem import sensitivity_curve, verify_theorem
+from .sampling import derive_seed, welch_dof
+from .theorem import band_multiplier, sensitivity_curve, verify_theorem
 from .timesets import TimeSet
 from .walsh import sgn_functional_table, walsh_transform
 
@@ -101,12 +101,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=int, default=1 << 13)
     p.add_argument("--n-grid-list", default=None,
                    help="comma-separated grids; emits a CSV convergence table instead of JSON")
-    p.add_argument("--samples", type=int, default=20_000)
+    p.add_argument("--samples", type=int, default=20_000,
+                   help="direct-route budget, in samples walked at --n-grid")
 
     p = sub.add_parser("theorem-check", help="compare the direct and arc-sine-integral routes")
     _add_common(p)
     p.add_argument("--n-grid", type=int, default=1 << 13)
-    p.add_argument("--samples", type=int, default=20_000, help="direct-route sample count")
+    p.add_argument("--samples", type=int, default=20_000,
+                   help="direct-route budget, in samples walked at --n-grid "
+                        "(at twice it with --check-stability)")
     p.add_argument("--nodes", type=int, default=24, help="quadrature nodes per gap")
     p.add_argument("--node-samples", type=int, default=20_000)
     p.add_argument("--node-steps", type=int, default=1024,
@@ -263,13 +266,18 @@ def _run_consistency_check(args) -> int:
         for i, t0 in enumerate(starts)
     ]
     gap = abs(runs[0].mean - runs[1].mean)
-    tol = 4.0 * (runs[0].stderr**2 + runs[1].stderr**2) ** 0.5
+    # a 4-sigma band at the Welch-Satterthwaite dof of the two replicate spreads
+    dof = welch_dof([(est.stderr**2, est.extra["replicates"] - 1) for est in runs])
+    threshold = band_multiplier(dof)
+    tol = threshold * (runs[0].stderr**2 + runs[1].stderr**2) ** 0.5
     params = {"A": str(region), "rho": args.rho, "t0": starts,
               "samples": args.samples, "seed": args.seed}
     results = {
         "runs": [est.as_dict() for est in runs],
         "difference": gap,
-        "tolerance_4sigma": tol,
+        "dof": dof,
+        "threshold": threshold,
+        "tolerance": tol,
         "consistent": gap <= tol,
     }
     _emit(_payload("consistency-check", params, results), args.out)

@@ -11,16 +11,19 @@ _couple, at rho on a piece of A and at 1 on a shared piece: the direct
 route on fresh draws (_coupled_normals), survival on given normals.
 
 The argmin coincidence (the direct route) is exact across the gaps
-of A, where the pair shares its increments, and gridded only on A;
-with refine, it walks the doubled grid and derives the grid from the
-same draws.  The first and the last gap take no draw: their shared
-minima are integrated out in closed form, through bivariate-normal
-probabilities (Owen 1956).  The pair's displacement over A and its
-middle gaps is stratified: each batch draws its end points in polar
-cells of the plane (_polar_cells, from plain uniforms), and the walk
-goes toward them as a chain of bridge steps, one per middle gap and
-per block of A's steps; the estimate weighs the cell means.  It uses
-none of the survival kernels below.
+of A, where the pair shares its increments, and gridded only on A.
+It is multilevel: the grids double up to n_grid from 16 or from
+where a variance model says the levels gain, and each level above the
+first walks its grid and derives the grid below from the same draws,
+scoring the difference.  The first and the last gap take no draw:
+their shared minima are integrated out in closed form, through
+bivariate-normal probabilities (Owen 1956), and, beside them, the
+first middle gap's minimum in three pieces.  The pair's displacement over A
+and its middle gaps is stratified: each batch draws its end points in
+polar cells of the plane (_polar_cells, from plain uniforms), and the
+walk goes toward them as a chain of bridge steps, one per middle gap
+and per block of A's steps; the estimate weighs the cell means.  It
+uses none of the survival kernels below.
 
 Path-survival functionals are estimated without a grid, by one rule:
 up to the end of the last rho-run, each piece (a shared stretch at
@@ -46,7 +49,8 @@ import numpy as np
 from scipy.special import erf, erfc, ive, ndtr, ndtri, owens_t
 
 from .errors import DomainError, PreconditionError, ResourceLimitError
-from .sampling import EstimateWithError, ScrambledHalton, batch_sizes, derive_rng
+from .sampling import (SAMPLE_CAP, EstimateWithError, ScrambledHalton, _check_samples,
+                       batch_sizes, derive_rng)
 
 STEP_CAP = 10**7  # steps per path: walk length, n_grid, --node-steps
 _TAIL_4SIGMA = 6.33e-5  # P(|Z| > 4) for a standard normal Z
@@ -59,6 +63,22 @@ _ARGMIN_BATCH = 1 << 11  # samples per batch on the direct route
 # 2^17 and 2^19 on 1/4..1/2 at n_grid 4096, 1200 samples, plain and refined;
 # from 2^17 up (2^19 plain) the block's temporaries page-fault on every call
 _ARGMIN_BLOCK = 1 << 15
+# the multilevel direct route: the coarsest grid, the fewest samples a
+# level takes, and a sample's cost beyond its steps on A, in steps.  A
+# walk's time per sample, less about 0.07 us per step on A, is 0.8-1.1
+# us on 1/4..1/2 and 2-6 us on 1/4..1/2,5/8..3/4 (three-piece end
+# scores) at 2048 samples a batch, and 4-16 us at 64; at 96 steps (about
+# 7 us) the multilevel run takes no longer than the one-level run at
+# n_grid 4096 on either region (measured on 2 cores, numpy 2.4)
+_COARSEST_GRID = 16
+_LEVEL_FLOOR = 32
+_SAMPLE_COST = 96
+# the variance model that chooses the coarsest grid: a sample of the
+# level at grid g >= 2 n0 varies (_LEVEL_DECAY * _COARSEST_GRID / g) times
+# as much as a plain one.  Measured at n_grid 4096, 1200 samples: 0.017
+# (1/4..1/2 at rho 0.3), 0.037 (1/4..1/2,5/8..3/4 at 0.5), 0.09
+# (1/8..1/4,3/8..1/2,5/8..3/4 at 0.5) and 0.16 (1/4..1/2 at 0.9)
+_LEVEL_DECAY = 0.1
 
 # wedge kernel: the truncation error allowed in one weight (the product
 # stands in below this crossing probability, and a sample's Bessel series
@@ -266,11 +286,12 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     - a shared gap between components of A is one exact step: both
       paths move by one increment d and get the same bridge minimum,
       (d - sqrt(d^2 + 2 L E)) / 2 above their start with E ~ Exp(1),
-      under the gap's label;
-    - a component of A is ceil(n_grid * length) coupled steps, and each
-      path gets the exact bridge minimum of every step from the step's
-      two grid values, under a label of its own: for rho < 1 the
-      continuous argmins inside A coincide with probability 0;
+      under the gap's label; on a region with an outer gap the first
+      middle gap's minimum is integrated out instead (_end_scores);
+    - a component of A is walked in coupled steps, and each path gets
+      the exact bridge minimum of every step from the step's two grid
+      values, under a label of its own: for rho < 1 the continuous
+      argmins inside A coincide with probability 0;
     - the first gap [0, lo] and the last gap, ending at 1, take no
       draw.  Heights are measured from W(lo): the first gap's minimum
       is then -X with X ~ sqrt(lo) |Z|, shared by both paths and
@@ -283,7 +304,22 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
       gap only the last is integrated out (_last_gap), so the empty
       region gives exactly 1; the full region gives exactly 0.
 
-    The walk is stratified on what the score depends on most: the
+    The estimate is multilevel (Giles, "Multilevel Monte Carlo path
+    simulation", Oper. Res. 56, 2008): the grids double from n0 =
+    min(_COARSEST_GRID, n_grid) up to n_grid, level 0 is the plain walk
+    at n0, and level l >= 1 walks the grid n_l with the grid n_(l-1)
+    derived from the same draws (refine below) and scores fine minus
+    coarse.  A component of length x takes 2^l ceil(n0 x) steps at
+    level l, so the levels telescope exactly.  Levels are independent,
+    their streams keyed by grid and batch.  _levels allocates
+    max(_LEVEL_FLOOR, ceil(N0 2^-l)) samples to level l, with N0 set so
+    that the run costs no more than n_samples walks at n_grid (steps on
+    A plus _SAMPLE_COST per sample), and moves n0 up to where a fixed
+    variance model (_LEVEL_DECAY) says the levels gain the most: up to
+    n_grid, one level of n_samples walks, when the floors do not fit or
+    the levels gain nothing.
+
+    Each level is stratified on what the score depends on most: the
     pair's displacement from the start of A to the end of its last
     component.  Each batch draws that end point from _polar_cells and
     walks the middle gaps and A's steps as bridges toward it
@@ -291,72 +327,197 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     cell.  A batch's estimate weighs its cell means by the cells'
     probabilities, and its variance comes from each cell's own samples
     (_stratified: one degree of freedom per cell of 2 samples); the
-    batches weigh b / n.  Batches hold 2048 samples, and a last batch
+    batches weigh b / N.  Batches hold 2048 samples, and a last batch
     of 1 joins the one before, so every batch holds at least one cell.
-    extra["strata"] is the number of cells.
+    extra["dof"] is the Welch-Satterthwaite degrees of freedom over
+    every level's cells, extra["strata"] the number of cells, and
+    extra["levels"] one row per level: its grid, samples, strata,
+    estimate (its term of the sum), stderr and var_share.  n_samples
+    reports the budget, in walks at n_grid.
 
     The one approximation left: inside a rho-step the two paths'
     minima are drawn independently given the step's ends.  The bias
     this leaves shrinks as the grid on A is refined.  A sample is tied
     when a path's best candidate equals another of its candidates in
-    floating point; a tie fraction above 0.1% flags the run.
+    floating point; a tie fraction above 0.1% on any level flags the
+    run, and tie_fraction is the largest level's.
 
-    With refine, the run walks the doubled grid, and the coarse grid is
-    derived from the same draws (_one_level_block): extra["refined"] is
-    the estimate at 2 n_grid, with its own tie fields, and
-    extra["grid_bias"] the mean and stderr of the per-sample
-    difference, refined minus this estimate.  Each level has exactly
-    its own grid's law; the paired difference has a far smaller spread
-    than two independent runs.
+    With refine, the budget is n_samples walks at 2 n_grid, and a top
+    level at 2 n_grid follows the others: extra["refined"] is the
+    estimate at 2 n_grid, and extra["grid_bias"] the top level, the
+    paired per-sample difference between the grids n_grid and 2 n_grid.
+    The estimate itself is the sum of the other levels, bit for bit the
+    run without refine, and the top level takes the rest of the budget,
+    about half of it on a fine grid, so that grid_bias resolves about as
+    finely as n_samples paired walks would.  When the run without
+    refine is one level, the run is the paired walk itself: n_samples
+    walks at 2 n_grid with n_grid derived from their draws, the estimate
+    their coarse grid, extra["refined"] their fine grid (bit for bit the
+    one-level run at 2 n_grid) and grid_bias the difference.
 
-    A 4-sigma band of width 0 cannot fail, so a zero stderr is replaced
-    on a region neither empty nor full.  There (on one that touches 0
-    and reaches 1, each sample scores 0 or 1) a level of n samples with
-    stderr 0 gets s = (1 - q^(1/n)) / 4, q = _TAIL_4SIGMA: 4 s is the
+    A 4-sigma band of width 0 cannot fail, so on a region neither empty
+    nor full, with n = n_samples, a stderr of 0 is replaced.  The
+    estimate gets s = (1 - q^(1/n)) / 4, q = _TAIL_4SIGMA: 4 s is the
     largest p with (1 - p)^n >= q, the exact binomial bound of a count
-    of 0 (or n) at 4 sigma.  A grid_bias gets 1 / n, the stderr of one
-    sample that differs by 1, the least nonzero stderr 0/1 scores can
-    give.
+    of 0 (or n) at 4 sigma.  A grid_bias of stderr 0 gets 1 / n, the
+    stderr of one paired sample in n that differs by 1.  A replaced
+    stderr has no dof.
     """
     _check_rho(rho)
     _check_grid(n_grid)
-    _check_steps((1 + refine) * n_grid)  # the grid walked
-    components = [(lo, hi, (1 + refine) * math.ceil(n_grid * (hi - lo))) for lo, hi in region]
-    sizes = batch_sizes(n_samples, _ARGMIN_BATCH)
-    if sizes[-1] == 1:
-        sizes[-2:] = [sizes[-2] + 1]
-    # per row (the levels, then with refine their difference): the sums
-    # of b times the batch estimate and of b^2 times its variance
-    sums = np.zeros((2, 1 + 2 * refine))
-    n_ties = np.zeros(1 + refine, dtype=np.int64)
-    for i, b in enumerate(sizes):
-        rng = derive_rng(seed, _TAG_ARGMIN, i)
-        target, cell, weight = _polar_cells(b, rng)
-        values, tied = _coincidence_walk(components, rho, target, rng, refine)
-        if refine:
-            values = np.vstack([values, values[1] - values[0]])
-        mean, var = _stratified(values, cell, weight)
-        sums += [b * mean, b * b * var]
-        n_ties += np.count_nonzero(tied, axis=1)
-    means, stderrs = sums[0] / n_samples, np.sqrt(sums[1]) / n_samples
-    strata = sum(b // 2 for b in sizes)
-    est, *refined = [
-        _nonzero_stderr(EstimateWithError(float(mean), float(stderr), n_samples, seed, extra={
-            "tie_fraction": float(fraction), "tie_flag": bool(fraction > 1e-3),
-            "strata": strata}), region, (1.0 - _TAIL_4SIGMA ** (1.0 / n_samples)) / 4.0)
-        for mean, stderr, fraction in zip(means, stderrs, n_ties / n_samples)
-    ]
+    _check_steps((1 + refine) * n_grid)  # the finest grid walked
+    levels = _levels([hi - lo for lo, hi in region], n_grid, n_samples, refine)
+    # per level and estimate (the run at n_grid; with refine the run at
+    # 2 n_grid and the grid bias): sums of b times the batch estimate, b^2
+    # times its variance and b^4 times its Welch term, and the tied samples
+    sums = np.zeros((len(levels), 1 + 2 * refine, 3))
+    ties = np.zeros(sums.shape[:2])
+    for k, (grid, steps, walk_refine, sizes, part) in enumerate(levels):
+        components = [(lo, hi, m) for (lo, hi), m in zip(region, steps)]
+        for i, b in enumerate(sizes):
+            rng = derive_rng(seed, _TAG_ARGMIN, grid, i)
+            target, cell, weight = _polar_cells(b, rng)
+            values, tied = _coincidence_walk(components, rho, target, rng, walk_refine)
+            diff = values[-1] - values[0] if walk_refine else values[0]
+            both = tied.any(axis=0)
+            if part == "paired":
+                rows, flags = [values[0], values[1], diff], [tied[0], tied[1], both]
+            else:
+                rows = [diff, diff, np.zeros(b)] if part == "chain" else [np.zeros(b), diff, diff]
+                flags = [both] * 3
+            mean, var, welch = _stratified(np.array(rows[:sums.shape[1]]), cell, weight)
+            sums[k] += np.transpose([b * mean, b * b * var, b**4 * welch])
+            ties[k] += np.count_nonzero(flags[:sums.shape[1]], axis=1)
+        n = float(sum(sizes))
+        sums[k] /= [n, n * n, n**4]
+        ties[k] /= n
+    floor = (1.0 - _TAIL_4SIGMA ** (1.0 / n_samples)) / 4.0
+    # the levels the estimate sums, and the grid each reports for it
+    below = [k for k, level in enumerate(levels) if level[4] != "top"]
+    shown = [(n_grid if part == "paired" else grid, sizes)
+             for grid, _, _, sizes, part in (levels[k] for k in below)]
+    est = _level_sum(sums[below, 0], shown, ties[below, 0], region, floor, n_samples, seed)
     if refine:
-        est.extra["refined"] = refined[0]
+        shown = [(grid, sizes) for grid, _, _, sizes, _ in levels]
+        est.extra["refined"] = _level_sum(sums[:, 1], shown, ties[:, 1], region, floor,
+                                          n_samples, seed)
         est.extra["grid_bias"] = _nonzero_stderr(
-            EstimateWithError(float(means[2]), float(stderrs[2]), n_samples, seed),
+            EstimateWithError(float(sums[-1, 2, 0]), math.sqrt(sums[-1, 2, 1]), n_samples, seed),
             region, 1.0 / n_samples)
     return est
 
 
+def _level_sum(sums: np.ndarray, levels, ties: np.ndarray, region, floor: float,
+               n_samples: int, seed: int) -> EstimateWithError:
+    """The sum of the levels' terms: sums (levels, 3) holds each one's mean, variance and Welch term.
+
+    levels are each level's reported grid and batch sizes, ties its tie fraction.
+    """
+    mean, var, welch = (float(sum(column)) for column in sums.T)
+    rows = [{"grid": grid, "samples": sum(sizes), "strata": sum(b // 2 for b in sizes),
+             "estimate": float(m), "stderr": math.sqrt(v), "var_share": float(v / var) if var else None}
+            for (grid, sizes), (m, v, _) in zip(levels, sums)]
+    fraction = float(ties.max())
+    return _nonzero_stderr(EstimateWithError(mean, math.sqrt(var), n_samples, seed, extra={
+        "tie_fraction": fraction, "tie_flag": fraction > 1e-3,
+        "strata": sum(row["strata"] for row in rows),
+        "dof": var * var / welch if welch else None, "levels": rows}), region, floor)
+
+
 def _nonzero_stderr(est: EstimateWithError, region, floor: float) -> EstimateWithError:
-    """est, with a stderr of 0 reported as floor on a region neither empty nor full."""
-    return replace(est, stderr=floor) if est.stderr == 0.0 and region and not region.is_full() else est
+    """est, with a stderr of 0 reported as floor, and no dof, on a region neither empty nor full."""
+    if est.stderr == 0.0 and region and not region.is_full():
+        if est.extra:
+            est.extra["dof"] = None
+        return replace(est, stderr=floor)
+    return est
+
+
+def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
+    """The levels of a run, coarsest first: (grid, steps per component, refine walk, batch sizes, part).
+
+    A chain from the coarsest grid n0 doubles up to n_grid; a component
+    of length x takes grid / n0 * ceil(n0 x) steps, and every level but
+    the first walks its grid refined (part "chain").  A level's cost per
+    sample is the steps it walks on A plus _SAMPLE_COST, and the budget
+    is n_samples times the cost of the walk at n_grid.  Every n0 down to
+    min(_COARSEST_GRID, n_grid) gets the largest N0 that keeps
+    max(_LEVEL_FLOOR, ceil(N0 2^-l)) samples at level l within the
+    budget (_allocate), and of the chains whose levels walk at most
+    STEP_CAP steps the run takes the one of least modelled variance,
+    1 / N0 + _LEVEL_DECAY * (sum over l >= 1 of _COARSEST_GRID / (n_l
+    N_l)), in units of one plain sample's.  One level of n_samples
+    walks at n_grid (n0 = n_grid, variance 1 / n_samples) is the choice
+    when no floors fit or the levels gain nothing.
+
+    With refine the budget is n_samples walks at 2 n_grid.  A chain of
+    one level becomes the walk at n_grid refined, n_samples walks whose
+    two grids give both runs (part "paired").  A longer chain is kept as
+    it is, and the rest of the budget goes to a top level at 2 n_grid
+    (part "top", at least 2 samples).  Every level's steps and batch
+    sizes are checked here, before the first draw.
+    """
+    _check_samples(n_samples)  # the budget is a sample count
+    budget = n_samples * (sum(math.ceil(n_grid * x) for x in lengths) + _SAMPLE_COST)
+
+    def steps(grid, base):
+        return [grid // base * math.ceil(base * x) for x in lengths]
+
+    chain, counts, least = [n_grid], [n_samples], 1.0 / n_samples
+    base = n_grid
+    while base % 2 == 0 and base // 2 >= min(_COARSEST_GRID, n_grid):
+        base //= 2
+        grids = [base]
+        while grids[-1] < n_grid:
+            grids.append(2 * grids[-1])
+        walked = [sum(steps(grid, base)) for grid in grids]
+        plan = _allocate([m + _SAMPLE_COST for m in walked], budget)
+        if plan is not None and max(walked) <= STEP_CAP:
+            var = 1.0 / plan[0] + _LEVEL_DECAY * sum(
+                _COARSEST_GRID / grid / n for grid, n in zip(grids[1:], plan[1:]))
+            if var < least:
+                chain, counts, least = grids, plan, var
+    base = chain[0]
+    levels = [(grid, steps(grid, base), grid > base, n, "chain") for grid, n in zip(chain, counts)]
+    if refine:
+        top = steps(2 * n_grid, base)
+        if len(levels) == 1:
+            levels = [(2 * n_grid, top, True, n_samples, "paired")]
+        else:
+            cost = sum(top) + _SAMPLE_COST
+            spent = sum(n * (sum(s) + _SAMPLE_COST) for _, s, _, n, _ in levels)
+            levels.append((2 * n_grid, top, True, max(2, (n_samples * cost - spent) // cost), "top"))
+    plan = []
+    for grid, s, walk_refine, n, part in levels:
+        if s:  # the steps one path walks, on every component
+            _check_steps(sum(s))
+        sizes = batch_sizes(n, _ARGMIN_BATCH)
+        if sizes[-1] == 1:
+            sizes[-2:] = [sizes[-2] + 1]
+        plan.append((grid, s, walk_refine, sizes, part))
+    return plan
+
+
+def _allocate(cost, budget: int) -> list[int] | None:
+    """Samples per level, max(_LEVEL_FLOOR, ceil(N0 2^-l)), at the largest N0 whose total cost fits budget.
+
+    cost is each level's cost per sample.  N0 stays within SAMPLE_CAP;
+    None when the floors alone exceed the budget.
+    """
+    def counts(n0):
+        return [max(_LEVEL_FLOOR, -(-n0 >> k)) for k in range(len(cost))]
+
+    def total(n0):
+        return sum(n * c for n, c in zip(counts(n0), cost))
+
+    if total(_LEVEL_FLOOR) > budget:
+        return None
+    # total(hi) > budget, or hi is past the cap
+    lo, hi = _LEVEL_FLOOR, min(budget // cost[0] + 1, SAMPLE_CAP + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if total(mid) <= budget else (lo, mid)
+    return counts(lo)
 
 
 def _polar_cells(b: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -386,22 +547,25 @@ def _polar_cells(b: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
 
 
 def _stratified(values: np.ndarray, cell: np.ndarray,
-                weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stratified estimate of each row of values (k, b), and its variance.
+                weight: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stratified estimate of each row of values (k, b), its variance and its Welch term.
 
     cell is each sample's cell and weight each cell's probability.  The
     weighted cell means are divided by the weights' own sum, summed in
     the same order, so a row of ones gives exactly 1 (and of zeros 0).
-    The variance is the sum of weight^2 s^2 / count over the cells, s^2
-    the sample variance of a cell's own samples.
+    The variance is the sum of the cells' terms v = weight^2 s^2 /
+    count, s^2 the sample variance of a cell's own samples, and the
+    Welch term the sum of v^2 / (count - 1), the denominator of the
+    Welch-Satterthwaite degrees of freedom (Welch, Biometrika 34, 1947).
     """
     count = np.bincount(cell)
     means = np.array([np.bincount(cell, row) for row in values]) / count
     dev = values - means[:, cell]
     var = np.array([np.bincount(cell, row * row) for row in dev]) / (count * (count - 1.0))
     total = weight.sum()
-    return (np.array([(row * weight).sum() for row in means]) / total,
-            np.array([(row * weight * weight).sum() for row in var]) / (total * total))
+    terms = var * (weight / total) ** 2
+    return ((means * weight).sum(axis=1) / total, terms.sum(axis=1),
+            (terms * terms / (count - 1.0)).sum(axis=1))
 
 
 # minima inside A: one label per path (W' keeps its label on both levels)
@@ -422,6 +586,13 @@ def _coincidence_walk(components, rho: float, target: np.ndarray, rng: np.random
     piece of variance v, with V left (its own included), moves each
     coordinate by (v / V) of what is left to go plus N(0, v (V - v) / V)
     noise, and the last piece moves exactly what is left.
+
+    On a region with an outer gap the first middle gap's minimum is not
+    drawn: the walk keeps its start heights, its rise and one uniform
+    per sample, and _end_scores integrates it out in three pieces once
+    every other candidate is known.  Later middle gaps are drawn, and so
+    is every middle gap of a region that touches 0 and reaches 1, where
+    a sample then scores exactly 0 or 1.
 
     Both results are (levels, b): with refine the grid of step pairs,
     then the grid walked.  Axis 0 of every state array is the path: W,
@@ -450,8 +621,7 @@ def _coincidence_walk(components, rho: float, target: np.ndarray, rng: np.random
         np.minimum(best, candidate, out=best)
 
     block = max(1, _ARGMIN_BLOCK // b)
-    if refine:
-        block += block % 2
+    block += block % 2  # even, so a refined walk's blocks are the plain walk's
     pieces = []  # (steps, dt, label): a middle gap is one step under its label, 0 on A
     now = head
     for k, (lo, hi, steps) in enumerate(components):
@@ -465,6 +635,9 @@ def _coincidence_walk(components, rho: float, target: np.ndarray, rng: np.random
                       for m, dt, gap in pieces], (-1, 2))
     var_left = np.cumsum(var[::-1], axis=0)[::-1]
     left = target * np.sqrt(var.sum(axis=0))[:, None]  # (S, D) still to go
+    # with an outer gap the first middle gap is integrated out at the end;
+    # with none every sample scores 0 or 1, and the gap is drawn
+    smooth = None if head > 0.0 or now < 1.0 else False
     for (m, dt, gap), v, v_left in zip(pieces, var, var_left):
         moving = 1 if gap else 2  # a shared gap moves S alone
         step = left[:moving] * (v / v_left)[:moving, None]
@@ -472,9 +645,12 @@ def _coincidence_walk(components, rho: float, target: np.ndarray, rng: np.random
         left[:moving] -= step
         if gap:
             d = step[0] * math.sqrt(0.5)
-            root = rng.standard_exponential(b)
-            root *= 2.0 * dt
-            offer(w + _bridge_low(d, root), gap)
+            if smooth is None:
+                smooth = (w.copy(), d, dt, rng.random(b))
+            else:
+                root = rng.standard_exponential(b)
+                root *= 2.0 * dt
+                offer(w + _bridge_low(d, root), gap)
             w += d
             continue
         move = np.array([step[0] + step[1], step[0] - step[1]]) * math.sqrt(0.5)
@@ -483,11 +659,12 @@ def _coincidence_walk(components, rho: float, target: np.ndarray, rng: np.random
         offer(lows, _OWN_LABELS[:rows], own_tie)
         w += moves
     levels = list(range(rows - 1, 0, -1))  # with refine, the grid of step pairs first
-    return _end_scores(w, best, label[0] == label[levels], head, 1.0 - now), tied[0] | tied[levels]
+    same = label[0] == label[levels]
+    return _end_scores(w, best, same, head, 1.0 - now, smooth or None), tied[0] | tied[levels]
 
 
 def _end_scores(w: np.ndarray, best: np.ndarray, same: np.ndarray, head: float,
-                tail: float) -> np.ndarray:
+                tail: float, gap=None) -> np.ndarray:
     """Per-level coincidence probability (levels, b) of pairs walked to the last gap.
 
     w and best (rows, b) are each path's end height and lowest
@@ -495,12 +672,41 @@ def _end_scores(w: np.ndarray, best: np.ndarray, same: np.ndarray, head: float,
     each level, last first.  same (levels, b) says whether W's
     candidate and a level's W' candidate share a label.  The outer gaps
     of lengths head and tail are integrated out.
+
+    gap, if given, is a middle gap left out of best: (start, d, L, u),
+    the paths' heights (rows, b) at its start, its rise d (b,), its
+    length and a uniform (b,).  Its minimum M below the start has
+    P(M < m) = F(m) = exp(-2 m (m - d) / L) for m < min(0, d), and path
+    p takes the gap iff M < u_p = best_p - start_p.  The three pieces
+    of M's law, neither path takes it, the one with the larger u_p
+    does, both do (and only then share its label), are weighed by F and
+    each scored at one inverse-transform draw, (d - sqrt(d^2 - 2 L ln
+    s)) / 2 for s uniform on the piece's range of F, from the one
+    uniform u.
     """
-    levels = range(w.shape[0] - 1, 0, -1)
-    if head > 0.0:
-        return np.array([_outer_gaps(w[[0, r]], best[[0, r]], s, head, tail)
-                         for r, s in zip(levels, same)])
-    return np.array([_last_gap((w - best)[[0, r]], s, tail) for r, s in zip(levels, same)])
+    pairs = [[0, r] for r in range(w.shape[0] - 1, 0, -1)]
+    e, a = (np.concatenate([x[pair] for pair in pairs], axis=1) for x in (w, best))
+    same = same.reshape(-1)
+    if gap is not None:  # the three pieces, side by side
+        start, d, length, u = gap
+        start = np.concatenate([start[pair] for pair in pairs], axis=1)
+        d, u = np.tile(d, len(pairs)), np.tile(u, len(pairs))
+        low = a - start  # the gap's minimum takes a path below this
+        log_f = np.where(low < np.minimum(d, 0.0), -2.0 * low * (low - d) / length, 0.0)
+        lo, hi = log_f.min(axis=0), log_f.max(axis=0)
+        ratio = np.exp(lo - hi)
+        # ln s on the pieces F < F(min u) and F(min u) <= F < F(max u)
+        both = _bridge_low(d, -2.0 * length * (lo + np.log1p(-u)))
+        one = _bridge_low(d, -2.0 * length * (hi + np.log1p(-(1.0 - ratio) * u)))
+        taker = np.arange(2)[:, None] == np.argmax(log_f, axis=0)
+        weights = np.array([-np.expm1(hi), np.exp(hi) * (1.0 - ratio), np.exp(lo)])
+        e = np.tile(e, 3)
+        a = np.concatenate([a, np.where(taker, start + one, a), start + both], axis=1)
+        same = np.concatenate([same, np.zeros_like(same), np.ones_like(same)])
+    scores = _outer_gaps(e, a, same, head, tail) if head > 0.0 else _last_gap(e - a, same, tail)
+    if gap is not None:
+        scores = (weights * scores.reshape(3, -1)).sum(axis=0)
+    return scores.reshape(len(pairs), -1)
 
 
 def _lowest(lows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

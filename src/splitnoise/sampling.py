@@ -195,6 +195,19 @@ class EstimateWithError:
         return out
 
 
+def welch_dof(terms) -> float | None:
+    """Welch-Satterthwaite degrees of freedom of a sum of independent variance terms.
+
+    terms are (variance, dof) pairs; a dof of None is infinite.  The
+    result is (sum v)^2 / sum(v^2 / dof) (Welch, Biometrika 34, 1947;
+    Satterthwaite, Biometrics Bull. 2, 1946), or None when that
+    denominator is 0.
+    """
+    terms = [(v, dof) for v, dof in terms if v > 0.0]
+    denominator = sum(v * v / dof for v, dof in terms if dof is not None)
+    return sum(v for v, _ in terms) ** 2 / denominator if denominator else None
+
+
 def product_estimate(a: EstimateWithError, b: EstimateWithError) -> tuple[float, float]:
     """Mean and variance of the product of two independent estimates."""
     mean = a.mean * b.mean

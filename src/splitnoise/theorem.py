@@ -21,10 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import stdtrit
 
-from .coupled import _check_steps, argmin_coincidence, discrete_phi, m_lambda_functional
+from .coupled import _TAIL_4SIGMA, _check_steps, argmin_coincidence, discrete_phi, m_lambda_functional
 from .errors import DomainError, PreconditionError, ResourceLimitError
-from .sampling import EstimateWithError, _check_samples, derive_seed, product_estimate
+from .sampling import EstimateWithError, _check_samples, derive_seed, product_estimate, welch_dof
 from .timesets import TimeSet, affine_preimage
 
 NODE_CAP = 10**5  # quadrature nodes per gap
@@ -38,6 +39,15 @@ _TAG_NODE = 105
 # the grid bias allowed, per combined stderr: a bias of a quarter sigma
 # moves a 4-sigma test's false-alarm rate from 6.3e-5 to about 1e-4
 _GRID_ALLOWANCE = 0.25
+
+
+def band_multiplier(dof: float | None) -> float:
+    """How many stderrs wide a 4-sigma band with dof degrees of freedom is.
+
+    The Student t quantile whose two-sided tail is the normal one at 4
+    sigma, _TAIL_4SIGMA; None is infinite dof (4.0002).  Never below 4.
+    """
+    return max(4.0, float(stdtrit(math.inf if dof is None else dof, 1.0 - _TAIL_4SIGMA / 2.0)))
 
 
 # the node grading of a gap, g(u) and g'(u), by which of its ends (lower, upper) are interior
@@ -134,7 +144,9 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     the per-node product variances, so stderr here is propagated rather
     than a direct sample statistic.  Each factor's variance comes from
     its extra["replicates"] randomized-QMC replicates, and so does the
-    count reported here.  Per-node diagnostics ride along in
+    count reported here, and extra["dof"] is the Welch-Satterthwaite
+    degrees of freedom of the node terms, each factor's variance term
+    at its own dof.  Per-node diagnostics ride along in
     extra["nodes"], and extra["top_node"] names the node with the
     largest variance term (weight^2 x product variance): its component,
     t and share of the total, or None when the total is 0.
@@ -150,6 +162,7 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     count = 0
     rows = []
     node_vars = []
+    terms = []  # (variance, dof) of each factor's part of a node's variance
     for ci, (a, b) in enumerate(region.complement_components()):
         times, weights = _arcsine_nodes(a, b, n_nodes, (a > 0.0, b < 1.0))
         for ni, (t, weight) in enumerate(zip(times, np.broadcast_to(weights, len(times)))):
@@ -162,6 +175,10 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
             var += node_vars[-1]
             count += left.n_samples + right.n_samples
             replicates = (left.extra or right.extra)["replicates"]
+            dof = replicates - 1
+            terms += [((weight * left.stderr * right.mean) ** 2, dof),
+                      ((weight * right.stderr * left.mean) ** 2, dof),
+                      ((weight * left.stderr * right.stderr) ** 2, dof)]
             rows.append({
                 "component": ci, "t": t, "weight": weight,
                 "left": left.mean, "left_stderr": left.stderr,
@@ -172,12 +189,16 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
                 "var_share": node_vars[top] / var} if var else None
     return EstimateWithError(mean=total, stderr=math.sqrt(var), n_samples=count, seed=seed,
                              extra={"nodes": rows, "top_node": top_node,
-                                    "replicates": replicates})
+                                    "replicates": replicates, "dof": welch_dof(terms)})
 
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Side-by-side record of the two routes and the 4-sigma verdict."""
+    """Side-by-side record of the two routes and the 4-sigma verdict.
+
+    dof is the verdict's Welch-Satterthwaite degrees of freedom and
+    threshold its band in combined stderrs (band_multiplier).
+    """
 
     region: str
     rho: float
@@ -186,6 +207,8 @@ class TheoremReport:
     discrepancy: float
     combined_stderr: float
     passed: bool
+    dof: float | None = None
+    threshold: float = 4.0
     lhs_refined: EstimateWithError | None = None
     grid_bias: EstimateWithError | None = None
     stability_ok: bool | None = None
@@ -200,6 +223,8 @@ class TheoremReport:
             "discrepancy": self.discrepancy,
             "combined_stderr": self.combined_stderr,
             "pass": self.passed,
+            "dof": self.dof,
+            "threshold": self.threshold,
             # the quadrature node with the largest share of the RHS variance
             "rhs_top_node": (self.rhs.extra or {}).get("top_node"),
         }
@@ -221,15 +246,20 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
                    lhs_n_grid: int = 1 << 13, lhs_samples: int = 20_000,
                    n_nodes: int = 24, node_samples: int = 20_000,
                    check_stability: bool = False) -> TheoremReport:
-    """Run both routes and compare at four combined standard errors.
+    """Run both routes and compare at a 4-sigma band of their combined standard error.
 
-    With check_stability, the one direct run also walks the doubled grid
-    from the same draws (argmin_coincidence with refine), and the paired
-    per-sample difference is grid_bias.  No finite grid is unbiased, so
+    The band is band_multiplier(dof) combined stderrs, dof the
+    Welch-Satterthwaite degrees of freedom of the two sides' variances,
+    each at its own dof (the LHS's over its cells, the RHS's over its
+    factors' replicates): a Student t band at the normal 4-sigma tail.
+    With check_stability, the direct run's levels go on to the doubled
+    grid (argmin_coincidence with refine), and its top level, the paired
+    per-sample difference between the two grids, is grid_bias.  No
+    finite grid is unbiased, so
     the check asks whether the bias is both resolved and material: it
     fails when |grid_bias| less four of its own standard errors exceeds
     the allowance, _GRID_ALLOWANCE times the combined stderr.  A failed
-    check fails the verdict, as does the tie flag of either grid.  Every
+    check fails the verdict, as does the tie flag of any level.  Every
     size, the doubled grid's included, is checked before the first draw.
     argmin_coincidence replaces a zero stderr where it is not exact, so
     no band here has width 0.
@@ -243,14 +273,17 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     grid_bias = lhs.extra.pop("grid_bias", None)
     discrepancy = lhs.mean - rhs.mean
     combined = math.sqrt(lhs.stderr**2 + rhs.stderr**2)
+    dof = welch_dof([(lhs.stderr**2, (lhs.extra or {}).get("dof")),
+                     (rhs.stderr**2, (rhs.extra or {}).get("dof"))])
+    threshold = band_multiplier(dof)
     stability_ok = None if grid_bias is None else (
         abs(grid_bias.mean) - 4.0 * grid_bias.stderr <= _GRID_ALLOWANCE * combined)
     tied = any(est.extra["tie_flag"] for est in (lhs, lhs_refined) if est is not None)
     return TheoremReport(
         region=str(region), rho=rho, lhs=lhs, rhs=rhs,
         discrepancy=discrepancy, combined_stderr=combined,
-        passed=(abs(discrepancy) <= 4.0 * combined and not tied
-                and stability_ok is not False),
+        passed=(abs(discrepancy) <= threshold * combined and not tied
+                and stability_ok is not False), dof=dof, threshold=threshold,
         lhs_refined=lhs_refined, grid_bias=grid_bias, stability_ok=stability_ok,
     )
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -195,6 +196,22 @@ def test_consistency_check(capsys):
     assert len(doc["results"]["runs"]) == 2
 
 
+def test_consistency_check_band_is_a_student_t_band(capsys):
+    # two factors of 15 degrees of freedom each: the band is the t quantile
+    # at the Welch-Satterthwaite dof (up to 30) at the normal 4-sigma tail
+    code, out, _ = run_cli(
+        ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5",
+         "--t0", "1/32,1/8", "--samples", "2000", "--seed", "5"], capsys)
+    results = json.loads(out)["results"]
+    runs = results["runs"]
+    sigma = math.hypot(runs[0]["stderr"], runs[1]["stderr"])
+    assert 15.0 <= results["dof"] <= 30.0
+    assert results["threshold"] == theorem.band_multiplier(results["dof"]) >= 4.65
+    assert results["tolerance"] == results["threshold"] * sigma
+    assert results["consistent"] is (results["difference"] <= results["tolerance"])
+    assert code == (0 if results["consistent"] else 1)
+
+
 def test_survival_errors_name_their_replicates(capsys):
     # each factor's stderr is the spread of 16 randomized-QMC replicate
     # means, and the payloads say so next to it
@@ -222,6 +239,31 @@ def test_direct_route_reports_its_strata(capsys):
     results = json.loads(out)["results"]
     assert results["lhs"]["strata"] == results["lhs_refined"]["strata"] == 50
     assert "strata" not in results["rhs"]
+
+
+def test_direct_route_reports_its_levels(capsys):
+    # a multilevel run lists every level, coarsest first: its grid,
+    # samples, strata, term of the sum, stderr and share of the variance;
+    # with --check-stability the refined run adds the top level at 2 n_grid
+    code, out, _ = run_cli(["mc-phi", "--A", "1/4..1/2", "--rho", "0.5", "--n-grid", "1024",
+                            "--samples", "4000", "--seed", "3"], capsys)
+    results = json.loads(out)["results"]
+    rows = results["levels"]
+    assert code == 0 and [row["grid"] for row in rows] == [64, 128, 256, 512, 1024]
+    assert set(rows[0]) == {"grid", "samples", "strata", "estimate", "stderr", "var_share"}
+    assert results["strata"] == sum(row["strata"] for row in rows)
+    assert results["estimate"] == pytest.approx(sum(row["estimate"] for row in rows), abs=1e-12)
+    assert sum(row["var_share"] for row in rows) == pytest.approx(1.0, abs=1e-12)
+    assert results["n_samples"] == 4000 and results["dof"] > 0
+    code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--seed", "7",
+                            "--n-grid", "1024", "--samples", "4000", "--nodes", "2",
+                            "--node-samples", "100", "--node-steps", "8", "--check-stability"],
+                           capsys)
+    results = json.loads(out)["results"]
+    lhs, refined = results["lhs"]["levels"], results["lhs_refined"]["levels"]
+    assert [row["grid"] for row in refined] == [row["grid"] for row in lhs] + [2048]
+    assert results["grid_bias"] == {"estimate": refined[-1]["estimate"],
+                                    "stderr": refined[-1]["stderr"]}
 
 
 def test_theorem_check_imports_no_scipy_stats():
@@ -493,15 +535,19 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
 
 
 def test_an_immaterial_grid_bias_passes_the_stability_check(capsys):
-    # at n_grid 1024 and 40k samples the doubled grid resolves a bias of
-    # about 9e-5 (4 of its stderrs), which no finite grid avoids; it is a
-    # small share of the verdict's band, and the two routes agree
+    # at n_grid 1024 and 40k samples the top level, 16 842 paired walks at
+    # 2048 (the budget the levels up to 1024 leave), measures a bias of
+    # about 1e-4 (3.2 of its stderrs), which no finite grid avoids.  Its
+    # 4-sigma band is below a quarter of the allowance, so the check fails
+    # on any bias much above the allowance; this one is a small share of
+    # the verdict's band, and the two routes agree
     code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.9",
                             "--n-grid", "1024", "--samples", "40000", "--nodes", "8",
                             "--node-samples", "400", "--seed", "3", "--check-stability"], capsys)
     results = json.loads(out)["results"]
     bias, allowance = results["grid_bias"], results["grid_bias_allowance"]
-    assert bias["estimate"] > 4 * bias["stderr"] > 0.0
+    assert 0.0 < 4 * bias["stderr"] <= allowance / 4
+    assert [row["grid"] for row in results["lhs_refined"]["levels"]][-1] == 2048
     assert allowance == results["combined_stderr"] / 4
     assert abs(bias["estimate"]) - 4 * bias["stderr"] <= allowance
     assert results["grid_stability_ok"] is True and results["pass"] is True

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 from splitnoise.coupled import argmin_coincidence
 from splitnoise.errors import DomainError, PreconditionError
 from splitnoise import theorem
-from splitnoise.sampling import EstimateWithError, derive_rng, derive_seed
+from splitnoise.sampling import EstimateWithError, derive_rng, derive_seed, welch_dof
 from splitnoise.theorem import (
     _arcsine_nodes,
     _rhs_factors,
+    band_multiplier,
     rhs_integral,
     sensitivity_curve,
     verify_theorem,
@@ -271,6 +273,48 @@ def test_verdict_reports_z_score_and_variance_share():
     d = verify_theorem(EMPTY, 0.5, seed=6, lhs_n_grid=128, lhs_samples=500,
                        n_nodes=2, node_samples=100).as_dict()
     assert d["z_score"] is None and d["lhs_var_share"] is None
+
+
+def test_verdict_band_is_a_student_t_band():
+    # the band is a Student t quantile at the normal 4-sigma tail, at the
+    # Welch-Satterthwaite dof of the two sides: the LHS's over its cells,
+    # the RHS's over its factors' replicates (15 each)
+    for nu, width in ((148, 4.12), (17, 5.26), (30, 4.65)):
+        assert band_multiplier(nu) == pytest.approx(width, abs=0.005)
+    assert band_multiplier(None) == band_multiplier(math.inf) == pytest.approx(4.0, abs=2e-4)
+    assert all(band_multiplier(nu) > 4.0 for nu in (1, 2.5, 1e3, 1e9))
+    report = verify_theorem(TimeSet.parse("1/4..1/2,5/8..3/4"), 0.5, seed=8, lhs_n_grid=256,
+                            lhs_samples=500, n_nodes=2, node_samples=500)
+    lhs, rhs = report.lhs, report.rhs
+    cells = sum(row["strata"] for row in lhs.extra["levels"])
+    assert 1.0 <= lhs.extra["dof"] <= cells
+    assert 15.0 <= rhs.extra["dof"] <= 15 * 3 * 2 * 3  # 3 terms per node, 2 nodes per gap
+    d = report.as_dict()
+    assert d["dof"] == welch_dof([(lhs.stderr**2, lhs.extra["dof"]),
+                                  (rhs.stderr**2, rhs.extra["dof"])])
+    assert d["threshold"] == band_multiplier(d["dof"]) > 4.0
+    assert d["pass"] is (abs(d["discrepancy"]) <= d["threshold"] * d["combined_stderr"])
+    # with no sampling error on either side there is no dof
+    d = verify_theorem(EMPTY, 0.5, seed=6, lhs_n_grid=128, lhs_samples=500,
+                       n_nodes=2, node_samples=100).as_dict()
+    assert d["dof"] is None and d["threshold"] == band_multiplier(None)
+
+
+@pytest.mark.slow
+def test_student_t_band_is_calibrated_at_the_five_percent_level():
+    # paired independent direct-route runs with a budget of 100 walks at
+    # n_grid 2048 (four levels from 256, three of them at their floors;
+    # about 35 degrees of freedom per pair), whose mean difference is
+    # exactly 0: over 1000 pairs the t band at the 5% level is exceeded in
+    # 2.2-7.8% of them (4 binomial sigma), 5.4% here; the normal band's
+    # 1.96 was exceeded in 6.2% of these pairs
+    exceeded = 0
+    for s in range(1000):
+        a, b = (argmin_coincidence(QUARTER_HALF, 0.5, 2048, 100, seed=2 * s + k) for k in (0, 1))
+        assert len(a.extra["levels"]) == 4
+        dof = welch_dof([(a.stderr**2, a.extra["dof"]), (b.stderr**2, b.extra["dof"])])
+        exceeded += abs(a.mean - b.mean) > stdtrit(dof, 0.975) * math.hypot(a.stderr, b.stderr)
+    assert 0.022 <= exceeded / 1000 <= 0.078
 
 
 def test_verdict_names_top_rhs_node():
