@@ -8,14 +8,15 @@ endpoint lies in A with exact Bernoulli bits, and by the parity rule
 needs only the two walks' running minima.  The Brownian routes turn
 standard normals into scalar-rho increment pairs with one kernel,
 _couple, at rho on a piece of A and at 1 on a shared piece: the direct
-route on fresh draws (_coupled_normals), survival on given normals.
+route on fresh draws, survival on given normals.
 
 The argmin coincidence (the direct route) is exact across the gaps
 of A, where the pair shares its increments, and gridded only on A.
-It is multilevel: the grids double up to n_grid from 16 or from
-where a variance model says the levels gain, and each level above the
-first walks its grid and derives the grid below from the same draws,
-scoring the difference.  The first and the last gap take no draw:
+It is multilevel: the grids double up to n_grid from a coarsest grid
+of at least 16, the samples follow Giles' allocation from a stated
+variance and cost model, and each level above the first walks its grid
+and derives the grid below from the same draws, scoring the
+difference.  The first and the last gap take no draw:
 their shared minima are integrated out in closed form, through
 bivariate-normal probabilities (Owen 1956), and, beside them, the
 first middle gap's minimum in three pieces.  The pair's displacement over A
@@ -73,7 +74,7 @@ _ARGMIN_BLOCK = 1 << 15
 _COARSEST_GRID = 16
 _LEVEL_FLOOR = 32
 _SAMPLE_COST = 96
-# the variance model that chooses the coarsest grid: a sample of the
+# the variance model that allocates the samples: a sample of the
 # level at grid g >= 2 n0 varies (_LEVEL_DECAY * _COARSEST_GRID / g) times
 # as much as a plain one.  Measured at n_grid 4096, 1200 samples: 0.017
 # (1/4..1/2 at rho 0.3), 0.037 (1/4..1/2,5/8..3/4 at 0.5), 0.09
@@ -114,19 +115,6 @@ def _check_grid(n_grid: int):
 
 
 # -- coupling kernel ---------------------------------------------------------
-
-def _coupled_normals(rho: float, sqdt: float, rng: np.random.Generator,
-                     shape, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Coupled N(0, dt) increment pair (db, db') at correlation rho, from rng's normals.
-
-    _couple on fresh standard normals: two per increment pair, db's then
-    z's, written to out, a (2, *shape) array, when one is given; at
-    rho = 1 only db's are drawn.
-    """
-    if rho == 1.0:
-        return _couple(1.0, sqdt, rng.standard_normal(shape))
-    return _couple(rho, sqdt, *rng.standard_normal((2, *shape), out=out))
-
 
 def _couple(rho: float, sqdt: float, z: np.ndarray,
             z_prime: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -305,19 +293,19 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
       region gives exactly 1; the full region gives exactly 0.
 
     The estimate is multilevel (Giles, "Multilevel Monte Carlo path
-    simulation", Oper. Res. 56, 2008): the grids double from n0 =
-    min(_COARSEST_GRID, n_grid) up to n_grid, level 0 is the plain walk
-    at n0, and level l >= 1 walks the grid n_l with the grid n_(l-1)
-    derived from the same draws (refine below) and scores fine minus
-    coarse.  A component of length x takes 2^l ceil(n0 x) steps at
-    level l, so the levels telescope exactly.  Levels are independent,
-    their streams keyed by grid and batch.  _levels allocates
-    max(_LEVEL_FLOOR, ceil(N0 2^-l)) samples to level l, with N0 set so
-    that the run costs no more than n_samples walks at n_grid (steps on
-    A plus _SAMPLE_COST per sample), and moves n0 up to where a fixed
-    variance model (_LEVEL_DECAY) says the levels gain the most: up to
-    n_grid, one level of n_samples walks, when the floors do not fit or
-    the levels gain nothing.
+    simulation", Oper. Res. 56, 2008): the grids double from a coarsest
+    grid n0 >= min(_COARSEST_GRID, n_grid) up to n_grid, level 0 is the
+    plain walk at n0, and level l >= 1 walks the grid n_l with the grid
+    n_(l-1) derived from the same draws (refine below) and scores fine
+    minus coarse.  A component of length x takes 2^l ceil(n0 x) steps
+    at level l, so the levels telescope exactly.  Levels are
+    independent, their streams keyed by grid and batch.  _levels gives
+    level l Giles' count, proportional to sqrt(V_l / C_l), at a cost of
+    n_samples walks at n_grid (C_l: steps on A plus _SAMPLE_COST per
+    sample; V_l: a fixed variance model, _LEVEL_DECAY), or
+    _LEVEL_FLOOR where that count falls below it, and takes the n0 of
+    least modelled variance: n_grid, one level of n_samples walks, when
+    no chain beats it.
 
     Each level is stratified on what the score depends on most: the
     pair's displacement from the start of A to the end of its last
@@ -359,9 +347,10 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     nor full, with n = n_samples, a stderr of 0 is replaced.  The
     estimate gets s = (1 - q^(1/n)) / 4, q = _TAIL_4SIGMA: 4 s is the
     largest p with (1 - p)^n >= q, the exact binomial bound of a count
-    of 0 (or n) at 4 sigma.  A grid_bias of stderr 0 gets 1 / n, the
-    stderr of one paired sample in n that differs by 1.  A replaced
-    stderr has no dof.
+    of 0 (or n) at 4 sigma.  A grid_bias of stderr 0 gets 1 / m, the
+    stderr of one paired sample in m that differs by 1, where m is the
+    walks of the level it comes from (n_samples for the paired walk).
+    A replaced stderr has no dof.
     """
     _check_rho(rho)
     _check_grid(n_grid)
@@ -403,7 +392,7 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
                                           n_samples, seed)
         est.extra["grid_bias"] = _nonzero_stderr(
             EstimateWithError(float(sums[-1, 2, 0]), math.sqrt(sums[-1, 2, 1]), n_samples, seed),
-            region, 1.0 / n_samples)
+            region, 1.0 / sum(levels[-1][3]))
     return est
 
 
@@ -438,17 +427,20 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
 
     A chain from the coarsest grid n0 doubles up to n_grid; a component
     of length x takes grid / n0 * ceil(n0 x) steps, and every level but
-    the first walks its grid refined (part "chain").  A level's cost per
-    sample is the steps it walks on A plus _SAMPLE_COST, and the budget
-    is n_samples times the cost of the walk at n_grid.  Every n0 down to
-    min(_COARSEST_GRID, n_grid) gets the largest N0 that keeps
-    max(_LEVEL_FLOOR, ceil(N0 2^-l)) samples at level l within the
-    budget (_allocate), and of the chains whose levels walk at most
-    STEP_CAP steps the run takes the one of least modelled variance,
-    1 / N0 + _LEVEL_DECAY * (sum over l >= 1 of _COARSEST_GRID / (n_l
-    N_l)), in units of one plain sample's.  One level of n_samples
-    walks at n_grid (n0 = n_grid, variance 1 / n_samples) is the choice
-    when no floors fit or the levels gain nothing.
+    the first walks its grid refined (part "chain").  Samples follow
+    Giles' allocation on a stated model: a sample of level l costs C_l,
+    the steps it walks on A plus _SAMPLE_COST, and varies V_l, 1 at l = 0
+    and _LEVEL_DECAY * _COARSEST_GRID / n_l above (in units of one plain
+    sample's); the budget B is n_samples times the cost of the walk at
+    n_grid.  The counts of least variance, sum V_l / N_l, at cost B with
+    none below _LEVEL_FLOOR hold the fewest top levels at the floor that
+    leave the others at it or above, and give the others
+    N_l = min(SAMPLE_CAP, floor(B' sqrt(V_l / C_l) / (sum over those k of sqrt(V_k C_k)))),
+    with B' what the held levels leave of B.  Of the chains from
+    every n0 down to min(_COARSEST_GRID, n_grid) whose floors fit and
+    whose levels walk at most STEP_CAP steps, the run takes the one of
+    least modelled variance; one level of n_samples walks at n_grid
+    (variance 1 / n_samples) is the choice when no chain beats it.
 
     With refine the budget is n_samples walks at 2 n_grid.  A chain of
     one level becomes the walk at n_grid refined, n_samples walks whose
@@ -464,19 +456,25 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
         return [grid // base * math.ceil(base * x) for x in lengths]
 
     chain, counts, least = [n_grid], [n_samples], 1.0 / n_samples
-    base = n_grid
-    while base % 2 == 0 and base // 2 >= min(_COARSEST_GRID, n_grid):
-        base //= 2
-        grids = [base]
-        while grids[-1] < n_grid:
-            grids.append(2 * grids[-1])
+    grids = [n_grid]
+    while grids[0] % 2 == 0 and grids[0] // 2 >= min(_COARSEST_GRID, n_grid):
+        base = grids[0] // 2
+        grids = [base] + grids
         walked = [sum(steps(grid, base)) for grid in grids]
-        plan = _allocate([m + _SAMPLE_COST for m in walked], budget)
-        if plan is not None and max(walked) <= STEP_CAP:
-            var = 1.0 / plan[0] + _LEVEL_DECAY * sum(
-                _COARSEST_GRID / grid / n for grid, n in zip(grids[1:], plan[1:]))
-            if var < least:
-                chain, counts, least = grids, plan, var
+        var = [1.0] + [_LEVEL_DECAY * _COARSEST_GRID / grid for grid in grids[1:]]
+        cost = [m + _SAMPLE_COST for m in walked]
+        for held in range(len(grids)):  # the counts fall with l: hold the top ones at the floor
+            free = len(grids) - held
+            scale = (budget - _LEVEL_FLOOR * sum(cost[free:])) / sum(
+                math.sqrt(v * c) for v, c in zip(var[:free], cost[:free]))
+            plan = [min(SAMPLE_CAP, math.floor(scale * math.sqrt(v / c)))
+                    for v, c in zip(var[:free], cost[:free])] + [_LEVEL_FLOOR] * held
+            if plan[free - 1] >= _LEVEL_FLOOR:
+                break
+        if plan[0] >= _LEVEL_FLOOR and max(walked) <= STEP_CAP:
+            total = sum(v / n for v, n in zip(var, plan))
+            if total < least:
+                chain, counts, least = grids, plan, total
     base = chain[0]
     levels = [(grid, steps(grid, base), grid > base, n, "chain") for grid, n in zip(chain, counts)]
     if refine:
@@ -496,28 +494,6 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
             sizes[-2:] = [sizes[-2] + 1]
         plan.append((grid, s, walk_refine, sizes, part))
     return plan
-
-
-def _allocate(cost, budget: int) -> list[int] | None:
-    """Samples per level, max(_LEVEL_FLOOR, ceil(N0 2^-l)), at the largest N0 whose total cost fits budget.
-
-    cost is each level's cost per sample.  N0 stays within SAMPLE_CAP;
-    None when the floors alone exceed the budget.
-    """
-    def counts(n0):
-        return [max(_LEVEL_FLOOR, -(-n0 >> k)) for k in range(len(cost))]
-
-    def total(n0):
-        return sum(n * c for n, c in zip(counts(n0), cost))
-
-    if total(_LEVEL_FLOOR) > budget:
-        return None
-    # total(hi) > budget, or hi is past the cap
-    lo, hi = _LEVEL_FLOOR, min(budget // cost[0] + 1, SAMPLE_CAP + 1)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if total(mid) <= budget else (lo, mid)
-    return counts(lo)
 
 
 def _polar_cells(b: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -736,7 +712,7 @@ def _one_level_block(rho: float, dt: float, shape, move: np.ndarray,
     the same on both grids.
     """
     pair = scratch("steps", (2, *shape))
-    _coupled_normals(rho, math.sqrt(dt), rng, shape, out=pair)
+    _couple(rho, math.sqrt(dt), *rng.standard_normal((2, *shape), out=pair))
     shift = move - pair.sum(axis=1)
     shift /= shape[0]
     pair += shift[:, None]

@@ -249,7 +249,7 @@ def test_direct_route_reports_its_levels(capsys):
                             "--samples", "4000", "--seed", "3"], capsys)
     results = json.loads(out)["results"]
     rows = results["levels"]
-    assert code == 0 and [row["grid"] for row in rows] == [64, 128, 256, 512, 1024]
+    assert code == 0 and [row["grid"] for row in rows] == [128, 256, 512, 1024]
     assert set(rows[0]) == {"grid", "samples", "strata", "estimate", "stderr", "var_share"}
     assert results["strata"] == sum(row["strata"] for row in rows)
     assert results["estimate"] == pytest.approx(sum(row["estimate"] for row in rows), abs=1e-12)

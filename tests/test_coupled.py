@@ -16,7 +16,7 @@ from splitnoise.coupled import (
     _bridge_noncrossing,
     _bernoulli_word,
     _binormal_cdf,
-    _coupled_normals,
+    _couple,
     _coupled_words,
     _exact_survival_probability,
     _heights_at,
@@ -104,8 +104,8 @@ def coupled_bm(region, rho, n, rng, size):
     perturbed = oracle_rho(region, rho, n) < 1.0
     k, sqdt = int(np.count_nonzero(perturbed)), math.sqrt(1.0 / n)
     db, db_p = np.empty((2, size, n))
-    db[:, perturbed], db_p[:, perturbed] = _coupled_normals(rho, sqdt, rng, (size, k))
-    db[:, ~perturbed], db_p[:, ~perturbed] = _coupled_normals(1.0, sqdt, rng, (size, n - k))
+    db[:, perturbed], db_p[:, perturbed] = _couple(rho, sqdt, *rng.standard_normal((2, size, k)))
+    db[:, ~perturbed], db_p[:, ~perturbed] = _couple(1.0, sqdt, rng.standard_normal((size, n - k)))
     return db, db_p
 
 
@@ -135,7 +135,7 @@ def test_coupled_bm_pattern_one_steps_match_bitwise():
     assert np.array_equal(db[:, ones], db_p[:, ones])
     assert not np.array_equal(db[:, ~ones], db_p[:, ~ones])
     # a scalar rho, as in the survival step loop, mixes the whole step
-    db, db_p = _coupled_normals(np.float64(0.5), 0.25, derive_rng(7, 1), (500,))
+    db, db_p = _couple(np.float64(0.5), 0.25, *derive_rng(7, 1).standard_normal((2, 500)))
     assert not np.any(db == db_p)
 
 
@@ -304,15 +304,23 @@ def test_two_level_run_has_each_grids_law():
 
 
 def test_refined_level_is_the_plain_walk_at_twice_the_grid():
-    # at n_grid 256 levels would gain nothing, so the run is one level and
-    # with refine the paired walk: its refined level is the plain run at 2
-    # n_grid, itself one level, bit for bit (with an even block of steps and
-    # 2 ceil(n_grid len) = ceil(2 n_grid len) on every component)
-    for text in ("1/4..1/2", "1/4..1/2,5/8..3/4", "0..1/4", "3/4..1"):
+    # a one-level run is, with refine, the paired walk: its refined level
+    # is the plain run at 2 n_grid, itself one level, bit for bit (with an
+    # even block of steps and 2 ceil(n_grid len) = ceil(2 n_grid len) on
+    # every component).  At these budgets _levels keeps one level at n_grid
+    # and 2 n_grid on components of 1/4 up to n_grid 64 (from 256 a chain
+    # from 128 beats it), and on components of 1/64, 4 steps at 256, up to
+    # n_grid 512: levels cannot save where _SAMPLE_COST is most of a walk
+    cases = [(64, text) for text in ("1/4..1/2", "1/4..1/2,5/8..3/4", "0..1/4", "3/4..1")]
+    cases += [(256, text) for text in ("1/4..17/64", "1/4..17/64,5/8..41/64", "0..1/64", "63/64..1")]
+    for n_grid, text in cases:
         for n_samples in (2048, 3072):
-            two = argmin_coincidence(TimeSet.parse(text), 0.5, 256, n_samples, seed=85,
+            lengths = [hi - lo for lo, hi in TimeSet.parse(text)]
+            for grid in (n_grid, 2 * n_grid):
+                assert len(coupled._levels(lengths, grid, n_samples, False)) == 1
+            two = argmin_coincidence(TimeSet.parse(text), 0.5, n_grid, n_samples, seed=85,
                                      refine=True)
-            plain = argmin_coincidence(TimeSet.parse(text), 0.5, 512, n_samples, seed=85)
+            plain = argmin_coincidence(TimeSet.parse(text), 0.5, 2 * n_grid, n_samples, seed=85)
             refined = two.extra["refined"]
             for est in (refined, plain):
                 assert est.stderr > 0.0 and len(est.extra["levels"]) == 1
@@ -367,50 +375,82 @@ def test_refined_walk_is_the_plain_walk_at_twice_the_grid():
 @pytest.mark.parametrize("text", ["1/4..1/2", "1/4..1/2,5/8..3/4",
                                   "1/8..1/4,3/8..1/2,5/8..3/4"])
 def test_multilevel_estimate_matches_one_level_at_the_finest_grid(text):
-    # the levels telescope to the walk at n_grid: the multilevel run at
-    # 1024 (from 32 or 64) and a one-level run there agree at 4 sigma, and
-    # at the same budget its stderr is no worse (0.77-0.98 of it here); at
-    # 256 levels would be worse (1.15-1.4 times the stderr), and the run is
-    # one level
+    # the levels telescope to the walk at n_grid: the multilevel run (from
+    # 128) and a one-level run there agree at 4 sigma, and at the same
+    # budget its stderr is no worse, at 1024 and at 256 alike
     region = TimeSet.parse(text)
-    est = argmin_coincidence(region, 0.5, 1024, 20_000, seed=92)
-    assert len(est.extra["levels"]) > 1 and est.extra["levels"][-1]["grid"] == 1024
-    mean, stderr = one_level(region, 0.5, 1024, 20_000, seed=93)
-    assert abs(est.mean - mean) < 4 * math.hypot(est.stderr, stderr)
-    assert est.stderr <= 1.05 * stderr
-    small = argmin_coincidence(region, 0.5, 256, 20_000, seed=92)
-    assert [(row["grid"], row["samples"]) for row in small.extra["levels"]] == [(256, 20_000)]
+    for n_grid in (1024, 256):
+        est = argmin_coincidence(region, 0.5, n_grid, 20_000, seed=92)
+        assert len(est.extra["levels"]) > 1 and est.extra["levels"][-1]["grid"] == n_grid
+        mean, stderr = one_level(region, 0.5, n_grid, 20_000, seed=93)
+        assert abs(est.mean - mean) < 4 * math.hypot(est.stderr, stderr)
+        assert est.stderr <= 1.05 * stderr
+
+
+def giles_plan(lengths, n_grid, n, base):
+    """The chain from base up to n_grid: its grids, steps and counts, modelled variance and budget.
+
+    Level l costs its steps on A plus _SAMPLE_COST a sample and varies
+    V_0 = 1, V_l = _LEVEL_DECAY 16 / n_l; the budget is n walks at n_grid.
+    The top `held` levels hold 32 samples, the others Giles' counts for the
+    budget left, with held the fewest that leaves every count at 32 or more.
+    """
+    grids = [base << k for k in range(round(math.log2(n_grid // base)) + 1)]
+    steps = [sum(grid // base * math.ceil(base * x) for x in lengths) for grid in grids]
+    cost = [m + coupled._SAMPLE_COST for m in steps]
+    var = [1.0] + [coupled._LEVEL_DECAY * 16 / grid for grid in grids[1:]]
+    budget = n * (sum(math.ceil(n_grid * x) for x in lengths) + coupled._SAMPLE_COST)
+    for held in range(len(grids)):
+        free = len(grids) - held
+        left = budget - 32 * sum(cost[free:])
+        total = sum(math.sqrt(v * c) for v, c in zip(var[:free], cost[:free]))
+        counts = [min(SAMPLE_CAP, math.floor(left * math.sqrt(v / c) / total))
+                  for v, c in zip(var[:free], cost[:free])] + [32] * held
+        if counts[free - 1] >= 32:
+            break
+    return grids, steps, counts, sum(v / k for v, k in zip(var, counts)), budget
 
 
 def test_levels_follow_the_fixed_allocation():
-    # 2^-l of the coarsest level's samples, at least 32, within the budget
-    # of n walks at n_grid, from the coarsest grid the variance model picks
-    lengths = [0.25]
-    for n_grid, n, base in ((4096, 1200, 32), (1024, 20_000, 64), (4096, 100, 128)):
+    # Giles' closed form from the stated variance and cost model, with
+    # the top levels held at the floor of 32 where it would give fewer,
+    # within the budget of n walks at n_grid, on the chain of least
+    # modelled variance among every coarsest grid down to 16 whose floors
+    # fit, and the one-level run of variance 1 / n
+    cases = [([0.25], 4096, 1200, 128, 0), ([0.25], 1024, 20_000, 128, 0),
+             ([0.25], 2048, 100, 256, 3), ([0.25], 4096, 72, 2048, 1),
+             ([0.25, 0.125], 4096, 1200, 128, 0), ([0.25, 0.125], 2048, 100, 128, 4),
+             ([0.25, 0.125], 4096, 72, 1024, 2)]
+    for lengths, n_grid, n, base, held in cases:
         plan = coupled._levels(lengths, n_grid, n, False)
-        grids = [grid for grid, *_ in plan]
-        counts = [sum(level[3]) for level in plan]
-        assert grids == [base << k for k in range(len(plan))] and grids[-1] == n_grid
-        assert counts == [max(32, -(-counts[0] >> k)) for k in range(len(plan))]
-        steps = [sum(level[1]) for level in plan]
-        assert steps == [base // 4 << k for k in range(len(plan))]
-        cost = lambda n0: sum(max(32, -(-n0 >> k)) * (m + coupled._SAMPLE_COST)
-                              for k, m in enumerate(steps))
-        budget = n * (n_grid // 4 + coupled._SAMPLE_COST)
-        assert cost(counts[0]) <= budget < cost(counts[0] + 1)
+        grids, steps, counts, least, budget = giles_plan(lengths, n_grid, n, base)
+        assert [grid for grid, *_ in plan] == grids
+        assert [sum(level[3]) for level in plan] == counts and min(counts) >= 32
+        assert counts.count(32) == held
+        assert [sum(level[1]) for level in plan] == steps
+        assert sum(k * (m + coupled._SAMPLE_COST) for k, m in zip(counts, steps)) <= budget
+        assert least < 1 / n
+        for other in (n_grid >> k for k in range(1, round(math.log2(n_grid // 16)) + 1)):
+            _, _, others, var, _ = giles_plan(lengths, n_grid, n, other)
+            assert others[0] < 32 or var >= least
         assert [level[2] for level in plan] == [False] + [True] * (len(plan) - 1)
         assert {level[4] for level in plan} == {"chain"}
         # refine keeps the chain and spends the rest of n walks at 2 n_grid on a top level
         two = coupled._levels(lengths, n_grid, n, True)
         assert two[:-1] == plan
         top = two[-1]
-        assert top[:3] == (2 * n_grid, [n_grid // 2], True) and top[4] == "top"
-        each = n_grid // 2 + coupled._SAMPLE_COST
-        assert sum(top[3]) == (n * each - cost(counts[0])) // each
-    # the chain the model prefers is at least the one-level run's equal:
-    # below about n_grid 1024 on 1/4..1/2, or when the floors do not fit,
-    # the run is one level of n walks, and with refine the paired walk
-    for n_grid, n in ((256, 20_000), (512, 20_000), (64, 100), (16, 20_000), (4096, 60)):
+        fine = [2 * math.ceil(n_grid * x) for x in lengths]
+        assert top[:3] == (2 * n_grid, fine, True) and top[4] == "top"
+        each = sum(fine) + coupled._SAMPLE_COST
+        spent = sum(k * (m + coupled._SAMPLE_COST) for k, m in zip(counts, steps))
+        assert sum(top[3]) == (n * each - spent) // each
+    # when no chain's model beats 1 / n (a grid of 128 or less, a small
+    # budget) the run is one level of n walks, and with refine the paired walk
+    lengths = [0.25]
+    for n_grid, n in ((128, 20_000), (64, 100), (16, 20_000), (4096, 60), (256, 100)):
+        for base in (n_grid >> k for k in range(1, round(math.log2(n_grid // 16)) + 1)):
+            _, _, counts, var, _ = giles_plan(lengths, n_grid, n, base)
+            assert counts[0] < 32 or var >= 1 / n
         assert coupled._levels(lengths, n_grid, n, False) == \
             [(n_grid, [n_grid // 4], False, batch_sizes(n, 2048), "chain")]
         assert coupled._levels(lengths, n_grid, n, True) == \
@@ -418,27 +458,29 @@ def test_levels_follow_the_fixed_allocation():
 
 
 def test_levels_stay_within_the_caps(monkeypatch):
-    # the coarsest level takes at most SAMPLE_CAP samples, however large
-    # the budget, and no level of the chosen chain walks more than
-    # STEP_CAP steps: on a component of 0.3 the level at 4096 of the chain
-    # from 32 walks 128 ceil(9.6) = 1280 steps, of the one from 128 1248
+    # every level takes at most SAMPLE_CAP samples, however large the
+    # budget, and no level of the chosen chain walks more than STEP_CAP
+    # steps: on a component of 0.3 the level at 4096 of the chain from 128
+    # walks 32 ceil(38.4) = 1248 steps, of the one from 256 1232
     plan = coupled._levels([0.25], 8192, 2 * 10**8, False)
     assert len(plan) > 1 and sum(plan[0][3]) == SAMPLE_CAP
+    assert max(sum(level[3]) for level in plan) == SAMPLE_CAP
     plan = coupled._levels([0.3], 4096, 1200, False)
-    assert plan[0][0] == 32 and sum(plan[-1][1]) == 1280
-    monkeypatch.setattr(coupled, "STEP_CAP", 1250)
+    assert plan[0][0] == 128 and sum(plan[-1][1]) == 1248
+    monkeypatch.setattr(coupled, "STEP_CAP", 1247)
     plan = coupled._levels([0.3], 4096, 1200, False)
-    assert plan[0][0] == 128 and plan[-1][0] == 4096
-    assert max(sum(level[1]) for level in plan) == 1248
-    with pytest.raises(ResourceLimitError):  # the top level of 2 ceil(0.3 4096) steps
+    assert plan[0][0] == 256 and plan[-1][0] == 4096
+    assert max(sum(level[1]) for level in plan) == 1232
+    with pytest.raises(ResourceLimitError):  # the top level of 32 ceil(0.3 256) steps
         coupled._levels([0.3], 4096, 1200, True)
 
 
 def test_a_small_budget_falls_back_to_one_level():
-    # at 100 walks of n_grid 64 the floors of 32 would leave level 0 only 42
-    # samples, and at 60 walks of n_grid 4096 they do not fit at all: the run
-    # is the plain walk at n_grid, and with refine the walk at 2 n_grid with
-    # n_grid derived from its draws, all the samples in one level
+    # at 100 walks of n_grid 64 a top level held at the floor of 32 would
+    # leave level 0 only 73 samples, and at 60 walks of n_grid 4096 only 51,
+    # too few to beat the one-level run: the run is the plain walk at
+    # n_grid, and with refine the walk at 2 n_grid with n_grid derived from
+    # its draws, all the samples in one level
     for n_grid, n in ((64, 100), (4096, 60)):
         plain = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=94)
         two = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=94, refine=True)
@@ -450,19 +492,21 @@ def test_a_small_budget_falls_back_to_one_level():
 
 
 def test_any_tied_level_flags_the_run(monkeypatch):
-    # ties on one level's walks alone raise the flag, at that level's fraction
+    # ties on one level's walks alone raise the flag, at that level's
+    # fraction: the level at 256, the first refined one of the chain from
+    # 128 that _levels picks for 4000 walks at 1024
     walk = coupled._coincidence_walk
 
-    def tied_at_128(components, rho, target, rng, refine=False):
+    def tied_at_256(components, rho, target, rng, refine=False):
         values, tied = walk(components, rho, target, rng, refine)
-        if components[0][2] == 32:  # the walk at grid 128 on 1/4..1/2
+        if components[0][2] == 64:  # the walk at grid 256 on 1/4..1/2
             tied[:, :3] = True
         return values, tied
 
-    monkeypatch.setattr(coupled, "_coincidence_walk", tied_at_128)
+    monkeypatch.setattr(coupled, "_coincidence_walk", tied_at_256)
     est = argmin_coincidence(QUARTER_HALF, 0.5, 1024, 4000, seed=95)
     rows = est.extra["levels"]
-    assert [row["grid"] for row in rows] == [64, 128, 256, 512, 1024]
+    assert [row["grid"] for row in rows] == [128, 256, 512, 1024]
     batches = len(batch_sizes(rows[1]["samples"], 2048))
     assert est.extra["tie_flag"] and est.extra["tie_fraction"] == 3 * batches / rows[1]["samples"]
     monkeypatch.undo()
@@ -480,6 +524,28 @@ def test_two_level_run_is_exact_on_exact_regions():
             assert (level.mean, level.stderr) == (value, 0.0)
         bias = two.extra["grid_bias"]
         assert (bias.mean, bias.stderr) == (0.0, 0.0)
+
+
+def test_a_zero_grid_bias_stderr_is_one_walk_in_its_level(monkeypatch):
+    # when every walk of the level grid_bias comes from scores alike on
+    # both grids, its stderr is 1 / (that level's walks): the top level's
+    # on a multilevel run, n_samples on the paired one-level walk
+    walk = coupled._coincidence_walk
+
+    def alike_at_2048(components, rho, target, rng, refine=False):
+        values, tied = walk(components, rho, target, rng, refine)
+        if refine and components[0][2] == 512:  # the top level, 2048 on 1/4..1/2
+            values[-1] = values[0]
+        return values, tied
+
+    monkeypatch.setattr(coupled, "_coincidence_walk", alike_at_2048)
+    for n, grids in ((3000, [128, 256, 512, 1024, 2048]), (80, [2048])):
+        two = argmin_coincidence(QUARTER_HALF, 0.5, 1024, n, seed=96, refine=True)
+        rows = two.extra["refined"].extra["levels"]
+        assert [row["grid"] for row in rows] == grids
+        assert (rows[-1]["samples"] < n) == (len(rows) > 1)
+        bias = two.extra["grid_bias"]
+        assert (bias.mean, bias.stderr) == (0.0, 1.0 / rows[-1]["samples"])
 
 
 @pytest.mark.parametrize("refine", [False, True])

@@ -234,17 +234,20 @@ def test_verify_theorem_small_case_passes():
 
 def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
     # on a region that touches 0 and reaches 1 each grid scores 0 or 1,
-    # and at 100 samples no sample tells the two grids apart: the paired
-    # sample stderr is 0, and the direct route reports 1/100 in its place
+    # and at a budget of 100 no walk of the top level, 49 paired walks at
+    # 8192, tells the two grids apart: the paired sample stderr is 0, and
+    # the direct route reports 1/49 in its place
     region = TimeSet.parse("0..1/2,129/256..1")
-    raw = argmin_coincidence(region, 0.5, 4096, 100, derive_seed(1, theorem._TAG_LHS),
-                             refine=True).extra["grid_bias"]
-    assert (raw.mean, raw.stderr) == (0.0, 0.01)
+    two = argmin_coincidence(region, 0.5, 4096, 100, derive_seed(1, theorem._TAG_LHS),
+                             refine=True)
+    raw, top = two.extra["grid_bias"], two.extra["refined"].extra["levels"][-1]
+    assert (top["grid"], top["samples"]) == (8192, 49)
+    assert (raw.mean, raw.stderr) == (0.0, 1 / 49)
     report = verify_theorem(region, 0.5, seed=1, lhs_n_grid=4096, lhs_samples=100,
                             n_nodes=2, node_samples=100, check_stability=True)
-    assert (report.grid_bias.mean, report.grid_bias.stderr) == (0.0, 0.01)
+    assert (report.grid_bias.mean, report.grid_bias.stderr) == (0.0, 1 / 49)
     assert report.stability_ok
-    assert report.as_dict()["grid_bias"] == {"estimate": 0.0, "stderr": 0.01}
+    assert report.as_dict()["grid_bias"] == {"estimate": 0.0, "stderr": 1 / 49}
     # on 1/2..1 the first gap is integrated out, so samples are not 0 or
     # 1 and the paired stderr is a real sample stderr, not the floor
     region = TimeSet.parse("1/2..1")
@@ -304,10 +307,10 @@ def test_verdict_band_is_a_student_t_band():
 def test_student_t_band_is_calibrated_at_the_five_percent_level():
     # paired independent direct-route runs with a budget of 100 walks at
     # n_grid 2048 (four levels from 256, three of them at their floors;
-    # about 35 degrees of freedom per pair), whose mean difference is
+    # about 44 degrees of freedom per pair), whose mean difference is
     # exactly 0: over 1000 pairs the t band at the 5% level is exceeded in
-    # 2.2-7.8% of them (4 binomial sigma), 5.4% here; the normal band's
-    # 1.96 was exceeded in 6.2% of these pairs
+    # 2.2-7.8% of them (4 binomial sigma), 6.3% here; the normal band's
+    # 1.96 was exceeded in 7.1% of these pairs
     exceeded = 0
     for s in range(1000):
         a, b = (argmin_coincidence(QUARTER_HALF, 0.5, 2048, 100, seed=2 * s + k) for k in (0, 1))
