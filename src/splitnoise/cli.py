@@ -111,7 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="direct-route budget, in samples walked at --n-grid "
                         "(at twice it with --check-stability)")
     p.add_argument("--nodes", type=int, default=24, help="quadrature nodes per gap")
-    p.add_argument("--node-samples", type=int, default=20_000)
+    p.add_argument("--node-samples", type=int, default=20_000,
+                   help="points per sampled RHS factor; exact one-component factors ignore it")
     p.add_argument("--node-steps", type=int, default=1024,
                    help="checked and echoed; survival factors have no grid")
     p.add_argument("--check-stability", action="store_true",

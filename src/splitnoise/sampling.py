@@ -159,7 +159,12 @@ class EstimateWithError:
     randomized quasi-Monte Carlo estimate (from_replicates) is the mean
     of R independent replicate means, and its stderr comes from their
     spread, with R - 1 degrees of freedom, not from per-sample values.
-    Exact (non-sampled) results carry stderr 0 and n_samples 0.
+    A result with no sampling error carries stderr 0: n_samples is 0 for
+    a known constant (exact), and the points evaluated for a
+    deterministic quadrature, such as an exact RHS factor's grid.  A sum
+    of such terms can still carry a nonzero stderr that is not sampling
+    error: the RHS's includes its node rule's estimated error
+    (theorem.rhs_integral, extra["quadrature_error"]).
     """
 
     mean: float

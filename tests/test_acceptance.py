@@ -163,6 +163,12 @@ def test_criterion_7_main_theorem_desk_scale():
         case_ok = (report.passed and report.stability_ok
                    and report.combined_stderr <= 0.01
                    and abs(report.lhs.mean - _REGRESSION[(text, rho)]) < 0.02)
+        # a single interval's factors are all exact: its RHS band is the
+        # node rule's error, reported next to it
+        if "," not in text:
+            rhs = report.as_dict()["rhs"]
+            case_ok &= (rhs["exact_factors"] == 2 * 24 and "replicates" not in rhs
+                        and rhs["stderr"] == rhs["quadrature_error"] > 0.0)
         all_ok &= case_ok
         lines.append(
             f"A={text} rho={rho}: lhs {report.lhs.mean:.4f} rhs {report.rhs.mean:.4f} "

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 from scipy.special import erf, ive, ndtr
 
-from splitnoise import coupled, tanaka, walsh
+from splitnoise import coupled, tanaka, theorem, walsh
 from splitnoise.coupled import (
     STEP_CAP,
     _SERIES_GAP,
@@ -900,6 +900,10 @@ def test_argmin_coincidence_uses_no_survival_kernel(monkeypatch):
     assert "argmin_coincidence" not in survival and "_bridge_low" not in survival
     for name in survival + ["ive"]:
         monkeypatch.setattr(coupled, name, forbidden)
+    # nor the RHS's exact factors, which live in theorem
+    for name in ("_exact_factors", "_series_terms", "_radial_rule", "_angular_weights"):
+        monkeypatch.setattr(theorem, name, forbidden)
+    assert not {"hyp1f1", "spherical_jn", "theorem"} & set(vars(coupled))
     for text in ("1/4..1/2,5/8..3/4", "0..1/4,3/4..1", ""):
         for refine in (False, True):
             est = argmin_coincidence(TimeSet.parse(text), 0.5, 256, 200, seed=5, refine=refine)

@@ -1,16 +1,21 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import stdtrit
 
-from splitnoise.coupled import argmin_coincidence
+from splitnoise.coupled import argmin_coincidence, m_lambda_functional
 from splitnoise.errors import DomainError, PreconditionError
 from splitnoise import theorem
 from splitnoise.sampling import EstimateWithError, derive_rng, derive_seed, welch_dof
 from splitnoise.theorem import (
+    _TAG_NODE,
     _arcsine_nodes,
+    _exact_factors,
+    _pullback,
     _rhs_factors,
+    _series_terms,
     band_multiplier,
     rhs_integral,
     sensitivity_curve,
@@ -93,6 +98,7 @@ def test_rhs_rejects_a_gap_with_no_float_inside_before_any_draw(monkeypatch):
         raise AssertionError("a factor was drawn before the gap was checked")
 
     monkeypatch.setattr(theorem, "m_lambda_functional", forbidden)
+    monkeypatch.setattr(theorem, "_exact_factors", forbidden)
     region = TimeSet.parse("1/4..1/2,4503599627370497/9007199254740992..3/4")
     with pytest.raises(DomainError, match=r"the gap \(0.5, 0.5000000000000001\)"):
         rhs_integral(region, 0.5, 2, 100, seed=1)
@@ -116,43 +122,65 @@ def test_arcsine_mean_against_argmin_simulation():
     assert abs(g.mean() - quad) < 4 * se
 
 
-def test_rhs_factors_empty_sides():
-    left, right = _rhs_factors(0.6, QUARTER_HALF, 0.5, 100, seed=1)
-    assert right == EstimateWithError.exact(1.0)
-    assert left.n_samples == 100
+def node_factors(t, region, rho, n_samples, seed):
+    """The two factors at gap time t, a sampled side on derive_seed(seed, side)."""
+    sides = list(_pullback(t, region))
+    return tuple(_rhs_factors(sides, _series_terms(sides, rho), rho, n_samples,
+                              [derive_seed(seed, side) for side in (0, 1)]))
 
-    left, right = _rhs_factors(0.1, QUARTER_HALF, 0.5, 100, seed=1)
+
+def is_exact_factor(est):
+    # the grid's points, no sampling error and no replicates
+    return est.n_samples == 32 * 16 and est.stderr == 0.0 and est.extra is None and 0 < est.mean < 1
+
+
+def test_rhs_factors_empty_sides():
+    # a one-component side is exact, an empty one exactly 1
+    left, right = node_factors(0.6, QUARTER_HALF, 0.5, 100, seed=1)
+    assert right == EstimateWithError.exact(1.0)
+    assert is_exact_factor(left)
+
+    left, right = node_factors(0.1, QUARTER_HALF, 0.5, 100, seed=1)
     assert left == EstimateWithError.exact(1.0)
-    assert right.n_samples == 100
+    assert is_exact_factor(right)
+
+    # a two-component side is sampled
+    left, right = node_factors(0.9, TimeSet.parse("1/8..1/4,1/2..3/4"), 0.5, 100, seed=1)
+    assert left.n_samples == 100 and left.extra == {"replicates": 16}
+    assert right == EstimateWithError.exact(1.0)
 
     with pytest.raises(PreconditionError):
-        _rhs_factors(0.3, QUARTER_HALF, 0.5, 100, seed=1)
+        _pullback(0.3, QUARTER_HALF)
 
 
 def test_rhs_factors_at_boundary_times():
-    # a side is sampled exactly when the region has points on that side of
-    # t: before the region, between components and after it; at 0 and 1 a
-    # side's map degenerates, and no node lies there
+    # a side has a factor exactly when the region has points on that side
+    # of t: before the region, between components and after it.  One
+    # component is exact, two are sampled.  At 0 and 1 a side's map
+    # degenerates, and no node lies there
     B = TimeSet.parse("1/8..1/4,1/2..3/4")
     for t in (0.0, 1.0):
         with pytest.raises(DomainError, match=f"t={t}"):
-            _rhs_factors(t, B, 0.5, 100, seed=1)
-    for t, sampled in [(0.05, (False, True)), (0.3, (True, True)), (0.9, (True, False))]:
-        factors = _rhs_factors(t, B, 0.5, 100, seed=1)
-        for est, side_sampled in zip(factors, sampled):
-            if side_sampled:
+            node_factors(t, B, 0.5, 100, seed=1)
+    for t, kinds in [(0.05, ("empty", "sampled")), (0.3, ("exact", "exact")),
+                     (0.9, ("sampled", "empty"))]:
+        factors = node_factors(t, B, 0.5, 100, seed=1)
+        for est, kind in zip(factors, kinds):
+            if kind == "sampled":
                 assert est.n_samples == 100, t
+            elif kind == "exact":
+                assert is_exact_factor(est), t
             else:
                 assert est == EstimateWithError.exact(1.0), t
     with pytest.raises(PreconditionError):
-        _rhs_factors(0.6, B, 0.5, 100, seed=1)
+        node_factors(0.6, B, 0.5, 100, seed=1)
 
 
 @pytest.mark.parametrize("t", [0.25, 0.5])
 def test_rhs_factors_at_region_endpoints(t):
     # a touching side's pull-back starts at 0, where no entrance law starts
     with pytest.raises(PreconditionError, match=rf"t={t} is an endpoint of 1/4\.\.1/2"):
-        _rhs_factors(t, QUARTER_HALF, 0.5, 100, seed=1)
+        node_factors(t, QUARTER_HALF, 0.5, 100, seed=1)
 
 
 def test_rhs_factor_pullback_set():
@@ -163,9 +191,14 @@ def test_rhs_factor_pullback_set():
 
 
 def test_rhs_factors_at_rho_one_are_mass_conservation():
-    # all correlations 1: both factors reduce to the entrance mass, i.e. 1
-    left, right = _rhs_factors(0.6, QUARTER_HALF, 1.0, 20_000, seed=2)
+    # all correlations 1: both factors reduce to the entrance mass, i.e. 1;
+    # the exact one to the grid's accuracy, a sampled one at 4 sigma
+    left, right = node_factors(0.6, QUARTER_HALF, 1.0, 20_000, seed=2)
     assert right.mean == 1.0
+    assert left.n_samples == 32 * 16 and left.stderr == 0.0
+    assert left.mean == pytest.approx(1.0, abs=1e-9)
+    left, _ = node_factors(0.9, TimeSet.parse("1/8..1/4,1/2..3/4"), 1.0, 20_000, seed=2)
+    assert left.n_samples == 20_000
     assert abs(left.mean - 1.0) < 4 * left.stderr
 
 
@@ -278,6 +311,13 @@ def test_verdict_reports_z_score_and_variance_share():
     assert d["z_score"] is None and d["lhs_var_share"] is None
 
 
+def rhs_node_terms(row):
+    """A node's three product-variance terms: left's, right's and the cross term."""
+    w, left, right = row["weight"], row["left"], row["right"]
+    ls, rs = row["left_stderr"], row["right_stderr"]
+    return [(w * ls * right) ** 2, (w * rs * left) ** 2, (w * ls * rs) ** 2]
+
+
 def test_verdict_band_is_a_student_t_band():
     # the band is a Student t quantile at the normal 4-sigma tail, at the
     # Welch-Satterthwaite dof of the two sides: the LHS's over its cells,
@@ -291,7 +331,13 @@ def test_verdict_band_is_a_student_t_band():
     lhs, rhs = report.lhs, report.rhs
     cells = sum(row["strata"] for row in lhs.extra["levels"])
     assert 1.0 <= lhs.extra["dof"] <= cells
-    assert 15.0 <= rhs.extra["dof"] <= 15 * 3 * 2 * 3  # 3 terms per node, 2 nodes per gap
+    # the RHS's over its factors' variance terms (3 per node, 15 dof each)
+    # and the quadrature term of its exact middle gap, at infinite dof
+    assert rhs.extra["replicates"] == 16 and rhs.extra["quadrature_error"] > 0.0
+    assert rhs.extra["dof"] == pytest.approx(welch_dof(
+        [(term, 15) for r in rhs.extra["nodes"] for term in rhs_node_terms(r)]
+        + [(rhs.extra["quadrature_error"] ** 2, None)]), rel=1e-12)
+    assert rhs.extra["dof"] >= 15.0
     d = report.as_dict()
     assert d["dof"] == welch_dof([(lhs.stderr**2, lhs.extra["dof"]),
                                   (rhs.stderr**2, rhs.extra["dof"])])
@@ -325,21 +371,25 @@ def test_verdict_names_top_rhs_node():
                             lhs_n_grid=256, lhs_samples=500, n_nodes=3,
                             node_samples=500)
     rows = report.rhs.extra["nodes"]
-    terms = [r["weight"] ** 2 * ((r["left_stderr"] * r["right"]) ** 2
-                                 + (r["right_stderr"] * r["left"]) ** 2
-                                 + (r["left_stderr"] * r["right_stderr"]) ** 2)
-             for r in rows]
-    assert sum(terms) == pytest.approx(report.rhs.stderr**2, rel=1e-12)
+    terms = [sum(rhs_node_terms(r)) for r in rows]
+    # the sampling part of the RHS variance is the node terms; the rest is
+    # the quadrature error of the exact middle gap
+    quadrature = report.rhs.extra["quadrature_error"]
+    assert quadrature > 0.0
+    assert sum(terms) == pytest.approx(report.rhs.stderr**2 - quadrature**2, rel=1e-12)
     top = rows[int(np.argmax(terms))]
     node = report.as_dict()["rhs_top_node"]
     assert (node["component"], node["t"]) == (top["component"], top["t"])
-    assert node["var_share"] == pytest.approx(max(terms) / sum(terms), rel=1e-12)
-    assert 1 / len(rows) <= node["var_share"] <= 1.0
+    assert node["var_share"] == pytest.approx(max(terms) / report.rhs.stderr**2, rel=1e-12)
+    assert 1 / len(rows) <= max(terms) / sum(terms) and node["var_share"] <= 1.0
     assert "top_node" not in report.as_dict()["rhs"]
-    # an exact right-hand side has no node to name
+    # an exact right-hand side, and one whose factors are all exact, have no node to name
     d = verify_theorem(EMPTY, 0.5, seed=6, lhs_n_grid=128, lhs_samples=500,
                        n_nodes=2, node_samples=100).as_dict()
     assert d["rhs_top_node"] is None
+    d = verify_theorem(QUARTER_HALF, 0.5, seed=6, lhs_n_grid=128, lhs_samples=500,
+                       n_nodes=2, node_samples=100).as_dict()
+    assert d["rhs_top_node"] is None and d["rhs"]["stderr"] == d["rhs"]["quadrature_error"] > 0.0
 
 
 def test_sensitivity_curve_identical_at_rho_one():
@@ -353,3 +403,149 @@ def test_sensitivity_curve_decreasing_trend():
     assert vals[0] > vals[1] > vals[2]
     with pytest.raises(DomainError):
         sensitivity_curve(0.5, [8, 8], 100, seed=11)
+
+
+# -- exact one-component factors ---------------------------------------------
+
+def exact_factor(a, b, rho):
+    sides = [[(a, b)]]
+    terms = _series_terms(sides, rho)
+    assert terms[0] > 0, (a, b, rho)
+    return float(_exact_factors(np.array([[a, b]]), rho, terms)[0])
+
+
+# (a, b, rho): tau = 0, a pulled-back a near 1e-4 and 1e-6, a narrow component
+_ORACLE_CASES = [(0.25, 0.5, 0.3), (0.4, 0.45, 0.9), (0.3, 1.0, 0.5), (1e-4, 0.3, 0.3),
+                 (1e-4, 0.3, 0.9), (1e-6, 0.3, 0.5), (1e-6, 1.0, 0.9), (0.5, 0.6, 0.5)]
+
+
+def test_exact_factors_reproduce_the_survival_table():
+    # the factor table of the sampled survival stack, to its printed digits
+    assert exact_factor(0.25, 0.5, 0.3) == pytest.approx(0.730449, abs=5e-7)
+    assert exact_factor(0.4, 0.45, 0.9) == pytest.approx(0.962394, abs=5e-7)
+    assert exact_factor(0.3, 1.0, 0.5) == pytest.approx(0.745514, abs=5e-7)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("a, b, rho", _ORACLE_CASES)
+def test_exact_factors_match_sampled_survival(a, b, rho):
+    # the oracle shares no code with the series: the wedge-kernel survival
+    # walk on 2^20 randomized-QMC points (fewer points read -3.7 and -3.5
+    # sigma at a = 1e-4 and 1e-6 on one seed)
+    est = m_lambda_functional([(a, b)], rho, a, 1 << 20, seed=3)
+    assert abs(exact_factor(a, b, rho) - est.mean) < 4 * est.stderr
+
+
+@pytest.mark.parametrize("a, b, rho", _ORACLE_CASES + [
+    (0.3, 0.33, 0.5),  # L/a = 0.1: 25 terms, next to the cap
+    (0.05, 0.9, 0.7),  # tau at the floor, 0.1 (L + kappa^2 a)
+])
+def test_exact_factor_grid_matches_a_fine_grid(monkeypatch, a, b, rho):
+    # 32 x 16 nodes against 128 x 64, at the series' own term count
+    terms = _series_terms([[(a, b)]], rho)
+    assert terms[0] > 0
+    lean = _exact_factors(np.array([[a, b]]), rho, terms)[0]
+    monkeypatch.setattr(theorem, "_RADIAL_NODES", 128)
+    monkeypatch.setattr(theorem, "_ANGULAR_NODES", 64)
+    fine = _exact_factors(np.array([[a, b]]), rho, terms)[0]
+    assert abs(lean - fine) < 1e-8
+
+
+def test_exact_factor_series_stops_within_its_tail_bound():
+    # twice the terms move no factor by more than the bound the count came from
+    for a, b, rho in _ORACLE_CASES + [(0.3, 0.33, 0.5), (0.05, 0.9, 0.7)]:
+        terms = _series_terms([[(a, b)]], rho)
+        ends = np.array([[a, b]])
+        assert abs(_exact_factors(ends, rho, terms)[0]
+                   - _exact_factors(ends, rho, 2 * terms)[0]) <= 1e-10
+
+
+def test_exact_factors_are_one_batch():
+    # a batch's factors are each side's own, whatever else is in the batch
+    ends = np.array(_ORACLE_CASES)[:, :2]
+    for rho in (0.3, 0.9):
+        sides = [[tuple(e)] for e in ends]
+        terms = _series_terms(sides, rho)
+        batch = _exact_factors(ends, rho, terms)
+        alone = [_exact_factors(ends[i:i + 1], rho, terms[i:i + 1])[0] for i in range(len(ends))]
+        assert batch == pytest.approx(alone, abs=1e-15)
+
+
+@pytest.mark.parametrize("ratio", [1e-3, 1e-5])
+def test_narrow_components_keep_sampling(ratio):
+    # L/a = 1e-3 and 1e-5 would take hundreds and thousands of terms, past
+    # the cap: the side is sampled, with finite values and no warnings
+    a, rho = 0.4, 0.5
+    sides = [[(a, a * (1.0 + ratio))]]
+    with np.errstate(divide="raise", over="raise", invalid="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        terms = _series_terms(sides, rho)
+        assert terms[0] == 0
+        est, = _rhs_factors(sides, terms, rho, 20_000, [derive_seed(5, 0)])
+    assert est.n_samples == 20_000 and math.isfinite(est.mean) and est.stderr > 0.0
+    other = m_lambda_functional(sides[0], rho, a, 20_000, seed=6)
+    assert abs(est.mean - other.mean) < 4 * math.hypot(est.stderr, other.stderr)
+
+
+def test_short_tails_keep_sampling():
+    # a tail shorter than the angular nodes resolve is sampled; tau = 0 is exact
+    rho = 0.5
+    ends = [(0.3, 0.999), (0.3, 1.0 - 1e-12), (0.3, 1.0), (0.3, 0.8)]
+    assert [bool(k) for k in _series_terms([[e] for e in ends], rho)] == \
+        [False, False, True, True]
+
+
+# -- the node rule's error in the RHS band -----------------------------------
+
+@pytest.mark.parametrize("rho, reference", [(0.3, 0.587983), (0.7, 0.671679)])
+@pytest.mark.parametrize("n_nodes", [8, 24])
+def test_quadrature_error_covers_the_node_rule(rho, reference, n_nodes):
+    # every factor of 1/4..1/2 is exact: the RHS's only error is the node
+    # rule's, and its estimate (times the safety factor) covers the true one
+    est = rhs_integral(QUARTER_HALF, rho, n_nodes, 100, seed=1)
+    extra = est.extra
+    assert extra["quadrature_error"] >= abs(est.mean - reference)
+    assert est.stderr == extra["quadrature_error"] > 0.0
+    assert "replicates" not in extra and extra["dof"] is None and extra["top_node"] is None
+    # both gaps' nodes, two sides each, one empty; 8 nodes add the 4-node rule's
+    coarse = 0 if n_nodes % 3 == 0 else (n_nodes + 1) // 2
+    assert extra["exact_factors"] == 2 * (n_nodes + coarse)
+    assert est.n_samples == 32 * 16 * extra["exact_factors"]
+    assert all(r["left_stderr"] == r["right_stderr"] == 0.0 for r in extra["nodes"])
+    # no stream is read: the seed changes nothing but the echo
+    other = rhs_integral(QUARTER_HALF, rho, n_nodes, 100, seed=2)
+    assert (other.mean, other.stderr) == (est.mean, est.stderr)
+
+
+def test_quadrature_error_comes_only_from_exact_gaps():
+    # on the split region only the middle gap is exact; at 6 nodes its
+    # 2-node rule is every third node at 3 times the weight
+    region = TimeSet.parse("1/4..1/2,5/8..3/4")
+    est = rhs_integral(region, 0.5, 6, 400, seed=4)
+    rows = est.extra["nodes"]
+    middle = [r for r in rows if r["component"] == 1]
+    fine = sum(r["weight"] * r["left"] * r["right"] for r in middle)
+    coarse = 3 * sum(r["weight"] * r["left"] * r["right"] for r in middle[1::3])
+    assert est.extra["quadrature_error"] == pytest.approx(2 * abs(fine - coarse) / 8, rel=1e-12)
+    assert est.extra["exact_factors"] == 12 and est.extra["replicates"] == 16
+    # the outer gaps' factors are sampled on the same streams as ever
+    for r in rows:
+        if r["component"] == 1:
+            assert r["left_stderr"] == r["right_stderr"] == 0.0
+            continue
+        ni = [q["t"] for q in rows if q["component"] == r["component"]].index(r["t"])
+        node_seed = derive_seed(4, _TAG_NODE, r["component"], ni)
+        for side, pulled in enumerate(_pullback(r["t"], region)):
+            if pulled:
+                direct = m_lambda_functional(pulled, 0.5, pulled[0][0], 400,
+                                             derive_seed(node_seed, side))
+                assert (r[("left", "right")[side]], r[("left_stderr", "right_stderr")[side]]) \
+                    == (direct.mean, direct.stderr)
+
+
+def test_quadrature_error_at_one_and_two_nodes():
+    # one node is checked against two, two against one
+    for n_nodes in (1, 2):
+        est = rhs_integral(QUARTER_HALF, 0.5, n_nodes, 100, seed=1)
+        assert est.extra["exact_factors"] == 2 * (n_nodes + (2 if n_nodes == 1 else 1))
+        assert est.extra["quadrature_error"] > abs(est.mean - 0.625612)
