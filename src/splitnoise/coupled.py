@@ -264,7 +264,8 @@ def _pair_minima(masks: np.ndarray, n: int, flip: tuple[int, int], b: int,
 # -- argmin coincidence (the left-hand side of the main identity) -----------
 
 def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
-                       seed: int, refine: bool = False) -> EstimateWithError:
+                       seed: int, refine: bool = False,
+                       top_walks: int | None = None) -> EstimateWithError:
     """P(the coupled Brownian pair attains its minimum at the same time).
 
     The pair is walked over the pieces of [0,1] in time order.  Each
@@ -341,7 +342,9 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     refine is one level, the run is the paired walk itself: n_samples
     walks at 2 n_grid with n_grid derived from their draws, the estimate
     their coarse grid, extra["refined"] their fine grid (bit for bit the
-    one-level run at 2 n_grid) and grid_bias the difference.
+    one-level run at 2 n_grid) and grid_bias the difference.  top_walks,
+    when given, is the top level's walk count in place of the rest of
+    the budget (the levels below are unchanged); a paired walk ignores it.
 
     A 4-sigma band of width 0 cannot fail, so on a region neither empty
     nor full, with n = n_samples, a stderr of 0 is replaced.  The
@@ -355,7 +358,7 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     _check_rho(rho)
     _check_grid(n_grid)
     _check_steps((1 + refine) * n_grid)  # the finest grid walked
-    levels = _levels([hi - lo for lo, hi in region], n_grid, n_samples, refine)
+    levels = _levels([hi - lo for lo, hi in region], n_grid, n_samples, refine, top_walks)
     # per level and estimate (the run at n_grid; with refine the run at
     # 2 n_grid and the grid bias): sums of b times the batch estimate, b^2
     # times its variance and b^4 times its Welch term, and the tied samples
@@ -422,7 +425,7 @@ def _nonzero_stderr(est: EstimateWithError, region, floor: float) -> EstimateWit
     return est
 
 
-def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
+def _levels(lengths, n_grid: int, n_samples: int, refine: bool, top_walks: int | None = None):
     """The levels of a run, coarsest first: (grid, steps per component, refine walk, batch sizes, part).
 
     A chain from the coarsest grid n0 doubles up to n_grid; a component
@@ -446,8 +449,8 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
     one level becomes the walk at n_grid refined, n_samples walks whose
     two grids give both runs (part "paired").  A longer chain is kept as
     it is, and the rest of the budget goes to a top level at 2 n_grid
-    (part "top", at least 2 samples).  Every level's steps and batch
-    sizes are checked here, before the first draw.
+    (part "top", at least 2 samples), or top_walks when given.  Every
+    level's steps and batch sizes are checked here, before the first draw.
     """
     _check_samples(n_samples)  # the budget is a sample count
     budget = n_samples * (sum(math.ceil(n_grid * x) for x in lengths) + _SAMPLE_COST)
@@ -484,7 +487,8 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
         else:
             cost = sum(top) + _SAMPLE_COST
             spent = sum(n * (sum(s) + _SAMPLE_COST) for _, s, _, n, _ in levels)
-            levels.append((2 * n_grid, top, True, max(2, (n_samples * cost - spent) // cost), "top"))
+            walks = (n_samples * cost - spent) // cost if top_walks is None else top_walks
+            levels.append((2 * n_grid, top, True, max(2, walks), "top"))
     plan = []
     for grid, s, walk_refine, n, part in levels:
         if s:  # the steps one path walks, on every component

@@ -31,7 +31,8 @@ from scipy.special import erf, gammaln, hyp1f1, spherical_jn, stdtrit
 
 from .coupled import _TAIL_4SIGMA, _check_steps, argmin_coincidence, discrete_phi, m_lambda_functional
 from .errors import DomainError, PreconditionError, ResourceLimitError
-from .sampling import EstimateWithError, _check_samples, derive_seed, product_estimate, welch_dof
+from .sampling import (SAMPLE_CAP, EstimateWithError, _check_samples, derive_seed,
+                       product_estimate, welch_dof)
 from .timesets import TimeSet, affine_preimage
 
 NODE_CAP = 10**5  # quadrature nodes per gap
@@ -41,6 +42,7 @@ _TAG_LHS = 101
 _TAG_RHS = 102
 _TAG_CURVE = 104
 _TAG_NODE = 105
+_TAG_COARSE = 106
 
 # exact one-component factors (_exact_factors): Gauss-Legendre nodes in
 # sqrt(r) on [0, _RADIAL_SPAN sqrt(L + kappa^2 a)] and in theta on (0, alpha/2),
@@ -59,13 +61,16 @@ _TAIL_FLOOR = 0.1
 # the node rule's error estimate is widened by this factor in the band.
 # Against 192/384-node references, on 1/4..1/2 at rho 0.3-0.9 and at rho
 # 0.5 on 0..1/4,3/4..1 and the middle gap of 1/4..1/2,5/8..3/4, the true
-# error was 0.39-2.16 times the estimate over n = 1-4, 8, 16 and 24, and
-# 0.52-1.31 times from n = 8 up; only n = 2 and 3 at rho 0.9 exceed 2
+# error was 0.49-2.05 times the estimate over n = 1-4, 6, 8, 16 and 24,
+# and 0.59-1.31 times from n = 8 up; only n = 2 at rho 0.9 exceeds 2
 _QUADRATURE_SAFETY = 2.0
 
 # the grid bias allowed, per combined stderr: a bias of a quarter sigma
 # moves a 4-sigma test's false-alarm rate from 6.3e-5 to about 1e-4
 _GRID_ALLOWANCE = 0.25
+# the grid bias's 4-sigma band wanted, per allowance: the stability check
+# then fails on any bias much above 1.25 allowances (_top_walks)
+_GRID_RESOLUTION = 0.25
 
 
 def band_multiplier(dof: float | None) -> float:
@@ -279,17 +284,18 @@ def _exact_factors(ends: np.ndarray, rho: float, terms: np.ndarray) -> np.ndarra
 
 
 def _rhs_factors(sides, terms: np.ndarray, rho: float, n_samples: int,
-                 seeds) -> list[EstimateWithError]:
+                 node_seeds) -> list[EstimateWithError]:
     """One survival-correlation factor per pulled-back side.
 
-    A side with no region points is exactly 1.  A side with terms > 0
+    sides are in node order, each node's left side then its right.  A
+    side with no region points is exactly 1.  A side with terms > 0
     (_series_terms) is exact: stderr 0, and n_samples the grid's
     _RADIAL_NODES x _ANGULAR_NODES points; all of them come from one
     _exact_factors call.  Any other side is m_lambda_functional at
-    n_samples points on seeds[i]: the factor does not depend on its
-    entrance time, so heights enter at the side's first point, inside
-    (0,1) for a t inside a gap, with no run-in.  seeds[i] is read only
-    for a sampled side.
+    n_samples points on its node's stream for that side,
+    derive_seed(node_seeds[i // 2], i % 2): the factor does not depend
+    on its entrance time, so heights enter at the side's first point,
+    inside (0,1) for a t inside a gap, with no run-in.
     """
     exact = np.flatnonzero(terms)
     values = dict(zip(exact.tolist(), _exact_factors(
@@ -300,17 +306,25 @@ def _rhs_factors(sides, terms: np.ndarray, rho: float, n_samples: int,
             factors.append(EstimateWithError(mean=float(values[i]), stderr=0.0,
                                              n_samples=_RADIAL_NODES * _ANGULAR_NODES))
         elif side:
-            factors.append(m_lambda_functional(side, rho, side[0][0], n_samples, seeds[i]))
+            factors.append(m_lambda_functional(side, rho, side[0][0], n_samples,
+                                               derive_seed(node_seeds[i // 2], i % 2)))
         else:
             factors.append(EstimateWithError.exact(1.0))
     return factors
 
 
-def _coarse_nodes(n_nodes: int) -> int:
-    """The coarser rule's node count: n/3 when 3 divides n, else ceil(n/2), and 2 at n = 1."""
-    if n_nodes % 3 == 0:
-        return n_nodes // 3
-    return 2 if n_nodes == 1 else -(-n_nodes // 2)
+def _rule(region: TimeSet, gap: tuple[float, float], n_nodes: int, rho: float):
+    """The n_nodes-node rule on one gap: (node times, weights, pulled-back sides, their series terms)."""
+    a, b = gap
+    times, weights = _arcsine_nodes(a, b, n_nodes, (a > 0.0, b < 1.0))
+    sides = [side for t in times for side in _pullback(t, region)]
+    return times, np.broadcast_to(weights, n_nodes), sides, _series_terms(sides, rho)
+
+
+def _all_exact(rule) -> bool:
+    """Whether every side of a rule is exact or empty: no factor of it is sampled."""
+    _, _, sides, terms = rule
+    return all(k or not side for k, side in zip(terms, sides))
 
 
 def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
@@ -328,12 +342,13 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
       variance comes from its randomized-QMC replicates, whose count is
       extra["replicates"] when some factor is sampled;
     - extra["quadrature_error"]: on each gap whose factors are all exact,
-      the rule of m = _coarse_nodes(n) nodes estimates the n-node rule's
-      O(n^-2) error as |I_n - I_m| / |1 - (n/m)^2|.  The gaps' estimates
-      add, times _QUADRATURE_SAFETY.  With m = n/3 the coarse nodes are
-      every third node (index 3i + 1) at three times the weight, at no
-      cost; otherwise they are evaluated too.  A gap with a sampled
-      factor adds nothing: its I_n - I_m would carry sampling noise.
+      a coarser rule of m = ceil(n/2) nodes (2 at n = 1) estimates the
+      n-node rule's O(n^-2) error as |I_n - I_m| / |1 - (n/m)^2|.  The
+      gaps' estimates add, times _QUADRATURE_SAFETY.  A coarse side the
+      series cannot take is sampled, on derive_seed(derive_seed(seed,
+      _TAG_COARSE, gap, node), side): its noise only widens the estimate
+      on average.  A gap with a sampled factor adds nothing: its
+      I_n - I_m would carry the sampling noise its nodes already band.
 
     n_samples counts every point evaluated, the coarse rule's included:
     n_samples_per_node per sampled factor and the grid's points per
@@ -353,51 +368,33 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
         return EstimateWithError.exact(0.0)
     if not region:
         return EstimateWithError.exact(1.0)
-    gaps = []  # per gap: (its ends and interior flags, node times, node weights)
-    for a, b in region.complement_components():
-        interior = (a > 0.0, b < 1.0)
-        times, weights = _arcsine_nodes(a, b, n_nodes, interior)
-        gaps.append(((a, b, interior), times, np.broadcast_to(weights, n_nodes)))
-    # side 2 (g n + i) + s is side s (left 0, right 1) of node i of gap g
-    sides = [side for _, times, _ in gaps for t in times for side in _pullback(t, region)]
-    terms = _series_terms(sides, rho)
-    span = 2 * n_nodes
-    coarse_n = _coarse_nodes(n_nodes)
-    coarse = {}  # gap -> (its coarse nodes' left sides, their weights), where all are exact
-    for g, ((a, b, interior), _, weights) in enumerate(gaps):
-        if not all(k or not side for k, side in zip(terms[g * span:(g + 1) * span],
-                                                    sides[g * span:(g + 1) * span])):
-            continue
-        if n_nodes % 3 == 0:
-            coarse[g] = (range(g * span + 2, (g + 1) * span, 6), 3.0 * weights[1::3])
-            continue
-        times, coarse_weights = _arcsine_nodes(a, b, coarse_n, interior)
-        more = [side for t in times for side in _pullback(t, region)]
-        more_terms = _series_terms(more, rho)
-        if all(k or not side for k, side in zip(more_terms, more)):
-            coarse[g] = (range(len(sides), len(sides) + 2 * coarse_n, 2),
-                         np.broadcast_to(coarse_weights, coarse_n))
-            sides += more
-            terms = np.concatenate([terms, more_terms])
-    seeds = [None] * len(sides)
-    for i in range(len(gaps) * span):
-        if sides[i] and not terms[i]:
-            g, ni = divmod(i // 2, n_nodes)
-            seeds[i] = derive_seed(derive_seed(seed, _TAG_NODE, g, ni), i % 2)
-    factors = _rhs_factors(sides, terms, rho, n_samples_per_node, seeds)
+    gaps = region.complement_components()
+    fine = [_rule(region, gap, n_nodes, rho) for gap in gaps]
+    coarse_n = 2 if n_nodes == 1 else -(-n_nodes // 2)
+    coarse = {g: _rule(region, gaps[g], coarse_n, rho)
+              for g, rule in enumerate(fine) if _all_exact(rule)}
+    rules = fine + list(coarse.values())
+    node_seeds = [derive_seed(seed, _TAG_NODE, g, ni) for g in range(len(gaps))
+                  for ni in range(n_nodes)]
+    node_seeds += [derive_seed(seed, _TAG_COARSE, g, ni) for g in coarse for ni in range(coarse_n)]
+    factors = _rhs_factors([side for rule in rules for side in rule[2]],
+                           np.concatenate([rule[3] for rule in rules]), rho,
+                           n_samples_per_node, node_seeds)
+    pairs = iter(zip(factors[0::2], factors[1::2]))  # each node's (left, right), rule by rule
 
     def dof(est):
         return est.extra["replicates"] - 1 if est.extra else None
 
     total = 0.0
-    rows, node_vars = [], []
+    rows, node_vars, gap_sums = [], [], []
     var_terms = []  # (variance, dof) of each factor's part of a node's variance
-    for g, (_, times, weights) in enumerate(gaps):
-        for ni, (t, weight) in enumerate(zip(times, weights)):
-            left, right = factors[g * span + 2 * ni:g * span + 2 * ni + 2]
+    for g, (times, weights, _, _) in enumerate(fine):
+        gap_sums.append(0.0)
+        for t, weight, (left, right) in zip(times, weights, pairs):
             pm, pv = product_estimate(left, right)
             weight = float(weight)
             total += weight * pm
+            gap_sums[g] += weight * pm
             node_vars.append(weight**2 * pv)
             var_terms += [((weight * left.stderr * right.mean) ** 2, dof(left)),
                           ((weight * right.stderr * left.mean) ** 2, dof(right)),
@@ -407,13 +404,10 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
                 "left": left.mean, "left_stderr": left.stderr,
                 "right": right.mean, "right_stderr": right.stderr,
             })
-
-    def rule(lefts, weights):
-        return float(np.dot(weights, [factors[i].mean * factors[i + 1].mean for i in lefts]))
-
     quadrature = _QUADRATURE_SAFETY / abs(1.0 - (n_nodes / coarse_n) ** 2) * sum(
-        abs(rule(range(g * span, (g + 1) * span, 2), gaps[g][2]) - rule(*coarse[g]))
-        for g in coarse)
+        abs(gap_sums[g] - sum(float(weight) * left.mean * right.mean
+                              for weight, (left, right) in zip(rule[1], pairs)))
+        for g, rule in coarse.items())
     var = sum(node_vars)
     top = int(np.argmax(node_vars))
     top_node = {"component": rows[top]["component"], "t": rows[top]["t"],
@@ -423,7 +417,8 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     if replicates:
         extra["replicates"] = replicates[-1]
     extra.update(dof=welch_dof(var_terms + [(quadrature**2, None)]),
-                 exact_factors=int(np.count_nonzero(terms)), quadrature_error=quadrature)
+                 exact_factors=sum(int(np.count_nonzero(rule[3])) for rule in rules),
+                 quadrature_error=quadrature)
     return EstimateWithError(mean=total, stderr=math.sqrt(var + quadrature**2),
                              n_samples=sum(est.n_samples for est in factors), seed=seed,
                              extra=extra)
@@ -495,9 +490,13 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     finite grid is unbiased, so
     the check asks whether the bias is both resolved and material: it
     fails when |grid_bias| less four of its own standard errors exceeds
-    the allowance, _GRID_ALLOWANCE times the combined stderr.  A failed
-    check fails the verdict, as does the tie flag of any level.  Every
-    size, the doubled grid's included, is checked before the first draw.
+    the allowance, _GRID_ALLOWANCE times the combined stderr.  Where it
+    passes with four stderrs above _GRID_RESOLUTION allowances, the run
+    is made again with the top level the check needs (_top_walks): the
+    estimate and the levels below are bit for bit the same, so only
+    lhs_refined and grid_bias change.  A failed check fails the verdict,
+    as does the tie flag of any level.  Every size, the doubled grid's
+    included, is checked before the run's first draw.
     argmin_coincidence replaces a zero stderr where it is not exact, so
     no band here has width 0.
     """
@@ -506,10 +505,14 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     lhs = argmin_coincidence(region, rho, lhs_n_grid, lhs_samples,
                              derive_seed(seed, _TAG_LHS), refine=check_stability)
     rhs = rhs_integral(region, rho, n_nodes, node_samples, derive_seed(seed, _TAG_RHS))
+    combined = math.sqrt(lhs.stderr**2 + rhs.stderr**2)
+    walks = _top_walks(lhs, _GRID_ALLOWANCE * combined) if check_stability else None
+    if walks is not None:
+        lhs = argmin_coincidence(region, rho, lhs_n_grid, lhs_samples,
+                                 derive_seed(seed, _TAG_LHS), refine=True, top_walks=walks)
     lhs_refined = lhs.extra.pop("refined", None)
     grid_bias = lhs.extra.pop("grid_bias", None)
     discrepancy = lhs.mean - rhs.mean
-    combined = math.sqrt(lhs.stderr**2 + rhs.stderr**2)
     dof = welch_dof([(lhs.stderr**2, (lhs.extra or {}).get("dof")),
                      (rhs.stderr**2, (rhs.extra or {}).get("dof"))])
     threshold = band_multiplier(dof)
@@ -523,6 +526,29 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
                 and stability_ok is not False), dof=dof, threshold=threshold,
         lhs_refined=lhs_refined, grid_bias=grid_bias, stability_ok=stability_ok,
     )
+
+
+def _top_walks(lhs: EstimateWithError, allowance: float) -> int | None:
+    """The top-level walks that resolve a refined run's grid bias to the allowance, or None.
+
+    None when the check needs no more: four stderrs are within
+    _GRID_RESOLUTION allowances already; or it fails already (more walks
+    would only confirm a resolved bias); or the run is one paired walk,
+    whose estimate and grid bias come from the same walks, so that more
+    of them narrow the allowance as fast as the bias's band.  Otherwise
+    a fifth more than the top level's variance predicts: its walks times
+    (stderr / wanted)^2, or 1 / wanted where no pair differed and the
+    stderr is the floor 1 / walks (argmin_coincidence); at most SAMPLE_CAP.
+    """
+    bias, refined = lhs.extra["grid_bias"], lhs.extra["refined"]
+    wanted = _GRID_RESOLUTION * allowance / 4.0
+    if bias.stderr <= wanted or abs(bias.mean) - 4.0 * bias.stderr > allowance:
+        return None
+    if len(refined.extra["levels"]) == len(lhs.extra["levels"]):  # the paired walk
+        return None
+    walks = refined.extra["levels"][-1]["samples"]
+    need = 1.0 / wanted if bias.stderr == 1.0 / walks else walks * (bias.stderr / wanted) ** 2
+    return min(SAMPLE_CAP, math.ceil(1.2 * need))
 
 
 def sensitivity_curve(rho: float, n_list, n_samples: int,

@@ -167,7 +167,7 @@ def test_criterion_7_main_theorem_desk_scale():
         # node rule's error, reported next to it
         if "," not in text:
             rhs = report.as_dict()["rhs"]
-            case_ok &= (rhs["exact_factors"] == 2 * 24 and "replicates" not in rhs
+            case_ok &= (rhs["exact_factors"] == 2 * (24 + 12) and "replicates" not in rhs
                         and rhs["stderr"] == rhs["quadrature_error"] > 0.0)
         all_ok &= case_ok
         lines.append(

@@ -11,10 +11,12 @@ from splitnoise import theorem
 from splitnoise.sampling import EstimateWithError, derive_rng, derive_seed, welch_dof
 from splitnoise.theorem import (
     _TAG_NODE,
+    _all_exact,
     _arcsine_nodes,
     _exact_factors,
     _pullback,
     _rhs_factors,
+    _rule,
     _series_terms,
     band_multiplier,
     rhs_integral,
@@ -125,8 +127,7 @@ def test_arcsine_mean_against_argmin_simulation():
 def node_factors(t, region, rho, n_samples, seed):
     """The two factors at gap time t, a sampled side on derive_seed(seed, side)."""
     sides = list(_pullback(t, region))
-    return tuple(_rhs_factors(sides, _series_terms(sides, rho), rho, n_samples,
-                              [derive_seed(seed, side) for side in (0, 1)]))
+    return tuple(_rhs_factors(sides, _series_terms(sides, rho), rho, n_samples, [seed]))
 
 
 def is_exact_factor(est):
@@ -276,11 +277,16 @@ def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
     raw, top = two.extra["grid_bias"], two.extra["refined"].extra["levels"][-1]
     assert (top["grid"], top["samples"]) == (8192, 49)
     assert (raw.mean, raw.stderr) == (0.0, 1 / 49)
+    # the floor's 4 / 49 is 14 allowances: the check runs again with the
+    # top level a quarter allowance needs, 3334 walks, none of which tells
+    # the grids apart either, and the floor is 1/3334
     report = verify_theorem(region, 0.5, seed=1, lhs_n_grid=4096, lhs_samples=100,
                             n_nodes=2, node_samples=100, check_stability=True)
-    assert (report.grid_bias.mean, report.grid_bias.stderr) == (0.0, 1 / 49)
+    m = report.lhs_refined.extra["levels"][-1]["samples"]
+    assert m == 3334 and (report.grid_bias.mean, report.grid_bias.stderr) == (0.0, 1 / m)
+    assert 4 / m <= theorem._GRID_RESOLUTION * report.as_dict()["grid_bias_allowance"]
     assert report.stability_ok
-    assert report.as_dict()["grid_bias"] == {"estimate": 0.0, "stderr": 1 / 49}
+    assert report.as_dict()["grid_bias"] == {"estimate": 0.0, "stderr": 1 / m}
     # on 1/2..1 the first gap is integrated out, so samples are not 0 or
     # 1 and the paired stderr is a real sample stderr, not the floor
     region = TimeSet.parse("1/2..1")
@@ -316,6 +322,31 @@ def rhs_node_terms(row):
     w, left, right = row["weight"], row["left"], row["right"]
     ls, rs = row["left_stderr"], row["right_stderr"]
     return [(w * ls * right) ** 2, (w * rs * left) ** 2, (w * ls * rs) ** 2]
+
+
+def test_an_unresolved_stability_check_runs_again_with_the_walks_it_needs():
+    # at n_grid 256 and 2000 samples the top level's 572 walks at 512 put
+    # four stderrs of the grid bias at 1.5 allowances.  The check passes
+    # unresolved, so the run is made again with a top level of the walks
+    # its variance predicts: the estimate is bit for bit the run's without
+    # refine, the grid bias the refined run's at that top level
+    region, seed = QUARTER_HALF, derive_seed(2, theorem._TAG_LHS)
+    first = argmin_coincidence(region, 0.7, 256, 2000, seed, refine=True)
+    assert first.extra["refined"].extra["levels"][-1]["samples"] == 572
+    report = verify_theorem(region, 0.7, seed=2, lhs_n_grid=256, lhs_samples=2000,
+                            n_nodes=8, node_samples=100, check_stability=True)
+    allowance = report.as_dict()["grid_bias_allowance"]
+    assert 4 * first.extra["grid_bias"].stderr > allowance
+    walks = report.lhs_refined.extra["levels"][-1]["samples"]
+    assert walks > 572 * 16
+    plain = argmin_coincidence(region, 0.7, 256, 2000, seed)
+    assert (report.lhs.mean, report.lhs.stderr) == (plain.mean, plain.stderr)
+    again = argmin_coincidence(region, 0.7, 256, 2000, seed, refine=True, top_walks=walks)
+    assert (report.grid_bias.mean, report.grid_bias.stderr) == \
+        (again.extra["grid_bias"].mean, again.extra["grid_bias"].stderr)
+    assert report.lhs_refined.mean == again.extra["refined"].mean
+    assert 0.0 < 4 * report.grid_bias.stderr <= theorem._GRID_RESOLUTION * allowance
+    assert report.stability_ok and report.passed
 
 
 def test_verdict_band_is_a_student_t_band():
@@ -481,7 +512,7 @@ def test_narrow_components_keep_sampling(ratio):
         warnings.simplefilter("error")
         terms = _series_terms(sides, rho)
         assert terms[0] == 0
-        est, = _rhs_factors(sides, terms, rho, 20_000, [derive_seed(5, 0)])
+        est, = _rhs_factors(sides, terms, rho, 20_000, [5])
     assert est.n_samples == 20_000 and math.isfinite(est.mean) and est.stderr > 0.0
     other = m_lambda_functional(sides[0], rho, a, 20_000, seed=6)
     assert abs(est.mean - other.mean) < 4 * math.hypot(est.stderr, other.stderr)
@@ -507,9 +538,8 @@ def test_quadrature_error_covers_the_node_rule(rho, reference, n_nodes):
     assert extra["quadrature_error"] >= abs(est.mean - reference)
     assert est.stderr == extra["quadrature_error"] > 0.0
     assert "replicates" not in extra and extra["dof"] is None and extra["top_node"] is None
-    # both gaps' nodes, two sides each, one empty; 8 nodes add the 4-node rule's
-    coarse = 0 if n_nodes % 3 == 0 else (n_nodes + 1) // 2
-    assert extra["exact_factors"] == 2 * (n_nodes + coarse)
+    # both gaps' nodes, two sides each, one empty, and the n/2-node rule's
+    assert extra["exact_factors"] == 2 * (n_nodes + n_nodes // 2)
     assert est.n_samples == 32 * 16 * extra["exact_factors"]
     assert all(r["left_stderr"] == r["right_stderr"] == 0.0 for r in extra["nodes"])
     # no stream is read: the seed changes nothing but the echo
@@ -517,17 +547,21 @@ def test_quadrature_error_covers_the_node_rule(rho, reference, n_nodes):
     assert (other.mean, other.stderr) == (est.mean, est.stderr)
 
 
+def middle_sum(est):
+    return sum(r["weight"] * r["left"] * r["right"] for r in est.extra["nodes"]
+               if r["component"] == 1)
+
+
 def test_quadrature_error_comes_only_from_exact_gaps():
     # on the split region only the middle gap is exact; at 6 nodes its
-    # 2-node rule is every third node at 3 times the weight
+    # error estimate is against its own 3-node rule, |1 - (6/3)^2| = 3
     region = TimeSet.parse("1/4..1/2,5/8..3/4")
     est = rhs_integral(region, 0.5, 6, 400, seed=4)
     rows = est.extra["nodes"]
-    middle = [r for r in rows if r["component"] == 1]
-    fine = sum(r["weight"] * r["left"] * r["right"] for r in middle)
-    coarse = 3 * sum(r["weight"] * r["left"] * r["right"] for r in middle[1::3])
-    assert est.extra["quadrature_error"] == pytest.approx(2 * abs(fine - coarse) / 8, rel=1e-12)
-    assert est.extra["exact_factors"] == 12 and est.extra["replicates"] == 16
+    coarse = middle_sum(rhs_integral(region, 0.5, 3, 400, seed=4))
+    assert est.extra["quadrature_error"] == pytest.approx(
+        2 * abs(middle_sum(est) - coarse) / 3, rel=1e-12)
+    assert est.extra["exact_factors"] == 12 + 6 and est.extra["replicates"] == 16
     # the outer gaps' factors are sampled on the same streams as ever
     for r in rows:
         if r["component"] == 1:
@@ -541,6 +575,31 @@ def test_quadrature_error_comes_only_from_exact_gaps():
                                              derive_seed(node_seed, side))
                 assert (r[("left", "right")[side]], r[("left_stderr", "right_stderr")[side]]) \
                     == (direct.mean, direct.stderr)
+
+
+def test_a_sampled_coarse_side_keeps_its_gap_term():
+    # one node's coarse rule has two, nearer the gap's ends: on
+    # 30/64..31/64 each gap's one node is exact, but one coarse node of
+    # each sees a component too narrow for the series.  The gap keeps its
+    # term, with that side sampled on its own stream
+    region, rho = TimeSet.parse("30/64..31/64"), 0.3
+    est = rhs_integral(region, rho, 1, 400, seed=3)
+    assert all(r["left_stderr"] == r["right_stderr"] == 0.0 for r in est.extra["nodes"])
+    assert est.extra["replicates"] == 16 and est.extra["exact_factors"] == 4
+    assert est.n_samples == 4 * 32 * 16 + 2 * 400
+    diffs = []
+    for g, gap in enumerate(region.complement_components()):
+        rule = _rule(region, gap, 2, rho)
+        assert not _all_exact(rule)
+        _, weights, sides, terms = rule
+        factors = _rhs_factors(sides, terms, rho, 400,
+                               [derive_seed(3, theorem._TAG_COARSE, g, ni) for ni in (0, 1)])
+        coarse = sum(w * left.mean * right.mean
+                     for w, left, right in zip(weights, factors[0::2], factors[1::2]))
+        diffs.append(abs(sum(r["weight"] * r["left"] * r["right"]
+                             for r in est.extra["nodes"] if r["component"] == g) - coarse))
+    assert est.extra["quadrature_error"] == pytest.approx(2 * sum(diffs) / 0.75, rel=1e-12)
+    assert est.stderr == est.extra["quadrature_error"] > 0.0
 
 
 def test_quadrature_error_at_one_and_two_nodes():
