@@ -264,8 +264,7 @@ def _pair_minima(masks: np.ndarray, n: int, flip: tuple[int, int], b: int,
 # -- argmin coincidence (the left-hand side of the main identity) -----------
 
 def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
-                       seed: int, refine: bool = False,
-                       top_walks: int | None = None) -> EstimateWithError:
+                       seed: int, refine: bool = False, top_walks=None) -> EstimateWithError:
     """P(the coupled Brownian pair attains its minimum at the same time).
 
     The pair is walked over the pieces of [0,1] in time order.  Each
@@ -343,8 +342,13 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     walks at 2 n_grid with n_grid derived from their draws, the estimate
     their coarse grid, extra["refined"] their fine grid (bit for bit the
     one-level run at 2 n_grid) and grid_bias the difference.  top_walks,
-    when given, is the top level's walk count in place of the rest of
-    the budget (the levels below are unchanged); a paired walk ignores it.
+    when given, may ask the top level for more walks: it is called with
+    the result and the top level's walks, and returns the walks the top
+    level should have, or None.  The top level then walks the difference
+    in more batches, numbered on from its own, and the result is formed
+    again; this repeats until it returns None or no more than it has.
+    The estimate and the levels below do not change.  A paired walk is
+    never asked: its walks are the estimate's.
 
     A 4-sigma band of width 0 cannot fail, so on a region neither empty
     nor full, with n = n_samples, a stderr of 0 is replaced.  The
@@ -355,18 +359,18 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     walks of the level it comes from (n_samples for the paired walk).
     A replaced stderr has no dof.
     """
-    _check_rho(rho)
-    _check_grid(n_grid)
-    _check_steps((1 + refine) * n_grid)  # the finest grid walked
-    levels = _levels([hi - lo for lo, hi in region], n_grid, n_samples, refine, top_walks)
+    levels = _direct_plan(region, rho, n_grid, n_samples, refine)
     # per level and estimate (the run at n_grid; with refine the run at
     # 2 n_grid and the grid bias): sums of b times the batch estimate, b^2
     # times its variance and b^4 times its Welch term, and the tied samples
     sums = np.zeros((len(levels), 1 + 2 * refine, 3))
     ties = np.zeros(sums.shape[:2])
-    for k, (grid, steps, walk_refine, sizes, part) in enumerate(levels):
+
+    def walk(k, sizes, first=0):
+        """Walk level k's batches of the given sizes, numbered from first, into its sums."""
+        grid, steps, walk_refine, _, part = levels[k]
         components = [(lo, hi, m) for (lo, hi), m in zip(region, steps)]
-        for i, b in enumerate(sizes):
+        for i, b in enumerate(sizes, first):
             rng = derive_rng(seed, _TAG_ARGMIN, grid, i)
             target, cell, weight = _polar_cells(b, rng)
             values, tied = _coincidence_walk(components, rho, target, rng, walk_refine)
@@ -380,23 +384,48 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
             mean, var, welch = _stratified(np.array(rows[:sums.shape[1]]), cell, weight)
             sums[k] += np.transpose([b * mean, b * b * var, b**4 * welch])
             ties[k] += np.count_nonzero(flags[:sums.shape[1]], axis=1)
-        n = float(sum(sizes))
-        sums[k] /= [n, n * n, n**4]
-        ties[k] /= n
-    floor = (1.0 - _TAIL_4SIGMA ** (1.0 / n_samples)) / 4.0
-    # the levels the estimate sums, and the grid each reports for it
-    below = [k for k, level in enumerate(levels) if level[4] != "top"]
-    shown = [(n_grid if part == "paired" else grid, sizes)
-             for grid, _, _, sizes, part in (levels[k] for k in below)]
-    est = _level_sum(sums[below, 0], shown, ties[below, 0], region, floor, n_samples, seed)
-    if refine:
-        shown = [(grid, sizes) for grid, _, _, sizes, _ in levels]
-        est.extra["refined"] = _level_sum(sums[:, 1], shown, ties[:, 1], region, floor,
-                                          n_samples, seed)
-        est.extra["grid_bias"] = _nonzero_stderr(
-            EstimateWithError(float(sums[-1, 2, 0]), math.sqrt(sums[-1, 2, 1]), n_samples, seed),
-            region, 1.0 / sum(levels[-1][3]))
+
+    def result():
+        """The estimate of the levels walked so far, with refine its refined run and grid bias."""
+        n = [float(sum(level[3])) for level in levels]
+        means = sums / np.array([[m, m * m, m**4] for m in n])[:, None, :]
+        tied = ties / np.array(n)[:, None]
+        floor = (1.0 - _TAIL_4SIGMA ** (1.0 / n_samples)) / 4.0
+        # the levels the estimate sums, and the grid each reports for it
+        below = [k for k, level in enumerate(levels) if level[4] != "top"]
+        shown = [(n_grid if part == "paired" else grid, sizes)
+                 for grid, _, _, sizes, part in (levels[k] for k in below)]
+        est = _level_sum(means[below, 0], shown, tied[below, 0], region, floor, n_samples, seed)
+        if refine:
+            shown = [(grid, sizes) for grid, _, _, sizes, _ in levels]
+            est.extra["refined"] = _level_sum(means[:, 1], shown, tied[:, 1], region, floor,
+                                              n_samples, seed)
+            est.extra["grid_bias"] = _nonzero_stderr(
+                EstimateWithError(float(means[-1, 2, 0]), math.sqrt(means[-1, 2, 1]),
+                                  n_samples, seed), region, 1.0 / n[-1])
+        return est
+
+    for k, level in enumerate(levels):
+        walk(k, level[3])
+    est = result()
+    while top_walks is not None and levels[-1][4] == "top":
+        grid, steps, walk_refine, sizes, part = levels[-1]
+        total = top_walks(est, sum(sizes))
+        if total is None or total <= sum(sizes):
+            return est
+        more = _batches(max(2, total - sum(sizes)))
+        walk(len(levels) - 1, more, len(sizes))
+        levels[-1] = (grid, steps, walk_refine, sizes + more, part)
+        est = result()
     return est
+
+
+def _direct_plan(region, rho: float, n_grid: int, n_samples: int, refine: bool):
+    """Check a direct-route run's arguments and sizes, before any draw, and give its levels (_levels)."""
+    _check_rho(rho)
+    _check_grid(n_grid)
+    _check_steps((1 + refine) * n_grid)  # the finest grid walked
+    return _levels([hi - lo for lo, hi in region], n_grid, n_samples, refine)
 
 
 def _level_sum(sums: np.ndarray, levels, ties: np.ndarray, region, floor: float,
@@ -425,7 +454,7 @@ def _nonzero_stderr(est: EstimateWithError, region, floor: float) -> EstimateWit
     return est
 
 
-def _levels(lengths, n_grid: int, n_samples: int, refine: bool, top_walks: int | None = None):
+def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
     """The levels of a run, coarsest first: (grid, steps per component, refine walk, batch sizes, part).
 
     A chain from the coarsest grid n0 doubles up to n_grid; a component
@@ -449,8 +478,8 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool, top_walks: int |
     one level becomes the walk at n_grid refined, n_samples walks whose
     two grids give both runs (part "paired").  A longer chain is kept as
     it is, and the rest of the budget goes to a top level at 2 n_grid
-    (part "top", at least 2 samples), or top_walks when given.  Every
-    level's steps and batch sizes are checked here, before the first draw.
+    (part "top", at least 2 samples).  Every level's steps and batch
+    sizes are checked here, before the first draw.
     """
     _check_samples(n_samples)  # the budget is a sample count
     budget = n_samples * (sum(math.ceil(n_grid * x) for x in lengths) + _SAMPLE_COST)
@@ -487,17 +516,21 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool, top_walks: int |
         else:
             cost = sum(top) + _SAMPLE_COST
             spent = sum(n * (sum(s) + _SAMPLE_COST) for _, s, _, n, _ in levels)
-            walks = (n_samples * cost - spent) // cost if top_walks is None else top_walks
-            levels.append((2 * n_grid, top, True, max(2, walks), "top"))
+            levels.append((2 * n_grid, top, True, max(2, (n_samples * cost - spent) // cost), "top"))
     plan = []
     for grid, s, walk_refine, n, part in levels:
         if s:  # the steps one path walks, on every component
             _check_steps(sum(s))
-        sizes = batch_sizes(n, _ARGMIN_BATCH)
-        if sizes[-1] == 1:
-            sizes[-2:] = [sizes[-2] + 1]
-        plan.append((grid, s, walk_refine, sizes, part))
+        plan.append((grid, s, walk_refine, _batches(n), part))
     return plan
+
+
+def _batches(n: int) -> list[int]:
+    """n samples (checked) in batches of at most _ARGMIN_BATCH, a last batch of 1 joining the one before."""
+    sizes = batch_sizes(n, _ARGMIN_BATCH)
+    if sizes[-1] == 1:
+        sizes[-2:] = [sizes[-2] + 1]
+    return sizes
 
 
 def _polar_cells(b: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

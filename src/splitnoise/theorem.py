@@ -29,7 +29,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import erf, gammaln, hyp1f1, spherical_jn, stdtrit
 
-from .coupled import _TAIL_4SIGMA, _check_steps, argmin_coincidence, discrete_phi, m_lambda_functional
+from .coupled import (_TAIL_4SIGMA, _check_steps, _direct_plan, argmin_coincidence, discrete_phi,
+                      m_lambda_functional)
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import (SAMPLE_CAP, EstimateWithError, _check_samples, derive_seed,
                        product_estimate, welch_dof)
@@ -491,28 +492,31 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     the check asks whether the bias is both resolved and material: it
     fails when |grid_bias| less four of its own standard errors exceeds
     the allowance, _GRID_ALLOWANCE times the combined stderr.  Where it
-    passes with four stderrs above _GRID_RESOLUTION allowances, the run
-    is made again with the top level the check needs (_top_walks): the
-    estimate and the levels below are bit for bit the same, so only
-    lhs_refined and grid_bias change.  A failed check fails the verdict,
-    as does the tie flag of any level.  Every size, the doubled grid's
-    included, is checked before the run's first draw.
+    would pass with four stderrs above _GRID_RESOLUTION allowances, the
+    top level walks on until they are within it (_top_walks): the
+    estimate and the levels below do not change, only lhs_refined and
+    grid_bias.  A failed check fails the verdict, as does the tie flag
+    of any level.  Every size, the doubled grid's included, is checked
+    before the first draw; the top level's added walks are at most
+    SAMPLE_CAP in all.
     argmin_coincidence replaces a zero stderr where it is not exact, so
     no band here has width 0.
     """
     _check_nodes(n_nodes, region)
     _check_samples(node_samples)
-    lhs = argmin_coincidence(region, rho, lhs_n_grid, lhs_samples,
-                             derive_seed(seed, _TAG_LHS), refine=check_stability)
+    _direct_plan(region, rho, lhs_n_grid, lhs_samples, check_stability)
+    # the RHS first: the check's allowance needs its stderr while the direct route walks
     rhs = rhs_integral(region, rho, n_nodes, node_samples, derive_seed(seed, _TAG_RHS))
-    combined = math.sqrt(lhs.stderr**2 + rhs.stderr**2)
-    walks = _top_walks(lhs, _GRID_ALLOWANCE * combined) if check_stability else None
-    if walks is not None:
-        lhs = argmin_coincidence(region, rho, lhs_n_grid, lhs_samples,
-                                 derive_seed(seed, _TAG_LHS), refine=True, top_walks=walks)
+
+    def top_walks(est, walks):
+        return _top_walks(est, walks, _GRID_ALLOWANCE * math.hypot(est.stderr, rhs.stderr))
+
+    lhs = argmin_coincidence(region, rho, lhs_n_grid, lhs_samples, derive_seed(seed, _TAG_LHS),
+                             refine=check_stability, top_walks=top_walks)
     lhs_refined = lhs.extra.pop("refined", None)
     grid_bias = lhs.extra.pop("grid_bias", None)
     discrepancy = lhs.mean - rhs.mean
+    combined = math.sqrt(lhs.stderr**2 + rhs.stderr**2)
     dof = welch_dof([(lhs.stderr**2, (lhs.extra or {}).get("dof")),
                      (rhs.stderr**2, (rhs.extra or {}).get("dof"))])
     threshold = band_multiplier(dof)
@@ -528,25 +532,21 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     )
 
 
-def _top_walks(lhs: EstimateWithError, allowance: float) -> int | None:
+def _top_walks(lhs: EstimateWithError, walks: int, allowance: float) -> int | None:
     """The top-level walks that resolve a refined run's grid bias to the allowance, or None.
 
-    None when the check needs no more: four stderrs are within
-    _GRID_RESOLUTION allowances already; or it fails already (more walks
-    would only confirm a resolved bias); or the run is one paired walk,
-    whose estimate and grid bias come from the same walks, so that more
-    of them narrow the allowance as fast as the bias's band.  Otherwise
-    a fifth more than the top level's variance predicts: its walks times
-    (stderr / wanted)^2, or 1 / wanted where no pair differed and the
-    stderr is the floor 1 / walks (argmin_coincidence); at most SAMPLE_CAP.
+    lhs is the run so far, walks its top level's.  None when the check
+    needs no more: four stderrs are within _GRID_RESOLUTION allowances
+    already, or it fails already (more walks would only confirm a
+    resolved bias).  Otherwise a fifth more than the top level's
+    variance predicts: walks times (stderr / wanted)^2, or 1 / wanted
+    where no pair differed and the stderr is the floor 1 / walks
+    (argmin_coincidence); at most SAMPLE_CAP.
     """
-    bias, refined = lhs.extra["grid_bias"], lhs.extra["refined"]
+    bias = lhs.extra["grid_bias"]
     wanted = _GRID_RESOLUTION * allowance / 4.0
     if bias.stderr <= wanted or abs(bias.mean) - 4.0 * bias.stderr > allowance:
         return None
-    if len(refined.extra["levels"]) == len(lhs.extra["levels"]):  # the paired walk
-        return None
-    walks = refined.extra["levels"][-1]["samples"]
     need = 1.0 / wanted if bias.stderr == 1.0 / walks else walks * (bias.stderr / wanted) ** 2
     return min(SAMPLE_CAP, math.ceil(1.2 * need))
 

@@ -519,7 +519,7 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
         return EstimateWithError(means[i], stderr, 100, seed=0,
                                  extra={"tie_fraction": 0.01 * tied, "tie_flag": tied})
 
-    def direct_route(*args, refine=False):
+    def direct_route(*args, refine=False, top_walks=None):
         runs.append(refine)
         est = level(0)
         est.extra["refined"] = level(1)

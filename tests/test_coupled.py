@@ -328,6 +328,33 @@ def test_refined_level_is_the_plain_walk_at_twice_the_grid():
                 (plain.mean, plain.stderr, plain.extra)
 
 
+def test_top_walks_extends_only_the_top_level():
+    # the hook sees each result and the top level's walks, and the top
+    # level walks on, in batches numbered on from its own, until the hook
+    # asks for no more than it has; the estimate and the levels below do
+    # not change.  A paired walk is never asked
+    asked = []
+
+    def hook(est, walks):
+        asked.append((walks, est.extra["grid_bias"].stderr))
+        return {572: 3000, 3000: 2999}.get(walks)
+
+    plain = argmin_coincidence(QUARTER_HALF, 0.7, 256, 2000, seed=7, refine=True)
+    more = argmin_coincidence(QUARTER_HALF, 0.7, 256, 2000, seed=7, refine=True, top_walks=hook)
+    assert [walks for walks, _ in asked] == [572, 3000]
+    assert asked[0][1] == plain.extra["grid_bias"].stderr > asked[1][1]
+    assert (more.mean, more.stderr, more.extra["levels"]) == \
+        (plain.mean, plain.stderr, plain.extra["levels"])
+    # each level's row, less its share of a total the top level is part of
+    fine, coarse = ([{k: v for k, v in row.items() if k != "var_share"}
+                     for row in est.extra["refined"].extra["levels"]] for est in (more, plain))
+    assert fine[:-1] == coarse[:-1] and (fine[-1]["grid"], fine[-1]["samples"]) == (512, 3000)
+    assert more.extra["grid_bias"].stderr == asked[1][1]
+    # one level at n_grid 16: the paired walk, which the hook never sees
+    argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed=7, refine=True,
+                       top_walks=lambda est, walks: pytest.fail("a paired walk was asked"))
+
+
 def test_check_stability_leaves_the_run_at_n_grid_as_it_is():
     # with several levels, refine adds a top level at 2 n_grid and leaves
     # the levels below it, and so the estimate, bit for bit as without it;
