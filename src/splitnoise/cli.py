@@ -116,7 +116,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--node-steps", type=int, default=1024,
                    help="checked and echoed; survival factors have no grid")
     p.add_argument("--check-stability", action="store_true",
-                   help="walk the doubled grid too, from the same draws, and check the paired difference")
+                   help="walk one more level, twice --n-grid against it on the same draws, "
+                        "and check the grid bias it measures")
     p.add_argument("--factors-csv", default=None, help="write per-node factors here")
 
     p = sub.add_parser("sensitivity-curve", help="full-interval correlation along walk lengths, CSV")

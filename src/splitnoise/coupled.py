@@ -331,24 +331,19 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     run, and tie_fraction is the largest level's.
 
     With refine, the budget is n_samples walks at 2 n_grid, and a top
-    level at 2 n_grid follows the others: extra["refined"] is the
-    estimate at 2 n_grid, and extra["grid_bias"] the top level, the
-    paired per-sample difference between the grids n_grid and 2 n_grid.
-    The estimate itself is the sum of the other levels, bit for bit the
-    run without refine, and the top level takes the rest of the budget,
-    about half of it on a fine grid, so that grid_bias resolves about as
-    finely as n_samples paired walks would.  When the run without
-    refine is one level, the run is the paired walk itself: n_samples
-    walks at 2 n_grid with n_grid derived from their draws, the estimate
-    their coarse grid, extra["refined"] their fine grid (bit for bit the
-    one-level run at 2 n_grid) and grid_bias the difference.  top_walks,
-    when given, may ask the top level for more walks: it is called with
-    the result and the top level's walks, and returns the walks the top
-    level should have, or None.  The top level then walks the difference
-    in more batches, numbered on from its own, and the result is formed
-    again; this repeats until it returns None or no more than it has.
-    The estimate and the levels below do not change.  A paired walk is
-    never asked: its walks are the estimate's.
+    level at 2 n_grid follows the levels of the run without refine:
+    extra["refined"] is the estimate at 2 n_grid, the sum of every
+    level, and extra["grid_bias"] the top level alone, the paired
+    per-sample difference between the grids n_grid and 2 n_grid.  The
+    estimate itself is the sum of the other levels, bit for bit the run
+    without refine, and the top level takes the rest of the budget, at
+    least 2 walks.  top_walks, when given, may ask the top level for
+    more walks: it is called with the result and the top level's walks,
+    and returns the walks the top level should have, or None.  The top
+    level then walks the difference in more batches, numbered on from
+    its own, and the result is formed again; this repeats until it
+    returns None or no more than it has.  The estimate and the levels
+    below do not change.
 
     A 4-sigma band of width 0 cannot fail, so on a region neither empty
     nor full, with n = n_samples, a stderr of 0 is replaced.  The
@@ -356,66 +351,54 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     largest p with (1 - p)^n >= q, the exact binomial bound of a count
     of 0 (or n) at 4 sigma.  A grid_bias of stderr 0 gets 1 / m, the
     stderr of one paired sample in m that differs by 1, where m is the
-    walks of the level it comes from (n_samples for the paired walk).
+    top level's walks.
     A replaced stderr has no dof.
     """
     levels = _direct_plan(region, rho, n_grid, n_samples, refine)
-    # per level and estimate (the run at n_grid; with refine the run at
-    # 2 n_grid and the grid bias): sums of b times the batch estimate, b^2
-    # times its variance and b^4 times its Welch term, and the tied samples
-    sums = np.zeros((len(levels), 1 + 2 * refine, 3))
-    ties = np.zeros(sums.shape[:2])
+    # per level: sums of b times the batch estimate of its term, b^2 times
+    # its variance and b^4 times its Welch term, and its tied samples
+    sums = np.zeros((len(levels), 3))
+    ties = np.zeros(len(levels))
 
     def walk(k, sizes, first=0):
         """Walk level k's batches of the given sizes, numbered from first, into its sums."""
-        grid, steps, walk_refine, _, part = levels[k]
+        grid, steps, walk_refine, _ = levels[k]
         components = [(lo, hi, m) for (lo, hi), m in zip(region, steps)]
         for i, b in enumerate(sizes, first):
             rng = derive_rng(seed, _TAG_ARGMIN, grid, i)
             target, cell, weight = _polar_cells(b, rng)
             values, tied = _coincidence_walk(components, rho, target, rng, walk_refine)
             diff = values[-1] - values[0] if walk_refine else values[0]
-            both = tied.any(axis=0)
-            if part == "paired":
-                rows, flags = [values[0], values[1], diff], [tied[0], tied[1], both]
-            else:
-                rows = [diff, diff, np.zeros(b)] if part == "chain" else [np.zeros(b), diff, diff]
-                flags = [both] * 3
-            mean, var, welch = _stratified(np.array(rows[:sums.shape[1]]), cell, weight)
-            sums[k] += np.transpose([b * mean, b * b * var, b**4 * welch])
-            ties[k] += np.count_nonzero(flags[:sums.shape[1]], axis=1)
+            mean, var, welch = _stratified(diff[None], cell, weight)
+            sums[k] += [b * mean[0], b * b * var[0], b**4 * welch[0]]
+            ties[k] += np.count_nonzero(tied.any(axis=0))
 
     def result():
         """The estimate of the levels walked so far, with refine its refined run and grid bias."""
-        n = [float(sum(level[3])) for level in levels]
-        means = sums / np.array([[m, m * m, m**4] for m in n])[:, None, :]
-        tied = ties / np.array(n)[:, None]
+        n = np.array([float(sum(level[3])) for level in levels])
+        means, tied = sums / np.transpose([n, n * n, n**4]), ties / n
         floor = (1.0 - _TAIL_4SIGMA ** (1.0 / n_samples)) / 4.0
-        # the levels the estimate sums, and the grid each reports for it
-        below = [k for k, level in enumerate(levels) if level[4] != "top"]
-        shown = [(n_grid if part == "paired" else grid, sizes)
-                 for grid, _, _, sizes, part in (levels[k] for k in below)]
-        est = _level_sum(means[below, 0], shown, tied[below, 0], region, floor, n_samples, seed)
+        shown = [(grid, sizes) for grid, _, _, sizes in levels]
+        below = len(levels) - refine  # the levels the estimate sums
+        est = _level_sum(means[:below], shown[:below], tied[:below], region, floor, n_samples, seed)
         if refine:
-            shown = [(grid, sizes) for grid, _, _, sizes, _ in levels]
-            est.extra["refined"] = _level_sum(means[:, 1], shown, tied[:, 1], region, floor,
-                                              n_samples, seed)
+            est.extra["refined"] = _level_sum(means, shown, tied, region, floor, n_samples, seed)
             est.extra["grid_bias"] = _nonzero_stderr(
-                EstimateWithError(float(means[-1, 2, 0]), math.sqrt(means[-1, 2, 1]),
-                                  n_samples, seed), region, 1.0 / n[-1])
+                EstimateWithError(float(means[-1, 0]), math.sqrt(means[-1, 1]), n_samples, seed),
+                region, 1.0 / n[-1])
         return est
 
     for k, level in enumerate(levels):
         walk(k, level[3])
     est = result()
-    while top_walks is not None and levels[-1][4] == "top":
-        grid, steps, walk_refine, sizes, part = levels[-1]
+    while refine and top_walks is not None:
+        grid, steps, walk_refine, sizes = levels[-1]
         total = top_walks(est, sum(sizes))
         if total is None or total <= sum(sizes):
             return est
         more = _batches(max(2, total - sum(sizes)))
         walk(len(levels) - 1, more, len(sizes))
-        levels[-1] = (grid, steps, walk_refine, sizes + more, part)
+        levels[-1] = (grid, steps, walk_refine, sizes + more)
         est = result()
     return est
 
@@ -455,18 +438,18 @@ def _nonzero_stderr(est: EstimateWithError, region, floor: float) -> EstimateWit
 
 
 def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
-    """The levels of a run, coarsest first: (grid, steps per component, refine walk, batch sizes, part).
+    """The levels of a run, coarsest first: (grid, steps per component, refine walk, batch sizes).
 
     A chain from the coarsest grid n0 doubles up to n_grid; a component
     of length x takes grid / n0 * ceil(n0 x) steps, and every level but
-    the first walks its grid refined (part "chain").  Samples follow
-    Giles' allocation on a stated model: a sample of level l costs C_l,
-    the steps it walks on A plus _SAMPLE_COST, and varies V_l, 1 at l = 0
-    and _LEVEL_DECAY * _COARSEST_GRID / n_l above (in units of one plain
-    sample's); the budget B is n_samples times the cost of the walk at
-    n_grid.  The counts of least variance, sum V_l / N_l, at cost B with
-    none below _LEVEL_FLOOR hold the fewest top levels at the floor that
-    leave the others at it or above, and give the others
+    the first walks its grid refined.  Samples follow Giles' allocation
+    on a stated model: a sample of level l costs C_l, the steps it walks
+    on A plus _SAMPLE_COST, and varies V_l, 1 at l = 0 and _LEVEL_DECAY
+    * _COARSEST_GRID / n_l above (in units of one plain sample's); the
+    budget B is n_samples times the cost of the walk at n_grid.  The
+    counts of least variance, sum V_l / N_l, at cost B with none below
+    _LEVEL_FLOOR hold the fewest top levels at the floor that leave the
+    others at it or above, and give the others
     N_l = min(SAMPLE_CAP, floor(B' sqrt(V_l / C_l) / (sum over those k of sqrt(V_k C_k)))),
     with B' what the held levels leave of B.  Of the chains from
     every n0 down to min(_COARSEST_GRID, n_grid) whose floors fit and
@@ -474,12 +457,11 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
     least modelled variance; one level of n_samples walks at n_grid
     (variance 1 / n_samples) is the choice when no chain beats it.
 
-    With refine the budget is n_samples walks at 2 n_grid.  A chain of
-    one level becomes the walk at n_grid refined, n_samples walks whose
-    two grids give both runs (part "paired").  A longer chain is kept as
-    it is, and the rest of the budget goes to a top level at 2 n_grid
-    (part "top", at least 2 samples).  Every level's steps and batch
-    sizes are checked here, before the first draw.
+    With refine the budget is n_samples walks at 2 n_grid: the levels
+    are those without refine, and the rest of the budget goes to a top
+    level at 2 n_grid, walked refined, last (at least 2 samples).
+    Every level's steps and batch sizes are checked here, before the
+    first draw.
     """
     _check_samples(n_samples)  # the budget is a sample count
     budget = n_samples * (sum(math.ceil(n_grid * x) for x in lengths) + _SAMPLE_COST)
@@ -508,20 +490,17 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
             if total < least:
                 chain, counts, least = grids, plan, total
     base = chain[0]
-    levels = [(grid, steps(grid, base), grid > base, n, "chain") for grid, n in zip(chain, counts)]
+    levels = [(grid, steps(grid, base), grid > base, n) for grid, n in zip(chain, counts)]
     if refine:
         top = steps(2 * n_grid, base)
-        if len(levels) == 1:
-            levels = [(2 * n_grid, top, True, n_samples, "paired")]
-        else:
-            cost = sum(top) + _SAMPLE_COST
-            spent = sum(n * (sum(s) + _SAMPLE_COST) for _, s, _, n, _ in levels)
-            levels.append((2 * n_grid, top, True, max(2, (n_samples * cost - spent) // cost), "top"))
+        cost = sum(top) + _SAMPLE_COST
+        spent = sum(n * (sum(s) + _SAMPLE_COST) for _, s, _, n in levels)
+        levels.append((2 * n_grid, top, True, max(2, (n_samples * cost - spent) // cost)))
     plan = []
-    for grid, s, walk_refine, n, part in levels:
+    for grid, s, walk_refine, n in levels:
         if s:  # the steps one path walks, on every component
             _check_steps(sum(s))
-        plan.append((grid, s, walk_refine, _batches(n), part))
+        plan.append((grid, s, walk_refine, _batches(n)))
     return plan
 
 

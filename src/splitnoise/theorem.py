@@ -72,6 +72,8 @@ _GRID_ALLOWANCE = 0.25
 # the grid bias's 4-sigma band wanted, per allowance: the stability check
 # then fails on any bias much above 1.25 allowances (_top_walks)
 _GRID_RESOLUTION = 0.25
+# the top level grows at most this many times over per round of walking on
+_TOP_GROWTH = 4
 
 
 def band_multiplier(dof: float | None) -> float:
@@ -485,20 +487,20 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     Welch-Satterthwaite degrees of freedom of the two sides' variances,
     each at its own dof (the LHS's over its cells, the RHS's over its
     factors' replicates): a Student t band at the normal 4-sigma tail.
-    With check_stability, the direct run's levels go on to the doubled
-    grid (argmin_coincidence with refine), and its top level, the paired
-    per-sample difference between the two grids, is grid_bias.  No
-    finite grid is unbiased, so
-    the check asks whether the bias is both resolved and material: it
-    fails when |grid_bias| less four of its own standard errors exceeds
-    the allowance, _GRID_ALLOWANCE times the combined stderr.  Where it
+    With check_stability, the direct run, one level or several, gets one
+    more level at the doubled grid (argmin_coincidence with refine), and
+    that top level, the per-sample difference between the two grids on
+    the same draws, is grid_bias.  No finite grid is unbiased, so the
+    check asks whether the bias is both resolved and material: it fails
+    when |grid_bias| less four of its own standard errors exceeds the
+    allowance, _GRID_ALLOWANCE times the combined stderr.  Where it
     would pass with four stderrs above _GRID_RESOLUTION allowances, the
-    top level walks on until they are within it (_top_walks): the
-    estimate and the levels below do not change, only lhs_refined and
-    grid_bias.  A failed check fails the verdict, as does the tie flag
-    of any level.  Every size, the doubled grid's included, is checked
-    before the first draw; the top level's added walks are at most
-    SAMPLE_CAP in all.
+    top level walks on until they are within it or the check fails
+    (_top_walks): lhs, the levels below the top, does not change, only
+    lhs_refined and grid_bias.  A failed check fails the verdict, as
+    does the tie flag of any level.  Every size, the doubled grid's
+    included, is checked before the first draw; the top level walks at
+    most SAMPLE_CAP in all.
     argmin_coincidence replaces a zero stderr where it is not exact, so
     no band here has width 0.
     """
@@ -541,14 +543,16 @@ def _top_walks(lhs: EstimateWithError, walks: int, allowance: float) -> int | No
     resolved bias).  Otherwise a fifth more than the top level's
     variance predicts: walks times (stderr / wanted)^2, or 1 / wanted
     where no pair differed and the stderr is the floor 1 / walks
-    (argmin_coincidence); at most SAMPLE_CAP.
+    (argmin_coincidence); at most _TOP_GROWTH times walks, so that a
+    bias the next round resolves as material stops there, and at most
+    SAMPLE_CAP.
     """
     bias = lhs.extra["grid_bias"]
     wanted = _GRID_RESOLUTION * allowance / 4.0
     if bias.stderr <= wanted or abs(bias.mean) - 4.0 * bias.stderr > allowance:
         return None
     need = 1.0 / wanted if bias.stderr == 1.0 / walks else walks * (bias.stderr / wanted) ** 2
-    return min(SAMPLE_CAP, math.ceil(1.2 * need))
+    return min(SAMPLE_CAP, _TOP_GROWTH * walks, math.ceil(1.2 * need))
 
 
 def sensitivity_curve(rho: float, n_list, n_samples: int,

@@ -246,7 +246,10 @@ def test_direct_route_reports_its_strata(capsys):
                             "--node-samples", "100", *_THEOREM_SMALL, "--check-stability"],
                            capsys)
     results = json.loads(out)["results"]
-    assert results["lhs"]["strata"] == results["lhs_refined"]["strata"] == 50
+    rows = results["lhs_refined"]["levels"]
+    assert results["lhs"]["strata"] == rows[0]["strata"] == 50
+    assert results["lhs_refined"]["strata"] == 50 + rows[-1]["strata"]
+    assert rows[-1]["strata"] == rows[-1]["samples"] // 2
     assert "strata" not in results["rhs"]
 
 

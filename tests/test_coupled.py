@@ -289,50 +289,69 @@ def test_argmin_coincidence_full_region_is_exactly_zero():
 
 def test_two_level_run_has_each_grids_law():
     # 4 steps on A at rho 0.9, where the grid bias is about 0.005: the
-    # coarse level must match a plain run at n_grid, the fine level one
-    # at 2 n_grid, and the paired difference must resolve the bias
+    # one level at n_grid must match a plain run there, the refined run
+    # one at 2 n_grid, and the top level's paired difference must resolve
+    # the bias
     two = argmin_coincidence(QUARTER_HALF, 0.9, 16, 200_000, seed=81, refine=True)
     refined, bias = two.extra["refined"], two.extra["grid_bias"]
+    plains = []
     for level, n_grid, seed in ((two, 16, 82), (refined, 32, 83)):
-        plain = argmin_coincidence(QUARTER_HALF, 0.9, n_grid, 200_000, seed=seed)
-        assert abs(level.mean - plain.mean) < 4 * math.hypot(level.stderr, plain.stderr)
+        plains.append(argmin_coincidence(QUARTER_HALF, 0.9, n_grid, 200_000, seed=seed))
+        assert abs(level.mean - plains[-1].mean) < 4 * math.hypot(level.stderr, plains[-1].stderr)
         assert level.extra["tie_fraction"] == 0.0
     assert bias.mean == pytest.approx(refined.mean - two.mean, abs=1e-12)
     assert bias.mean > 4 * bias.stderr
-    # the paired band is narrower than two independent runs' band
-    assert bias.stderr < math.hypot(two.stderr, refined.stderr) / 2
+    # the paired band is narrower than the band of two independent runs
+    # of the top level's walks, one on each grid
+    walks = refined.extra["levels"][-1]["samples"]
+    independent = math.hypot(*(plain.stderr for plain in plains)) * math.sqrt(200_000 / walks)
+    assert bias.stderr < independent / 2
 
 
-def test_refined_level_is_the_plain_walk_at_twice_the_grid():
-    # a one-level run is, with refine, the paired walk: its refined level
-    # is the plain run at 2 n_grid, itself one level, bit for bit (with an
-    # even block of steps and 2 ceil(n_grid len) = ceil(2 n_grid len) on
-    # every component).  At these budgets _levels keeps one level at n_grid
-    # and 2 n_grid on components of 1/4 up to n_grid 64 (from 256 a chain
-    # from 128 beats it), and on components of 1/64, 4 steps at 256, up to
-    # n_grid 512: levels cannot save where _SAMPLE_COST is most of a walk
+def test_refined_level_is_the_plain_walk_at_twice_the_grid(monkeypatch):
+    # a one-level run's top level walks the draws of the plain run at
+    # 2 n_grid of as many walks (streams are keyed by grid and batch), and
+    # its fine grid is that run's walk bit for bit (with an even block of
+    # steps and 2 ceil(n_grid len) = ceil(2 n_grid len) on every
+    # component).  At these budgets _levels keeps one level at n_grid on
+    # components of 1/4 up to n_grid 64 (from 256 a chain from 128 beats
+    # it), and on components of 1/64, 4 steps at 256, up to n_grid 512:
+    # levels cannot save where _SAMPLE_COST is most of a walk
+    walk, rows = coupled._coincidence_walk, []
+
+    def recording(components, rho, target, rng, refine=False):
+        values, tied = walk(components, rho, target, rng, refine)
+        if refine or components[0][2] == fine:  # the top level, or the plain run at 2 n_grid
+            rows.append((values[-1], tied[-1]))
+        return values, tied
+
+    monkeypatch.setattr(coupled, "_coincidence_walk", recording)
     cases = [(64, text) for text in ("1/4..1/2", "1/4..1/2,5/8..3/4", "0..1/4", "3/4..1")]
     cases += [(256, text) for text in ("1/4..17/64", "1/4..17/64,5/8..41/64", "0..1/64", "63/64..1")]
     for n_grid, text in cases:
+        region = TimeSet.parse(text)
+        lengths = [hi - lo for lo, hi in region]
+        fine = 2 * math.ceil(n_grid * lengths[0])
         for n_samples in (2048, 3072):
-            lengths = [hi - lo for lo, hi in TimeSet.parse(text)]
-            for grid in (n_grid, 2 * n_grid):
-                assert len(coupled._levels(lengths, grid, n_samples, False)) == 1
-            two = argmin_coincidence(TimeSet.parse(text), 0.5, n_grid, n_samples, seed=85,
-                                     refine=True)
-            plain = argmin_coincidence(TimeSet.parse(text), 0.5, 2 * n_grid, n_samples, seed=85)
-            refined = two.extra["refined"]
-            for est in (refined, plain):
-                assert est.stderr > 0.0 and len(est.extra["levels"]) == 1
-            assert (refined.mean, refined.stderr, refined.extra) == \
-                (plain.mean, plain.stderr, plain.extra)
+            assert len(coupled._levels(lengths, n_grid, n_samples, False)) == 1
+            rows.clear()
+            two = argmin_coincidence(region, 0.5, n_grid, n_samples, seed=85, refine=True)
+            top = rows[:]
+            rows.clear()
+            levels = two.extra["refined"].extra["levels"]
+            assert [row["grid"] for row in levels] == [n_grid, 2 * n_grid]
+            plain = argmin_coincidence(region, 0.5, 2 * n_grid, levels[-1]["samples"], seed=85)
+            assert plain.stderr > 0.0 and len(plain.extra["levels"]) == 1
+            assert len(top) == len(rows) > 0
+            for (values, tied), (plain_values, plain_tied) in zip(top, rows):
+                assert np.array_equal(values, plain_values) and np.array_equal(tied, plain_tied)
 
 
 def test_top_walks_extends_only_the_top_level():
     # the hook sees each result and the top level's walks, and the top
     # level walks on, in batches numbered on from its own, until the hook
     # asks for no more than it has; the estimate and the levels below do
-    # not change.  A paired walk is never asked
+    # not change, on a multilevel run and on a one-level run alike
     asked = []
 
     def hook(est, walks):
@@ -350,34 +369,44 @@ def test_top_walks_extends_only_the_top_level():
                      for row in est.extra["refined"].extra["levels"]] for est in (more, plain))
     assert fine[:-1] == coarse[:-1] and (fine[-1]["grid"], fine[-1]["samples"]) == (512, 3000)
     assert more.extra["grid_bias"].stderr == asked[1][1]
-    # one level at n_grid 16: the paired walk, which the hook never sees
-    argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed=7, refine=True,
-                       top_walks=lambda est, walks: pytest.fail("a paired walk was asked"))
+    # one level at n_grid 16, and a top level of 19 walks at 32
+    plain = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed=7, refine=True)
+    more = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed=7, refine=True,
+                              top_walks=lambda est, walks: {19: 300, 300: 299}.get(walks))
+    assert (more.mean, more.stderr, more.extra["levels"]) == \
+        (plain.mean, plain.stderr, plain.extra["levels"])
+    rows = more.extra["refined"].extra["levels"]
+    assert [(row["grid"], row["samples"]) for row in rows] == [(16, 500), (32, 300)]
+    assert more.extra["grid_bias"].stderr < plain.extra["grid_bias"].stderr
 
 
 def test_check_stability_leaves_the_run_at_n_grid_as_it_is():
-    # with several levels, refine adds a top level at 2 n_grid and leaves
-    # the levels below it, and so the estimate, bit for bit as without it;
-    # the top level takes the rest of the budget of n walks at 2 n_grid
-    for text in ("1/4..1/2", "1/4..1/2,5/8..3/4"):
+    # with one level or several, refine adds a top level at 2 n_grid and
+    # leaves the levels below it, and so the estimate, bit for bit as
+    # without it; the top level takes the rest of the budget of n walks at
+    # 2 n_grid, on several levels about half of it
+    for text, n_grid, n in (("1/4..1/2", 1024, 3000), ("1/4..1/2,5/8..3/4", 1024, 3000),
+                            ("1/4..1/2", 64, 100)):
         region = TimeSet.parse(text)
-        two = argmin_coincidence(region, 0.5, 1024, 3000, seed=85, refine=True)
-        plain = argmin_coincidence(region, 0.5, 1024, 3000, seed=85)
-        assert len(plain.extra["levels"]) > 1
-        assert (two.mean, two.stderr, two.extra["levels"]) == \
-            (plain.mean, plain.stderr, plain.extra["levels"])
+        two = argmin_coincidence(region, 0.5, n_grid, n, seed=85, refine=True)
+        plain = argmin_coincidence(region, 0.5, n_grid, n, seed=85)
+        assert (len(plain.extra["levels"]) > 1) == (n_grid > 64)
+        assert (two.mean, two.stderr, two.extra) == \
+            (plain.mean, plain.stderr, {**plain.extra, "refined": two.extra["refined"],
+                                        "grid_bias": two.extra["grid_bias"]})
         refined, bias = two.extra["refined"], two.extra["grid_bias"]
         rows = refined.extra["levels"]
         shares = [row.pop("var_share") for row in rows + plain.extra["levels"]]
-        assert rows[:-1] == plain.extra["levels"] and rows[-1]["grid"] == 2048
+        assert rows[:-1] == plain.extra["levels"] and rows[-1]["grid"] == 2 * n_grid
         assert sum(shares[:len(rows)]) == pytest.approx(1.0, abs=1e-12)
         assert (bias.mean, bias.stderr) == (rows[-1]["estimate"], rows[-1]["stderr"])
         assert refined.mean == pytest.approx(two.mean + bias.mean, abs=1e-15)
         length = sum(hi - lo for lo, hi in region)  # dyadic: grid * length steps
         cost = lambda grid, n: n * (round(grid * length) + coupled._SAMPLE_COST)
         spent = sum(cost(row["grid"], row["samples"]) for row in rows)
-        assert spent <= cost(2048, 3000) < spent + cost(2048, 1)
-        assert rows[-1]["samples"] > 3000 // 3
+        assert spent <= cost(2 * n_grid, n) < spent + cost(2 * n_grid, 1)
+        if len(rows) > 2:  # several levels below the top
+            assert rows[-1]["samples"] > n // 3
 
 
 def test_refined_walk_is_the_plain_walk_at_twice_the_grid():
@@ -438,6 +467,18 @@ def giles_plan(lengths, n_grid, n, base):
     return grids, steps, counts, sum(v / k for v, k in zip(var, counts)), budget
 
 
+def assert_top_level(lengths, n_grid, n, plan):
+    """refine keeps the plan and spends the rest of n walks at 2 n_grid on a top level."""
+    two = coupled._levels(lengths, n_grid, n, True)
+    assert two[:-1] == plan
+    top = two[-1]
+    fine = [2 * math.ceil(n_grid * x) for x in lengths]
+    assert top[:3] == (2 * n_grid, fine, True)
+    each = sum(fine) + coupled._SAMPLE_COST
+    spent = sum(sum(level[3]) * (sum(level[1]) + coupled._SAMPLE_COST) for level in plan)
+    assert sum(top[3]) == (n * each - spent) // each >= 2
+
+
 def test_levels_follow_the_fixed_allocation():
     # Giles' closed form from the stated variance and cost model, with
     # the top levels held at the floor of 32 where it would give fewer,
@@ -461,27 +502,17 @@ def test_levels_follow_the_fixed_allocation():
             _, _, others, var, _ = giles_plan(lengths, n_grid, n, other)
             assert others[0] < 32 or var >= least
         assert [level[2] for level in plan] == [False] + [True] * (len(plan) - 1)
-        assert {level[4] for level in plan} == {"chain"}
-        # refine keeps the chain and spends the rest of n walks at 2 n_grid on a top level
-        two = coupled._levels(lengths, n_grid, n, True)
-        assert two[:-1] == plan
-        top = two[-1]
-        fine = [2 * math.ceil(n_grid * x) for x in lengths]
-        assert top[:3] == (2 * n_grid, fine, True) and top[4] == "top"
-        each = sum(fine) + coupled._SAMPLE_COST
-        spent = sum(k * (m + coupled._SAMPLE_COST) for k, m in zip(counts, steps))
-        assert sum(top[3]) == (n * each - spent) // each
+        assert_top_level(lengths, n_grid, n, plan)
     # when no chain's model beats 1 / n (a grid of 128 or less, a small
-    # budget) the run is one level of n walks, and with refine the paired walk
+    # budget) the run is one level of n walks, and refine adds the top level
     lengths = [0.25]
     for n_grid, n in ((128, 20_000), (64, 100), (16, 20_000), (4096, 60), (256, 100)):
         for base in (n_grid >> k for k in range(1, round(math.log2(n_grid // 16)) + 1)):
             _, _, counts, var, _ = giles_plan(lengths, n_grid, n, base)
             assert counts[0] < 32 or var >= 1 / n
-        assert coupled._levels(lengths, n_grid, n, False) == \
-            [(n_grid, [n_grid // 4], False, batch_sizes(n, 2048), "chain")]
-        assert coupled._levels(lengths, n_grid, n, True) == \
-            [(2 * n_grid, [n_grid // 2], True, batch_sizes(n, 2048), "paired")]
+        plan = coupled._levels(lengths, n_grid, n, False)
+        assert plan == [(n_grid, [n_grid // 4], False, batch_sizes(n, 2048))]
+        assert_top_level(lengths, n_grid, n, plan)
 
 
 def test_levels_stay_within_the_caps(monkeypatch):
@@ -506,16 +537,20 @@ def test_a_small_budget_falls_back_to_one_level():
     # at 100 walks of n_grid 64 a top level held at the floor of 32 would
     # leave level 0 only 73 samples, and at 60 walks of n_grid 4096 only 51,
     # too few to beat the one-level run: the run is the plain walk at
-    # n_grid, and with refine the walk at 2 n_grid with n_grid derived from
-    # its draws, all the samples in one level
-    for n_grid, n in ((64, 100), (4096, 60)):
+    # n_grid, all the samples in one level, and refine adds the top level
+    # at 2 n_grid (12 and 28 walks) and leaves it as it is
+    for n_grid, n, top in ((64, 100, 12), (4096, 60, 28)):
         plain = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=94)
         two = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=94, refine=True)
-        for est, grid in ((plain, n_grid), (two, n_grid), (two.extra["refined"], 2 * n_grid)):
-            assert [(row["grid"], row["samples"]) for row in est.extra["levels"]] == [(grid, n)]
+        for est in (plain, two):
+            assert [(row["grid"], row["samples"]) for row in est.extra["levels"]] == [(n_grid, n)]
             assert est.extra["strata"] == n // 2 and est.extra["levels"][0]["var_share"] == 1.0
+        refined = two.extra["refined"]
+        assert [(row["grid"], row["samples"]) for row in refined.extra["levels"]] == \
+            [(n_grid, n), (2 * n_grid, top)]
+        assert refined.extra["strata"] == n // 2 + top // 2
         bias = two.extra["grid_bias"]
-        assert bias.mean == pytest.approx(two.extra["refined"].mean - two.mean, abs=1e-15)
+        assert bias.mean == pytest.approx(refined.mean - two.mean, abs=1e-15)
 
 
 def test_any_tied_level_flags_the_run(monkeypatch):
@@ -554,9 +589,9 @@ def test_two_level_run_is_exact_on_exact_regions():
 
 
 def test_a_zero_grid_bias_stderr_is_one_walk_in_its_level(monkeypatch):
-    # when every walk of the level grid_bias comes from scores alike on
-    # both grids, its stderr is 1 / (that level's walks): the top level's
-    # on a multilevel run, n_samples on the paired one-level walk
+    # when every walk of the top level, which grid_bias comes from, scores
+    # alike on both grids, its stderr is 1 / (the top level's walks), on a
+    # multilevel run and on a one-level run alike
     walk = coupled._coincidence_walk
 
     def alike_at_2048(components, rho, target, rng, refine=False):
@@ -566,11 +601,11 @@ def test_a_zero_grid_bias_stderr_is_one_walk_in_its_level(monkeypatch):
         return values, tied
 
     monkeypatch.setattr(coupled, "_coincidence_walk", alike_at_2048)
-    for n, grids in ((3000, [128, 256, 512, 1024, 2048]), (80, [2048])):
+    for n, grids in ((3000, [128, 256, 512, 1024, 2048]), (80, [1024, 2048])):
         two = argmin_coincidence(QUARTER_HALF, 0.5, 1024, n, seed=96, refine=True)
         rows = two.extra["refined"].extra["levels"]
         assert [row["grid"] for row in rows] == grids
-        assert (rows[-1]["samples"] < n) == (len(rows) > 1)
+        assert 2 <= rows[-1]["samples"] < n
         bias = two.extra["grid_bias"]
         assert (bias.mean, bias.stderr) == (0.0, 1.0 / rows[-1]["samples"])
 
@@ -578,13 +613,17 @@ def test_a_zero_grid_bias_stderr_is_one_walk_in_its_level(monkeypatch):
 @pytest.mark.parametrize("refine", [False, True])
 def test_every_batch_holds_a_cell(refine):
     # 2049 samples would leave a last batch of 1 at 2048 a batch; it
-    # joins the batch before, so every batch holds a cell of 2 or 3
+    # joins the batch before, so every batch holds a cell of 2 or 3, the
+    # top level's of at least 2 walks included
     for n in (2, 3, 2049, 4097):
         est = argmin_coincidence(QUARTER_HALF, 0.5, 64, n, seed=86, refine=refine)
         levels = (est, est.extra["refined"]) if refine else (est,)
         for level in levels:
-            assert math.isfinite(level.mean) and level.stderr > 0.0
-            assert level.n_samples == n and level.extra["strata"] == n // 2
+            rows = level.extra["levels"]
+            assert math.isfinite(level.mean) and level.stderr > 0.0 and level.n_samples == n
+            assert rows[0]["samples"] == n and all(row["samples"] >= 2 for row in rows)
+            assert [row["strata"] for row in rows] == [row["samples"] // 2 for row in rows]
+            assert level.extra["strata"] == sum(row["strata"] for row in rows)
         if refine:
             assert est.extra["grid_bias"].stderr > 0.0
         for region, value in ((EMPTY, 1.0), (FULL, 0.0)):
@@ -656,7 +695,9 @@ def test_conditioned_walk_ends_on_the_stratified_target(monkeypatch, text, refin
     inside = sum(hi - lo for lo, hi in parts)
     gaps = sum(lo - prev_hi for (_, prev_hi), (lo, _) in zip(parts, parts[1:]))
     scale = np.sqrt([[(1.0 + rho) * inside + 2.0 * gaps], [(1.0 - rho) * inside]])
-    assert len(targets) == len(ends) == 2
+    lengths = [hi - lo for lo, hi in parts]
+    assert len(targets) == len(ends) == sum(len(level[3]) for level in
+                                            coupled._levels(lengths, 64, 3000, refine))
     for target, w in zip(targets, ends):
         for other in w[1:]:
             end = np.array([w[0] + other, w[0] - other]) / math.sqrt(2.0)

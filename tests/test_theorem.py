@@ -277,13 +277,15 @@ def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
     raw, top = two.extra["grid_bias"], two.extra["refined"].extra["levels"][-1]
     assert (top["grid"], top["samples"]) == (8192, 49)
     assert (raw.mean, raw.stderr) == (0.0, 1 / 49)
-    # the floor's 4 / 49 is 14 allowances: the check runs again with the
-    # top level a quarter allowance needs, 3334 walks, none of which tells
-    # the grids apart either, and the floor is 1/3334
+    # the floor's 4 / 49 is 14 allowances: the top level walks on, at most
+    # fourfold a round, toward the 3334 walks a quarter allowance needs,
+    # and stops at 49 * 4^3 = 3136, where the floor 1/3136 resolves it;
+    # none of the walks tells the grids apart either
     report = verify_theorem(region, 0.5, seed=1, lhs_n_grid=4096, lhs_samples=100,
                             n_nodes=2, node_samples=100, check_stability=True)
     m = report.lhs_refined.extra["levels"][-1]["samples"]
-    assert m == 3334 and (report.grid_bias.mean, report.grid_bias.stderr) == (0.0, 1 / m)
+    assert m == 49 * theorem._TOP_GROWTH ** 3 == 3136
+    assert (report.grid_bias.mean, report.grid_bias.stderr) == (0.0, 1 / m)
     assert 4 / m <= theorem._GRID_RESOLUTION * report.as_dict()["grid_bias_allowance"]
     assert report.stability_ok
     assert report.as_dict()["grid_bias"] == {"estimate": 0.0, "stderr": 1 / m}
@@ -294,13 +296,18 @@ def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
                              refine=True).extra["grid_bias"]
     assert 0.0 < raw.stderr < 0.01
     # one step on A against two, at rho 0.9: the bias (about 0.02) fails
-    # it, on the sample stderr
+    # it, on the sample stderr.  The top level's 204 walks leave it
+    # unresolved, and one round of walking on, fourfold, resolves it
     report = verify_theorem(region, 0.9, seed=1, lhs_n_grid=2, lhs_samples=20_000,
                             n_nodes=2, node_samples=100, check_stability=True)
-    raw = argmin_coincidence(region, 0.9, 2, 20_000, derive_seed(1, theorem._TAG_LHS),
-                             refine=True).extra["grid_bias"]
-    assert (report.grid_bias.mean, report.grid_bias.stderr) == (raw.mean, raw.stderr)
+    two = argmin_coincidence(region, 0.9, 2, 20_000, derive_seed(1, theorem._TAG_LHS),
+                             refine=True)
+    raw, allowance = two.extra["grid_bias"], report.as_dict()["grid_bias_allowance"]
+    walks = two.extra["refined"].extra["levels"][-1]["samples"]
+    assert walks == 204 and abs(raw.mean) - 4 * raw.stderr <= allowance
+    assert report.lhs_refined.extra["levels"][-1]["samples"] == theorem._TOP_GROWTH * walks
     assert report.grid_bias.mean > 4 * report.grid_bias.stderr > 0.0
+    assert report.grid_bias.mean - 4 * report.grid_bias.stderr > allowance
     assert not report.stability_ok and not report.passed
 
 
@@ -344,6 +351,23 @@ def test_an_unresolved_stability_check_walks_on_until_resolved():
     assert report.lhs == argmin_coincidence(region, 0.7, 256, 2000, seed)
     assert 0.0 < 4 * report.grid_bias.stderr <= theorem._GRID_RESOLUTION * allowance
     assert report.stability_ok and report.passed
+
+
+def test_a_one_level_stability_check_walks_on_until_resolved():
+    # at n_grid 16 and 500 samples the run is one level; the check adds a
+    # top level at 32, which walks on like any other until four stderrs of
+    # the grid bias are within a quarter allowance, and lhs is the run
+    # without the check, bit for bit
+    seed = derive_seed(1, theorem._TAG_LHS)
+    plain = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed)
+    assert len(plain.extra["levels"]) == 1
+    report = verify_theorem(QUARTER_HALF, 0.7, seed=1, lhs_n_grid=16, lhs_samples=500,
+                            n_nodes=2, node_samples=100, check_stability=True)
+    allowance = report.as_dict()["grid_bias_allowance"]
+    assert 0.0 < 4 * report.grid_bias.stderr <= theorem._GRID_RESOLUTION * allowance
+    assert report.stability_ok
+    assert [row["grid"] for row in report.lhs_refined.extra["levels"]] == [16, 32]
+    assert report.lhs == plain
 
 
 def test_verdict_band_is_a_student_t_band():
