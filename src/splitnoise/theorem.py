@@ -66,14 +66,13 @@ _TAIL_FLOOR = 0.1
 # and 0.59-1.31 times from n = 8 up; only n = 2 at rho 0.9 exceeds 2
 _QUADRATURE_SAFETY = 2.0
 
-# the grid bias allowed, per combined stderr: a bias of a quarter sigma
-# moves a 4-sigma test's false-alarm rate from 6.3e-5 to about 1e-4
+# the grid bias allowed, 4-sigma band included, per combined stderr: a bias
+# of a quarter sigma moves a 4-sigma test's false alarms from 6.3e-5 to 1e-4
 _GRID_ALLOWANCE = 0.25
-# the grid bias's 4-sigma band wanted, per allowance: the stability check
-# then fails on any bias much above 1.25 allowances (_top_walks)
-_GRID_RESOLUTION = 0.25
-# the top level grows at most this many times over per round of walking on
+# the top level grows at most this many times over per round of walking
+# on, and walks at most this many times the run's budget in all
 _TOP_GROWTH = 4
+_TOP_BUDGETS = 64
 
 
 def band_multiplier(dof: float | None) -> float:
@@ -491,16 +490,13 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     more level at the doubled grid (argmin_coincidence with refine), and
     that top level, the per-sample difference between the two grids on
     the same draws, is grid_bias.  No finite grid is unbiased, so the
-    check asks whether the bias is both resolved and material: it fails
-    when |grid_bias| less four of its own standard errors exceeds the
-    allowance, _GRID_ALLOWANCE times the combined stderr.  Where it
-    would pass with four stderrs above _GRID_RESOLUTION allowances, the
-    top level walks on until they are within it or the check fails
-    (_top_walks): lhs, the levels below the top, does not change, only
-    lhs_refined and grid_bias.  A failed check fails the verdict, as
-    does the tie flag of any level.  Every size, the doubled grid's
-    included, is checked before the first draw; the top level walks at
-    most SAMPLE_CAP in all.
+    check passes when |grid_bias| plus four of its stderrs is within the
+    allowance, _GRID_ALLOWANCE times the combined stderr; until that
+    band lies on one side of the allowance the top level walks on
+    (_top_walks, at most _TOP_BUDGETS times lhs_samples in all).  lhs,
+    the levels below the top, does not change.  A check that does not
+    pass fails the verdict, as does the tie flag of any level.  Every
+    size, the doubled grid's included, is checked before the first draw.
     argmin_coincidence replaces a zero stderr where it is not exact, so
     no band here has width 0.
     """
@@ -511,7 +507,8 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     rhs = rhs_integral(region, rho, n_nodes, node_samples, derive_seed(seed, _TAG_RHS))
 
     def top_walks(est, walks):
-        return _top_walks(est, walks, _GRID_ALLOWANCE * math.hypot(est.stderr, rhs.stderr))
+        return _top_walks(est, walks, _GRID_ALLOWANCE * math.hypot(est.stderr, rhs.stderr),
+                          min(SAMPLE_CAP, _TOP_BUDGETS * lhs_samples))
 
     lhs = argmin_coincidence(region, rho, lhs_n_grid, lhs_samples, derive_seed(seed, _TAG_LHS),
                              refine=check_stability, top_walks=top_walks)
@@ -523,7 +520,7 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
                      (rhs.stderr**2, (rhs.extra or {}).get("dof"))])
     threshold = band_multiplier(dof)
     stability_ok = None if grid_bias is None else (
-        abs(grid_bias.mean) - 4.0 * grid_bias.stderr <= _GRID_ALLOWANCE * combined)
+        abs(grid_bias.mean) + 4.0 * grid_bias.stderr <= _GRID_ALLOWANCE * combined)
     tied = any(est.extra["tie_flag"] for est in (lhs, lhs_refined) if est is not None)
     return TheoremReport(
         region=str(region), rho=rho, lhs=lhs, rhs=rhs,
@@ -534,25 +531,27 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     )
 
 
-def _top_walks(lhs: EstimateWithError, walks: int, allowance: float) -> int | None:
-    """The top-level walks that resolve a refined run's grid bias to the allowance, or None.
+def _top_walks(lhs: EstimateWithError, walks: int, allowance: float, cap: int) -> int | None:
+    """The top-level walks that settle a refined run's stability check, or None.
 
-    lhs is the run so far, walks its top level's.  None when the check
-    needs no more: four stderrs are within _GRID_RESOLUTION allowances
-    already, or it fails already (more walks would only confirm a
-    resolved bias).  Otherwise a fifth more than the top level's
-    variance predicts: walks times (stderr / wanted)^2, or 1 / wanted
+    lhs is the run so far, walks its top level's.  The check is settled
+    once the grid bias's 4-sigma band lies on one side of the allowance
+    (passed within it, failed beyond).  Until then the top level gets a
+    fifth more walks than its variance predicts for the stderr wanted,
+    ||bias| - allowance| / 4: walks times (stderr / wanted)^2, 1 / wanted
     where no pair differed and the stderr is the floor 1 / walks
-    (argmin_coincidence); at most _TOP_GROWTH times walks, so that a
-    bias the next round resolves as material stops there, and at most
-    SAMPLE_CAP.
+    (argmin_coincidence); at most _TOP_GROWTH times walks a round, so
+    that a check the next round settles stops there, and at most cap in
+    all, which a bias near the allowance would otherwise far exceed.  A
+    check unsettled at the cap does not pass.
     """
     bias = lhs.extra["grid_bias"]
-    wanted = _GRID_RESOLUTION * allowance / 4.0
-    if bias.stderr <= wanted or abs(bias.mean) - 4.0 * bias.stderr > allowance:
+    wanted = abs(abs(bias.mean) - allowance) / 4.0
+    if bias.stderr <= wanted or walks + 2 > cap:  # settled, or no batch of 2 fits under the cap
         return None
-    need = 1.0 / wanted if bias.stderr == 1.0 / walks else walks * (bias.stderr / wanted) ** 2
-    return min(SAMPLE_CAP, _TOP_GROWTH * walks, math.ceil(1.2 * need))
+    need = (math.inf if wanted == 0.0 else 1.0 / wanted if bias.stderr == 1.0 / walks
+            else walks * (bias.stderr / wanted) ** 2)
+    return math.ceil(min(cap, _TOP_GROWTH * walks, 1.2 * need))
 
 
 def sensitivity_curve(rho: float, n_list, n_samples: int,
