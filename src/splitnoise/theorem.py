@@ -532,22 +532,22 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
 
 
 def _top_walks(lhs: EstimateWithError, walks: int, allowance: float, cap: int) -> int | None:
-    """The top-level walks that settle a refined run's stability check, or None.
+    """The top-level walks that resolve a refined run's stability check, or None.
 
-    lhs is the run so far, walks its top level's.  The check is settled
+    lhs is the run so far, walks its top level's.  The check is resolved
     once the grid bias's 4-sigma band lies on one side of the allowance
     (passed within it, failed beyond).  Until then the top level gets a
     fifth more walks than its variance predicts for the stderr wanted,
     ||bias| - allowance| / 4: walks times (stderr / wanted)^2, 1 / wanted
     where no pair differed and the stderr is the floor 1 / walks
     (argmin_coincidence); at most _TOP_GROWTH times walks a round, so
-    that a check the next round settles stops there, and at most cap in
+    that a check the next round resolves stops there, and at most cap in
     all, which a bias near the allowance would otherwise far exceed.  A
-    check unsettled at the cap does not pass.
+    check unresolved at the cap does not pass.
     """
     bias = lhs.extra["grid_bias"]
     wanted = abs(abs(bias.mean) - allowance) / 4.0
-    if bias.stderr <= wanted or walks + 2 > cap:  # settled, or no batch of 2 fits under the cap
+    if bias.stderr <= wanted or walks + 2 > cap:  # resolved, or no batch of 2 fits under the cap
         return None
     need = (math.inf if wanted == 0.0 else 1.0 / wanted if bias.stderr == 1.0 / walks
             else walks * (bias.stderr / wanted) ** 2)

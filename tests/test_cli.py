@@ -568,11 +568,11 @@ def test_an_immaterial_grid_bias_passes_the_stability_check(capsys):
     assert code == 0
 
 
-def test_a_stability_check_unsettled_at_its_cap_does_not_pass(capsys):
+def test_a_stability_check_unresolved_at_its_cap_does_not_pass(capsys):
     # at n_grid 16 the grid bias (about 2.4e-3) lies so near its allowance
     # (2.25e-3) that its 4-sigma band reaches both sides of it until about
     # 419k walks: the top level stops at the cap of 64 budgets, 32 000
-    # walks, with the check unsettled, and the verdict does not pass
+    # walks, with the check unresolved, and the verdict does not pass
     code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.7",
                             "--n-grid", "16", "--samples", "500", "--nodes", "2",
                             "--node-samples", "100", "--seed", "1", "--check-stability"], capsys)

@@ -391,7 +391,7 @@ def test_the_walk_on_never_passes_its_cap():
 @pytest.mark.slow
 def test_stability_checks_on_correct_code_pass_within_the_cap():
     # on 1/2..1 at rho 0.5, n_grid 32 and 200 samples the grid bias is
-    # well inside the allowance: every check settles as a pass, none
+    # well inside the allowance: every check resolves as a pass, none
     # walks its top level to the cap of 64 budgets
     cap = theorem._TOP_BUDGETS * 200
     for seed in range(1, 101):
