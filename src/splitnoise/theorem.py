@@ -15,9 +15,11 @@ estimate (m_lambda_functional).  The quadrature substitutes
 t = sin^2(pi theta / 2), under which the arc-sine weight becomes the
 uniform measure in theta, so the endpoint singularities vanish
 exactly; nodes are graded toward a gap's interior ends, where the
-factors vanish like a small power of the distance.  On a gap whose
-factors are all exact, the rule's own error is estimated from a coarser
-rule and joins the band (rhs_integral).
+factors vanish like a small power of the distance.  A gap whose factors
+are all exact takes a graded Gauss-Legendre rule (_gauss_nodes) from 4
+nodes up, any other gap a graded midpoint rule (_arcsine_nodes).  On a
+gap whose factors are all exact, the rule's own error is estimated from
+a coarser rule and joins the band (rhs_integral).
 """
 
 from __future__ import annotations
@@ -52,19 +54,32 @@ _TAG_COARSE = 106
 # _TERM_CAP terms, or when its tail tau = 1 - b is positive but below
 # _TAIL_FLOOR (L + kappa^2 a), where the angular nodes cannot resolve the
 # edge layer of width sqrt(2 tau) / r.  Over 3000 random sides within these
-# limits the grid was within 5e-9 of a 128 x 64 grid.
+# limits the grid was within _FACTOR_GRID_ERROR of a 128 x 64 grid, which
+# therefore floors every Gauss-Legendre gap's band: twice it (two factors
+# of at most 1 per node) times the gap's arc-sine mass.
 _RADIAL_NODES = 32
 _ANGULAR_NODES = 16
+_FACTOR_GRID_ERROR = 5e-9
 _RADIAL_SPAN = 10.0
 _SERIES_TOL = 1e-10
 _TERM_CAP = 26
 _TAIL_FLOOR = 0.1
-# the node rule's error estimate is widened by this factor in the band.
-# Against 192/384-node references, on 1/4..1/2 at rho 0.3-0.9 and at rho
-# 0.5 on 0..1/4,3/4..1 and the middle gap of 1/4..1/2,5/8..3/4, the true
-# error was 0.49-2.05 times the estimate over n = 1-4, 6, 8, 16 and 24,
-# and 0.59-1.31 times from n = 8 up; only n = 2 at rho 0.9 exceeds 2
-_QUADRATURE_SAFETY = 2.0
+# the fewest nodes a gap's Gauss-Legendre rule takes.  Below it the rule's
+# error estimate is unsafe: at 3 nodes against 2 the true error reached
+# 0.99 of it, and the 1-node rule that would check 2 nodes leaves one
+# half of a gap with two interior ends without a node
+_GAUSS_MIN_NODES = 4
+# the midpoint rule's error estimate is widened by this factor in the band.
+# Against 96-node Gauss-Legendre values, over 1/4..1/2, 1/2..1, 1/8..7/8,
+# 0..1/4,3/4..1, 1/4..1/2,5/8..3/4 and 0..1/2,129/256..1 at rho 0.1-0.99,
+# the true error of an exact gap at n = 1-3 nodes was at most 2.41 times
+# the estimate (n = 2, rho 0.99, on 1/4..1/2), so this leaves a margin of
+# 1.25.  It is no bound: on a short component at an end of [0, 1] the
+# true error reached 5.7 (0..1/4) and 6.9 (0..1/8) times the estimate at
+# n = 2, and where the m-node rule crosses the n-node one the estimate
+# vanishes (0..44/256).  Such gaps run Gauss-Legendre from
+# _GAUSS_MIN_NODES nodes up.
+_QUADRATURE_SAFETY = 3.0
 
 # the grid bias allowed, 4-sigma band included, per combined stderr: a bias
 # of a quarter sigma moves a 4-sigma test's false alarms from 6.3e-5 to 1e-4
@@ -92,17 +107,34 @@ _GRADINGS = {
 }
 
 
+def _theta(t: float) -> float:
+    """The arc-sine law's distribution function: t = sin^2(pi theta / 2)."""
+    return 2.0 / math.pi * math.asin(math.sqrt(t))
+
+
+def _node_times(a: float, b: float, thetas) -> list[float]:
+    """The times of the thetas, clamped to the floats strictly inside (a,b).
+
+    sin^2 can round a node of a narrow gap onto an end; _check_nodes
+    requires those floats to exist.
+    """
+    lo, hi = math.nextafter(a, b), math.nextafter(b, a)
+    return [min(max(math.sin(math.pi * th / 2.0) ** 2, lo), hi) for th in thetas]
+
+
 def _arcsine_nodes(a: float, b: float, n_nodes: int,
                    interior: tuple[bool, bool] = (False, False)) -> tuple[list[float], float | np.ndarray]:
     """Midpoint nodes realizing the arc-sine integral over [a,b], graded toward interior ends.
 
-    Returns (times, weight) for the law dt / (pi sqrt(t(1-t))).  With
-    t = sin^2(pi theta / 2) the law is uniform in theta, and theta =
-    theta(a) + (theta(b) - theta(a)) g(u) at the midpoints u of n_nodes
-    equal steps, each node weighing g'(u) (theta(b) - theta(a)) /
-    n_nodes.  g depends on which ends are interior, that is, ends of
-    region components, where a factor vanishes like delta^beta with
-    beta = pi / (2 arccos(-rho)) - 1/2:
+    The rule of a gap with a sampled factor, and of every gap below
+    _GAUSS_MIN_NODES nodes (rhs_integral); _gauss_nodes is the rule of
+    the others.  Returns (times, weight) for the law dt / (pi
+    sqrt(t(1-t))).  With t = sin^2(pi theta / 2) the law is uniform in
+    theta, and theta = theta(a) + (theta(b) - theta(a)) g(u) at the
+    midpoints u of n_nodes equal steps, each node weighing g'(u)
+    (theta(b) - theta(a)) / n_nodes.  g depends on which ends are
+    interior, that is, ends of region components, where a factor
+    vanishes like delta^beta with beta = pi / (2 arccos(-rho)) - 1/2:
 
     - neither: g = u, and weight is the one float every node carries;
       over all of [0,1] the weights sum to 1;
@@ -113,19 +145,63 @@ def _arcsine_nodes(a: float, b: float, n_nodes: int,
 
     On a delta^beta cusp the graded rule's error is O(n_nodes^-2); the
     equal-weight rule's is O(n_nodes^-(1 + beta)), and it reads high.
-    sin^2 can round a node of a narrow gap onto an end, so every time is
-    clamped to the floats strictly inside (a,b), which _check_nodes
-    requires to exist.
+    Every time lies strictly inside (a,b) (_node_times).  A sampled gap
+    keeps this rule because its flatter weights keep the sum of weight^2
+    times each node's variance lower than the Gauss-Legendre rule's.
     """
-    ta, tb = (2.0 / math.pi * math.asin(math.sqrt(t)) for t in (a, b))
+    ta, tb = _theta(a), _theta(b)
     u = (np.arange(n_nodes) + 0.5) / n_nodes
     if any(interior):
         g, slope = _GRADINGS[interior]
         thetas, weight = ta + (tb - ta) * g(u), (tb - ta) / n_nodes * slope(u)
     else:
         thetas, weight = ta + (tb - ta) * u, (tb - ta) / n_nodes
-    lo, hi = math.nextafter(a, b), math.nextafter(b, a)
-    return [min(max(math.sin(math.pi * th / 2.0) ** 2, lo), hi) for th in thetas], weight
+    return _node_times(a, b, thetas), weight
+
+
+# the Gauss-Legendre grading of a gap with one interior end, g(u) and g'(u)
+_CUBIC_GRADINGS = {
+    (True, False): (lambda u: u**3, lambda u: 3.0 * u * u),
+    (False, True): (lambda u: 1.0 - (1.0 - u) ** 3, lambda u: 3.0 * (1.0 - u) ** 2),
+}
+
+
+def _gauss_thetas(ta: float, tb: float, n_nodes: int,
+                  interior: tuple[bool, bool]) -> tuple[np.ndarray, np.ndarray]:
+    """Graded Gauss-Legendre nodes in theta on [ta, tb] and their weights (_gauss_nodes)."""
+    if all(interior):
+        mid, low = (ta + tb) / 2.0, n_nodes // 2
+        halves = (_gauss_thetas(ta, mid, low, (True, False)),
+                  _gauss_thetas(mid, tb, n_nodes - low, (False, True)))
+        return tuple(np.concatenate(parts) for parts in zip(*halves))
+    x, w = leggauss(n_nodes)
+    u = (x + 1.0) / 2.0
+    g, slope = _CUBIC_GRADINGS[interior]
+    return ta + (tb - ta) * g(u), (tb - ta) / 2.0 * w * slope(u)
+
+
+def _gauss_nodes(a: float, b: float, n_nodes: int,
+                 interior: tuple[bool, bool]) -> tuple[list[float], np.ndarray]:
+    """Gauss-Legendre nodes realizing the arc-sine integral over [a,b], graded toward interior ends.
+
+    The rule of a gap whose factors are all exact, from _GAUSS_MIN_NODES
+    nodes up (rhs_integral).  In theta, as in _arcsine_nodes, theta =
+    theta(a) + (theta(b) - theta(a)) g(u) at the n_nodes Gauss-Legendre
+    nodes u on [0,1], weighing (theta(b) - theta(a)) w g'(u), with g =
+    u^3 toward a lower interior end and 1 - (1 - u)^3 toward an upper
+    one; every gap of a region neither empty nor full has an interior
+    end.  A gap with both ends interior is split
+    at its theta midpoint, into n_nodes // 2 nodes graded toward its
+    lower end and the rest toward its upper end: one map graded toward
+    both ends has a kink at the midpoint, which costs the rule its order.
+    Under u^3 a factor vanishing like delta^beta at an interior end goes
+    like u^(3 beta + 2), which the rule integrates at O(n^-(6 beta + 6))
+    or better; the factors are smooth elsewhere.  The weights total
+    theta(b) - theta(a) and the times ascend strictly inside (a,b).
+    """
+    ta, tb = _theta(a), _theta(b)
+    thetas, weights = _gauss_thetas(ta, tb, n_nodes, interior)
+    return _node_times(a, b, thetas), weights
 
 
 def _check_nodes(n_nodes: int, region: TimeSet):
@@ -315,12 +391,25 @@ def _rhs_factors(sides, terms: np.ndarray, rho: float, n_samples: int,
     return factors
 
 
-def _rule(region: TimeSet, gap: tuple[float, float], n_nodes: int, rho: float):
-    """The n_nodes-node rule on one gap: (node times, weights, pulled-back sides, their series terms)."""
+def _rule(region: TimeSet, gap: tuple[float, float], n_nodes: int, rho: float,
+          gauss: bool = False):
+    """The n_nodes-node rule on one gap: (node times, weights, pulled-back sides, their series terms).
+
+    The Gauss-Legendre rule with gauss, else the midpoint rule.
+    """
     a, b = gap
-    times, weights = _arcsine_nodes(a, b, n_nodes, (a > 0.0, b < 1.0))
+    times, weights = (_gauss_nodes if gauss else _arcsine_nodes)(a, b, n_nodes, (a > 0.0, b < 1.0))
     sides = [side for t in times for side in _pullback(t, region)]
     return times, np.broadcast_to(weights, n_nodes), sides, _series_terms(sides, rho)
+
+
+def _gap_rule(region: TimeSet, gap: tuple[float, float], n_nodes: int, rho: float):
+    """A gap's rule and whether it is Gauss-Legendre: so where n_nodes allows and every factor is exact."""
+    if n_nodes >= _GAUSS_MIN_NODES:
+        rule = _rule(region, gap, n_nodes, rho, gauss=True)
+        if _all_exact(rule):
+            return rule, True
+    return _rule(region, gap, n_nodes, rho), False
 
 
 def _all_exact(rule) -> bool:
@@ -333,24 +422,31 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
                  n_samples_per_node: int, seed: int) -> EstimateWithError:
     """Arc-sine integral of the factor products over the gaps of the region.
 
-    Nodes are graded toward each gap's interior ends (_arcsine_nodes).
-    A one-component side is exact (_exact_factors; every exact side of
-    one RHS in one evaluation); any other side is randomized QMC on its
-    own derived stream, derive_seed(derive_seed(seed, _TAG_NODE, gap,
-    node), side).  The stderr combines two independent parts:
+    Nodes are graded toward each gap's interior ends.  From
+    _GAUSS_MIN_NODES nodes up, a gap whose factors are all exact at the
+    Gauss-Legendre nodes takes that rule (_gauss_nodes); every other gap
+    takes the midpoint rule (_arcsine_nodes).  A one-component side is
+    exact (_exact_factors; every exact side of one RHS in one
+    evaluation); any other side is randomized QMC on its own derived
+    stream, derive_seed(derive_seed(seed, _TAG_NODE, gap, node), side).
+    The stderr combines two independent parts:
 
     - sampling: the per-node product variances, so it is propagated
       rather than a direct sample statistic.  Each sampled factor's
       variance comes from its randomized-QMC replicates, whose count is
       extra["replicates"] when some factor is sampled;
     - extra["quadrature_error"]: on each gap whose factors are all exact,
-      a coarser rule of m = ceil(n/2) nodes (2 at n = 1) estimates the
-      n-node rule's O(n^-2) error as |I_n - I_m| / |1 - (n/m)^2|.  The
-      gaps' estimates add, times _QUADRATURE_SAFETY.  A coarse side the
-      series cannot take is sampled, on derive_seed(derive_seed(seed,
-      _TAG_COARSE, gap, node), side): its noise only widens the estimate
-      on average.  A gap with a sampled factor adds nothing: its
-      I_n - I_m would carry the sampling noise its nodes already band.
+      the same rule at m = ceil(n/2) nodes (2 at n = 1) estimates the
+      n-node rule's error.  A Gauss-Legendre gap adds |I_n - I_m|, whose
+      rule converges so much faster than the m-node one that this
+      overstates its error, plus _FACTOR_GRID_ERROR times twice its
+      arc-sine mass, the factors' own error.  The midpoint gaps add
+      |I_n - I_m| / |1 - (n/m)^2|, the O(n^-2) extrapolation, times
+      _QUADRATURE_SAFETY.  A coarse side the series cannot take is
+      sampled, on derive_seed(derive_seed(seed, _TAG_COARSE, gap, node),
+      side): its noise only widens the estimate on average.  A gap with
+      a sampled factor adds nothing: its I_n - I_m would carry the
+      sampling noise its nodes already band.
 
     n_samples counts every point evaluated, the coarse rule's included:
     n_samples_per_node per sampled factor and the grid's points per
@@ -371,11 +467,11 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     if not region:
         return EstimateWithError.exact(1.0)
     gaps = region.complement_components()
-    fine = [_rule(region, gap, n_nodes, rho) for gap in gaps]
+    fine, gauss = zip(*(_gap_rule(region, gap, n_nodes, rho) for gap in gaps))
     coarse_n = 2 if n_nodes == 1 else -(-n_nodes // 2)
-    coarse = {g: _rule(region, gaps[g], coarse_n, rho)
+    coarse = {g: _rule(region, gaps[g], coarse_n, rho, gauss[g])
               for g, rule in enumerate(fine) if _all_exact(rule)}
-    rules = fine + list(coarse.values())
+    rules = list(fine) + list(coarse.values())
     node_seeds = [derive_seed(seed, _TAG_NODE, g, ni) for g in range(len(gaps))
                   for ni in range(n_nodes)]
     node_seeds += [derive_seed(seed, _TAG_COARSE, g, ni) for g in coarse for ni in range(coarse_n)]
@@ -406,10 +502,15 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
                 "left": left.mean, "left_stderr": left.stderr,
                 "right": right.mean, "right_stderr": right.stderr,
             })
+    diffs = {g: abs(gap_sums[g] - sum(float(weight) * left.mean * right.mean
+                                      for weight, (left, right) in zip(rule[1], pairs)))
+             for g, rule in coarse.items()}
+    # a Gauss-Legendre gap's band is its difference itself plus the exact
+    # factors' grid error; a midpoint gap's the O(n^-2) extrapolation
     quadrature = _QUADRATURE_SAFETY / abs(1.0 - (n_nodes / coarse_n) ** 2) * sum(
-        abs(gap_sums[g] - sum(float(weight) * left.mean * right.mean
-                              for weight, (left, right) in zip(rule[1], pairs)))
-        for g, rule in coarse.items())
+        diff for g, diff in diffs.items() if not gauss[g]) + sum(
+        diff + 2.0 * _FACTOR_GRID_ERROR * (_theta(gaps[g][1]) - _theta(gaps[g][0]))
+        for g, diff in diffs.items() if gauss[g])
     var = sum(node_vars)
     top = int(np.argmax(node_vars))
     top_node = {"component": rows[top]["component"], "t": rows[top]["t"],

@@ -546,32 +546,34 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
     assert code == (0 if tied_run is None and stable else 1)
 
 
+@pytest.mark.slow
 def test_an_immaterial_grid_bias_passes_the_stability_check(capsys):
-    # at n_grid 1024 and 40k samples the top level, 16 842 paired walks at
-    # 2048 (the budget the levels up to 1024 leave), measures a bias of
-    # about 1e-4 (3.2 of its stderrs), which no finite grid avoids.  With
-    # its 4-sigma band, 0.72 of the allowance (a quarter of the combined
-    # stderr, whose RHS part is the 8-node rule's error, 6.1e-4), it
-    # reaches past the allowance, so the top level walks on until the
-    # bias and its band lie within the allowance; this one is a small
-    # share of the verdict's band, and the two routes agree
+    # at n_grid 2048 and 40k samples the top level, 18 286 paired walks at
+    # 4096 (the budget the levels up to 2048 leave), measures a bias of
+    # about 6e-5 (2.8 of its stderrs), which no finite grid avoids.  The
+    # allowance is a quarter of the combined stderr, nearly all of it the
+    # LHS's, as the 8-node rule's band is 3.7e-5; until the bias's
+    # 4-sigma band lies within it the top level walks on.  This bias is
+    # a small share of the verdict's band, and the two routes agree.  (At
+    # n_grid 1024 the bias, 1.15e-4, lies so near its allowance, 1.24e-4,
+    # that the check stops unresolved at its cap of 64 budgets.)
     code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.9",
-                            "--n-grid", "1024", "--samples", "40000", "--nodes", "8",
+                            "--n-grid", "2048", "--samples", "40000", "--nodes", "8",
                             "--node-samples", "400", "--seed", "3", "--check-stability"], capsys)
     results = json.loads(out)["results"]
     bias, allowance = results["grid_bias"], results["grid_bias_allowance"]
     assert 0.0 < abs(bias["estimate"]) + 4 * bias["stderr"] <= allowance
     top = results["lhs_refined"]["levels"][-1]
-    assert top["grid"] == 2048 and top["samples"] > 16842
+    assert top["grid"] == 4096 and top["samples"] > 18286
     assert allowance == results["combined_stderr"] / 4
     assert results["grid_stability_ok"] is True and results["pass"] is True
     assert code == 0
 
 
 def test_a_stability_check_unresolved_at_its_cap_does_not_pass(capsys):
-    # at n_grid 16 the grid bias (about 2.4e-3) lies so near its allowance
-    # (2.25e-3) that its 4-sigma band reaches both sides of it until about
-    # 419k walks: the top level stops at the cap of 64 budgets, 32 000
+    # at n_grid 16 the grid bias (about 2.5e-3) lies so near its allowance
+    # (3.0e-3) that its 4-sigma band reaches both sides of it until about
+    # 67k walks: the top level stops at the cap of 64 budgets, 32 000
     # walks, with the check unresolved, and the verdict does not pass
     code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.7",
                             "--n-grid", "16", "--samples", "500", "--nodes", "2",
