@@ -385,7 +385,7 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
             est.extra["refined"] = _level_sum(means, shown, tied, region, floor, n_samples, seed)
             est.extra["grid_bias"] = _nonzero_stderr(
                 EstimateWithError(float(means[-1, 0]), math.sqrt(means[-1, 1]), n_samples, seed),
-                region, 1.0 / n[-1])
+                region, 1.0 / float(n[-1]))
         return est
 
     for k, level in enumerate(levels):

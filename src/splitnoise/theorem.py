@@ -9,9 +9,11 @@ gaps.  At a gap time t the perturbation region is pulled back through
 the two scaling maps x -> t + (1-t)x and x -> t(1-x), and each pulled-
 back set gives an entrance-law survival-correlation factor.  A side of
 one component is computed exactly, from a closed-form series on a
-fixed Gauss-Legendre grid (_exact_factors); a side of more components,
-or one the grid cannot resolve, is a randomized quasi-Monte Carlo
-estimate (m_lambda_functional).  The quadrature substitutes
+fixed Gauss-Legendre grid (_exact_factors), and so is a side of two,
+from the same wedge kernel in three stages on a fixed grid
+(_pair_factors); a side of three or more components, or one its grid
+cannot resolve, is a randomized quasi-Monte Carlo estimate
+(m_lambda_functional).  The quadrature substitutes
 t = sin^2(pi theta / 2), under which the arc-sine weight becomes the
 uniform measure in theta, so the endpoint singularities vanish
 exactly; nodes are graded toward a gap's interior ends, where the
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
-from scipy.special import erf, gammaln, hyp1f1, spherical_jn, stdtrit
+from scipy.special import erf, gammaln, hyp1f1, ive, spherical_jn, stdtrit
 
 from .coupled import (_TAIL_4SIGMA, _check_steps, _direct_plan, argmin_coincidence, discrete_phi,
                       m_lambda_functional)
@@ -80,6 +82,37 @@ _GAUSS_MIN_NODES = 4
 # vanishes (0..44/256).  Such gaps run Gauss-Legendre from
 # _GAUSS_MIN_NODES nodes up.
 _QUADRATURE_SAFETY = 3.0
+
+# exact two-component factors (_pair_factors): Gauss-Legendre nodes in v on
+# [0, _PAIR_V_SPAN sqrt(b1)] before the gap and [0, _PAIR_V_SPAN sqrt(a2)]
+# after it, in d on [0, _PAIR_D_SPAN sqrt((1 - rho) L1 / 2)]; the entrance
+# table takes _PAIR_S_NODES Chebyshev nodes in sqrt(s) on [0, _RADIAL_SPAN],
+# the Bessel table _PAIR_SIGMA0_NODES in sqrt(sigma0) on [0,
+# _PAIR_SIGMA0_SPAN] and _PAIR_SIGMA_NODES Gauss-Legendre nodes in sigma
+# _PAIR_SIGMA_PAD beyond, and the second run's series every odd term with nu
+# up to _PAIR_NU_SPAN.  A side keeps randomized QMC when its gap is below
+# _PAIR_GAP_FLOOR (L1 + kappa^2 a1), where the v nodes cannot resolve the
+# gap's kernel, when its tail is positive but below _PAIR_TAIL_FLOOR L2, or
+# when its grid reaches past the Bessel table (_pair_terms).  Over 3000
+# random sides within these limits, rho 0-0.99, a third of them near the
+# gap floor, the grid was within 4.0e-7 of one refined 2x in every
+# direction; _PAIR_GRID_ERROR, which floors the band as _FACTOR_GRID_ERROR
+# does, leaves a margin of 2.5.
+_PAIR_V_NODES = 40
+_PAIR_D_NODES = 24
+_PAIR_S_NODES = 32
+_PAIR_SIGMA0_NODES = 40
+_PAIR_SIGMA_NODES = 64
+_PAIR_V_SPAN = 6.5
+_PAIR_D_SPAN = 6.0
+_PAIR_SIGMA0_SPAN = 30.0
+_PAIR_SIGMA_PAD = 8.0
+_PAIR_NU_SPAN = 40.0
+_PAIR_GAP_FLOOR = 0.06
+_PAIR_TAIL_FLOOR = 0.05
+_PAIR_GRID_ERROR = 1e-6
+# sides per _pair_batch: its arrays then take about 3 MB at the peak
+_PAIR_BATCH = 4
 
 # the grid bias allowed, 4-sigma band included, per combined stderr: a bias
 # of a quarter sigma moves a 4-sigma test's false alarms from 6.3e-5 to 1e-4
@@ -273,35 +306,50 @@ def _angular_weights(odd: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndar
 def _series_terms(sides, rho: float) -> np.ndarray:
     """How many odd terms each pulled-back side's exact series takes: 0 where it is sampled.
 
-    Decided from (a, b, rho) alone, before any factor is evaluated.  A
-    side is exact when it is one component [a, b], its tail tau = 1 - b
-    is 0 or at least _TAIL_FLOOR (L + kappa^2 a), and a bound on the
-    series' tail falls below _SERIES_TOL within _TERM_CAP terms.  The
-    bound (see _exact_factors for the terms): |A_n| <= min(4/nu,
-    4c/(sqrt(pi) nu^2)), c = r/sqrt(2 tau), by the second mean value
-    theorem, once on erf and once on its derivative; and M_nu(x) =
-    E[(1 - S/x)_+^(nu/2)], S ~ Gamma(nu/2), is at most m_nu(x) =
-    (1 + nu/(2x))^(-nu/2), which is log-concave in nu, so at each radial
-    node the terms from n on total at most the n-th over 1 - (the ratio
-    of the next to it).  The radial rule sums that bound.  The count
-    grows like sqrt(a/L) on narrow components: 9-12 terms at L/a = 1,
-    and the cap leaves L/a below 0.07 (rho 0) to 0.12 (rho 0.9) sampled.
+    Decided from the sides' ends and rho alone, before any factor is
+    evaluated.  A one-component side [a, b] is exact when its tail tau =
+    1 - b is 0 or at least _TAIL_FLOOR (L + kappa^2 a) and _term_counts
+    finds its terms within _TERM_CAP.  A two-component side is exact
+    within _pair_terms' domain; its count is its first run's.  A side of
+    three or more components is sampled.
     """
     terms = np.zeros(len(sides), dtype=int)
     one = [i for i, side in enumerate(sides) if len(side) == 1]
-    if not one:
-        return terms
-    a, b = np.array([sides[i][0] for i in one]).T
-    length, tau = b - a, 1.0 - b
+    if one:
+        a, b = np.array([sides[i][0] for i in one]).T
+        length, tau = b - a, 1.0 - b
+        count = _term_counts(a, length, tau, rho)
+        count[(tau > 0.0) & (tau < _TAIL_FLOOR * (length + 2.0 / (1.0 + rho) * a))] = 0
+        terms[one] = count
+    two = [i for i, side in enumerate(sides) if len(side) == 2]
+    if two:
+        terms[two] = _pair_terms(np.array([[*sides[i][0], *sides[i][1]] for i in two]), rho)
+    return terms
+
+
+def _term_counts(a: np.ndarray, length: np.ndarray, tau: np.ndarray, rho: float) -> np.ndarray:
+    """How many odd terms the one-component series of a run [a, a + length] then a tail tau takes.
+
+    0 where a bound on the series' tail stays above _SERIES_TOL through
+    _TERM_CAP terms.  The bound (see _exact_factors for the terms): |A_n|
+    <= min(4/nu, 4c/(sqrt(pi) nu^2)), c = r/sqrt(2 tau), by the second
+    mean value theorem, once on erf and once on its derivative; and
+    M_nu(x) = E[(1 - S/x)_+^(nu/2)], S ~ Gamma(nu/2), is at most m_nu(x)
+    = (1 + nu/(2x))^(-nu/2), which is log-concave in nu, so at each
+    radial node the terms from n on total at most the n-th over 1 - (the
+    ratio of the next to it).  The radial rule sums that bound.  The
+    count grows like sqrt(a/L) on narrow components: 9-12 terms at L/a =
+    1, and the cap leaves L/a below 0.07 (rho 0) to 0.12 (rho 0.9)
+    sampled.
+    """
     alpha, kappa2 = math.acos(-rho), 2.0 / (1.0 + rho)
-    spread = length + kappa2 * a
     s, weight = _radial_rule()
     x = (kappa2 * a / (2.0 * length))[:, None] * s * s
     c = np.full_like(x, np.inf)
     tail = tau > 0.0
-    c[tail] = np.sqrt(spread[tail] / (2.0 * tau[tail]))[:, None] * s
+    c[tail] = np.sqrt((length + kappa2 * a)[tail] / (2.0 * tau[tail]))[:, None] * s
     scale = 2.0 / (alpha * np.sqrt(a))
-    count = np.zeros(len(one), dtype=int)
+    count = np.zeros(len(a), dtype=int)
     for k in range(1, _TERM_CAP + 1):  # the first term left out is n = 2k + 1
         nu, nu_next = (2 * k + 1) * math.pi / alpha, (2 * k + 3) * math.pi / alpha
         log_m = -nu / 2.0 * np.log1p(nu / (2.0 * x))
@@ -311,9 +359,7 @@ def _series_terms(sides, rho: float) -> np.ndarray:
         count[(count == 0) & (bound <= _SERIES_TOL)] = k
         if count.all():
             break
-    count[(tau > 0.0) & (tau < _TAIL_FLOOR * spread)] = 0
-    terms[one] = count
-    return terms
+    return count
 
 
 def _exact_factors(ends: np.ndarray, rho: float, terms: np.ndarray) -> np.ndarray:
@@ -361,28 +407,226 @@ def _exact_factors(ends: np.ndarray, rho: float, terms: np.ndarray) -> np.ndarra
     return 2.0 / (alpha * np.sqrt(a)) * total
 
 
+def _pair_terms(ends: np.ndarray, rho: float) -> np.ndarray:
+    """The first run's odd terms for each two-component side [a1, b1] u [a2, b2]: 0 where it is sampled.
+
+    ends is (K, 4).  Decided from the ends and rho alone.  A side is
+    exact when rho < 1 (at 1 the pair never parts and d is 0 for good),
+    its first run's series, with no tail, stops within _TERM_CAP terms
+    (_term_counts), its gap g is at least _PAIR_GAP_FLOOR (L1 + kappa^2
+    a1), its tail tau is 0 or at least _PAIR_TAIL_FLOOR L2, and its grid
+    after the gap stays on the Bessel table: sigma0 = r0 / sqrt(L2) at
+    the grid's far corner is at most _PAIR_SIGMA0_SPAN (_pair_factors).
+    A gap below its floor is the case the v nodes cannot resolve: on
+    [0.5, 0.6] u [0.61, 0.9] at rho 0.5 (g = 0.013 (L1 + kappa^2 a1)) the
+    grid reads 0.85392 where 80 or more v nodes read 0.85224.
+    """
+    if rho == 1.0:
+        return np.zeros(len(ends), dtype=int)
+    a1, b1, a2, b2 = ends.T
+    kappa2, c = 2.0 / (1.0 + rho), math.sqrt(1.0 - rho * rho)
+    length, gap, run, tau = b1 - a1, a2 - b1, b2 - a2, 1.0 - b2
+    count = _term_counts(a1, length, np.zeros_like(a1), rho)
+    top = _PAIR_V_SPAN * np.sqrt(a2)
+    far = top + 2.0 * _PAIR_D_SPAN * np.sqrt((1.0 - rho) * length / 2.0)
+    sigma0 = np.hypot(top, (far - rho * top) / c) / np.sqrt(run)
+    count[(gap < _PAIR_GAP_FLOOR * (length + kappa2 * a1))
+          | ((tau > 0.0) & (tau < _PAIR_TAIL_FLOOR * run)) | (sigma0 > _PAIR_SIGMA0_SPAN)] = 0
+    return count
+
+
+def _chebyshev_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Chebyshev nodes of the first kind on [0,1] and their barycentric weights."""
+    angle = (2 * np.arange(n) + 1) * math.pi / (2 * n)
+    return (1.0 - np.cos(angle)) / 2.0, (-1.0) ** np.arange(n) * np.sin(angle)
+
+
+def _chebyshev_matrix(u: np.ndarray, n: int) -> np.ndarray:
+    """The barycentric matrix (K, n, P) that interpolates from _chebyshev_nodes(n) to u (K, P) in [0,1]."""
+    nodes, weights = _chebyshev_nodes(n)
+    matrix = np.subtract(u[:, None, :], nodes[:, None])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(weights[:, None], matrix, out=matrix)
+        total = matrix.sum(axis=1, keepdims=True)
+        matrix /= total
+    on_node = ~np.isfinite(total[:, 0])
+    matrix.transpose(0, 2, 1)[on_node] = u[on_node][:, None] == nodes
+    return matrix
+
+
+def _odd_sine_sum(phi: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """sum_i coefficients[:, i] sin((2i + 1) phi) for phi (K, P) and coefficients (K, N, P).
+
+    By the three-term recurrence sin((m + 2) phi) = 2 cos(2 phi) sin(m phi) - sin((m - 2) phi).
+    """
+    sine = np.sin(phi)
+    previous, step = -sine, 2.0 * np.cos(2.0 * phi)
+    total = coefficients[:, 0] * sine
+    for i in range(1, coefficients.shape[1]):
+        sine, previous = step * sine - previous, sine
+        total += coefficients[:, i] * sine
+    return total
+
+
+def _gauss_span(top, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n Gauss-Legendre nodes and weights on [0, top] for each top, top.shape + (n,) each."""
+    x, w = leggauss(n)
+    top = np.asarray(top)[..., None]
+    return top * (x + 1.0) / 2.0, top * w / 2.0
+
+
+def _pair_table(rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The second run's Bessel table: its terms' nu, the sigma nodes and K (term, sigma0 node, sigma node).
+
+    K_n[i, j] = (2/alpha) sigma_j w_j exp(-(sigma_j - sigma0_i)^2 / 2)
+    ive(nu_n, sigma_j sigma0_i), the wedge kernel over a run of length L2
+    in the scaled radii sigma = r / sqrt(L2), so that it depends on rho
+    alone; the sigma0 nodes are _chebyshev_nodes' in sqrt(sigma0 /
+    _PAIR_SIGMA0_SPAN).  Built once per _pair_factors call.
+    """
+    alpha = math.acos(-rho)
+    terms = math.ceil((_PAIR_NU_SPAN * alpha / math.pi + 1.0) / 2.0)
+    nu = np.arange(1, 2 * terms, 2) * math.pi / alpha
+    sigma0 = _PAIR_SIGMA0_SPAN * _chebyshev_nodes(_PAIR_SIGMA0_NODES)[0] ** 2
+    sigma, w = _gauss_span(_PAIR_SIGMA0_SPAN + _PAIR_SIGMA_PAD, _PAIR_SIGMA_NODES)
+    kernel = (2.0 / alpha) * sigma * w * np.exp(-(sigma - sigma0[:, None]) ** 2 / 2.0) * ive(
+        nu[:, None, None], sigma * sigma0[:, None])
+    return nu, sigma, kernel
+
+
+def _pair_factors(ends: np.ndarray, rho: float, terms: np.ndarray) -> np.ndarray:
+    """The survival-correlation factors of two-component sides [a1, b1] u [a2, b2], in closed form.
+
+    One Bessel table (_pair_table) serves every side; the sides are
+    evaluated _PAIR_BATCH at a time (_pair_batch).
+    """
+    table = _pair_table(rho)
+    return np.concatenate([_pair_batch(ends[i:i + _PAIR_BATCH], rho, terms[i:i + _PAIR_BATCH], table)
+                           for i in range(0, len(ends), _PAIR_BATCH)])
+
+
+def _pair_batch(ends: np.ndarray, rho: float, terms: np.ndarray, table) -> np.ndarray:
+    """_pair_factors on a batch of sides, with the second run's Bessel table given.
+
+    ends is (K, 4), terms each side's first-run count (_pair_terms).  The
+    pair walks the rho-run L1 = b1 - a1, the shared gap g = a2 - b1, the
+    rho-run L2 = b2 - a2 and the shared tail tau = 1 - b2.  Every stage
+    is evaluated on one grid per side in v = min(W, W') and d = |W -
+    W'|/2, whose v nodes span sqrt(b1) before the gap and sqrt(a2) after
+    it, with the wedge geometry of _exact_factors (alpha = arccos(-rho),
+    kappa^2 = 2/(1 + rho), the Dirichlet heat kernel of Carslaw & Jaeger
+    1959):
+
+    1. entrance and first run: the density of (v, d) at b1 is 8/(c alpha
+       sqrt(a1) R^2) sum_odd sin(n pi/2) sin(nu theta) exp(-s^2/2)
+       M_nu(x), c = sqrt(1 - rho^2), R^2 = L1 + kappa^2 a1, r = s R the
+       radius and theta the angle of (W, W') in the wedge, x = kappa^2 a1
+       s^2/(2 L1) and M_nu as in _exact_factors.  M_nu is tabulated once
+       per side on Chebyshev nodes in sqrt(s) up to _RADIAL_SPAN (beyond
+       it exp(-s^2/2) is below 2e-22) and interpolated to the grid;
+    2. the gap moves v alone, killed at 0: the v nodes after the gap are
+       reached through phi_g(v' - v) - phi_g(v' + v), one nv x nv matrix
+       per side, with d unchanged.  The v nodes before the gap follow the
+       first run's own scale, which a long gap would otherwise leave to a
+       few nodes;
+    3. second run and tail: from polar (r0, theta0) the survival is S =
+       sum_odd sin(nu theta0) c_n(sigma0), sigma0 = r0/sqrt(L2), c_n =
+       K_n A_n with K_n from the table, shared by every side, and A_n
+       the angular factor of _exact_factors at tau, on the sigma nodes
+       (2/nu at tau = 0); c_n is interpolated from the table's sigma0
+       nodes to the grid.  Only odd n survive: the tail's survival is
+       symmetric about the bisector.
+
+    The factor is the grid's sum of the density times the gap-propagated
+    S.  No code is shared with the sampled survival stack, which is its
+    oracle.
+    """
+    a1, b1, a2, b2 = ends.T
+    k = len(ends)
+    alpha, kappa2, c = math.acos(-rho), 2.0 / (1.0 + rho), math.sqrt(1.0 - rho * rho)
+    length, gap, run, tau = b1 - a1, a2 - b1, b2 - a2, 1.0 - b2
+    d, wd = _gauss_span(_PAIR_D_SPAN * np.sqrt((1.0 - rho) * length / 2.0), _PAIR_D_NODES)
+    v1, wv1 = _gauss_span(_PAIR_V_SPAN * np.sqrt(b1), _PAIR_V_NODES)
+    v2, wv2 = _gauss_span(_PAIR_V_SPAN * np.sqrt(a2), _PAIR_V_NODES)
+
+    def polar(v):
+        """Radius and wedge angle over pi/alpha of the grid (v, d) on the branch W = v <= W': (K, nv nd)."""
+        w, w_prime = v[:, :, None], v[:, :, None] + 2.0 * d[:, None, :]
+        b = (w_prime - rho * w) / c
+        return (np.hypot(w, b).reshape(k, -1),
+                ((math.asin(rho) + np.arctan2(b, w)) * (math.pi / alpha)).reshape(k, -1))
+
+    # 1. the density at b1, from the entrance table in s
+    r, phi = polar(v1)
+    s = r / np.sqrt(length + kappa2 * a1)[:, None]
+    top = np.minimum(s.max(axis=1), _RADIAL_SPAN)
+    interpolate = _chebyshev_matrix(np.sqrt(np.minimum(s / top[:, None], 1.0)), _PAIR_S_NODES)
+    nodes = top[:, None] * _chebyshev_nodes(_PAIR_S_NODES)[0] ** 2
+    x = (kappa2 * a1 / (2.0 * length))[:, None] * nodes * nodes
+    odd = np.arange(1, 2 * int(terms.max()), 2)
+    nu = odd * math.pi / alpha
+    entrance = np.zeros((k, len(odd), _PAIR_S_NODES))
+    for i, n in enumerate(nu):
+        live = terms > i
+        entrance[live, i] = np.exp(gammaln(1.0 + n / 2.0) - gammaln(n + 1.0) + n / 2.0 * np.log(x[live])
+                                   + np.log(hyp1f1(n / 2.0, n + 1.0, -x[live])))
+    entrance *= np.where(odd % 4 == 1, 1.0, -1.0)[:, None]
+    density = np.exp(-s * s / 2.0) * _odd_sine_sum(phi, entrance @ interpolate)
+    density *= (8.0 / (c * alpha * np.sqrt(a1) * (length + kappa2 * a1)))[:, None]
+
+    # 3. the survival of the second run and tail from the grid after the gap
+    nu, sigma, bessel = table
+    angular = np.broadcast_to(2.0 / nu, (k, len(sigma), len(nu))).copy()
+    tail = tau > 0.0
+    if tail.any():
+        theta, weights = _angular_weights(np.arange(1, 2 * len(nu), 2), alpha)
+        edge = erf((np.sqrt(run[tail] / (2.0 * tau[tail]))[:, None] * sigma)[:, :, None]
+                   * np.sin(theta))
+        angular[tail] = 2.0 * edge @ weights
+    coefficients = np.einsum("nij,kjn->kni", bessel, angular)
+    r0, phi0 = polar(v2)
+    interpolate = _chebyshev_matrix(
+        np.sqrt(np.minimum(r0 / (np.sqrt(run)[:, None] * _PAIR_SIGMA0_SPAN), 1.0)), _PAIR_SIGMA0_NODES)
+    survival = _odd_sine_sum(phi0, coefficients @ interpolate)
+
+    # 2. the gap's killed kernel from the v nodes before it to those after
+    def normal(z):
+        return np.exp(-z * z / (2.0 * gap[:, None, None])) / np.sqrt(2.0 * math.pi * gap)[:, None, None]
+
+    kernel = (normal(v2[:, None, :] - v1[:, :, None]) - normal(v2[:, None, :] + v1[:, :, None])) \
+        * wv2[:, None, :]
+    propagated = kernel @ survival.reshape(k, _PAIR_V_NODES, _PAIR_D_NODES)
+    return np.einsum("kv,kd,kvd,kvd->k", wv1, wd, density.reshape(propagated.shape), propagated)
+
+
 def _rhs_factors(sides, terms: np.ndarray, rho: float, n_samples: int,
                  node_seeds) -> list[EstimateWithError]:
     """One survival-correlation factor per pulled-back side.
 
     sides are in node order, each node's left side then its right.  A
     side with no region points is exactly 1.  A side with terms > 0
-    (_series_terms) is exact: stderr 0, and n_samples the grid's
-    _RADIAL_NODES x _ANGULAR_NODES points; all of them come from one
-    _exact_factors call.  Any other side is m_lambda_functional at
+    (_series_terms) is exact: stderr 0, and n_samples its grid's points,
+    _RADIAL_NODES x _ANGULAR_NODES for one component and 2 x
+    _PAIR_V_NODES x _PAIR_D_NODES for two.  All the one-component sides
+    come from one _exact_factors call and all the two-component ones from
+    one _pair_factors call, which builds one Bessel table for them.  Any
+    other side is m_lambda_functional at
     n_samples points on its node's stream for that side,
     derive_seed(node_seeds[i // 2], i % 2): the factor does not depend
     on its entrance time, so heights enter at the side's first point,
     inside (0,1) for a t inside a gap, with no run-in.
     """
-    exact = np.flatnonzero(terms)
-    values = dict(zip(exact.tolist(), _exact_factors(
-        np.array([sides[i][0] for i in exact]), rho, terms[exact]))) if exact.size else {}
+    values = {}
+    for count, evaluate in ((1, _exact_factors), (2, _pair_factors)):
+        exact = [i for i in np.flatnonzero(terms).tolist() if len(sides[i]) == count]
+        if exact:
+            ends = np.array([[x for component in sides[i] for x in component] for i in exact])
+            values.update(zip(exact, evaluate(ends, rho, terms[exact])))
     factors = []
     for i, side in enumerate(sides):
         if i in values:
-            factors.append(EstimateWithError(mean=float(values[i]), stderr=0.0,
-                                             n_samples=_RADIAL_NODES * _ANGULAR_NODES))
+            factors.append(EstimateWithError(mean=float(values[i]), stderr=0.0, n_samples=(
+                _RADIAL_NODES * _ANGULAR_NODES if len(side) == 1 else 2 * _PAIR_V_NODES * _PAIR_D_NODES)))
         elif side:
             factors.append(m_lambda_functional(side, rho, side[0][0], n_samples,
                                                derive_seed(node_seeds[i // 2], i % 2)))
@@ -412,6 +656,11 @@ def _gap_rule(region: TimeSet, gap: tuple[float, float], n_nodes: int, rho: floa
     return _rule(region, gap, n_nodes, rho), False
 
 
+def _grid_error(rule) -> float:
+    """The grid error of a rule's least accurate factor: _PAIR_GRID_ERROR once a side has two components."""
+    return _PAIR_GRID_ERROR if any(len(side) == 2 for side in rule[2]) else _FACTOR_GRID_ERROR
+
+
 def _all_exact(rule) -> bool:
     """Whether every side of a rule is exact or empty: no factor of it is sampled."""
     _, _, sides, terms = rule
@@ -425,10 +674,12 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     Nodes are graded toward each gap's interior ends.  From
     _GAUSS_MIN_NODES nodes up, a gap whose factors are all exact at the
     Gauss-Legendre nodes takes that rule (_gauss_nodes); every other gap
-    takes the midpoint rule (_arcsine_nodes).  A one-component side is
-    exact (_exact_factors; every exact side of one RHS in one
-    evaluation); any other side is randomized QMC on its own derived
-    stream, derive_seed(derive_seed(seed, _TAG_NODE, gap, node), side).
+    takes the midpoint rule (_arcsine_nodes).  A side of one or two
+    components is exact within the domain _series_terms decides from its
+    ends (_exact_factors, _pair_factors; every exact side of one RHS in
+    one evaluation per component count); any other side is randomized
+    QMC on its own derived stream, derive_seed(derive_seed(seed,
+    _TAG_NODE, gap, node), side).
     The stderr combines two independent parts:
 
     - sampling: the per-node product variances, so it is propagated
@@ -439,8 +690,10 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
       the same rule at m = ceil(n/2) nodes (2 at n = 1) estimates the
       n-node rule's error.  A Gauss-Legendre gap adds |I_n - I_m|, whose
       rule converges so much faster than the m-node one that this
-      overstates its error, plus _FACTOR_GRID_ERROR times twice its
-      arc-sine mass, the factors' own error.  The midpoint gaps add
+      overstates its error, plus twice its arc-sine mass times the grid
+      error of its least accurate factor, the factors' own error:
+      _FACTOR_GRID_ERROR, or _PAIR_GRID_ERROR once a side has two
+      components (_grid_error).  The midpoint gaps add
       |I_n - I_m| / |1 - (n/m)^2|, the O(n^-2) extrapolation, times
       _QUADRATURE_SAFETY.  A coarse side the series cannot take is
       sampled, on derive_seed(derive_seed(seed, _TAG_COARSE, gap, node),
@@ -509,7 +762,7 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     # factors' grid error; a midpoint gap's the O(n^-2) extrapolation
     quadrature = _QUADRATURE_SAFETY / abs(1.0 - (n_nodes / coarse_n) ** 2) * sum(
         diff for g, diff in diffs.items() if not gauss[g]) + sum(
-        diff + 2.0 * _FACTOR_GRID_ERROR * (_theta(gaps[g][1]) - _theta(gaps[g][0]))
+        diff + 2.0 * _grid_error(fine[g]) * (_theta(gaps[g][1]) - _theta(gaps[g][0]))
         for g, diff in diffs.items() if gauss[g])
     var = sum(node_vars)
     top = int(np.argmax(node_vars))

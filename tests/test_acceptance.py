@@ -163,12 +163,15 @@ def test_criterion_7_main_theorem_desk_scale():
         case_ok = (report.passed and report.stability_ok
                    and report.combined_stderr <= 0.01
                    and abs(report.lhs.mean - _REGRESSION[(text, rho)]) < 0.02)
-        # a single interval's factors are all exact: its RHS band is the
-        # node rule's error, reported next to it
-        if "," not in text:
-            rhs = report.as_dict()["rhs"]
-            case_ok &= (rhs["exact_factors"] == 2 * (24 + 12) and "replicates" not in rhs
-                        and rhs["stderr"] == rhs["quadrature_error"] > 0.0)
+        # every side has one or two components, so every factor is exact:
+        # the RHS band is the node rule's error, reported next to it.  A
+        # single interval has two sides per node, one of them empty; the
+        # split region four on its middle gap's nodes and two, one empty,
+        # on each outer gap's
+        rhs = report.as_dict()["rhs"]
+        exact = 2 * (24 + 12) if "," not in text else 4 * (24 + 12)
+        case_ok &= (rhs["exact_factors"] == exact and "replicates" not in rhs
+                    and rhs["stderr"] == rhs["quadrature_error"] > 0.0)
         all_ok &= case_ok
         lines.append(
             f"A={text} rho={rho}: lhs {report.lhs.mean:.4f} rhs {report.rhs.mean:.4f} "

@@ -220,19 +220,21 @@ def test_survival_errors_name_their_replicates(capsys):
          "--t0", "1/32,1/8", "--samples", "2000", "--seed", "5"], capsys)
     assert code == 0
     assert [run["replicates"] for run in json.loads(out)["results"]["runs"]] == [16, 16]
-    # the outer gaps of a two-component region see two components: sampled
-    code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2,5/8..3/4", "--rho", "0.5",
+    # the outer gaps of a three-component region see three components: sampled
+    code, out, _ = run_cli(["theorem-check", "--A", "1/8..1/4,3/8..1/2,5/8..3/4", "--rho", "0.5",
                             "--seed", "7", "--node-samples", "100", *_THEOREM_SMALL], capsys)
     results = json.loads(out)["results"]
     assert results["rhs"]["replicates"] == 16 and "replicates" not in results["lhs"]
     assert results["rhs"]["exact_factors"] > 0
-    # every side of 1/4..1/2 has one component: all exact, no replicates,
-    # and the band is the node rule's error
-    code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.5", "--seed", "7",
-                            "--node-samples", "100", *_THEOREM_SMALL], capsys)
-    rhs = json.loads(out)["results"]["rhs"]
-    assert "replicates" not in rhs and rhs["exact_factors"] > 0
-    assert rhs["n_samples"] >= 2 and rhs["stderr"] == rhs["quadrature_error"] > 0.0
+    # every side of 1/4..1/2 has one component, and every side of the split
+    # region one or two: all exact, no replicates, and the band is the node
+    # rule's error
+    for region in ("1/4..1/2", "1/4..1/2,5/8..3/4"):
+        code, out, _ = run_cli(["theorem-check", "--A", region, "--rho", "0.5", "--seed", "7",
+                                "--node-samples", "100", *_THEOREM_SMALL], capsys)
+        rhs = json.loads(out)["results"]["rhs"]
+        assert "replicates" not in rhs and rhs["exact_factors"] > 0
+        assert rhs["n_samples"] >= 2 and rhs["stderr"] == rhs["quadrature_error"] > 0.0
 
 
 def test_direct_route_reports_its_strata(capsys):
@@ -568,6 +570,20 @@ def test_an_immaterial_grid_bias_passes_the_stability_check(capsys):
     assert allowance == results["combined_stderr"] / 4
     assert results["grid_stability_ok"] is True and results["pass"] is True
     assert code == 0
+
+
+def test_a_stability_check_on_a_region_touching_both_ends_gives_a_json_verdict(capsys):
+    # on 0..1/4,3/4..1 no paired walk of this run differs, so the grid
+    # bias's stderr is its floor 1 / walks; the verdict's check is a plain
+    # bool, which the payload writes as JSON true or false
+    code, out, _ = run_cli(["theorem-check", "--A", "0..1/4,3/4..1", "--rho", "0.7",
+                            "--n-grid", "64", "--samples", "300", "--nodes", "2",
+                            "--node-samples", "200", "--seed", "5", "--check-stability"], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["grid_stability_ok"] in (True, False)
+    assert '"grid_stability_ok": true' in out or '"grid_stability_ok": false' in out
+    assert results["grid_bias"]["estimate"] == 0.0 and results["grid_bias"]["stderr"] > 0.0
 
 
 def test_a_stability_check_unresolved_at_its_cap_does_not_pass(capsys):

@@ -29,6 +29,10 @@ from splitnoise.timesets import TimeSet, affine_preimage
 EMPTY = TimeSet.empty()
 FULL = TimeSet.full()
 QUARTER_HALF = TimeSet.parse("1/4..1/2")
+SPLIT = TimeSet.parse("1/4..1/2,5/8..3/4")
+# three components: every side of an outer gap's node sees all three and is
+# sampled, while the middle gaps' sides have one or two components
+SAMPLED = TimeSet.parse("1/8..1/4,3/8..1/2,5/8..3/4")
 
 
 def test_arcsine_substitution_is_exact():
@@ -102,6 +106,7 @@ def test_rhs_rejects_a_gap_with_no_float_inside_before_any_draw(monkeypatch):
 
     monkeypatch.setattr(theorem, "m_lambda_functional", forbidden)
     monkeypatch.setattr(theorem, "_exact_factors", forbidden)
+    monkeypatch.setattr(theorem, "_pair_factors", forbidden)
     region = TimeSet.parse("1/4..1/2,4503599627370497/9007199254740992..3/4")
     with pytest.raises(DomainError, match=r"the gap \(0.5, 0.5000000000000001\)"):
         rhs_integral(region, 0.5, 2, 100, seed=1)
@@ -131,9 +136,10 @@ def node_factors(t, region, rho, n_samples, seed):
     return tuple(_rhs_factors(sides, _series_terms(sides, rho), rho, n_samples, [seed]))
 
 
-def is_exact_factor(est):
+def is_exact_factor(est, components=1):
     # the grid's points, no sampling error and no replicates
-    return est.n_samples == 32 * 16 and est.stderr == 0.0 and est.extra is None and 0 < est.mean < 1
+    points = 32 * 16 if components == 1 else 2 * 40 * 24
+    return est.n_samples == points and est.stderr == 0.0 and est.extra is None and 0 < est.mean < 1
 
 
 def test_rhs_factors_empty_sides():
@@ -146,8 +152,11 @@ def test_rhs_factors_empty_sides():
     assert left == EstimateWithError.exact(1.0)
     assert is_exact_factor(right)
 
-    # a two-component side is sampled
+    # a two-component side is exact too, and a three-component one sampled
     left, right = node_factors(0.9, TimeSet.parse("1/8..1/4,1/2..3/4"), 0.5, 100, seed=1)
+    assert is_exact_factor(left, components=2)
+    assert right == EstimateWithError.exact(1.0)
+    left, right = node_factors(0.9, SAMPLED, 0.5, 100, seed=1)
     assert left.n_samples == 100 and left.extra == {"replicates": 16}
     assert right == EstimateWithError.exact(1.0)
 
@@ -157,23 +166,24 @@ def test_rhs_factors_empty_sides():
 
 def test_rhs_factors_at_boundary_times():
     # a side has a factor exactly when the region has points on that side
-    # of t: before the region, between components and after it.  One
-    # component is exact, two are sampled.  At 0 and 1 a side's map
-    # degenerates, and no node lies there
+    # of t: before the region, between components and after it.  One and
+    # two components are exact, three are sampled.  At 0 and 1 a side's
+    # map degenerates, and no node lies there
     B = TimeSet.parse("1/8..1/4,1/2..3/4")
     for t in (0.0, 1.0):
         with pytest.raises(DomainError, match=f"t={t}"):
             node_factors(t, B, 0.5, 100, seed=1)
-    for t, kinds in [(0.05, ("empty", "sampled")), (0.3, ("exact", "exact")),
-                     (0.9, ("sampled", "empty"))]:
-        factors = node_factors(t, B, 0.5, 100, seed=1)
+    for region, t, kinds in [(B, 0.05, ("empty", 2)), (B, 0.3, (1, 1)), (B, 0.9, (2, "empty")),
+                             (SAMPLED, 0.05, ("empty", "sampled")), (SAMPLED, 0.3, (1, 2)),
+                             (SAMPLED, 0.9, ("sampled", "empty"))]:
+        factors = node_factors(t, region, 0.5, 100, seed=1)
         for est, kind in zip(factors, kinds):
             if kind == "sampled":
                 assert est.n_samples == 100, t
-            elif kind == "exact":
-                assert is_exact_factor(est), t
-            else:
+            elif kind == "empty":
                 assert est == EstimateWithError.exact(1.0), t
+            else:
+                assert is_exact_factor(est, components=kind), t
     with pytest.raises(PreconditionError):
         node_factors(0.6, B, 0.5, 100, seed=1)
 
@@ -194,7 +204,8 @@ def test_rhs_factor_pullback_set():
 
 def test_rhs_factors_at_rho_one_are_mass_conservation():
     # all correlations 1: both factors reduce to the entrance mass, i.e. 1;
-    # the exact one to the grid's accuracy, a sampled one at 4 sigma
+    # the exact one to the grid's accuracy, a sampled one at 4 sigma.  At
+    # rho 1 the pair never parts, and a two-component side is sampled
     left, right = node_factors(0.6, QUARTER_HALF, 1.0, 20_000, seed=2)
     assert right.mean == 1.0
     assert left.n_samples == 32 * 16 and left.stderr == 0.0
@@ -411,13 +422,13 @@ def test_verdict_band_is_a_student_t_band():
         assert band_multiplier(nu) == pytest.approx(width, abs=0.005)
     assert band_multiplier(None) == band_multiplier(math.inf) == pytest.approx(4.0, abs=2e-4)
     assert all(band_multiplier(nu) > 4.0 for nu in (1, 2.5, 1e3, 1e9))
-    report = verify_theorem(TimeSet.parse("1/4..1/2,5/8..3/4"), 0.5, seed=8, lhs_n_grid=256,
+    report = verify_theorem(SAMPLED, 0.5, seed=8, lhs_n_grid=256,
                             lhs_samples=500, n_nodes=2, node_samples=500)
     lhs, rhs = report.lhs, report.rhs
     cells = sum(row["strata"] for row in lhs.extra["levels"])
     assert 1.0 <= lhs.extra["dof"] <= cells
     # the RHS's over its factors' variance terms (3 per node, 15 dof each)
-    # and the quadrature term of its exact middle gap, at infinite dof
+    # and the quadrature term of its exact middle gaps, at infinite dof
     assert rhs.extra["replicates"] == 16 and rhs.extra["quadrature_error"] > 0.0
     assert rhs.extra["dof"] == pytest.approx(welch_dof(
         [(term, 15) for r in rhs.extra["nodes"] for term in rhs_node_terms(r)]
@@ -452,13 +463,13 @@ def test_student_t_band_is_calibrated_at_the_five_percent_level():
 
 
 def test_verdict_names_top_rhs_node():
-    report = verify_theorem(TimeSet.parse("1/4..1/2,5/8..3/4"), 0.5, seed=8,
+    report = verify_theorem(SAMPLED, 0.5, seed=8,
                             lhs_n_grid=256, lhs_samples=500, n_nodes=3,
                             node_samples=500)
     rows = report.rhs.extra["nodes"]
     terms = [sum(rhs_node_terms(r)) for r in rows]
     # the sampling part of the RHS variance is the node terms; the rest is
-    # the quadrature error of the exact middle gap
+    # the quadrature error of the exact middle gaps
     quadrature = report.rhs.extra["quadrature_error"]
     assert quadrature > 0.0
     assert sum(terms) == pytest.approx(report.rhs.stderr**2 - quadrature**2, rel=1e-12)
@@ -472,9 +483,10 @@ def test_verdict_names_top_rhs_node():
     d = verify_theorem(EMPTY, 0.5, seed=6, lhs_n_grid=128, lhs_samples=500,
                        n_nodes=2, node_samples=100).as_dict()
     assert d["rhs_top_node"] is None
-    d = verify_theorem(QUARTER_HALF, 0.5, seed=6, lhs_n_grid=128, lhs_samples=500,
-                       n_nodes=2, node_samples=100).as_dict()
-    assert d["rhs_top_node"] is None and d["rhs"]["stderr"] == d["rhs"]["quadrature_error"] > 0.0
+    for region in (QUARTER_HALF, SPLIT):
+        d = verify_theorem(region, 0.5, seed=6, lhs_n_grid=128, lhs_samples=500,
+                           n_nodes=2, node_samples=100).as_dict()
+        assert d["rhs_top_node"] is None and d["rhs"]["stderr"] == d["rhs"]["quadrature_error"] > 0.0
 
 
 def test_sensitivity_curve_identical_at_rho_one():
@@ -580,11 +592,146 @@ def test_short_tails_keep_sampling():
         [False, False, True, True]
 
 
+# -- exact two-component factors ---------------------------------------------
+
+def pair_factor(a1, b1, a2, b2, rho):
+    ends = np.array([[a1, b1, a2, b2]])
+    terms = theorem._pair_terms(ends, rho)
+    assert terms[0] > 0, (a1, b1, a2, b2, rho)
+    return float(theorem._pair_factors(ends, rho, terms)[0])
+
+
+def split_side(t):
+    """The two-component side of the split region at an outer gap's node t."""
+    side, = (s for s in _pullback(t, SPLIT) if s)
+    return tuple(x for component in side for x in component)
+
+
+# the split region's sides nearest its interior ends: the 8-node midpoint
+# rule's (entrance time 2.35e-3), the 8-node Gauss-Legendre rule's (4.7e-6)
+# and criterion 7's 24-node rule's (8.4e-9), and a side from each outer gap's middle
+_SPLIT_SIDES = [split_side(_arcsine_nodes(0.0, 0.25, 8, (False, True))[0][-1]),
+                split_side(_gauss_nodes(0.0, 0.25, 8, (False, True))[0][-1]),
+                split_side(_gauss_nodes(0.75, 1.0, 8, (True, False))[0][0]),
+                split_side(_gauss_nodes(0.0, 0.25, 24, (False, True))[0][-1]),
+                split_side(_gauss_nodes(0.75, 1.0, 24, (True, False))[0][0]),
+                split_side(0.1), split_side(0.9)]
+
+
+def test_split_sides_reach_the_smallest_entrance_times():
+    assert [side[0] for side in _SPLIT_SIDES[:5]] == pytest.approx(
+        [2.35337106e-3, 4.73237651e-6, 4.73237651e-6, 8.42492e-9, 8.42492e-9], rel=1e-6)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("side, rho", [(side, 0.5) for side in _SPLIT_SIDES[:3] + _SPLIT_SIDES[6:]]
+                         + [(_SPLIT_SIDES[0], 0.1), (_SPLIT_SIDES[1], 0.9)])
+def test_pair_factors_match_sampled_survival(side, rho):
+    # the oracle shares no code with the grid: the wedge-kernel survival
+    # walk on 2^20 randomized-QMC points
+    a1, b1, a2, b2 = side
+    est = m_lambda_functional([(a1, b1), (a2, b2)], rho, a1, 1 << 20, seed=3)
+    assert abs(pair_factor(*side, rho) - est.mean) < 4 * est.stderr
+
+
+def pair_sweep():
+    """Random two-component sides inside the exact domain at rho 0-0.99, and the split region's."""
+    rng = np.random.default_rng(11)
+    cases = [(side, 0.5) for side in _SPLIT_SIDES] + [(_SPLIT_SIDES[3], 0.1), (_SPLIT_SIDES[4], 0.99)]
+    while len(cases) < 40:
+        rho = float(rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]))
+        ends = np.sort(rng.uniform(0.0, 1.0, 4))
+        if rng.random() < 0.3:
+            ends[3] = 1.0
+        if rng.random() < 0.2:
+            ends[0] *= 1e-3
+        if theorem._pair_terms(ends[None], rho)[0]:
+            cases.append((tuple(ends), rho))
+    return cases
+
+
+@pytest.mark.slow
+def test_pair_factor_grid_is_within_its_stated_error_of_a_finer_grid(monkeypatch):
+    # every node count doubled, the second run's series to twice the nu,
+    # and the first run's to twice its terms
+    cases = pair_sweep()
+    lean = [pair_factor(*side, rho) for side, rho in cases]
+    terms = [int(theorem._pair_terms(np.array([side]), rho)[0]) for side, rho in cases]
+    for name in ("_PAIR_V_NODES", "_PAIR_D_NODES", "_PAIR_S_NODES", "_PAIR_SIGMA0_NODES",
+                 "_PAIR_SIGMA_NODES", "_PAIR_NU_SPAN"):
+        monkeypatch.setattr(theorem, name, 2 * getattr(theorem, name))
+    for (side, rho), value, count in zip(cases, lean, terms):
+        fine = theorem._pair_factors(np.array([side]), rho, np.array([2 * count]))[0]
+        assert abs(value - fine) <= theorem._PAIR_GRID_ERROR, (side, rho)
+        assert 0.0 < value < 1.0
+
+
+def test_pair_factors_are_one_batch():
+    # a batch's factors are each side's own, whatever else is in the batch
+    cases = pair_sweep()[:12]
+    for rho in (0.3, 0.9):
+        ends = np.array([side for side, _ in cases])
+        terms = theorem._pair_terms(ends, rho)
+        live = terms > 0
+        batch = theorem._pair_factors(ends[live], rho, terms[live])
+        alone = [theorem._pair_factors(ends[i:i + 1], rho, terms[i:i + 1])[0]
+                 for i in np.flatnonzero(live)]
+        assert batch == pytest.approx(alone, abs=1e-15)
+
+
+def test_one_bessel_table_per_rhs_integral(monkeypatch):
+    # the second run's table depends on rho alone: one rhs_integral call
+    # builds it once for all its two-component sides, and the next call
+    # builds its own
+    calls = []
+    table = theorem._pair_table
+
+    def counted(rho):
+        calls.append(rho)
+        return table(rho)
+
+    monkeypatch.setattr(theorem, "_pair_table", counted)
+    first = rhs_integral(SPLIT, 0.5, 8, 100, seed=1)
+    assert calls == [0.5]
+    # 8 + 4 nodes per gap: one pair side per outer gap's node, two one-component sides per middle gap's
+    assert first.extra["exact_factors"] == 2 * (8 + 4) + 2 * (8 + 4)
+    second = rhs_integral(SPLIT, 0.5, 8, 100, seed=2)
+    assert calls == [0.5, 0.5] and (second.mean, second.stderr) == (first.mean, first.stderr)
+
+
+def test_pair_sides_outside_the_domain_keep_sampling(monkeypatch):
+    # decided from the ends before anything is evaluated: a gap below its
+    # floor (on [0.5, 0.6] u [0.61, 0.9] the grid reads 0.85392 where finer
+    # grids and 2^20 RQMC points agree on 0.85224), a short tail, a grid
+    # reaching past the Bessel table, rho 1, and three components
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an exact factor was evaluated")
+
+    monkeypatch.setattr(theorem, "_pair_factors", forbidden)
+    monkeypatch.setattr(theorem, "_exact_factors", forbidden)
+    sides = [[(0.5, 0.6), (0.61, 0.9)], [(0.2, 0.4), (0.6, 0.99)], [(0.2, 0.6), (0.7, 0.72)],
+             [(0.1, 0.2), (0.3, 0.4), (0.5, 0.6)]]
+    for rho in (0.5, 1.0):
+        assert _series_terms(sides, rho).tolist() == [0, 0, 0, 0]
+    assert _series_terms([[(0.2, 0.4), (0.6, 0.99)]], 0.5)[0] == 0
+    assert _series_terms([[(0.2, 0.4), (0.6, 0.95)]], 0.5)[0] > 0  # the tail past its floor
+    short, = _rhs_factors(sides[:1], np.zeros(1, dtype=int), 0.5, 20_000, [7])
+    assert short.n_samples == 20_000 and short.extra == {"replicates": 16}
+    assert abs(short.mean - 0.8522396) < 4 * short.stderr
+
+
 # -- the node rule's error in the RHS band -----------------------------------
 
-def grid_floor(gaps):
+def grid_floor(gaps, error=theorem._FACTOR_GRID_ERROR):
     """The exact factors' grid error over the gaps: twice it per node, times their arc-sine mass."""
-    return 2 * theorem._FACTOR_GRID_ERROR * sum(theta(b) - theta(a) for a, b in gaps)
+    return 2 * error * sum(theta(b) - theta(a) for a, b in gaps)
+
+
+def gap_floor(region, gap):
+    """A Gauss-Legendre gap's floor: the pair grid error once a side at its nodes has two components."""
+    two = any(len(side) == 2 for t in _gauss_nodes(*gap, 4, (gap[0] > 0.0, gap[1] < 1.0))[0]
+              for side in _pullback(t, region))
+    return grid_floor([gap], theorem._PAIR_GRID_ERROR if two else theorem._FACTOR_GRID_ERROR)
 
 
 @pytest.mark.parametrize("rho, reference", [(0.3, 0.5879826957), (0.7, 0.6716798325)])
@@ -632,22 +779,23 @@ def test_gauss_band_covers_the_node_rule_on_every_exact_gap(text, rho):
     # from 4 nodes up a gap whose factors are all exact takes the graded
     # Gauss-Legendre rule, banded by its distance from the ceil(n/2)-node
     # rule plus the grid floor; against 96-node values that band covers
-    # the rule's true error, gap by gap.  The split region's outer gaps
-    # are sampled and carry no band
+    # the rule's true error, gap by gap.  Every gap of these regions is
+    # exact, the split region's outer gaps through their two-component
+    # sides, with the pair grid floor
     region = TimeSet.parse(text)
     gaps = region.complement_components()
-    exact = [1] if text == "1/4..1/2,5/8..3/4" else range(len(gaps))
-    references = {g: exact_gap_sum(region, gaps[g], 96, rho, True) for g in exact}
+    references = [exact_gap_sum(region, gap, 96, rho, True) for gap in gaps]
     for n_nodes in (4, 8, 16, 24):
         est = rhs_integral(region, rho, n_nodes, 100, seed=1)
+        assert "replicates" not in est.extra and est.stderr == est.extra["quadrature_error"]
         band = 0.0
-        for g in exact:
-            (a, b), rows = gaps[g], gap_rows(est, g)
+        for g, (a, b) in enumerate(gaps):
+            rows = gap_rows(est, g)
             times, weights = _gauss_nodes(a, b, n_nodes, (a > 0.0, b < 1.0))
             assert [r["t"] for r in rows] == times and [r["weight"] for r in rows] == weights.tolist()
             fine = sum(r["weight"] * r["left"] * r["right"] for r in rows)
             coarse = exact_gap_sum(region, gaps[g], -(-n_nodes // 2), rho, True)
-            gap_band = abs(fine - coarse) + grid_floor([gaps[g]])
+            gap_band = abs(fine - coarse) + gap_floor(region, gaps[g])
             assert abs(fine - references[g]) <= gap_band, (g, n_nodes)
             band += gap_band
         assert est.extra["quadrature_error"] == pytest.approx(band, rel=1e-9)
@@ -656,11 +804,11 @@ def test_gauss_band_covers_the_node_rule_on_every_exact_gap(text, rho):
 def test_midpoint_rule_stays_below_four_nodes_and_on_sampled_gaps():
     # at 1-3 nodes every gap keeps the midpoint rule, and so does a gap
     # with a sampled factor at any count: node times and weights are
-    # _arcsine_nodes' own, bit for bit
-    split = TimeSet.parse("1/4..1/2,5/8..3/4")
+    # _arcsine_nodes' own, bit for bit.  The outer gaps of SAMPLED see
+    # three components
     for region, n_nodes, midpoint in [(QUARTER_HALF, 1, (0, 1)), (QUARTER_HALF, 2, (0, 1)),
-                                      (QUARTER_HALF, 3, (0, 1)), (split, 2, (0, 1, 2)),
-                                      (split, 8, (0, 2))]:
+                                      (QUARTER_HALF, 3, (0, 1)), (SAMPLED, 2, (0, 1, 2, 3)),
+                                      (SAMPLED, 8, (0, 3)), (SPLIT, 8, ())]:
         est = rhs_integral(region, 0.5, n_nodes, 100, seed=1)
         for g, (a, b) in enumerate(region.complement_components()):
             rule = _arcsine_nodes if g in midpoint else _gauss_nodes
@@ -686,21 +834,24 @@ def test_gauss_nodes_total_the_arcsine_measure():
 
 
 def test_quadrature_error_comes_only_from_exact_gaps():
-    # on the split region only the middle gap is exact; at 6 nodes it runs
-    # the Gauss-Legendre rule, banded by its distance from its own 3-node
-    # rule plus the grid floor, with no extrapolation factor
-    region = TimeSet.parse("1/4..1/2,5/8..3/4")
+    # on SAMPLED only the middle gaps are exact, their sides of one and two
+    # components; at 6 nodes they run the Gauss-Legendre rule, each banded
+    # by its distance from its own 3-node rule plus the pair grid floor,
+    # with no extrapolation factor
+    region = SAMPLED
     est = rhs_integral(region, 0.5, 6, 400, seed=4)
     rows = est.extra["nodes"]
-    middle = region.complement_components()[1]
-    coarse = exact_gap_sum(region, middle, 3, 0.5, True)
+    gaps = region.complement_components()
+    band = 0.0
+    for g in (1, 2):
+        coarse = exact_gap_sum(region, gaps[g], 3, 0.5, True)
+        band += abs(sum(r["weight"] * r["left"] * r["right"] for r in gap_rows(est, g)) - coarse)
     assert est.extra["quadrature_error"] == pytest.approx(
-        abs(sum(r["weight"] * r["left"] * r["right"] for r in gap_rows(est, 1)) - coarse)
-        + grid_floor([middle]), rel=1e-12)
-    assert est.extra["exact_factors"] == 12 + 6 and est.extra["replicates"] == 16
+        band + grid_floor(gaps[1:3], theorem._PAIR_GRID_ERROR), rel=1e-12)
+    assert est.extra["exact_factors"] == 2 * (12 + 6) and est.extra["replicates"] == 16
     # the outer gaps' factors are sampled on the same streams as ever
     for r in rows:
-        if r["component"] == 1:
+        if r["component"] in (1, 2):
             assert r["left_stderr"] == r["right_stderr"] == 0.0
             continue
         ni = [q["t"] for q in rows if q["component"] == r["component"]].index(r["t"])

@@ -30,8 +30,8 @@ def test_traced_pass_records_every_attrs_function(capsys):
     tracing = _load_tracing()
     tracer = tracing.Tracer()
     with tracing.instrumented(tracer):
-        # two components: the outer gaps' factors are sampled, so survival runs
-        code = cli.main(["theorem-check", "--A", "1/4..1/2,5/8..3/4", "--rho", "0.5",
+        # three components: the outer gaps' factors are sampled, so survival runs
+        code = cli.main(["theorem-check", "--A", "1/8..1/4,3/8..1/2,5/8..3/4", "--rho", "0.5",
                          "--n-grid", "64",
                          "--samples", "100", "--nodes", "2", "--node-samples", "100",
                          "--node-steps", "8", "--seed", "1"])
