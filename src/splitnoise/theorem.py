@@ -11,7 +11,8 @@ back set gives an entrance-law survival-correlation factor.  A side of
 one component is computed exactly, from a closed-form series on a
 fixed Gauss-Legendre grid (_exact_factors), and so is a side of two,
 from the same wedge kernel in three stages on a fixed grid
-(_pair_factors); a side of three or more components, or one its grid
+(_pair_factors) with one Bessel table per call, evaluated on its band
+(_pair_table); a side of three or more components, or one its grid
 cannot resolve, is a randomized quasi-Monte Carlo estimate
 (m_lambda_functional).  The quadrature substitutes
 t = sin^2(pi theta / 2), under which the arc-sine weight becomes the
@@ -21,11 +22,13 @@ factors vanish like a small power of the distance.  A gap whose factors
 are all exact takes a graded Gauss-Legendre rule (_gauss_nodes) from 4
 nodes up, any other gap a graded midpoint rule (_arcsine_nodes).  On a
 gap whose factors are all exact, the rule's own error is estimated from
-a coarser rule and joins the band (rhs_integral).
+a coarser rule and joins the band (rhs_integral).  Every
+Gauss-Legendre rule is built once per node count (_legendre).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,7 +43,11 @@ from .sampling import (SAMPLE_CAP, EstimateWithError, _check_samples, derive_see
                        product_estimate, welch_dof)
 from .timesets import TimeSet, affine_preimage
 
-NODE_CAP = 10**5  # quadrature nodes per gap
+# quadrature nodes per gap.  A Gauss-Legendre gap's rule solves an n x n
+# eigenproblem (leggauss), n^3 in time and n^2 in memory: theorem-check
+# --A 1/4..1/2 --rho 0.5 takes 2.2-3.8 s and 98 MB at 1000 nodes, 4.2 s
+# and 139 MB at 2000 (2 cores, numpy 2.4)
+NODE_CAP = 1000
 
 # sub-stream tags
 _TAG_LHS = 101
@@ -89,15 +96,16 @@ _QUADRATURE_SAFETY = 3.0
 # table takes _PAIR_S_NODES Chebyshev nodes in sqrt(s) on [0, _RADIAL_SPAN],
 # the Bessel table _PAIR_SIGMA0_NODES in sqrt(sigma0) on [0,
 # _PAIR_SIGMA0_SPAN] and _PAIR_SIGMA_NODES Gauss-Legendre nodes in sigma
-# _PAIR_SIGMA_PAD beyond, and the second run's series every odd term with nu
-# up to _PAIR_NU_SPAN.  A side keeps randomized QMC when its gap is below
-# _PAIR_GAP_FLOOR (L1 + kappa^2 a1), where the v nodes cannot resolve the
-# gap's kernel, when its tail is positive but below _PAIR_TAIL_FLOOR L2, or
-# when its grid reaches past the Bessel table (_pair_terms).  Over 3000
-# random sides within these limits, rho 0-0.99, a third of them near the
-# gap floor, the grid was within 4.0e-7 of one refined 2x in every
-# direction; _PAIR_GRID_ERROR, which floors the band as _FACTOR_GRID_ERROR
-# does, leaves a margin of 2.5.
+# _PAIR_SIGMA_PAD beyond, evaluated where |sigma - sigma0| <=
+# _PAIR_SIGMA_BAND (_pair_table), and the second run's series every odd
+# term with nu up to _PAIR_NU_SPAN.  A side keeps randomized QMC when its
+# gap is below _PAIR_GAP_FLOOR (L1 + kappa^2 a1), where the v nodes cannot
+# resolve the gap's kernel, when its tail is positive but below
+# _PAIR_TAIL_FLOOR L2, or when its grid reaches past the Bessel table
+# (_pair_terms).  Over 3000 random sides within these limits, rho
+# 0-0.99, a third of them near the gap floor, the grid was within 4.0e-7
+# of one refined 2x in every direction; _PAIR_GRID_ERROR, which floors the
+# band as _FACTOR_GRID_ERROR does, leaves a margin of 2.5.
 _PAIR_V_NODES = 40
 _PAIR_D_NODES = 24
 _PAIR_S_NODES = 32
@@ -107,6 +115,7 @@ _PAIR_V_SPAN = 6.5
 _PAIR_D_SPAN = 6.0
 _PAIR_SIGMA0_SPAN = 30.0
 _PAIR_SIGMA_PAD = 8.0
+_PAIR_SIGMA_BAND = 12.0
 _PAIR_NU_SPAN = 40.0
 _PAIR_GAP_FLOOR = 0.06
 _PAIR_TAIL_FLOOR = 0.05
@@ -130,6 +139,18 @@ def band_multiplier(dof: float | None) -> float:
     sigma, _TAIL_4SIGMA; None is infinite dof (4.0002).  Never below 4.
     """
     return max(4.0, float(stdtrit(math.inf if dof is None else dof, 1.0 - _TAIL_4SIGMA / 2.0)))
+
+
+@functools.cache
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's n-node Gauss-Legendre rule on [-1, 1], built once per n.
+
+    leggauss solves an n x n eigenproblem on every call; NODE_CAP bounds
+    n.  The arrays are read-only: every caller shares them.
+    """
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 # the node grading of a gap, g(u) and g'(u), by which of its ends (lower, upper) are interior
@@ -207,7 +228,7 @@ def _gauss_thetas(ta: float, tb: float, n_nodes: int,
         halves = (_gauss_thetas(ta, mid, low, (True, False)),
                   _gauss_thetas(mid, tb, n_nodes - low, (False, True)))
         return tuple(np.concatenate(parts) for parts in zip(*halves))
-    x, w = leggauss(n_nodes)
+    x, w = _legendre(n_nodes)
     u = (x + 1.0) / 2.0
     g, slope = _CUBIC_GRADINGS[interior]
     return ta + (tb - ta) * g(u), (tb - ta) / 2.0 * w * slope(u)
@@ -278,7 +299,7 @@ def _radial_rule() -> tuple[np.ndarray, np.ndarray]:
     4e-8 (tau = 0, a near 0.7, rho 0.7-0.9).  numpy's nodes, because
     scipy's roots_legendre loads scipy.linalg, 6 MB more resident.
     """
-    u, w = leggauss(_RADIAL_NODES)
+    u, w = _legendre(_RADIAL_NODES)
     u = (u + 1.0) / 2.0
     s = _RADIAL_SPAN * u * u
     return s, w * _RADIAL_SPAN * u * s * np.exp(-s * s / 2.0)
@@ -295,7 +316,7 @@ def _angular_weights(odd: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndar
     interpolant's Legendre coefficients are exact Gauss sums.  A plain
     16-node sum would alias the high terms, whose sines swing n/4 times.
     """
-    x, w = leggauss(_ANGULAR_NODES)
+    x, w = _legendre(_ANGULAR_NODES)
     k = np.arange(_ANGULAR_NODES)[:, None]
     omega = odd * math.pi / 4.0
     moments = 2.0 * spherical_jn(k, omega) * np.sin(omega + k * math.pi / 2.0)
@@ -470,7 +491,7 @@ def _odd_sine_sum(phi: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 
 def _gauss_span(top, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n Gauss-Legendre nodes and weights on [0, top] for each top, top.shape + (n,) each."""
-    x, w = leggauss(n)
+    x, w = _legendre(n)
     top = np.asarray(top)[..., None]
     return top * (x + 1.0) / 2.0, top * w / 2.0
 
@@ -482,15 +503,20 @@ def _pair_table(rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ive(nu_n, sigma_j sigma0_i), the wedge kernel over a run of length L2
     in the scaled radii sigma = r / sqrt(L2), so that it depends on rho
     alone; the sigma0 nodes are _chebyshev_nodes' in sqrt(sigma0 /
-    _PAIR_SIGMA0_SPAN).  Built once per _pair_factors call.
+    _PAIR_SIGMA0_SPAN).  Only the band |sigma_j - sigma0_i| <=
+    _PAIR_SIGMA_BAND is evaluated, 46% of the entries, and the rest are
+    0: at rho 0.1-0.99 each entry left out is at most 5.2e-32, against a
+    largest entry of 0.24-0.44.  Built once per _pair_factors call.
     """
     alpha = math.acos(-rho)
     terms = math.ceil((_PAIR_NU_SPAN * alpha / math.pi + 1.0) / 2.0)
     nu = np.arange(1, 2 * terms, 2) * math.pi / alpha
     sigma0 = _PAIR_SIGMA0_SPAN * _chebyshev_nodes(_PAIR_SIGMA0_NODES)[0] ** 2
     sigma, w = _gauss_span(_PAIR_SIGMA0_SPAN + _PAIR_SIGMA_PAD, _PAIR_SIGMA_NODES)
-    kernel = (2.0 / alpha) * sigma * w * np.exp(-(sigma - sigma0[:, None]) ** 2 / 2.0) * ive(
-        nu[:, None, None], sigma * sigma0[:, None])
+    i, j = np.nonzero(np.abs(sigma - sigma0[:, None]) <= _PAIR_SIGMA_BAND)
+    kernel = np.zeros((len(nu), len(sigma0), len(sigma)))
+    kernel[:, i, j] = (2.0 / alpha) * sigma[j] * w[j] * np.exp(-(sigma[j] - sigma0[i]) ** 2 / 2.0) * ive(
+        nu[:, None], sigma[j] * sigma0[i])
     return nu, sigma, kernel
 
 
@@ -824,7 +850,8 @@ class TheoremReport:
         if self.lhs_refined is not None:
             out["lhs_refined"] = self.lhs_refined.as_dict()
             # refined minus lhs, per sample of the one coupled run
-            out["grid_bias"] = {"estimate": self.grid_bias.mean, "stderr": self.grid_bias.stderr}
+            out["grid_bias"] = {"estimate": self.grid_bias.mean, "stderr": self.grid_bias.stderr,
+                                "dof": (self.grid_bias.extra or {}).get("dof")}
             out["grid_bias_allowance"] = _GRID_ALLOWANCE * self.combined_stderr
             out["grid_stability_ok"] = self.stability_ok
         return out

@@ -276,8 +276,11 @@ def test_direct_route_reports_its_levels(capsys):
     results = json.loads(out)["results"]
     lhs, refined = results["lhs"]["levels"], results["lhs_refined"]["levels"]
     assert [row["grid"] for row in refined] == [row["grid"] for row in lhs] + [2048]
-    assert results["grid_bias"] == {"estimate": refined[-1]["estimate"],
-                                    "stderr": refined[-1]["stderr"]}
+    bias = results["grid_bias"]
+    assert {key: bias[key] for key in ("estimate", "stderr")} == {
+        "estimate": refined[-1]["estimate"], "stderr": refined[-1]["stderr"]}
+    # the top level's Welch degrees of freedom over its cells, one per 2 walks at most
+    assert 1.0 <= bias["dof"] <= refined[-1]["strata"]
 
 
 def test_theorem_check_imports_no_scipy_stats():
@@ -539,7 +542,7 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
                             "--check-stability"], capsys)
     results = json.loads(out)["results"]
     assert runs == [True] and results["discrepancy"] == 0.0
-    assert results["grid_bias"] == {"estimate": means[1] - means[0], "stderr": stderr}
+    assert results["grid_bias"] == {"estimate": means[1] - means[0], "stderr": stderr, "dof": None}
     assert results["lhs_refined"]["estimate"] == means[1]
     assert "refined" not in results["lhs"] and "grid_bias" not in results["lhs"]
     stable = means[0] == means[1]
@@ -633,3 +636,18 @@ def test_size_cap_exit_3(monkeypatch, capsys, argv):
     code, err = exit_code(argv, capsys)
     assert code == 3
     assert err.splitlines()[0].startswith("error kind=resource")
+
+
+def test_a_node_count_past_the_cap_exits_before_any_rule_is_built(monkeypatch, capsys):
+    # an n-node Gauss-Legendre rule solves an n x n eigenproblem: the node
+    # cap is checked before the first rule of any size is built
+    def forbidden(n):
+        raise AssertionError(f"a {n}-node rule was built before the node cap was checked")
+
+    monkeypatch.setattr(theorem, "leggauss", forbidden)
+    monkeypatch.setattr(coupled, "leggauss", forbidden)
+    for region in ("1/4..1/2", "1/4..1/2,5/8..3/4"):
+        code, err = exit_code(["theorem-check", "--A", region, "--rho", "0.5",
+                               "--nodes", str(NODE_CAP + 1)], capsys)
+        assert code == 3
+        assert err.splitlines()[0].startswith("error kind=resource")

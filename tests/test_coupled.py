@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 import tracemalloc
@@ -244,6 +245,49 @@ def test_prefix_tables_match_cumsum():
     sums = np.cumsum(steps, axis=1)
     assert np.array_equal(d, sums[:, -1])
     assert np.array_equal(m, np.minimum(sums.min(axis=1), 0))
+
+
+def cumsum_block(rho, dt, shape, move, rng, refine):
+    """_one_level_block transcribed with each path's running sums from np.cumsum.
+
+    Every other operation is _one_level_block's, in its order.
+    """
+    pair = rng.standard_normal((2, *shape))
+    _couple(rho, math.sqrt(dt), *pair)
+    pair += ((move - pair.sum(axis=1)) / shape[0])[:, None]
+    expo = rng.standard_exponential((2, *shape)) * (2.0 * dt)
+    lows, ties, moves = np.empty((3, 2 + refine, shape[1]))
+    for path, db in enumerate(pair):
+        start = np.cumsum(db, axis=0)
+        moves[path] = start[-1]
+        start -= db
+        if refine and path:
+            g, h = pair
+            eta = ((h[::2] - h[1::2]) - rho * (g[::2] - g[1::2])) * (0.5 / math.sqrt(1.0 - rho**2))
+            half = (h[::2] + h[1::2]) * 0.5
+            first, second = eta + half, half - eta
+            low = np.minimum(_bridge_low(second, expo[1, 1::2]) + first,
+                             _bridge_low(first, expo[1, ::2])) + start[::2]
+            lows[2], ties[2] = coupled._lowest(low)
+            moves[2] = moves[1]
+        start += _bridge_low(db, expo[path])
+        lows[path], ties[path] = coupled._lowest(start)
+    return lows, ties.astype(bool), moves
+
+
+@pytest.mark.parametrize("refine", [False, True])
+@pytest.mark.parametrize("shape", [(16, 2048), (56, 584), (40, 64)])
+def test_one_level_block_is_bit_identical_to_cumsum(shape, refine):
+    # blocks as the direct route cuts them, from a full batch to one too
+    # narrow for the row adds: the running sums add the same numbers in
+    # the same order as np.cumsum, so nothing differs in the last bit
+    rho, dt = 0.3, 1.0 / 4096
+    move = derive_rng(45, 1).standard_normal((2, shape[1])) * math.sqrt(shape[0] * dt)
+    scratch = functools.cache(lambda name, size: np.empty(size))
+    got = coupled._one_level_block(rho, dt, shape, move, derive_rng(45, 0), scratch, refine)
+    want = cumsum_block(rho, dt, shape, move, derive_rng(45, 0), refine)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_discrete_phi_uses_no_oracle(monkeypatch):
@@ -815,18 +859,36 @@ def test_last_gap_closed_form_matches_sampled_tail(length):
 
 def test_binormal_cdf_matches_quadrature():
     # P(Z1 < h, Z2 < k) = integral over x < h of phi(x) Phi((k - r x) / c),
-    # across every branch of Owen's b0: h k < 0, h = 0 and k = 0, both signs
+    # across every branch of Owen's b0: h k < 0, h = 0 and k = 0, both
+    # signs; at random r, on both sides of each switch of Genz's node count
+    # (0.3, 0.75) and of the switch to Owen's T (0.925), and near -1,
+    # where a fixed Gauss-Legendre rule fails
     rng = derive_rng(43, 0)
     h, k = rng.normal(0.0, 1.5, size=(2, 60))
     h[:10], k[10:20] = 0.0, 0.0
     h[20:25], k[25:30] = -0.0, -0.0
     r = -rng.random(60) * 0.99
+    switches = [s * x for x in (0.3, 0.75, coupled._GENZ_MAX_R) for s in (1.0, -1.0)]
+    edges = [x for s in switches for x in (math.nextafter(s, 0.0), s, math.nextafter(s, 2.0 * s))]
+    r[:len(edges)] = edges
+    r[-3:] = -0.95, -0.99, -0.999
     for hi, ki, ri in zip(h, k, r):
         c = math.sqrt(1.0 - ri * ri)
         exact = integrate.quad(lambda x: math.exp(-x * x / 2.0) * ndtr((ki - ri * x) / c),
                                -np.inf, hi, epsabs=1e-15, limit=200)[0] / math.sqrt(2.0 * math.pi)
         assert _binormal_cdf(np.array([hi]), np.array([ki]), ri)[0] == \
             pytest.approx(exact, abs=1e-13)
+
+
+def test_genz_nodes_are_built_once_per_correlation():
+    # the node constants are cached per r and shared by every call, so
+    # they are immutable; the node count follows |r|
+    nodes = coupled._genz_nodes(-0.5)
+    assert coupled._genz_nodes(-0.5) is nodes and isinstance(nodes, tuple)
+    assert [len(coupled._genz_nodes(r)) for r in (-0.29, -0.3, -0.74, -0.75, -0.925)] == \
+        [6, 12, 12, 20, 20]
+    # the weights total asin(r) / 2 pi: the integral of 1 over [0, asin r]
+    assert sum(w for w, _, _ in nodes) == pytest.approx(math.asin(-0.5) / (2.0 * math.pi), rel=1e-15)
 
 
 def drawn_first_gap(e, a, same, lo, rng):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.special import stdtrit
+from scipy.special import ive, stdtrit
 
 from splitnoise.coupled import argmin_coincidence, m_lambda_functional
 from splitnoise.errors import DomainError, PreconditionError
@@ -301,7 +301,8 @@ def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
     assert (report.grid_bias.mean, report.grid_bias.stderr) == (0.0, 1 / m)
     assert 4 / m <= allowance < 4 / (m // theorem._TOP_GROWTH)
     assert report.stability_ok
-    assert report.as_dict()["grid_bias"] == {"estimate": 0.0, "stderr": 1 / m}
+    # a floored stderr has no degrees of freedom
+    assert report.as_dict()["grid_bias"] == {"estimate": 0.0, "stderr": 1 / m, "dof": None}
     # on 1/2..1 the first gap is integrated out, so samples are not 0 or
     # 1 and the paired stderr is a real sample stderr, not the floor
     region = TimeSet.parse("1/2..1")
@@ -697,6 +698,50 @@ def test_one_bessel_table_per_rhs_integral(monkeypatch):
     assert first.extra["exact_factors"] == 2 * (8 + 4) + 2 * (8 + 4)
     second = rhs_integral(SPLIT, 0.5, 8, 100, seed=2)
     assert calls == [0.5, 0.5] and (second.mean, second.stderr) == (first.mean, first.stderr)
+
+
+def test_gauss_legendre_rules_are_built_once_and_read_only():
+    # every caller shares the cached arrays, so none may write to them
+    x, w = theorem._legendre(8)
+    again = theorem._legendre(8)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    want = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(x, want[0]) and np.array_equal(w, want[1])
+
+
+def full_pair_table(rho, banded=theorem._pair_table):
+    """_pair_table with every (sigma0, sigma) entry evaluated: the band's zeros included."""
+    alpha = math.acos(-rho)
+    nu, sigma, _ = banded(rho)
+    sigma0 = theorem._PAIR_SIGMA0_SPAN * theorem._chebyshev_nodes(theorem._PAIR_SIGMA0_NODES)[0] ** 2
+    _, w = theorem._gauss_span(theorem._PAIR_SIGMA0_SPAN + theorem._PAIR_SIGMA_PAD,
+                               theorem._PAIR_SIGMA_NODES)
+    kernel = (2.0 / alpha) * sigma * w * np.exp(-(sigma - sigma0[:, None]) ** 2 / 2.0) * ive(
+        nu[:, None, None], sigma * sigma0[:, None])
+    return nu, sigma, kernel
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
+def test_banded_bessel_table_leaves_out_only_negligible_entries(rho):
+    banded, full = theorem._pair_table(rho)[2], full_pair_table(rho)[2]
+    assert np.abs(banded - full).max() <= 1e-30
+    assert np.count_nonzero(banded) < banded.size / 2 and full.max() > 0.25
+
+
+def test_banded_bessel_table_leaves_the_split_regions_factors(monkeypatch):
+    # every two-component side of the split region's 8- and 4-node rules
+    rules = [_rule(SPLIT, gap, n, 0.5, gauss=True)
+             for gap in SPLIT.complement_components() for n in (8, 4)]
+    ends = np.array([[x for component in side for x in component]
+                     for rule in rules for side in rule[2] if len(side) == 2])
+    terms = theorem._pair_terms(ends, 0.5)
+    assert len(ends) == 24 and terms.all()
+    banded = theorem._pair_factors(ends, 0.5, terms)
+    monkeypatch.setattr(theorem, "_pair_table", full_pair_table)
+    assert theorem._pair_factors(ends, 0.5, terms) == pytest.approx(banded, rel=0.0, abs=1e-15)
 
 
 def test_pair_sides_outside_the_domain_keep_sampling(monkeypatch):
