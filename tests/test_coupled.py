@@ -276,7 +276,7 @@ def cumsum_block(rho, dt, shape, move, rng, refine):
 
 
 @pytest.mark.parametrize("refine", [False, True])
-@pytest.mark.parametrize("shape", [(16, 2048), (56, 584), (40, 64)])
+@pytest.mark.parametrize("shape", [(16, 2048), (56, 584), (40, 64)], ids=["full", "wide", "narrow"])
 def test_one_level_block_is_bit_identical_to_cumsum(shape, refine):
     # blocks as the direct route cuts them, from a full batch to one too
     # narrow for the row adds: the running sums add the same numbers in
