@@ -17,13 +17,12 @@ cannot resolve, is a randomized quasi-Monte Carlo estimate
 (m_lambda_functional).  The quadrature substitutes
 t = sin^2(pi theta / 2), under which the arc-sine weight becomes the
 uniform measure in theta, so the endpoint singularities vanish
-exactly; nodes are graded toward a gap's interior ends, where the
-factors vanish like a small power of the distance.  A gap whose factors
-are all exact takes a graded Gauss-Legendre rule (_gauss_nodes) from 4
-nodes up, any other gap a graded midpoint rule (_arcsine_nodes).  On a
-gap whose factors are all exact, the rule's own error is estimated from
-a coarser rule and joins the band (rhs_integral).  Every
-Gauss-Legendre rule is built once per node count (_legendre).
+exactly; every gap takes a Gauss-Legendre rule in theta graded toward
+its interior ends (_gauss_nodes), where the factors vanish like a small
+power of the distance, at _GAUSS_MIN_NODES nodes or more.  On a gap
+whose factors are all exact, the rule's own error is estimated from a
+coarser rule and joins the band (rhs_integral).  Every Gauss-Legendre
+rule is built once per node count (_legendre).
 """
 
 from __future__ import annotations
@@ -73,22 +72,12 @@ _RADIAL_SPAN = 10.0
 _SERIES_TOL = 1e-10
 _TERM_CAP = 26
 _TAIL_FLOOR = 0.1
-# the fewest nodes a gap's Gauss-Legendre rule takes.  Below it the rule's
-# error estimate is unsafe: at 3 nodes against 2 the true error reached
-# 0.99 of it, and the 1-node rule that would check 2 nodes leaves one
-# half of a gap with two interior ends without a node
+# the fewest nodes a gap's rule takes: fewer asked for run this many
+# (rhs_integral).  Below it the rule's error estimate is unsafe: at 3
+# nodes against 2 the true error reached 0.99 of it, and the 1-node rule
+# that would check 2 nodes leaves one half of a gap with two interior
+# ends without a node
 _GAUSS_MIN_NODES = 4
-# the midpoint rule's error estimate is widened by this factor in the band.
-# Against 96-node Gauss-Legendre values, over 1/4..1/2, 1/2..1, 1/8..7/8,
-# 0..1/4,3/4..1, 1/4..1/2,5/8..3/4 and 0..1/2,129/256..1 at rho 0.1-0.99,
-# the true error of an exact gap at n = 1-3 nodes was at most 2.41 times
-# the estimate (n = 2, rho 0.99, on 1/4..1/2), so this leaves a margin of
-# 1.25.  It is no bound: on a short component at an end of [0, 1] the
-# true error reached 5.7 (0..1/4) and 6.9 (0..1/8) times the estimate at
-# n = 2, and where the m-node rule crosses the n-node one the estimate
-# vanishes (0..44/256).  Such gaps run Gauss-Legendre from
-# _GAUSS_MIN_NODES nodes up.
-_QUADRATURE_SAFETY = 3.0
 
 # exact two-component factors (_pair_factors): Gauss-Legendre nodes in v on
 # [0, _PAIR_V_SPAN sqrt(b1)] before the gap and [0, _PAIR_V_SPAN sqrt(a2)]
@@ -153,68 +142,13 @@ def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-# the node grading of a gap, g(u) and g'(u), by which of its ends (lower, upper) are interior
-_GRADINGS = {
-    (True, False): (lambda u: u * u, lambda u: 2.0 * u),
-    (False, True): (lambda u: 1.0 - (1.0 - u) ** 2, lambda u: 2.0 * (1.0 - u)),
-    (True, True): (lambda u: u * u * (3.0 - 2.0 * u), lambda u: 6.0 * u * (1.0 - u)),
-}
-
-
 def _theta(t: float) -> float:
     """The arc-sine law's distribution function: t = sin^2(pi theta / 2)."""
     return 2.0 / math.pi * math.asin(math.sqrt(t))
 
 
-def _node_times(a: float, b: float, thetas) -> list[float]:
-    """The times of the thetas, clamped to the floats strictly inside (a,b).
-
-    sin^2 can round a node of a narrow gap onto an end; _check_nodes
-    requires those floats to exist.
-    """
-    lo, hi = math.nextafter(a, b), math.nextafter(b, a)
-    return [min(max(math.sin(math.pi * th / 2.0) ** 2, lo), hi) for th in thetas]
-
-
-def _arcsine_nodes(a: float, b: float, n_nodes: int,
-                   interior: tuple[bool, bool] = (False, False)) -> tuple[list[float], float | np.ndarray]:
-    """Midpoint nodes realizing the arc-sine integral over [a,b], graded toward interior ends.
-
-    The rule of a gap with a sampled factor, and of every gap below
-    _GAUSS_MIN_NODES nodes (rhs_integral); _gauss_nodes is the rule of
-    the others.  Returns (times, weight) for the law dt / (pi
-    sqrt(t(1-t))).  With t = sin^2(pi theta / 2) the law is uniform in
-    theta, and theta = theta(a) + (theta(b) - theta(a)) g(u) at the
-    midpoints u of n_nodes equal steps, each node weighing g'(u)
-    (theta(b) - theta(a)) / n_nodes.  g depends on which ends are
-    interior, that is, ends of region components, where a factor
-    vanishes like delta^beta with beta = pi / (2 arccos(-rho)) - 1/2:
-
-    - neither: g = u, and weight is the one float every node carries;
-      over all of [0,1] the weights sum to 1;
-    - lower: g = u^2; upper: g = 1 - (1 - u)^2; both: g = u^2 (3 - 2u).
-      weight is then an array of per-node weights.  They total
-      theta(b) - theta(a), times 1 + 1/(2 n_nodes^2) when both ends are
-      interior (the midpoint rule's error on the quadratic g').
-
-    On a delta^beta cusp the graded rule's error is O(n_nodes^-2); the
-    equal-weight rule's is O(n_nodes^-(1 + beta)), and it reads high.
-    Every time lies strictly inside (a,b) (_node_times).  A sampled gap
-    keeps this rule because its flatter weights keep the sum of weight^2
-    times each node's variance lower than the Gauss-Legendre rule's.
-    """
-    ta, tb = _theta(a), _theta(b)
-    u = (np.arange(n_nodes) + 0.5) / n_nodes
-    if any(interior):
-        g, slope = _GRADINGS[interior]
-        thetas, weight = ta + (tb - ta) * g(u), (tb - ta) / n_nodes * slope(u)
-    else:
-        thetas, weight = ta + (tb - ta) * u, (tb - ta) / n_nodes
-    return _node_times(a, b, thetas), weight
-
-
-# the Gauss-Legendre grading of a gap with one interior end, g(u) and g'(u)
-_CUBIC_GRADINGS = {
+# the grading of a gap (or half-gap) with one interior end, g(u) and g'(u)
+_GRADINGS = {
     (True, False): (lambda u: u**3, lambda u: 3.0 * u * u),
     (False, True): (lambda u: 1.0 - (1.0 - u) ** 3, lambda u: 3.0 * (1.0 - u) ** 2),
 }
@@ -230,7 +164,7 @@ def _gauss_thetas(ta: float, tb: float, n_nodes: int,
         return tuple(np.concatenate(parts) for parts in zip(*halves))
     x, w = _legendre(n_nodes)
     u = (x + 1.0) / 2.0
-    g, slope = _CUBIC_GRADINGS[interior]
+    g, slope = _GRADINGS[interior]
     return ta + (tb - ta) * g(u), (tb - ta) / 2.0 * w * slope(u)
 
 
@@ -238,24 +172,28 @@ def _gauss_nodes(a: float, b: float, n_nodes: int,
                  interior: tuple[bool, bool]) -> tuple[list[float], np.ndarray]:
     """Gauss-Legendre nodes realizing the arc-sine integral over [a,b], graded toward interior ends.
 
-    The rule of a gap whose factors are all exact, from _GAUSS_MIN_NODES
-    nodes up (rhs_integral).  In theta, as in _arcsine_nodes, theta =
-    theta(a) + (theta(b) - theta(a)) g(u) at the n_nodes Gauss-Legendre
-    nodes u on [0,1], weighing (theta(b) - theta(a)) w g'(u), with g =
-    u^3 toward a lower interior end and 1 - (1 - u)^3 toward an upper
-    one; every gap of a region neither empty nor full has an interior
-    end.  A gap with both ends interior is split
-    at its theta midpoint, into n_nodes // 2 nodes graded toward its
-    lower end and the rest toward its upper end: one map graded toward
-    both ends has a kink at the midpoint, which costs the rule its order.
-    Under u^3 a factor vanishing like delta^beta at an interior end goes
-    like u^(3 beta + 2), which the rule integrates at O(n^-(6 beta + 6))
-    or better; the factors are smooth elsewhere.  The weights total
-    theta(b) - theta(a) and the times ascend strictly inside (a,b).
+    The rule of every gap (rhs_integral).  Returns (times, weights) for
+    the law dt / (pi sqrt(t(1-t))).  With t = sin^2(pi theta / 2) the law
+    is uniform in theta, and theta = theta(a) + (theta(b) - theta(a)) g(u)
+    at the n_nodes Gauss-Legendre nodes u on [0,1], weighing (theta(b) -
+    theta(a)) w g'(u).  g grades toward the interior ends, ends of region
+    components, where a factor vanishes like delta^beta with beta = pi /
+    (2 arccos(-rho)) - 1/2: g = u^3 toward a lower one and 1 - (1 - u)^3
+    toward an upper one (_GRADINGS); every gap of a region neither empty
+    nor full has one.  A gap with both ends interior is split at its
+    theta midpoint, into n_nodes // 2 nodes graded toward its lower end
+    and the rest toward its upper end: one map graded toward both ends
+    has a kink at the midpoint, which costs the rule its order.  Under
+    u^3 the cusp goes like u^(3 beta + 2), which the rule integrates at
+    O(n^-(6 beta + 6)) or better; the factors are smooth elsewhere.  The
+    weights total theta(b) - theta(a) and the times ascend strictly
+    inside (a,b): sin^2 can round a node of a narrow gap onto an end, so
+    the times are clamped to the floats inside, which _check_nodes
+    requires to exist.
     """
-    ta, tb = _theta(a), _theta(b)
-    thetas, weights = _gauss_thetas(ta, tb, n_nodes, interior)
-    return _node_times(a, b, thetas), weights
+    thetas, weights = _gauss_thetas(_theta(a), _theta(b), n_nodes, interior)
+    lo, hi = math.nextafter(a, b), math.nextafter(b, a)
+    return [min(max(math.sin(math.pi * th / 2.0) ** 2, lo), hi) for th in thetas], weights
 
 
 def _check_nodes(n_nodes: int, region: TimeSet):
@@ -398,7 +336,7 @@ def _exact_factors(ends: np.ndarray, rho: float, terms: np.ndarray) -> np.ndarra
 
     nu = n pi/alpha, r = s sqrt(L + kappa^2 a), x = kappa^2 a s^2/(2L).
     The entrance integral is closed: M_nu(x) = Gamma(1 + nu/2) x^(nu/2)
-    1F1(nu/2; nu + 1; -x) / Gamma(nu + 1), in [0, 1], evaluated in logs.
+    1F1(nu/2; nu + 1; -x) / Gamma(nu + 1), in [0, 1] (_entrance).
     The angular factor A_n(r) = 2 int_0^(alpha/2) sin(nu theta)
     erf(r sin(theta)/sqrt(2 tau)) dtheta is 2/nu at tau = 0.  The grid
     is _RADIAL_NODES x _ANGULAR_NODES; each term loop iteration covers
@@ -410,7 +348,6 @@ def _exact_factors(ends: np.ndarray, rho: float, terms: np.ndarray) -> np.ndarra
     alpha, kappa2 = math.acos(-rho), 2.0 / (1.0 + rho)
     s, weight = _radial_rule()
     x = (kappa2 * a / (2.0 * length))[:, None] * s * s
-    log_x = np.log(x)
     odd = np.arange(1, 2 * int(terms.max()), 2)
     theta, angular = _angular_weights(odd, alpha)
     edge = np.ones((len(a), _RADIAL_NODES, _ANGULAR_NODES))
@@ -420,12 +357,15 @@ def _exact_factors(ends: np.ndarray, rho: float, terms: np.ndarray) -> np.ndarra
     total = np.zeros(len(a))
     for i, n in enumerate(odd):
         live = terms > i
-        nu = n * math.pi / alpha
-        log_m = (gammaln(1.0 + nu / 2.0) - gammaln(nu + 1.0) + nu / 2.0 * log_x[live]
-                 + np.log(hyp1f1(nu / 2.0, nu + 1.0, -x[live])))
-        term = (np.exp(log_m) * (2.0 * edge[live] @ angular[:, i])) @ weight
+        term = (_entrance(n * math.pi / alpha, x[live]) * (2.0 * edge[live] @ angular[:, i])) @ weight
         total[live] += term if i % 2 == 0 else -term
     return 2.0 / (alpha * np.sqrt(a)) * total
+
+
+def _entrance(nu: float, x: np.ndarray) -> np.ndarray:
+    """M_nu(x) = Gamma(1 + nu/2) x^(nu/2) 1F1(nu/2; nu + 1; -x) / Gamma(nu + 1), evaluated in logs."""
+    return np.exp(gammaln(1.0 + nu / 2.0) - gammaln(nu + 1.0) + nu / 2.0 * np.log(x)
+                  + np.log(hyp1f1(nu / 2.0, nu + 1.0, -x)))
 
 
 def _pair_terms(ends: np.ndarray, rho: float) -> np.ndarray:
@@ -547,7 +487,7 @@ def _pair_batch(ends: np.ndarray, rho: float, terms: np.ndarray, table) -> np.nd
        sqrt(a1) R^2) sum_odd sin(n pi/2) sin(nu theta) exp(-s^2/2)
        M_nu(x), c = sqrt(1 - rho^2), R^2 = L1 + kappa^2 a1, r = s R the
        radius and theta the angle of (W, W') in the wedge, x = kappa^2 a1
-       s^2/(2 L1) and M_nu as in _exact_factors.  M_nu is tabulated once
+       s^2/(2 L1) and M_nu from _entrance.  M_nu is tabulated once
        per side on Chebyshev nodes in sqrt(s) up to _RADIAL_SPAN (beyond
        it exp(-s^2/2) is below 2e-22) and interpolated to the grid;
     2. the gap moves v alone, killed at 0: the v nodes after the gap are
@@ -594,8 +534,7 @@ def _pair_batch(ends: np.ndarray, rho: float, terms: np.ndarray, table) -> np.nd
     entrance = np.zeros((k, len(odd), _PAIR_S_NODES))
     for i, n in enumerate(nu):
         live = terms > i
-        entrance[live, i] = np.exp(gammaln(1.0 + n / 2.0) - gammaln(n + 1.0) + n / 2.0 * np.log(x[live])
-                                   + np.log(hyp1f1(n / 2.0, n + 1.0, -x[live])))
+        entrance[live, i] = _entrance(n, x[live])
     entrance *= np.where(odd % 4 == 1, 1.0, -1.0)[:, None]
     density = np.exp(-s * s / 2.0) * _odd_sine_sum(phi, entrance @ interpolate)
     density *= (8.0 / (c * alpha * np.sqrt(a1) * (length + kappa2 * a1)))[:, None]
@@ -661,25 +600,12 @@ def _rhs_factors(sides, terms: np.ndarray, rho: float, n_samples: int,
     return factors
 
 
-def _rule(region: TimeSet, gap: tuple[float, float], n_nodes: int, rho: float,
-          gauss: bool = False):
-    """The n_nodes-node rule on one gap: (node times, weights, pulled-back sides, their series terms).
-
-    The Gauss-Legendre rule with gauss, else the midpoint rule.
-    """
+def _rule(region: TimeSet, gap: tuple[float, float], n_nodes: int, rho: float):
+    """The n_nodes-node rule on one gap: (node times, weights, pulled-back sides, their series terms)."""
     a, b = gap
-    times, weights = (_gauss_nodes if gauss else _arcsine_nodes)(a, b, n_nodes, (a > 0.0, b < 1.0))
+    times, weights = _gauss_nodes(a, b, n_nodes, (a > 0.0, b < 1.0))
     sides = [side for t in times for side in _pullback(t, region)]
-    return times, np.broadcast_to(weights, n_nodes), sides, _series_terms(sides, rho)
-
-
-def _gap_rule(region: TimeSet, gap: tuple[float, float], n_nodes: int, rho: float):
-    """A gap's rule and whether it is Gauss-Legendre: so where n_nodes allows and every factor is exact."""
-    if n_nodes >= _GAUSS_MIN_NODES:
-        rule = _rule(region, gap, n_nodes, rho, gauss=True)
-        if _all_exact(rule):
-            return rule, True
-    return _rule(region, gap, n_nodes, rho), False
+    return times, weights, sides, _series_terms(sides, rho)
 
 
 def _grid_error(rule) -> float:
@@ -697,35 +623,31 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
                  n_samples_per_node: int, seed: int) -> EstimateWithError:
     """Arc-sine integral of the factor products over the gaps of the region.
 
-    Nodes are graded toward each gap's interior ends.  From
-    _GAUSS_MIN_NODES nodes up, a gap whose factors are all exact at the
-    Gauss-Legendre nodes takes that rule (_gauss_nodes); every other gap
-    takes the midpoint rule (_arcsine_nodes).  A side of one or two
-    components is exact within the domain _series_terms decides from its
-    ends (_exact_factors, _pair_factors; every exact side of one RHS in
-    one evaluation per component count); any other side is randomized
-    QMC on its own derived stream, derive_seed(derive_seed(seed,
-    _TAG_NODE, gap, node), side).
-    The stderr combines two independent parts:
+    Every gap takes the graded Gauss-Legendre rule (_gauss_nodes) at
+    n_nodes nodes, or at _GAUSS_MIN_NODES where n_nodes is fewer: 1-3
+    nodes give the 4-node result.  A side of one or two components is
+    exact within the domain _series_terms decides from its ends
+    (_exact_factors, _pair_factors; every exact side of one RHS in one
+    evaluation per component count); any other side is randomized QMC on
+    its own derived stream, derive_seed(derive_seed(seed, _TAG_NODE, gap,
+    node), side).  The stderr combines two independent parts:
 
     - sampling: the per-node product variances, so it is propagated
       rather than a direct sample statistic.  Each sampled factor's
       variance comes from its randomized-QMC replicates, whose count is
       extra["replicates"] when some factor is sampled;
     - extra["quadrature_error"]: on each gap whose factors are all exact,
-      the same rule at m = ceil(n/2) nodes (2 at n = 1) estimates the
-      n-node rule's error.  A Gauss-Legendre gap adds |I_n - I_m|, whose
-      rule converges so much faster than the m-node one that this
-      overstates its error, plus twice its arc-sine mass times the grid
-      error of its least accurate factor, the factors' own error:
-      _FACTOR_GRID_ERROR, or _PAIR_GRID_ERROR once a side has two
-      components (_grid_error).  The midpoint gaps add
-      |I_n - I_m| / |1 - (n/m)^2|, the O(n^-2) extrapolation, times
-      _QUADRATURE_SAFETY.  A coarse side the series cannot take is
-      sampled, on derive_seed(derive_seed(seed, _TAG_COARSE, gap, node),
-      side): its noise only widens the estimate on average.  A gap with
-      a sampled factor adds nothing: its I_n - I_m would carry the
-      sampling noise its nodes already band.
+      the same rule at m = ceil(n/2) nodes estimates the n-node rule's
+      error.  The gap adds |I_n - I_m|, which overstates the error
+      because the rule converges so much faster than the m-node one,
+      plus twice its arc-sine mass times the grid error of its least
+      accurate factor, the factors' own error: _FACTOR_GRID_ERROR, or
+      _PAIR_GRID_ERROR once a side has two components (_grid_error).
+      A coarse side the series cannot take is sampled, on
+      derive_seed(derive_seed(seed, _TAG_COARSE, gap, node), side): its
+      noise only widens the estimate on average.  A gap with a sampled
+      factor adds nothing: its I_n - I_m would carry the sampling noise
+      its nodes already band.
 
     n_samples counts every point evaluated, the coarse rule's included:
     n_samples_per_node per sampled factor and the grid's points per
@@ -738,6 +660,7 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     t and share of stderr^2, or None when no factor is sampled.
     """
     _check_nodes(n_nodes, region)
+    n_nodes = max(n_nodes, _GAUSS_MIN_NODES)
     _check_samples(n_samples_per_node)  # before the exact regions' shortcut
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"rho={rho} outside [0,1]")
@@ -746,11 +669,10 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     if not region:
         return EstimateWithError.exact(1.0)
     gaps = region.complement_components()
-    fine, gauss = zip(*(_gap_rule(region, gap, n_nodes, rho) for gap in gaps))
-    coarse_n = 2 if n_nodes == 1 else -(-n_nodes // 2)
-    coarse = {g: _rule(region, gaps[g], coarse_n, rho, gauss[g])
-              for g, rule in enumerate(fine) if _all_exact(rule)}
-    rules = list(fine) + list(coarse.values())
+    fine = [_rule(region, gap, n_nodes, rho) for gap in gaps]
+    coarse_n = -(-n_nodes // 2)
+    coarse = {g: _rule(region, gaps[g], coarse_n, rho) for g, rule in enumerate(fine) if _all_exact(rule)}
+    rules = fine + list(coarse.values())
     node_seeds = [derive_seed(seed, _TAG_NODE, g, ni) for g in range(len(gaps))
                   for ni in range(n_nodes)]
     node_seeds += [derive_seed(seed, _TAG_COARSE, g, ni) for g in coarse for ni in range(coarse_n)]
@@ -784,12 +706,8 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     diffs = {g: abs(gap_sums[g] - sum(float(weight) * left.mean * right.mean
                                       for weight, (left, right) in zip(rule[1], pairs)))
              for g, rule in coarse.items()}
-    # a Gauss-Legendre gap's band is its difference itself plus the exact
-    # factors' grid error; a midpoint gap's the O(n^-2) extrapolation
-    quadrature = _QUADRATURE_SAFETY / abs(1.0 - (n_nodes / coarse_n) ** 2) * sum(
-        diff for g, diff in diffs.items() if not gauss[g]) + sum(
-        diff + 2.0 * _grid_error(fine[g]) * (_theta(gaps[g][1]) - _theta(gaps[g][0]))
-        for g, diff in diffs.items() if gauss[g])
+    quadrature = sum((diff + 2.0 * _grid_error(fine[g]) * (_theta(gaps[g][1]) - _theta(gaps[g][0]))
+                      for g, diff in diffs.items()), 0.0)
     var = sum(node_vars)
     top = int(np.argmax(node_vars))
     top_node = {"component": rows[top]["component"], "t": rows[top]["t"],

@@ -1,8 +1,10 @@
+import ast
 import functools
 import inspect
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1019,11 +1021,13 @@ def test_argmin_coincidence_uses_no_survival_kernel(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the direct route called a survival kernel")
 
-    lines = inspect.getsource(coupled).splitlines()
-    section = 1 + next(i for i, line in enumerate(lines)
+    # the section's start and its functions from one read of the file, so
+    # that an edit to it while the suite runs cannot split the two
+    source = Path(coupled.__file__).read_text()
+    section = 1 + next(i for i, line in enumerate(source.splitlines())
                        if line.startswith("# -- killed-path survival"))
-    survival = [name for name, fn in inspect.getmembers(coupled, inspect.isfunction)
-                if fn.__module__ == coupled.__name__ and fn.__code__.co_firstlineno > section]
+    survival = [node.name for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.lineno > section]
     assert {"_exact_survival_probability", "_heights_at", "_bridge_noncrossing",
             "_wedge_noncrossing", "_wedge_series", "_joint_survival",
             "m_lambda_functional"} <= set(survival)
@@ -1031,7 +1035,7 @@ def test_argmin_coincidence_uses_no_survival_kernel(monkeypatch):
     for name in survival + ["ive"]:
         monkeypatch.setattr(coupled, name, forbidden)
     # nor the RHS's exact factors, which live in theorem
-    for name in ("_exact_factors", "_series_terms", "_radial_rule", "_angular_weights"):
+    for name in ("_exact_factors", "_entrance", "_series_terms", "_radial_rule", "_angular_weights"):
         monkeypatch.setattr(theorem, name, forbidden)
     assert not {"hyp1f1", "spherical_jn", "theorem"} & set(vars(coupled))
     for text in ("1/4..1/2,5/8..3/4", "0..1/4,3/4..1", ""):
