@@ -90,10 +90,9 @@ def test_graded_nodes_are_second_order_on_a_cusp(gap, interior, beta):
 
 @pytest.mark.parametrize("gap, interior", _INTERIOR, ids=["both", "upper", "lower"])
 def test_graded_node_weights_total_the_arcsine_measure(gap, interior):
-    # the Gauss-Legendre rule integrates the graded map's derivative, a
-    # polynomial of degree 2, exactly; a gap with two interior ends is
-    # split at its theta midpoint into n // 2 + (n - n // 2) nodes
-    for n_nodes in (4, 5, 24):
+    # as test_gauss_nodes_total_the_arcsine_measure, at more node counts:
+    # a split gap needs two nodes a half to integrate g' exactly
+    for n_nodes in (6, 7, 64):
         times, weights = _gauss_nodes(*gap, n_nodes, interior)
         assert weights.shape == (n_nodes,) and np.all(weights > 0.0)
         assert weights.sum() == pytest.approx(theta(gap[1]) - theta(gap[0]), rel=1e-12)
@@ -862,6 +861,21 @@ def test_every_gap_takes_the_gauss_nodes():
             rows = gap_rows(est, g)
             assert [r["t"] for r in rows] == times, (region, n_nodes, g)
             assert [r["weight"] for r in rows] == weights.tolist()
+
+
+def test_gauss_nodes_total_the_arcsine_measure():
+    # the Gauss-Legendre rule integrates the graded map's derivative, a
+    # polynomial of degree 2, exactly; a gap with two interior ends is
+    # split at its theta midpoint into n // 2 + (n - n // 2) nodes
+    for gap, interior in _INTERIOR:
+        for n_nodes in (4, 5, 24):
+            times, weights = _gauss_nodes(*gap, n_nodes, interior)
+            assert weights.shape == (n_nodes,) and np.all(weights > 0.0)
+            assert weights.sum() == pytest.approx(theta(gap[1]) - theta(gap[0]), rel=1e-12)
+            assert all(gap[0] < t < gap[1] for t in times) and times == sorted(times)
+            if all(interior):
+                mid = (theta(gap[0]) + theta(gap[1])) / 2
+                assert sum(theta(t) < mid for t in times) == n_nodes // 2
 
 
 def test_quadrature_error_comes_only_from_exact_gaps():
