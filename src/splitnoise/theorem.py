@@ -651,7 +651,8 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
 
     n_samples counts every point evaluated, the coarse rule's included:
     n_samples_per_node per sampled factor and the grid's points per
-    exact one; extra["exact_factors"] counts the exact sides.
+    exact one; extra["exact_factors"] counts the exact sides, and
+    extra["nodes_per_gap"] is the node count each gap's rule ran.
     extra["dof"] is the Welch-Satterthwaite degrees of freedom of the
     node terms, each factor's variance term at its own dof, with the
     quadrature term at infinite dof.  Per-node diagnostics ride along
@@ -718,7 +719,7 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
         extra["replicates"] = replicates[-1]
     extra.update(dof=welch_dof(var_terms + [(quadrature**2, None)]),
                  exact_factors=sum(int(np.count_nonzero(rule[3])) for rule in rules),
-                 quadrature_error=quadrature)
+                 quadrature_error=quadrature, nodes_per_gap=n_nodes)
     return EstimateWithError(mean=total, stderr=math.sqrt(var + quadrature**2),
                              n_samples=sum(est.n_samples for est in factors), seed=seed,
                              extra=extra)

@@ -314,13 +314,13 @@ def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
     raw = argmin_coincidence(region, 0.5, 4096, 100, derive_seed(1, theorem._TAG_LHS),
                              refine=True).extra["grid_bias"]
     assert 0.0 < raw.stderr < 0.01
-    # one step on A against two, at rho 0.9: the bias (about 0.02) fails
-    # it, on the sample stderr.  The top level's 204 walks leave it
-    # unresolved, and one round of walking on, at most fourfold, resolves
-    # it as material
-    report = verify_theorem(region, 0.9, seed=1, lhs_n_grid=2, lhs_samples=20_000,
+    # one step on A against two, at rho 0.9: the bias (about 0.016) fails
+    # it, on the sample stderr.  At seed 2 the top level's 204 walks leave
+    # it unresolved, and one round of walking on, at most fourfold,
+    # resolves it as material
+    report = verify_theorem(region, 0.9, seed=2, lhs_n_grid=2, lhs_samples=20_000,
                             n_nodes=2, node_samples=100, check_stability=True)
-    two = argmin_coincidence(region, 0.9, 2, 20_000, derive_seed(1, theorem._TAG_LHS),
+    two = argmin_coincidence(region, 0.9, 2, 20_000, derive_seed(2, theorem._TAG_LHS),
                              refine=True)
     raw, allowance = two.extra["grid_bias"], report.as_dict()["grid_bias_allowance"]
     walks = two.extra["refined"].extra["levels"][-1]["samples"]
