@@ -92,10 +92,11 @@ _SAMPLE_COST = 96
 # (1/8..1/4,3/8..1/2,5/8..3/4 at 0.5) and 0.16 (1/4..1/2 at 0.9)
 _LEVEL_DECAY = 0.1
 # the weight beta of each path's arc-sine control on the direct route,
-# fixed so that the estimate stays unbiased.  Level 0 at grid 128, 40 960
-# samples, cut its variance 4.63x at 0.45 (4.66x at the best beta, 0.43)
-# on 1/4..1/2 at rho 0.3, 22.1x (22.9x, 0.47) at 0.9, 2.81x (2.87x, 0.41)
-# on 1/4..1/2,5/8..3/4 at 0.5 and 3.91x (3.92x, 0.47) on 0..1/2 at 0.5
+# fixed so that the estimate stays unbiased (a beta fitted to the same
+# samples would bias it by O(1/N)).  One level at grid 128, 40 960
+# samples: 0.45 cuts the variance 4.72x on 1/4..1/2 at rho 0.3 (4.75x at
+# the best beta, 0.43), 21.9x (22.7x, 0.47) at 0.9, 2.91x (2.96x, 0.41)
+# on 1/4..1/2,5/8..3/4 at 0.5 and 3.96x (3.99x, 0.47) on 0..1/2 at 0.5
 _CONTROL_WEIGHT = 0.45
 
 # the largest |r| whose bivariate normal takes Genz's Gauss-Legendre form
