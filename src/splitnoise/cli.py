@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20_000,
                    help="direct-route budget, in samples walked at --n-grid "
                         "(at twice it with --check-stability)")
-    p.add_argument("--nodes", type=int, default=24, help="quadrature nodes per gap (at least 4 are used)")
+    p.add_argument("--nodes", type=int, default=24, help="starting quadrature nodes per gap; 1-3 run 4, 5-7 run 8")
     p.add_argument("--node-samples", type=int, default=20_000,
                    help="points per sampled RHS factor; exact one-component factors ignore it")
     p.add_argument("--node-steps", type=int, default=1024,

@@ -78,6 +78,12 @@ _TAIL_FLOOR = 0.1
 # that would check 2 nodes leaves one half of a gap with two interior
 # ends without a node
 _GAUSS_MIN_NODES = 4
+# an exact gap whose band exceeds this doubles its node count (rhs_integral).
+# Two such bands add under 1% to the verdict's variance at the direct
+# route's stderr on 1/4..1/2 at rho 0.3 (6e-4 at 4096 x 1200); the 8-node
+# bands there are 2.4e-5 and 2.7e-5, the split region's outer gaps' at rho
+# 0.5 2.2e-5 and 1.2e-5, and its middle gap's 5.5e-4, 3.1e-6 at 16 nodes
+_GAP_TOLERANCE = 3e-5
 
 # exact two-component factors (_pair_factors): Gauss-Legendre nodes in v on
 # [0, _PAIR_V_SPAN sqrt(b1)] before the gap and [0, _PAIR_V_SPAN sqrt(a2)]
@@ -619,15 +625,22 @@ def _all_exact(rule) -> bool:
     return all(k or not side for k, side in zip(terms, sides))
 
 
+def _gap_sum(rule, pairs) -> float:
+    """A rule's arc-sine sum over its gap, from its nodes' (left, right) factors."""
+    return sum(float(weight) * left.mean * right.mean for weight, (left, right) in zip(rule[1], pairs))
+
+
 def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
                  n_samples_per_node: int, seed: int) -> EstimateWithError:
     """Arc-sine integral of the factor products over the gaps of the region.
 
-    Every gap takes the graded Gauss-Legendre rule (_gauss_nodes) at
-    n_nodes nodes, or at _GAUSS_MIN_NODES where n_nodes is fewer: 1-3
-    nodes give the 4-node result.  A side of one or two components is
+    Every gap starts with the graded Gauss-Legendre rule (_gauss_nodes)
+    at n_nodes nodes, at _GAUSS_MIN_NODES where n_nodes is fewer and at
+    twice it where n_nodes lies between: 1-3 nodes give the 4-node result
+    and 5-7 the 8-node one, whose band cannot vanish as a 5-7-node rule's
+    can against its coarse rule.  A side of one or two components is
     exact within the domain _series_terms decides from its ends
-    (_exact_factors, _pair_factors; every exact side of one RHS in one
+    (_exact_factors, _pair_factors; every exact side of a round in one
     evaluation per component count); any other side is randomized QMC on
     its own derived stream, derive_seed(derive_seed(seed, _TAG_NODE, gap,
     node), side).  The stderr combines two independent parts:
@@ -636,32 +649,42 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
       rather than a direct sample statistic.  Each sampled factor's
       variance comes from its randomized-QMC replicates, whose count is
       extra["replicates"] when some factor is sampled;
-    - extra["quadrature_error"]: on each gap whose factors are all exact,
-      the same rule at m = ceil(n/2) nodes estimates the n-node rule's
-      error.  The gap adds |I_n - I_m|, which overstates the error
-      because the rule converges so much faster than the m-node one,
-      plus twice its arc-sine mass times the grid error of its least
-      accurate factor, the factors' own error: _FACTOR_GRID_ERROR, or
-      _PAIR_GRID_ERROR once a side has two components (_grid_error).
-      A coarse side the series cannot take is sampled, on
-      derive_seed(derive_seed(seed, _TAG_COARSE, gap, node), side): its
-      noise only widens the estimate on average.  A gap with a sampled
-      factor adds nothing: its I_n - I_m would carry the sampling noise
+    - extra["quadrature_error"], the sum of extra["gap_errors"]: on each
+      gap whose factors are all exact, the same rule at m = ceil(n/2)
+      nodes estimates the n-node rule's error.  The gap's band is |I_n -
+      I_m|, which overstates the error because the rule converges so
+      much faster than the m-node one, plus twice its arc-sine mass times
+      the grid error of its least accurate factor, the factors' own
+      error: _FACTOR_GRID_ERROR, or _PAIR_GRID_ERROR once a side has two
+      components (_grid_error).  A coarse side the series cannot take is
+      sampled, on derive_seed(derive_seed(seed, _TAG_COARSE, gap, node),
+      side): its noise only widens the estimate on average.  A gap with a
+      sampled factor adds 0: its I_n - I_m would carry the sampling noise
       its nodes already band.
 
-    n_samples counts every point evaluated, the coarse rule's included:
+    Then each exact gap whose band exceeds _GAP_TOLERANCE doubles its
+    node count, round by round, and its n-node rule becomes the coarse
+    one of the 2n-node rule, so no rule is evaluated twice; a round
+    evaluates only the doubled gaps.  A gap stops once its band is within
+    the tolerance, when 2n would pass NODE_CAP, or when a side of its
+    2n-node rule would be sampled (_series_terms, decided before any
+    factor is evaluated): it then keeps its n-node rule and band.  No
+    doubled rule reads a stream, so the result stays a function of the
+    arguments.
+
+    n_samples counts every point evaluated, the coarser rules' included:
     n_samples_per_node per sampled factor and the grid's points per
     exact one; extra["exact_factors"] counts the exact sides, and
-    extra["nodes_per_gap"] is the node count each gap's rule ran.
-    extra["dof"] is the Welch-Satterthwaite degrees of freedom of the
-    node terms, each factor's variance term at its own dof, with the
-    quadrature term at infinite dof.  Per-node diagnostics ride along
-    in extra["nodes"], and extra["top_node"] names the node with the
-    largest variance term (weight^2 x product variance): its component,
-    t and share of stderr^2, or None when no factor is sampled.
+    extra["nodes_per_gap"] is the node count each gap's final rule ran,
+    whose nodes extra["nodes"] lists.  extra["dof"] is the
+    Welch-Satterthwaite degrees of freedom of the node terms, each
+    factor's variance term at its own dof, with the quadrature term at
+    infinite dof.  extra["top_node"] names the node with the largest
+    variance term (weight^2 x product variance): its component, t and
+    share of stderr^2, or None when no factor is sampled.
     """
     _check_nodes(n_nodes, region)
-    n_nodes = max(n_nodes, _GAUSS_MIN_NODES)
+    n_nodes = max(n_nodes, _GAUSS_MIN_NODES if n_nodes <= _GAUSS_MIN_NODES else 2 * _GAUSS_MIN_NODES)
     _check_samples(n_samples_per_node)  # before the exact regions' shortcut
     if not 0.0 <= rho <= 1.0:
         raise DomainError(f"rho={rho} outside [0,1]")
@@ -670,31 +693,63 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     if not region:
         return EstimateWithError.exact(1.0)
     gaps = region.complement_components()
-    fine = [_rule(region, gap, n_nodes, rho) for gap in gaps]
+    factors = []
+
+    def evaluate(rules, node_seeds):
+        """Each rule's (left, right) factor pairs, node by node, from one _rhs_factors call."""
+        new = _rhs_factors([side for rule in rules for side in rule[2]],
+                           np.concatenate([rule[3] for rule in rules]), rho,
+                           n_samples_per_node, node_seeds)
+        factors.extend(new)
+        pairs = iter(zip(new[0::2], new[1::2]))
+        return [[next(pairs) for _ in rule[0]] for rule in rules]
+
+    def band(g, fine_sum, coarse_sum):
+        return abs(fine_sum - coarse_sum) + 2.0 * _grid_error(final[g]) * (
+            _theta(gaps[g][1]) - _theta(gaps[g][0]))
+
+    final = [_rule(region, gap, n_nodes, rho) for gap in gaps]
     coarse_n = -(-n_nodes // 2)
-    coarse = {g: _rule(region, gaps[g], coarse_n, rho) for g, rule in enumerate(fine) if _all_exact(rule)}
-    rules = fine + list(coarse.values())
+    coarse = {g: _rule(region, gaps[g], coarse_n, rho) for g, rule in enumerate(final) if _all_exact(rule)}
     node_seeds = [derive_seed(seed, _TAG_NODE, g, ni) for g in range(len(gaps))
                   for ni in range(n_nodes)]
     node_seeds += [derive_seed(seed, _TAG_COARSE, g, ni) for g in coarse for ni in range(coarse_n)]
-    factors = _rhs_factors([side for rule in rules for side in rule[2]],
-                           np.concatenate([rule[3] for rule in rules]), rho,
-                           n_samples_per_node, node_seeds)
-    pairs = iter(zip(factors[0::2], factors[1::2]))  # each node's (left, right), rule by rule
+    evaluated = final + list(coarse.values())
+    pairs = evaluate(evaluated, node_seeds)
+    final_pairs = pairs[:len(gaps)]
+    sums = [_gap_sum(rule, p) for rule, p in zip(final, final_pairs)]
+    gap_errors = [0.0] * len(gaps)
+    for (g, rule), p in zip(coarse.items(), pairs[len(gaps):]):
+        gap_errors[g] = band(g, sums[g], _gap_sum(rule, p))
+    growing = list(coarse)
+    while True:
+        doubled = {}
+        for g in growing:
+            n = 2 * len(final[g][0])
+            if gap_errors[g] > _GAP_TOLERANCE and n <= NODE_CAP:
+                rule = _rule(region, gaps[g], n, rho)
+                if _all_exact(rule):
+                    doubled[g] = rule
+        if not doubled:
+            break
+        evaluated += doubled.values()
+        for (g, rule), p in zip(doubled.items(), evaluate(list(doubled.values()), [])):
+            fine_sum = _gap_sum(rule, p)
+            final[g], final_pairs[g] = rule, p
+            gap_errors[g], sums[g] = band(g, fine_sum, sums[g]), fine_sum
+        growing = list(doubled)
 
     def dof(est):
         return est.extra["replicates"] - 1 if est.extra else None
 
     total = 0.0
-    rows, node_vars, gap_sums = [], [], []
+    rows, node_vars = [], []
     var_terms = []  # (variance, dof) of each factor's part of a node's variance
-    for g, (times, weights, _, _) in enumerate(fine):
-        gap_sums.append(0.0)
-        for t, weight, (left, right) in zip(times, weights, pairs):
+    for g, ((times, weights, _, _), p) in enumerate(zip(final, final_pairs)):
+        for t, weight, (left, right) in zip(times, weights, p):
             pm, pv = product_estimate(left, right)
             weight = float(weight)
             total += weight * pm
-            gap_sums[g] += weight * pm
             node_vars.append(weight**2 * pv)
             var_terms += [((weight * left.stderr * right.mean) ** 2, dof(left)),
                           ((weight * right.stderr * left.mean) ** 2, dof(right)),
@@ -704,11 +759,7 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
                 "left": left.mean, "left_stderr": left.stderr,
                 "right": right.mean, "right_stderr": right.stderr,
             })
-    diffs = {g: abs(gap_sums[g] - sum(float(weight) * left.mean * right.mean
-                                      for weight, (left, right) in zip(rule[1], pairs)))
-             for g, rule in coarse.items()}
-    quadrature = sum((diff + 2.0 * _grid_error(fine[g]) * (_theta(gaps[g][1]) - _theta(gaps[g][0]))
-                      for g, diff in diffs.items()), 0.0)
+    quadrature = sum(gap_errors, 0.0)
     var = sum(node_vars)
     top = int(np.argmax(node_vars))
     top_node = {"component": rows[top]["component"], "t": rows[top]["t"],
@@ -718,8 +769,9 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     if replicates:
         extra["replicates"] = replicates[-1]
     extra.update(dof=welch_dof(var_terms + [(quadrature**2, None)]),
-                 exact_factors=sum(int(np.count_nonzero(rule[3])) for rule in rules),
-                 quadrature_error=quadrature, nodes_per_gap=n_nodes)
+                 exact_factors=sum(int(np.count_nonzero(rule[3])) for rule in evaluated),
+                 quadrature_error=quadrature, nodes_per_gap=[len(rule[0]) for rule in final],
+                 gap_errors=gap_errors)
     return EstimateWithError(mean=total, stderr=math.sqrt(var + quadrature**2),
                              n_samples=sum(est.n_samples for est in factors), seed=seed,
                              extra=extra)

@@ -167,10 +167,12 @@ def test_criterion_7_main_theorem_desk_scale():
         # the RHS band is the node rule's error, reported next to it.  A
         # single interval has two sides per node, one of them empty; the
         # split region four on its middle gap's nodes and two, one empty,
-        # on each outer gap's
+        # on each outer gap's.  Every 24-node band is within the tolerance,
+        # so no gap doubles
         rhs = report.as_dict()["rhs"]
         exact = 2 * (24 + 12) if "," not in text else 4 * (24 + 12)
         case_ok &= (rhs["exact_factors"] == exact and "replicates" not in rhs
+                    and rhs["nodes_per_gap"] == [24] * len(TimeSet.parse(text).complement_components())
                     and rhs["stderr"] == rhs["quadrature_error"] > 0.0)
         all_ok &= case_ok
         lines.append(

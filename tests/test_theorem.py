@@ -11,7 +11,6 @@ from splitnoise import theorem
 from splitnoise.sampling import EstimateWithError, derive_rng, derive_seed, welch_dof
 from splitnoise.theorem import (
     _TAG_NODE,
-    _GAUSS_MIN_NODES,
     _all_exact,
     _exact_factors,
     _gauss_nodes,
@@ -698,8 +697,11 @@ def test_one_bessel_table_per_rhs_integral(monkeypatch):
     monkeypatch.setattr(theorem, "_pair_table", counted)
     first = rhs_integral(SPLIT, 0.5, 8, 100, seed=1)
     assert calls == [0.5]
-    # 8 + 4 nodes per gap: one pair side per outer gap's node, two one-component sides per middle gap's
-    assert first.extra["exact_factors"] == 2 * (8 + 4) + 2 * (8 + 4)
+    # 8 + 4 nodes per gap: one pair side per outer gap's node, two one-component
+    # sides per middle gap's, whose 16-node rule adds two more per node and
+    # no table
+    assert first.extra["nodes_per_gap"] == [8, 16, 8]
+    assert first.extra["exact_factors"] == 2 * (8 + 4) + 2 * (8 + 4 + 16)
     second = rhs_integral(SPLIT, 0.5, 8, 100, seed=2)
     assert calls == [0.5, 0.5] and (second.mean, second.stderr) == (first.mean, first.stderr)
 
@@ -783,20 +785,27 @@ def gap_floor(region, gap):
     return grid_floor([gap], theorem._PAIR_GRID_ERROR if two else theorem._FACTOR_GRID_ERROR)
 
 
+def nodes_run(start, final):
+    """The nodes of every rule a gap ran from start to final nodes: the ceil(start/2)-node one first."""
+    return -(-start // 2) + 2 * final - start
+
+
 @pytest.mark.parametrize("rho, reference", [(0.3, 0.5879826957), (0.7, 0.6716798325)])
 @pytest.mark.parametrize("n_nodes", [8, 24])
 def test_quadrature_error_covers_the_node_rule(rho, reference, n_nodes):
     # every factor of 1/4..1/2 is exact: the RHS's only error is the node
     # rule's, and its estimate, never below the factors' own grid error,
-    # covers the true one
+    # covers the true one.  At rho 0.7 the upper gap's 8-node band, 3.04e-5,
+    # exceeds the tolerance, and that gap doubles
     est = rhs_integral(QUARTER_HALF, rho, n_nodes, 100, seed=1)
     extra = est.extra
+    assert extra["nodes_per_gap"] == ([8, 16] if (rho, n_nodes) == (0.7, 8) else [n_nodes, n_nodes])
     assert extra["quadrature_error"] >= abs(est.mean - reference)
     assert extra["quadrature_error"] >= grid_floor(QUARTER_HALF.complement_components())
-    assert est.stderr == extra["quadrature_error"] > 0.0
+    assert est.stderr == extra["quadrature_error"] == sum(extra["gap_errors"]) > 0.0
     assert "replicates" not in extra and extra["dof"] is None and extra["top_node"] is None
-    # both gaps' nodes, two sides each, one empty, and the n/2-node rule's
-    assert extra["exact_factors"] == 2 * (n_nodes + n_nodes // 2)
+    # every node of each gap's rules, two sides each, one empty
+    assert extra["exact_factors"] == sum(nodes_run(n_nodes, n) for n in extra["nodes_per_gap"])
     assert est.n_samples == 32 * 16 * extra["exact_factors"]
     assert all(r["left_stderr"] == r["right_stderr"] == 0.0 for r in extra["nodes"])
     # no stream is read: the seed changes nothing but the echo
@@ -826,26 +835,36 @@ _GAUSS_CASES = [("1/4..1/2", rho) for rho in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99)] + 
 @pytest.mark.parametrize("text, rho", _GAUSS_CASES)
 def test_gauss_band_covers_the_node_rule_on_every_exact_gap(text, rho):
     # from 4 nodes up a gap whose factors are all exact takes the graded
-    # Gauss-Legendre rule, banded by its distance from the ceil(n/2)-node
-    # rule plus the grid floor; against 96-node values that band covers
-    # the rule's true error, gap by gap.  Every gap of these regions is
-    # exact, the split region's outer gaps through their two-component
-    # sides, with the pair grid floor
+    # Gauss-Legendre rule, banded by its distance from the rule at half its
+    # nodes (ceil(n/2) in the first round) plus the grid floor, and doubles
+    # while that band exceeds the tolerance; against 96-node values the
+    # final rule's band covers its true error, gap by gap, and so does
+    # |I_2n - I_n| alone at 2n = 16 and 32 (worst true/band ratio 0.22).
+    # Every gap of these regions is exact, the split region's outer gaps
+    # through their two-component sides, with the pair grid floor
     region = TimeSet.parse(text)
     gaps = region.complement_components()
     references = [exact_gap_sum(region, gap, 96, rho) for gap in gaps]
+    for g, gap in enumerate(gaps):
+        sums = {n: exact_gap_sum(region, gap, n, rho) for n in (8, 16, 32)}
+        for n in (16, 32):
+            assert abs(sums[n] - references[g]) <= abs(sums[n] - sums[n // 2]), (g, n)
     for n_nodes in (4, 8, 16, 24):
         est = rhs_integral(region, rho, n_nodes, 100, seed=1)
         assert "replicates" not in est.extra and est.stderr == est.extra["quadrature_error"]
         band = 0.0
         for g, (a, b) in enumerate(gaps):
+            n = est.extra["nodes_per_gap"][g]
             rows = gap_rows(est, g)
-            times, weights = _gauss_nodes(a, b, n_nodes, (a > 0.0, b < 1.0))
+            times, weights = _gauss_nodes(a, b, n, (a > 0.0, b < 1.0))
             assert [r["t"] for r in rows] == times and [r["weight"] for r in rows] == weights.tolist()
             fine = sum(r["weight"] * r["left"] * r["right"] for r in rows)
-            coarse = exact_gap_sum(region, gaps[g], -(-n_nodes // 2), rho)
+            coarse = exact_gap_sum(region, gaps[g], -(-n // 2), rho)
             gap_band = abs(fine - coarse) + gap_floor(region, gaps[g])
+            assert est.extra["gap_errors"][g] == pytest.approx(gap_band, rel=1e-9)
             assert abs(fine - references[g]) <= gap_band, (g, n_nodes)
+            # the gap stopped at the first count within the tolerance
+            assert (n == n_nodes) or gap_band <= theorem._GAP_TOLERANCE, (g, n_nodes)
             band += gap_band
         assert est.extra["quadrature_error"] == pytest.approx(band, rel=1e-9)
 
@@ -853,11 +872,11 @@ def test_gauss_band_covers_the_node_rule_on_every_exact_gap(text, rho):
 def test_every_gap_takes_the_gauss_nodes():
     # node times and weights are _gauss_nodes' own, bit for bit, on gaps
     # with a sampled factor too (the outer gaps of SAMPLED see three
-    # components), and 1-3 nodes run the 4-node rule
+    # components), at the count each gap's final rule ran
     for region, n_nodes in [(QUARTER_HALF, 1), (QUARTER_HALF, 3), (SAMPLED, 2), (SAMPLED, 8), (SPLIT, 8)]:
         est = rhs_integral(region, 0.5, n_nodes, 100, seed=1)
         for g, (a, b) in enumerate(region.complement_components()):
-            times, weights = _gauss_nodes(a, b, max(n_nodes, _GAUSS_MIN_NODES), (a > 0.0, b < 1.0))
+            times, weights = _gauss_nodes(a, b, est.extra["nodes_per_gap"][g], (a > 0.0, b < 1.0))
             rows = gap_rows(est, g)
             assert [r["t"] for r in rows] == times, (region, n_nodes, g)
             assert [r["weight"] for r in rows] == weights.tolist()
@@ -880,20 +899,24 @@ def test_gauss_nodes_total_the_arcsine_measure():
 
 def test_quadrature_error_comes_only_from_exact_gaps():
     # on SAMPLED only the middle gaps are exact, their sides of one and two
-    # components; at 6 nodes each is banded by its distance from its own
-    # 3-node rule plus the pair grid floor, and the sampled outer gaps add
-    # nothing
+    # components; 6 nodes run 8, the middle gaps' 8-node bands exceed the
+    # tolerance, and each ends at 16 nodes, banded by its distance from its
+    # own 8-node rule plus the pair grid floor, while the sampled outer
+    # gaps keep 8 nodes and add nothing
     region = SAMPLED
     est = rhs_integral(region, 0.5, 6, 400, seed=4)
     rows = est.extra["nodes"]
     gaps = region.complement_components()
+    assert est.extra["nodes_per_gap"] == [8, 16, 16, 8]
+    assert est.extra["gap_errors"][0] == est.extra["gap_errors"][3] == 0.0
     band = 0.0
     for g in (1, 2):
-        coarse = exact_gap_sum(region, gaps[g], 3, 0.5)
+        coarse = exact_gap_sum(region, gaps[g], 8, 0.5)
         band += abs(sum(r["weight"] * r["left"] * r["right"] for r in gap_rows(est, g)) - coarse)
     assert est.extra["quadrature_error"] == pytest.approx(
         band + grid_floor(gaps[1:3], theorem._PAIR_GRID_ERROR), rel=1e-12)
-    assert est.extra["exact_factors"] == 2 * (12 + 6) and est.extra["replicates"] == 16
+    # two exact sides a node on the middle gaps' 4-, 8- and 16-node rules
+    assert est.extra["exact_factors"] == 2 * 2 * (4 + 8 + 16) and est.extra["replicates"] == 16
     # the outer gaps' factors are sampled on the same streams as ever
     for r in rows:
         if r["component"] in (1, 2):
@@ -926,6 +949,17 @@ def test_a_sampled_coarse_side_keeps_its_gap_term(monkeypatch):
 
     monkeypatch.setattr(theorem, "_series_terms", coarse_node_sampled)
     region, rho = QUARTER_HALF, 0.3
+    # the noisy band exceeds the tolerance: each gap doubles to 8 nodes and
+    # its band becomes the exact 4-node rule's distance, as with no coarse
+    # side sampled; the sampled coarse rule's points still count
+    doubled = rhs_integral(region, rho, 4, 400, seed=3)
+    eight = rhs_integral(region, rho, 8, 400, seed=3)
+    assert doubled.extra["nodes_per_gap"] == [8, 8] and doubled.extra["replicates"] == 16
+    assert (doubled.mean, doubled.stderr, doubled.extra["gap_errors"]) == \
+        (eight.mean, eight.stderr, eight.extra["gap_errors"])
+    assert doubled.n_samples == eight.n_samples + 2 * 400 + 2 * 32 * 16
+    # with no doubling the gap keeps the sampled coarse rule's term
+    monkeypatch.setattr(theorem, "_GAP_TOLERANCE", math.inf)
     est = rhs_integral(region, rho, 4, 400, seed=3)
     assert all(r["left_stderr"] == r["right_stderr"] == 0.0 for r in est.extra["nodes"])
     assert est.extra["replicates"] == 16 and est.extra["exact_factors"] == 2 * (4 + 1)
@@ -948,12 +982,124 @@ def test_a_sampled_coarse_side_keeps_its_gap_term(monkeypatch):
 
 
 def test_quadrature_error_at_one_and_two_nodes():
-    # below _GAUSS_MIN_NODES a gap's rule takes that many nodes, so 1-3
-    # nodes give the 4-node result exactly, band and all
-    for rho in (0.5, 0.9):
+    # below _GAUSS_MIN_NODES a gap's rule starts with that many nodes, so
+    # 1-3 nodes give the 4-node result exactly, band and all, and 5-7 the
+    # 8-node one; from 4 nodes every gap doubles at least once
+    for rho, doubled in ((0.5, [8, 16]), (0.9, [8, 8])):
         four = rhs_integral(QUARTER_HALF, rho, 4, 100, seed=1)
-        assert four.extra["exact_factors"] == 2 * (4 + 2)
-        for n_nodes in (1, 2, 3):
+        assert four.extra["nodes_per_gap"] == doubled
+        assert four.extra["exact_factors"] == sum(nodes_run(4, n) for n in doubled)
+        eight = rhs_integral(QUARTER_HALF, rho, 8, 100, seed=1)
+        for n_nodes, start in ((1, four), (2, four), (3, four), (5, eight), (6, eight), (7, eight)):
             est = rhs_integral(QUARTER_HALF, rho, n_nodes, 100, seed=1)
             assert (est.mean, est.stderr, est.n_samples, est.extra) == \
-                (four.mean, four.stderr, four.n_samples, four.extra)
+                (start.mean, start.stderr, start.n_samples, start.extra)
+
+
+# -- per-gap node doubling ---------------------------------------------------
+
+def test_only_the_split_regions_middle_gap_doubles():
+    # at 8 nodes the middle gap [1/2, 5/8] is banded 5.49e-4 against a true
+    # error of 3.1e-6 and doubles once, to 16 nodes; the outer gaps' bands,
+    # 2.2e-5 and 1.2e-5, are within the tolerance.  The RHS band falls from
+    # 5.85e-4 to under 5e-5 and still covers the reference
+    est = rhs_integral(SPLIT, 0.5, 8, 100, seed=1)
+    extra = est.extra
+    assert extra["nodes_per_gap"] == [8, 16, 8]
+    assert all(error <= theorem._GAP_TOLERANCE for error in extra["gap_errors"])
+    assert abs(est.mean - 0.48366183) <= extra["quadrature_error"] <= 5e-5
+    assert est.stderr == extra["quadrature_error"] == sum(extra["gap_errors"])
+
+
+def test_no_gap_doubles_on_a_quarter_half_at_rho_three_tenths():
+    # the 8-node bands, 2.35e-5 and 2.70e-5, are within the tolerance: the
+    # result is the 8-node rule's, as before gaps could double
+    est = rhs_integral(QUARTER_HALF, 0.3, 8, 100, seed=1)
+    assert est.extra["nodes_per_gap"] == [8, 8]
+    assert (est.mean, est.stderr, est.extra["exact_factors"], est.n_samples) == \
+        (0.5879827012224867, 5.0563276335712176e-05, 24, 12288)
+
+
+@pytest.mark.parametrize("text, rho, mean, stderr", [
+    ("1/4..1/2", 0.3, 0.5879826957453307, 8.388290455519728e-09),
+    ("1/4..1/2", 0.7, 0.6716798325857818, 1.712676448323383e-08),
+    ("1/4..1/2,5/8..3/4", 0.5, 0.4836618303406971, 1.38193800426703e-06)])
+def test_criterion_seven_keeps_its_24_node_rules(text, rho, mean, stderr):
+    # every band of criterion 7's RHS is within the tolerance at 24 nodes:
+    # no gap doubles, and its numbers are the 24-node rule's, as before
+    region = TimeSet.parse(text)
+    est = rhs_integral(region, rho, 24, 20_000, seed=1)
+    assert est.extra["nodes_per_gap"] == [24] * len(region.complement_components())
+    assert (est.mean, est.stderr) == (mean, stderr)
+
+
+def test_no_rule_is_evaluated_twice(monkeypatch):
+    # one _rhs_factors call a round: the first takes every gap's starting
+    # and coarse rules, each later one only the doubled gaps' new rules,
+    # whose coarse rule is the last round's fine one
+    calls = []
+    evaluate = theorem._rhs_factors
+
+    def spy(sides, *args):
+        calls.append([(tuple(left), tuple(right)) for left, right in zip(sides[0::2], sides[1::2])])
+        return evaluate(sides, *args)
+
+    monkeypatch.setattr(theorem, "_rhs_factors", spy)
+    for region, n_nodes, rounds in ((SPLIT, 8, [3 * (8 + 4), 16]), (QUARTER_HALF, 4, [2 * (4 + 2), 16, 16])):
+        calls.clear()
+        est = rhs_integral(region, 0.5, n_nodes, 100, seed=1)
+        nodes = [node for call in calls for node in call]
+        assert [len(call) for call in calls] == rounds
+        assert len(set(nodes)) == len(nodes) == sum(nodes_run(n_nodes, n) for n in est.extra["nodes_per_gap"])
+
+
+def test_with_no_tolerance_every_gap_doubles_up_to_the_node_cap(monkeypatch):
+    # every band exceeds a tolerance of 0, its grid floor alone: each gap
+    # stops at its starting count's largest power-of-two multiple within
+    # NODE_CAP, here 64 to keep the rules small, with no error
+    monkeypatch.setattr(theorem, "_GAP_TOLERANCE", 0.0)
+    monkeypatch.setattr(theorem, "NODE_CAP", 64)
+    for region, n_nodes, final in ((SPLIT, 5, 64), (SPLIT, 8, 64), (QUARTER_HALF, 20, 40)):
+        est = rhs_integral(region, 0.5, n_nodes, 100, seed=1)
+        assert est.extra["nodes_per_gap"] == [final] * len(region.complement_components())
+        assert est.stderr == est.extra["quadrature_error"] > 0.0
+
+
+def test_a_doubled_rule_with_a_sampled_side_is_never_evaluated(monkeypatch):
+    # the split region's middle gap would double to 16 nodes; when a side of
+    # that rule would be sampled, the rule is dropped before any factor of it
+    # is evaluated, and the gap keeps its 8-node rule and band
+    series_terms = theorem._series_terms
+
+    def sixteen_sampled(sides, rho):
+        terms = series_terms(sides, rho)
+        if len(sides) == 2 * 16:
+            terms[0] = 0
+        return terms
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a factor was sampled")
+
+    monkeypatch.setattr(theorem, "_series_terms", sixteen_sampled)
+    monkeypatch.setattr(theorem, "m_lambda_functional", forbidden)
+    est = rhs_integral(SPLIT, 0.5, 8, 100, seed=1)
+    assert est.extra["nodes_per_gap"] == [8, 8, 8]
+    assert est.extra["gap_errors"][1] > theorem._GAP_TOLERANCE
+    monkeypatch.setattr(theorem, "_GAP_TOLERANCE", math.inf)
+    kept = rhs_integral(SPLIT, 0.5, 8, 100, seed=1)
+    assert (est.mean, est.stderr, est.n_samples, est.extra) == (kept.mean, kept.stderr, kept.n_samples, kept.extra)
+
+
+def test_five_nodes_run_eight_whose_band_covers_the_rule():
+    # on 0..30/128 at rho 0.1 the 5-node rule crosses its 3-node one: its
+    # true error, 2.3e-5, is 3.9 times |I_5 - I_3|, within the tolerance,
+    # so its gap would never double.  5 nodes run 8, banded 5.7e-5, which
+    # doubles the gap; the final band covers the error against 64 nodes
+    region, rho = TimeSet.parse("0..30/128"), 0.1
+    gap, = region.complement_components()
+    reference = exact_gap_sum(region, gap, 64, rho)
+    five, three = exact_gap_sum(region, gap, 5, rho), exact_gap_sum(region, gap, 3, rho)
+    assert abs(five - three) < min(theorem._GAP_TOLERANCE, abs(five - reference) / 3)
+    est = rhs_integral(region, rho, 5, 100, seed=1)
+    assert est.extra["nodes_per_gap"] == [16]
+    assert abs(est.mean - reference) <= est.extra["quadrature_error"]
