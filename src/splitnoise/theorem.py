@@ -20,9 +20,10 @@ uniform measure in theta, so the endpoint singularities vanish
 exactly; every gap takes a Gauss-Legendre rule in theta graded toward
 its interior ends (_gauss_nodes), where the factors vanish like a small
 power of the distance, at _GAUSS_MIN_NODES nodes or more.  On a gap
-whose factors are all exact, the rule's own error is estimated from a
-coarser rule and joins the band (rhs_integral).  Every Gauss-Legendre
-rule is built once per node count (_legendre).
+whose factors are all exact, the rule's own error is estimated from the
+rule at half its nodes and joins the band, and the gap doubles its
+nodes while that estimate exceeds _GAP_TOLERANCE (rhs_integral).  Every
+Gauss-Legendre rule is built once per node count (_legendre).
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ from .sampling import (SAMPLE_CAP, EstimateWithError, _check_samples, derive_see
                        product_estimate, welch_dof)
 from .timesets import TimeSet, affine_preimage
 
-# quadrature nodes per gap.  A Gauss-Legendre gap's rule solves an n x n
-# eigenproblem (leggauss), n^3 in time and n^2 in memory: theorem-check
-# --A 1/4..1/2 --rho 0.5 takes 2.2-3.8 s and 98 MB at 1000 nodes, 4.2 s
-# and 139 MB at 2000 (2 cores, numpy 2.4)
+# quadrature nodes per gap, asked for or reached by doubling.  A
+# Gauss-Legendre gap's rule solves an n x n eigenproblem (leggauss), n^3
+# in time and n^2 in memory: theorem-check --A 1/4..1/2 --rho 0.5 takes
+# 2.2-3.8 s and 98 MB at 1000 nodes, 4.2 s and 139 MB at 2000 (2 cores,
+# numpy 2.4)
 NODE_CAP = 1000
 
 # sub-stream tags
@@ -72,17 +74,19 @@ _RADIAL_SPAN = 10.0
 _SERIES_TOL = 1e-10
 _TERM_CAP = 26
 _TAIL_FLOOR = 0.1
-# the fewest nodes a gap's rule takes: fewer asked for run this many
-# (rhs_integral).  Below it the rule's error estimate is unsafe: at 3
-# nodes against 2 the true error reached 0.99 of it, and the 1-node rule
-# that would check 2 nodes leaves one half of a gap with two interior
-# ends without a node
+# the fewest nodes a gap's rule takes: fewer asked for run this many, and
+# 5-7 twice it (rhs_integral).  Below it the rule's error estimate is
+# unsafe: at 3 nodes against 2 the true error reached 0.99 of it, and the
+# 1-node rule that would check 2 nodes leaves one half of a gap with two
+# interior ends without a node.  At 5-7 it can vanish where the rules
+# cross: at 5 nodes against 3 on 0..30/128, rho 0.1, the true error was
+# 3.9 times it
 _GAUSS_MIN_NODES = 4
 # an exact gap whose band exceeds this doubles its node count (rhs_integral).
-# Two such bands add under 1% to the verdict's variance at the direct
+# Two bands at it add about 1% to the verdict's variance at the direct
 # route's stderr on 1/4..1/2 at rho 0.3 (6e-4 at 4096 x 1200); the 8-node
 # bands there are 2.4e-5 and 2.7e-5, the split region's outer gaps' at rho
-# 0.5 2.2e-5 and 1.2e-5, and its middle gap's 5.5e-4, 3.1e-6 at 16 nodes
+# 0.5 2.3e-5 and 1.3e-5, and its middle gap's 5.5e-4, 3.1e-6 at 16 nodes
 _GAP_TOLERANCE = 3e-5
 
 # exact two-component factors (_pair_factors): Gauss-Legendre nodes in v on
@@ -704,11 +708,9 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
         pairs = iter(zip(new[0::2], new[1::2]))
         return [[next(pairs) for _ in rule[0]] for rule in rules]
 
-    def band(g, fine_sum, coarse_sum):
-        return abs(fine_sum - coarse_sum) + 2.0 * _grid_error(final[g]) * (
-            _theta(gaps[g][1]) - _theta(gaps[g][0]))
-
     final = [_rule(region, gap, n_nodes, rho) for gap in gaps]
+    # the factors' own error over each gap: its sides' component counts are the same at every node
+    floors = [2.0 * _grid_error(rule) * (_theta(b) - _theta(a)) for rule, (a, b) in zip(final, gaps)]
     coarse_n = -(-n_nodes // 2)
     coarse = {g: _rule(region, gaps[g], coarse_n, rho) for g, rule in enumerate(final) if _all_exact(rule)}
     node_seeds = [derive_seed(seed, _TAG_NODE, g, ni) for g in range(len(gaps))
@@ -720,7 +722,7 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     sums = [_gap_sum(rule, p) for rule, p in zip(final, final_pairs)]
     gap_errors = [0.0] * len(gaps)
     for (g, rule), p in zip(coarse.items(), pairs[len(gaps):]):
-        gap_errors[g] = band(g, sums[g], _gap_sum(rule, p))
+        gap_errors[g] = abs(sums[g] - _gap_sum(rule, p)) + floors[g]
     growing = list(coarse)
     while True:
         doubled = {}
@@ -735,8 +737,8 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
         evaluated += doubled.values()
         for (g, rule), p in zip(doubled.items(), evaluate(list(doubled.values()), [])):
             fine_sum = _gap_sum(rule, p)
-            final[g], final_pairs[g] = rule, p
-            gap_errors[g], sums[g] = band(g, fine_sum, sums[g]), fine_sum
+            gap_errors[g] = abs(fine_sum - sums[g]) + floors[g]
+            final[g], final_pairs[g], sums[g] = rule, p, fine_sum
         growing = list(doubled)
 
     def dof(est):

@@ -579,10 +579,10 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
 def test_an_immaterial_grid_bias_passes_the_stability_check(capsys):
     # at n_grid 2048 and 40k samples the top level, 18 286 paired walks at
     # 4096 (the budget the levels up to 2048 leave), measures a bias
-    # which no finite grid avoids: 2.3e-5, 6 of its stderrs once walked on
-    # to 176 861 walks.  The allowance is a quarter of the combined
-    # stderr, 3.9e-5, most of it the LHS's, 1.5e-4, as the 8-node rule's
-    # band is 5.0e-5; until the bias's 4-sigma band lies within it the
+    # which no finite grid avoids: 2.0e-5, 6 of its stderrs once walked on
+    # to 224 115 walks.  The allowance is a quarter of the combined
+    # stderr, 3.7e-5, most of it the LHS's, 1.5e-4, as the RHS band is
+    # 2.0e-5 (its upper gap doubles to 16 nodes); until the bias's 4-sigma band lies within it the
     # top level walks on.  This bias is a small share of the verdict's
     # band, and the two routes agree.  (At rho 0.9 the bias, 6e-5, is
     # material against an allowance of 4.0e-5.)
