@@ -11,7 +11,7 @@ back set gives an entrance-law survival-correlation factor.  A side of
 one component is computed exactly, from a closed-form series on a
 fixed Gauss-Legendre grid (_exact_factors), and so is a side of two,
 from the same wedge kernel in three stages on a fixed grid
-(_pair_factors) with one Bessel table per call, evaluated on its band
+(_pair_factors) with one Bessel table per rho, evaluated on its band
 (_pair_table); a side of three or more components, or one its grid
 cannot resolve, is a randomized quasi-Monte Carlo estimate
 (m_lambda_functional).  The quadrature substitutes
@@ -55,7 +55,6 @@ _TAG_LHS = 101
 _TAG_RHS = 102
 _TAG_CURVE = 104
 _TAG_NODE = 105
-_TAG_COARSE = 106
 
 # exact one-component factors (_exact_factors): Gauss-Legendre nodes in
 # sqrt(r) on [0, _RADIAL_SPAN sqrt(L + kappa^2 a)] and in theta on (0, alpha/2),
@@ -119,7 +118,7 @@ _PAIR_NU_SPAN = 40.0
 _PAIR_GAP_FLOOR = 0.06
 _PAIR_TAIL_FLOOR = 0.05
 _PAIR_GRID_ERROR = 1e-6
-# sides per _pair_batch: its arrays then take about 3 MB at the peak
+# sides per _pair_factors evaluation: its arrays then take about 3 MB at the peak
 _PAIR_BATCH = 4
 
 # the grid bias allowed, 4-sigma band included, per combined stderr: a bias
@@ -281,6 +280,23 @@ def _series_terms(sides, rho: float) -> np.ndarray:
     finds its terms within _TERM_CAP.  A two-component side is exact
     within _pair_terms' domain; its count is its first run's.  A side of
     three or more components is sampled.
+
+    A gap whose n-node rule has no sampled side has none at ceil(n/2)
+    nodes (rhs_integral).  (a) At t = p + delta in a gap (p, q) the left
+    side starts at a = delta/t, its lengths the region's over t (the right
+    side likewise, delta = q - t, 1 - t for t).  Its component count, rho
+    and tail ratio tau/L2 stay fixed, and each condition worsens as delta
+    grows: a/L = delta/L0 grows, tau/(L + kappa^2 a) and the pair's gap
+    ratio against _PAIR_GAP_FLOOR fall, sigma0 grows with sqrt(a2/L2).
+    _term_counts' bound falls through its prefactor 1/sqrt(a) = sqrt(1 +
+    p/delta) but rises with x ~ delta through m_nu, and where it met
+    _SERIES_TOL (2e5 points, 20 000 random sides) its elasticity in delta
+    was 1.76 or more.  So each side is exact on an interval reaching its
+    interior end.  (b) For m <= n the m-node rule's nodes lie within the
+    n-node rule's span (_gauss_nodes): Legendre zeros interlace, the
+    grading ascends, and split halves get floor(m/2) <= floor(n/2) and
+    m - floor(m/2) <= n - floor(n/2) nodes.  So the coarse nodes are
+    exact (test_the_coarse_rule_of_an_exact_gap_is_exact).
     """
     terms = np.zeros(len(sides), dtype=int)
     one = [i for i, side in enumerate(sides) if len(side) == 1]
@@ -401,8 +417,9 @@ def _pair_terms(ends: np.ndarray, rho: float) -> np.ndarray:
     top = _PAIR_V_SPAN * np.sqrt(a2)
     far = top + 2.0 * _PAIR_D_SPAN * np.sqrt((1.0 - rho) * length / 2.0)
     sigma0 = np.hypot(top, (far - rho * top) / c) / np.sqrt(run)
+    # tau / run is the same at every t of a gap; at 12 decimals rounding cannot flip one at its floor
     count[(gap < _PAIR_GAP_FLOOR * (length + kappa2 * a1))
-          | ((tau > 0.0) & (tau < _PAIR_TAIL_FLOOR * run)) | (sigma0 > _PAIR_SIGMA0_SPAN)] = 0
+          | ((tau > 0.0) & (np.round(tau / run, 12) < _PAIR_TAIL_FLOOR)) | (sigma0 > _PAIR_SIGMA0_SPAN)] = 0
     return count
 
 
@@ -446,6 +463,7 @@ def _gauss_span(top, n: int) -> tuple[np.ndarray, np.ndarray]:
     return top * (x + 1.0) / 2.0, top * w / 2.0
 
 
+@functools.cache
 def _pair_table(rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The second run's Bessel table: its terms' nu, the sigma nodes and K (term, sigma0 node, sigma node).
 
@@ -456,7 +474,7 @@ def _pair_table(rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _PAIR_SIGMA0_SPAN).  Only the band |sigma_j - sigma0_i| <=
     _PAIR_SIGMA_BAND is evaluated, 46% of the entries, and the rest are
     0: at rho 0.1-0.99 each entry left out is at most 5.2e-32, against a
-    largest entry of 0.24-0.44.  Built once per _pair_factors call.
+    largest entry of 0.24-0.44.  Built once per rho, its arrays read-only.
     """
     alpha = math.acos(-rho)
     terms = math.ceil((_PAIR_NU_SPAN * alpha / math.pi + 1.0) / 2.0)
@@ -467,26 +485,17 @@ def _pair_table(rho: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     kernel = np.zeros((len(nu), len(sigma0), len(sigma)))
     kernel[:, i, j] = (2.0 / alpha) * sigma[j] * w[j] * np.exp(-(sigma[j] - sigma0[i]) ** 2 / 2.0) * ive(
         nu[:, None], sigma[j] * sigma0[i])
+    nu.flags.writeable = sigma.flags.writeable = kernel.flags.writeable = False
     return nu, sigma, kernel
 
 
 def _pair_factors(ends: np.ndarray, rho: float, terms: np.ndarray) -> np.ndarray:
     """The survival-correlation factors of two-component sides [a1, b1] u [a2, b2], in closed form.
 
-    One Bessel table (_pair_table) serves every side; the sides are
-    evaluated _PAIR_BATCH at a time (_pair_batch).
-    """
-    table = _pair_table(rho)
-    return np.concatenate([_pair_batch(ends[i:i + _PAIR_BATCH], rho, terms[i:i + _PAIR_BATCH], table)
-                           for i in range(0, len(ends), _PAIR_BATCH)])
-
-
-def _pair_batch(ends: np.ndarray, rho: float, terms: np.ndarray, table) -> np.ndarray:
-    """_pair_factors on a batch of sides, with the second run's Bessel table given.
-
-    ends is (K, 4), terms each side's first-run count (_pair_terms).  The
-    pair walks the rho-run L1 = b1 - a1, the shared gap g = a2 - b1, the
-    rho-run L2 = b2 - a2 and the shared tail tau = 1 - b2.  Every stage
+    ends is (K, 4), terms each side's first-run count (_pair_terms); the
+    sides are evaluated _PAIR_BATCH at a time.  The pair walks the
+    rho-run L1 = b1 - a1, the shared gap g = a2 - b1, the rho-run L2 =
+    b2 - a2 and the shared tail tau = 1 - b2.  Every stage
     is evaluated on one grid per side in v = min(W, W') and d = |W -
     W'|/2, whose v nodes span sqrt(b1) before the gap and sqrt(a2) after
     it, with the wedge geometry of _exact_factors (alpha = arccos(-rho),
@@ -507,7 +516,7 @@ def _pair_batch(ends: np.ndarray, rho: float, terms: np.ndarray, table) -> np.nd
        few nodes;
     3. second run and tail: from polar (r0, theta0) the survival is S =
        sum_odd sin(nu theta0) c_n(sigma0), sigma0 = r0/sqrt(L2), c_n =
-       K_n A_n with K_n from the table, shared by every side, and A_n
+       K_n A_n with K_n from _pair_table, shared by every side, and A_n
        the angular factor of _exact_factors at tau, on the sigma nodes
        (2/nu at tau = 0); c_n is interpolated from the table's sigma0
        nodes to the grid.  Only odd n survive: the tail's survival is
@@ -517,6 +526,9 @@ def _pair_batch(ends: np.ndarray, rho: float, terms: np.ndarray, table) -> np.nd
     S.  No code is shared with the sampled survival stack, which is its
     oracle.
     """
+    if len(ends) > _PAIR_BATCH:
+        return np.concatenate([_pair_factors(ends[i:i + _PAIR_BATCH], rho, terms[i:i + _PAIR_BATCH])
+                               for i in range(0, len(ends), _PAIR_BATCH)])
     a1, b1, a2, b2 = ends.T
     k = len(ends)
     alpha, kappa2, c = math.acos(-rho), 2.0 / (1.0 + rho), math.sqrt(1.0 - rho * rho)
@@ -550,7 +562,7 @@ def _pair_batch(ends: np.ndarray, rho: float, terms: np.ndarray, table) -> np.nd
     density *= (8.0 / (c * alpha * np.sqrt(a1) * (length + kappa2 * a1)))[:, None]
 
     # 3. the survival of the second run and tail from the grid after the gap
-    nu, sigma, bessel = table
+    nu, sigma, bessel = _pair_table(rho)
     angular = np.broadcast_to(2.0 / nu, (k, len(sigma), len(nu))).copy()
     tail = tau > 0.0
     if tail.any():
@@ -584,8 +596,7 @@ def _rhs_factors(sides, terms: np.ndarray, rho: float, n_samples: int,
     _RADIAL_NODES x _ANGULAR_NODES for one component and 2 x
     _PAIR_V_NODES x _PAIR_D_NODES for two.  All the one-component sides
     come from one _exact_factors call and all the two-component ones from
-    one _pair_factors call, which builds one Bessel table for them.  Any
-    other side is m_lambda_functional at
+    one _pair_factors call.  Any other side is m_lambda_functional at
     n_samples points on its node's stream for that side,
     derive_seed(node_seeds[i // 2], i % 2): the factor does not depend
     on its entrance time, so heights enter at the side's first point,
@@ -655,26 +666,23 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
       extra["replicates"] when some factor is sampled;
     - extra["quadrature_error"], the sum of extra["gap_errors"]: on each
       gap whose factors are all exact, the same rule at m = ceil(n/2)
-      nodes estimates the n-node rule's error.  The gap's band is |I_n -
-      I_m|, which overstates the error because the rule converges so
-      much faster than the m-node one, plus twice its arc-sine mass times
-      the grid error of its least accurate factor, the factors' own
-      error: _FACTOR_GRID_ERROR, or _PAIR_GRID_ERROR once a side has two
-      components (_grid_error).  A coarse side the series cannot take is
-      sampled, on derive_seed(derive_seed(seed, _TAG_COARSE, gap, node),
-      side): its noise only widens the estimate on average.  A gap with a
-      sampled factor adds 0: its I_n - I_m would carry the sampling noise
-      its nodes already band.
+      nodes, all exact too (_series_terms), estimates the n-node rule's
+      error.  The gap's band is |I_n - I_m|, which overstates the error
+      because the rule converges so much faster than the m-node one,
+      plus twice its arc-sine mass times the grid error of its least
+      accurate factor, the factors' own error: _FACTOR_GRID_ERROR, or
+      _PAIR_GRID_ERROR once a side has two components (_grid_error).  A
+      gap with a sampled factor adds 0: its I_n - I_m would carry the
+      sampling noise its nodes already band.
 
     Then each exact gap whose band exceeds _GAP_TOLERANCE doubles its
     node count, round by round, and its n-node rule becomes the coarse
-    one of the 2n-node rule, so no rule is evaluated twice; a round
-    evaluates only the doubled gaps.  A gap stops once its band is within
-    the tolerance, when 2n would pass NODE_CAP, or when a side of its
-    2n-node rule would be sampled (_series_terms, decided before any
-    factor is evaluated): it then keeps its n-node rule and band.  No
-    doubled rule reads a stream, so the result stays a function of the
-    arguments.
+    one of the 2n-node rule, banded by the same update, so no rule is
+    evaluated twice; a round evaluates only the doubled gaps.  A gap
+    stops once its band is within the tolerance, when 2n would pass
+    NODE_CAP, or when a side of its 2n-node rule would be sampled
+    (_series_terms, decided before any factor is evaluated): it then
+    keeps its n-node rule and band.
 
     n_samples counts every point evaluated, the coarser rules' included:
     n_samples_per_node per sampled factor and the grid's points per
@@ -697,49 +705,40 @@ def rhs_integral(region: TimeSet, rho: float, n_nodes: int,
     if not region:
         return EstimateWithError.exact(1.0)
     gaps = region.complement_components()
-    factors = []
+    factors, evaluated = [], []
 
-    def evaluate(rules, node_seeds):
+    def evaluate(rules, node_seeds=()):
         """Each rule's (left, right) factor pairs, node by node, from one _rhs_factors call."""
         new = _rhs_factors([side for rule in rules for side in rule[2]],
                            np.concatenate([rule[3] for rule in rules]), rho,
                            n_samples_per_node, node_seeds)
         factors.extend(new)
+        evaluated.extend(rules)
         pairs = iter(zip(new[0::2], new[1::2]))
         return [[next(pairs) for _ in rule[0]] for rule in rules]
 
     final = [_rule(region, gap, n_nodes, rho) for gap in gaps]
     # the factors' own error over each gap: its sides' component counts are the same at every node
     floors = [2.0 * _grid_error(rule) * (_theta(b) - _theta(a)) for rule, (a, b) in zip(final, gaps)]
-    coarse_n = -(-n_nodes // 2)
-    coarse = {g: _rule(region, gaps[g], coarse_n, rho) for g, rule in enumerate(final) if _all_exact(rule)}
-    node_seeds = [derive_seed(seed, _TAG_NODE, g, ni) for g in range(len(gaps))
-                  for ni in range(n_nodes)]
-    node_seeds += [derive_seed(seed, _TAG_COARSE, g, ni) for g in coarse for ni in range(coarse_n)]
-    evaluated = final + list(coarse.values())
-    pairs = evaluate(evaluated, node_seeds)
+    coarse = {g: _rule(region, gaps[g], -(-n_nodes // 2), rho) for g, rule in enumerate(final) if _all_exact(rule)}
+    if not all(map(_all_exact, coarse.values())):
+        raise RuntimeError(f"_series_terms' premise fails on {region} at rho={rho} from {n_nodes} nodes")
+    pairs = evaluate(final + list(coarse.values()), [derive_seed(seed, _TAG_NODE, g, ni)
+                                                     for g in range(len(gaps)) for ni in range(n_nodes)])
     final_pairs = pairs[:len(gaps)]
-    sums = [_gap_sum(rule, p) for rule, p in zip(final, final_pairs)]
+    sums = {g: _gap_sum(rule, p) for (g, rule), p in zip(coarse.items(), pairs[len(gaps):])}
     gap_errors = [0.0] * len(gaps)
-    for (g, rule), p in zip(coarse.items(), pairs[len(gaps):]):
-        gap_errors[g] = abs(sums[g] - _gap_sum(rule, p)) + floors[g]
-    growing = list(coarse)
-    while True:
+    fine = {g: (final[g], final_pairs[g]) for g in coarse}
+    while fine:
         doubled = {}
-        for g in growing:
-            n = 2 * len(final[g][0])
-            if gap_errors[g] > _GAP_TOLERANCE and n <= NODE_CAP:
-                rule = _rule(region, gaps[g], n, rho)
-                if _all_exact(rule):
-                    doubled[g] = rule
-        if not doubled:
-            break
-        evaluated += doubled.values()
-        for (g, rule), p in zip(doubled.items(), evaluate(list(doubled.values()), [])):
+        for g, (rule, p) in fine.items():  # each band against the gap's last, coarser rule
             fine_sum = _gap_sum(rule, p)
             gap_errors[g] = abs(fine_sum - sums[g]) + floors[g]
             final[g], final_pairs[g], sums[g] = rule, p, fine_sum
-        growing = list(doubled)
+            if gap_errors[g] > _GAP_TOLERANCE and 2 * len(rule[0]) <= NODE_CAP:
+                doubled[g] = _rule(region, gaps[g], 2 * len(rule[0]), rho)
+        doubled = {g: rule for g, rule in doubled.items() if _all_exact(rule)}
+        fine = dict(zip(doubled, zip(doubled.values(), evaluate(list(doubled.values()))))) if doubled else {}
 
     def dof(est):
         return est.extra["replicates"] - 1 if est.extra else None

@@ -259,7 +259,12 @@ def test_survival_errors_name_their_replicates(capsys):
         assert rhs["n_samples"] >= 2 and rhs["stderr"] == rhs["quadrature_error"] > 0.0
 
 
-def test_direct_route_reports_its_strata(capsys):
+def fixed_rhs(monkeypatch, mean, stderr):
+    """Stand a fixed estimate in for the RHS: its band no longer moves the stability check's allowance."""
+    monkeypatch.setattr(theorem, "rhs_integral", lambda *args: EstimateWithError(mean, stderr, 100, seed=0))
+
+
+def test_direct_route_reports_its_strata(monkeypatch, capsys):
     # the LHS is stratified in cells of 2 samples (3 in a batch's last
     # cell when its size is odd), and the payloads say how many, as the
     # RHS names its replicates
@@ -267,7 +272,8 @@ def test_direct_route_reports_its_strata(capsys):
                             "--samples", "2049", "--seed", "3"], capsys)
     assert code == 0 and json.loads(out)["results"]["strata"] == 1024
     # at rho 0.3 and seed 28 the top level's 12 walks resolve the
-    # stability check, in one batch
+    # stability check, in one batch, against the RHS 0.5879827 +- 5.06e-5
+    fixed_rhs(monkeypatch, 0.5879827, 5.06e-5)
     code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.3", "--seed", "28",
                             "--node-samples", "100", *_THEOREM_SMALL, "--check-stability"],
                            capsys)
@@ -560,8 +566,7 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
 
     monkeypatch.setattr(theorem, "argmin_coincidence", direct_route)
     # the other route agrees with the direct route on the grid
-    monkeypatch.setattr(theorem, "rhs_integral",
-                        lambda *args: EstimateWithError(means[0], stderr, 100, seed=0))
+    fixed_rhs(monkeypatch, means[0], stderr)
     code, out, _ = run_cli(["theorem-check", "--A", "", "--rho", "0.5",
                             "--check-stability"], capsys)
     results = json.loads(out)["results"]
@@ -599,10 +604,12 @@ def test_an_immaterial_grid_bias_passes_the_stability_check(capsys):
     assert code == 0
 
 
-def test_a_stability_check_on_a_region_touching_both_ends_gives_a_json_verdict(capsys):
+def test_a_stability_check_on_a_region_touching_both_ends_gives_a_json_verdict(monkeypatch, capsys):
     # on 0..1/4,3/4..1 no paired walk of this run differs, so the grid
     # bias's stderr is its floor 1 / walks; the verdict's check is a plain
-    # bool, which the payload writes as JSON true or false
+    # bool, which the payload writes as JSON true or false.  The RHS is
+    # 0.2361676 +- 2.11e-5
+    fixed_rhs(monkeypatch, 0.2361676, 2.11e-5)
     code, out, _ = run_cli(["theorem-check", "--A", "0..1/4,3/4..1", "--rho", "0.7",
                             "--n-grid", "64", "--samples", "300", "--nodes", "2",
                             "--node-samples", "200", "--seed", "14", "--check-stability"], capsys)
@@ -613,12 +620,13 @@ def test_a_stability_check_on_a_region_touching_both_ends_gives_a_json_verdict(c
     assert results["grid_bias"]["estimate"] == 0.0 and results["grid_bias"]["stderr"] > 0.0
 
 
-def test_a_stability_check_unresolved_at_its_cap_does_not_pass(capsys):
+def test_a_stability_check_unresolved_at_its_cap_does_not_pass(monkeypatch, capsys):
     # at n_grid 16 the grid bias lies so near its allowance that its
     # 4-sigma band still reaches both sides of it at the cap of 64
-    # budgets, 6 400 walks (2.00e-3 +- 1.7e-4 against 1.60e-3): the top
-    # level stops there with the check unresolved, and the verdict does
-    # not pass
+    # budgets, 6 400 walks (2.00e-3 +- 1.7e-4 against 1.60e-3, the RHS
+    # 0.6589992 +- 2.01e-5): the top level stops there with the check
+    # unresolved, and the verdict does not pass
+    fixed_rhs(monkeypatch, 0.6589992, 2.01e-5)
     code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.65",
                             "--n-grid", "16", "--samples", "100", "--nodes", "2",
                             "--node-samples", "100", "--seed", "1", "--check-stability"], capsys)

@@ -282,7 +282,12 @@ def test_verify_theorem_small_case_passes():
     assert d["pass"] and "nodes" not in d["rhs"]
 
 
-def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
+def fixed_rhs(monkeypatch, mean, stderr):
+    """Stand a fixed estimate in for the RHS: its band no longer moves the stability check's allowance."""
+    monkeypatch.setattr(theorem, "rhs_integral", lambda *args: EstimateWithError(mean, stderr, 100, seed=0))
+
+
+def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one(monkeypatch):
     # on a region that touches 0 and reaches 1 each grid scores 0 or 1,
     # and at a budget of 100 no walk of the top level, 49 paired walks at
     # 8192, tells the two grids apart: the paired sample stderr is 0, and
@@ -296,7 +301,9 @@ def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
     # the floor's 4 / 49 is 14 allowances: the top level walks on, at most
     # fourfold a round, toward the 834 walks that put four floors within
     # the allowance, and stops at 49 * 4^2 = 784, the first round where
-    # 4 / m is within it; none of the walks tells the grids apart either
+    # 4 / m is within it; none of the walks tells the grids apart either.
+    # The RHS is 1.369539e-4 +- 2.54e-6
+    fixed_rhs(monkeypatch, 1.369539e-4, 2.54e-6)
     report = verify_theorem(region, 0.5, seed=1, lhs_n_grid=4096, lhs_samples=100,
                             n_nodes=2, node_samples=100, check_stability=True)
     m = report.lhs_refined.extra["levels"][-1]["samples"]
@@ -316,7 +323,8 @@ def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one():
     # one step on A against two, at rho 0.9: the bias (about 0.016) fails
     # it, on the sample stderr.  At seed 2 the top level's 204 walks leave
     # it unresolved, and one round of walking on, at most fourfold,
-    # resolves it as material
+    # resolves it as material (the RHS 0.4455101 +- 2.67e-5)
+    fixed_rhs(monkeypatch, 0.4455101, 2.67e-5)
     report = verify_theorem(region, 0.9, seed=2, lhs_n_grid=2, lhs_samples=20_000,
                             n_nodes=2, node_samples=100, check_stability=True)
     two = argmin_coincidence(region, 0.9, 2, 20_000, derive_seed(2, theorem._TAG_LHS),
@@ -350,12 +358,14 @@ def rhs_node_terms(row):
     return [(w * ls * right) ** 2, (w * rs * left) ** 2, (w * ls * rs) ** 2]
 
 
-def test_an_unresolved_stability_check_walks_on_until_resolved():
+def test_an_unresolved_stability_check_walks_on_until_resolved(monkeypatch):
     # at n_grid 256 and 2000 samples the top level's 572 walks at 512 put
     # four stderrs of the grid bias at 1.5 allowances.  The check is
     # unresolved, so the top level walks on, to the walks its variance
     # predicts: the estimate and the levels below are the run's without
-    # it, and the grid bias's 4-sigma band ends within the allowance
+    # it, and the grid bias's 4-sigma band ends within the allowance.
+    # The RHS is 0.6716799 +- 1.95e-5
+    fixed_rhs(monkeypatch, 0.6716799, 1.95e-5)
     region, seed = QUARTER_HALF, derive_seed(2, theorem._TAG_LHS)
     first = argmin_coincidence(region, 0.7, 256, 2000, seed, refine=True)
     assert first.extra["refined"].extra["levels"][-1]["samples"] == 572
@@ -373,13 +383,15 @@ def test_an_unresolved_stability_check_walks_on_until_resolved():
     assert report.stability_ok and report.passed
 
 
-def test_a_one_level_stability_check_walks_on_until_resolved():
+def test_a_one_level_stability_check_walks_on_until_resolved(monkeypatch):
     # at n_grid 16 and 500 samples the run is one level; the check adds a
     # top level at 32, which walks on like any other, and lhs is the run
     # without the check, bit for bit.  The grid bias here lies near the
-    # allowance (2.5e-3 against 2.2e-3): walked on without a cap it is
-    # shown beyond it at about 200k walks, but within the cap of 32 000 it
-    # is not resolved, so the check does not pass
+    # allowance (2.5e-3 against 2.2e-3, the RHS 0.6716799 +- 1.95e-5):
+    # walked on without a cap it is shown beyond it at about 200k walks,
+    # but within the cap of 32 000 it is not resolved, so the check does
+    # not pass
+    fixed_rhs(monkeypatch, 0.6716799, 1.95e-5)
     seed = derive_seed(1, theorem._TAG_LHS)
     plain = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed)
     assert len(plain.extra["levels"]) == 1
@@ -664,6 +676,8 @@ def test_pair_factor_grid_is_within_its_stated_error_of_a_finer_grid(monkeypatch
     for name in ("_PAIR_V_NODES", "_PAIR_D_NODES", "_PAIR_S_NODES", "_PAIR_SIGMA0_NODES",
                  "_PAIR_SIGMA_NODES", "_PAIR_NU_SPAN"):
         monkeypatch.setattr(theorem, name, 2 * getattr(theorem, name))
+    # the refined Bessel table, built afresh and kept out of the per-rho cache
+    monkeypatch.setattr(theorem, "_pair_table", theorem._pair_table.__wrapped__)
     for (side, rho), value, count in zip(cases, lean, terms):
         fine = theorem._pair_factors(np.array([side]), rho, np.array([2 * count]))[0]
         assert abs(value - fine) <= theorem._PAIR_GRID_ERROR, (side, rho)
@@ -683,27 +697,26 @@ def test_pair_factors_are_one_batch():
         assert batch == pytest.approx(alone, abs=1e-15)
 
 
-def test_one_bessel_table_per_rhs_integral(monkeypatch):
-    # the second run's table depends on rho alone: one rhs_integral call
-    # builds it once for all its two-component sides, and the next call
-    # builds its own
-    calls = []
-    table = theorem._pair_table
-
-    def counted(rho):
-        calls.append(rho)
-        return table(rho)
-
-    monkeypatch.setattr(theorem, "_pair_table", counted)
+def test_one_bessel_table_per_rho():
+    # the second run's table depends on rho alone: it is built once per rho
+    # for every two-component side, whichever rule or call evaluates them,
+    # and every caller shares its read-only arrays
+    theorem._pair_table.cache_clear()
     first = rhs_integral(SPLIT, 0.5, 8, 100, seed=1)
-    assert calls == [0.5]
+    assert theorem._pair_table.cache_info().misses == 1
     # 8 + 4 nodes per gap: one pair side per outer gap's node, two one-component
-    # sides per middle gap's, whose 16-node rule adds two more per node and
-    # no table
+    # sides per middle gap's, whose 16-node rule adds two more per node
     assert first.extra["nodes_per_gap"] == [8, 16, 8]
     assert first.extra["exact_factors"] == 2 * (8 + 4) + 2 * (8 + 4 + 16)
     second = rhs_integral(SPLIT, 0.5, 8, 100, seed=2)
-    assert calls == [0.5, 0.5] and (second.mean, second.stderr) == (first.mean, first.stderr)
+    assert (second.mean, second.stderr) == (first.mean, first.stderr)
+    # from 4 nodes the outer gaps double to 8: two rounds read pair sides
+    theorem._pair_table.cache_clear()
+    assert rhs_integral(SPLIT, 0.5, 4, 100, seed=1).extra["nodes_per_gap"][::2] == [8, 8]
+    assert theorem._pair_table.cache_info().misses == 1
+    nu, sigma, kernel = theorem._pair_table(0.5)
+    assert theorem._pair_table(0.5)[2] is kernel
+    assert not any(array.flags.writeable for array in (nu, sigma, kernel))
 
 
 def test_gauss_legendre_rules_are_built_once_and_read_only():
@@ -932,13 +945,21 @@ def test_quadrature_error_comes_only_from_exact_gaps():
                     == (direct.mean, direct.stderr)
 
 
-def test_a_sampled_coarse_side_keeps_its_gap_term(monkeypatch):
-    # a gap whose 4 nodes are exact keeps its term when a side of its
-    # 2-node coarse rule is sampled, on that side's own stream.  No region
-    # is known where that happens by itself: the coarse nodes lie inside
-    # the span of the fine ones, and a side leaves the series' domain only
-    # farther from the gap's interior end (none in 65 000 random gaps at
-    # 4-8 nodes).  So each gap's first coarse node is made to sample its side
+def test_four_nodes_on_a_quarter_half_run_the_eight_node_rule():
+    # every 4-node band exceeds the tolerance: each gap doubles to 8 nodes,
+    # banded against its 4-node rule, and the result is the 8-node run's
+    region, rho = QUARTER_HALF, 0.3
+    doubled = rhs_integral(region, rho, 4, 400, seed=3)
+    eight = rhs_integral(region, rho, 8, 400, seed=3)
+    assert doubled.extra["nodes_per_gap"] == eight.extra["nodes_per_gap"] == [8, 8]
+    assert (doubled.mean, doubled.stderr, doubled.extra["gap_errors"]) == \
+        (eight.mean, eight.stderr, eight.extra["gap_errors"])
+
+
+def test_a_coarse_rule_with_a_sampled_side_raises(monkeypatch):
+    # the coarse rule of an exact gap has no sampled side
+    # (test_the_coarse_rule_of_an_exact_gap_is_exact); were one sampled,
+    # the run stops before any factor is evaluated, never banding that gap 0
     series_terms = theorem._series_terms
 
     def coarse_node_sampled(sides, rho):
@@ -947,38 +968,58 @@ def test_a_sampled_coarse_side_keeps_its_gap_term(monkeypatch):
             terms[:2] = 0
         return terms
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a factor was evaluated")
+
     monkeypatch.setattr(theorem, "_series_terms", coarse_node_sampled)
-    region, rho = QUARTER_HALF, 0.3
-    # the noisy band exceeds the tolerance: each gap doubles to 8 nodes and
-    # its band becomes the exact 4-node rule's distance, as with no coarse
-    # side sampled; the sampled coarse rule's points still count
-    doubled = rhs_integral(region, rho, 4, 400, seed=3)
-    eight = rhs_integral(region, rho, 8, 400, seed=3)
-    assert doubled.extra["nodes_per_gap"] == [8, 8] and doubled.extra["replicates"] == 16
-    assert (doubled.mean, doubled.stderr, doubled.extra["gap_errors"]) == \
-        (eight.mean, eight.stderr, eight.extra["gap_errors"])
-    assert doubled.n_samples == eight.n_samples + 2 * 400 + 2 * 32 * 16
-    # with no doubling the gap keeps the sampled coarse rule's term
-    monkeypatch.setattr(theorem, "_GAP_TOLERANCE", math.inf)
-    est = rhs_integral(region, rho, 4, 400, seed=3)
-    assert all(r["left_stderr"] == r["right_stderr"] == 0.0 for r in est.extra["nodes"])
-    assert est.extra["replicates"] == 16 and est.extra["exact_factors"] == 2 * (4 + 1)
-    assert est.n_samples == 10 * 32 * 16 + 2 * 400
-    diffs = []
-    for g, gap in enumerate(region.complement_components()):
-        assert _all_exact(_rule(region, gap, 4, rho))
-        rule = _rule(region, gap, 2, rho)
-        assert not _all_exact(rule)
-        _, weights, sides, terms = rule
-        factors = _rhs_factors(sides, terms, rho, 400,
-                               [derive_seed(3, theorem._TAG_COARSE, g, ni) for ni in (0, 1)])
-        coarse = sum(w * left.mean * right.mean
-                     for w, left, right in zip(weights, factors[0::2], factors[1::2]))
-        diffs.append(abs(sum(r["weight"] * r["left"] * r["right"] for r in gap_rows(est, g))
-                         - coarse))
-    gaps = region.complement_components()
-    assert est.extra["quadrature_error"] == pytest.approx(sum(diffs) + grid_floor(gaps), rel=1e-12)
-    assert est.stderr == est.extra["quadrature_error"] > 0.0
+    monkeypatch.setattr(theorem, "_rhs_factors", forbidden)
+    with pytest.raises(RuntimeError, match="premise"):
+        rhs_integral(QUARTER_HALF, 0.3, 4, 400, seed=3)
+
+
+def random_region(rng):
+    """A region of 1-4 components on the 1/64 grid, neither empty nor full; 3 in 10 touch 0 or 1."""
+    k = int(rng.integers(1, 5))
+    ends = np.sort(rng.choice(np.arange(1, 64), size=2 * k, replace=False))
+    touch = rng.random()
+    if touch < 0.15:
+        ends[0] = 0
+    elif touch < 0.3:
+        ends[-1] = 64
+    text = ",".join(f"{lo}/64..{hi}/64" for lo, hi in zip(ends[0::2], ends[1::2]))
+    return TimeSet.parse(text)
+
+
+def test_the_coarse_rule_of_an_exact_gap_is_exact():
+    # _series_terms' premise, on 40 seeded random regions at rho 0.1-0.99
+    # and 1, and on two whose pair side's tail is 1/20 of its second run,
+    # _PAIR_TAIL_FLOOR, at every t (rounding once read it either side):
+    # (a) along a gap the left side is exact on an interval reaching the
+    # gap's lower end and the right side on one reaching its upper end;
+    # (b) the coarse rule's nodes lie within the fine rule's span; and so
+    # a fine rule with no sampled side has a coarse rule with none
+    rng = np.random.default_rng(33)
+    cases = [(random_region(rng), 1.0 if i % 8 == 0 else float(rng.uniform(0.1, 0.99)))
+             for i in range(40)]
+    cases += [(TimeSet.parse("20/64..28/64,43/64..63/64"), 0.78),
+              (TimeSet.parse("1/64..21/64,26/64..39/64,51/64..54/64"), 0.84)]
+    fines = exact_fines = 0
+    for region, rho in cases:
+        for a, b in region.complement_components():
+            times = np.linspace(a, b, 202)[1:-1]
+            sides = [side for t in times for side in _pullback(float(t), region)]
+            exact = np.array([bool(k) or not side for k, side in zip(_series_terms(sides, rho), sides)])
+            assert np.all(np.diff(exact[0::2].astype(int)) <= 0), (region, rho, (a, b))
+            assert np.all(np.diff(exact[1::2].astype(int)) >= 0), (region, rho, (a, b))
+            for n in (4, 5, 6, 7, 8, 9, 16, 24):
+                fine, coarse = _rule(region, (a, b), n, rho), _rule(region, (a, b), -(-n // 2), rho)
+                assert min(fine[0]) <= min(coarse[0]) and max(coarse[0]) <= max(fine[0])
+                fines += 1
+                if _all_exact(fine):
+                    exact_fines += 1
+                    assert _all_exact(coarse), (region, rho, (a, b), n)
+    # the regions reach both outcomes
+    assert 0 < exact_fines < fines
 
 
 def test_quadrature_error_at_one_and_two_nodes():
