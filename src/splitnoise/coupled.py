@@ -366,21 +366,24 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     floating point; a tie fraction above 0.1% on any level flags the
     run, and tie_fraction is the largest level's.
 
-    With refine, the budget is n_samples walks at 2 n_grid, and a top
-    level at 2 n_grid follows the levels of the run without refine:
-    extra["refined"] is the estimate at 2 n_grid, the sum of every
-    level, and extra["grid_bias"] the top level alone, the paired
-    per-sample difference between the grids n_grid and 2 n_grid, with
-    its Welch-Satterthwaite degrees of freedom over its cells as
+    With refine, a top level at 2 n_grid follows the levels of the run
+    without refine: extra["refined"] is the estimate at 2 n_grid, the
+    sum of every level, and extra["grid_bias"] the top level alone, the
+    paired per-sample difference between the grids n_grid and 2 n_grid,
+    with its Welch-Satterthwaite degrees of freedom over its cells as
     extra["dof"].  The estimate itself is the sum of the other levels,
-    bit for bit the run without refine, and the top level takes the
-    rest of the budget, at least 2 walks.  top_walks, when given, may
-    ask the top level for more walks: it is called with the result and
-    the top level's walks, and returns the walks the top level should
-    have, or None.  The top level then walks the difference in more
-    batches, numbered on from its own, and the result is formed again;
-    this repeats until it returns None or no more than it has.  The
-    estimate and the levels below do not change.
+    bit for bit the run without refine.  The top level walks after
+    them, in rounds.  top_walks, when given, is called with the result
+    and the top level's walks, and returns the walks the top level
+    should have, or None.  Its first call, with walks 0, comes before the
+    top level walks: the result then has no grid_bias, and
+    extra["top_variance"] is the top level's predicted variance per walk
+    (_top_variance).  Where that call gives None, or there is no hook,
+    the first round is _LEVEL_FLOOR walks.  After each round the top level
+    walks the difference to what the hook asks for in more batches,
+    numbered on from its own, and the result is formed again, until the
+    hook returns None or no more than it has.  The estimate and the
+    levels below do not change.
 
     A 4-sigma band of width 0 cannot fail, so on a region neither empty
     nor full, with n = n_samples, a stderr of 0 is replaced.  The
@@ -410,15 +413,18 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
             sums[k] += [b * mean[0], b * b * var[0], b**4 * welch[0]]
             ties[k] += np.count_nonzero(tied.any(axis=0))
 
+    below = len(levels) - refine  # the levels the estimate sums
+
     def result():
-        """The estimate of the levels walked so far, with refine its refined run and grid bias."""
-        n = np.array([float(sum(level[3])) for level in levels])
-        means, tied = sums / np.transpose([n, n * n, n**4]), ties / n
+        """The estimate of the levels below the top, with a walked top level its refined run and grid bias."""
+        walked = [level for level in levels if level[3]]
+        n = np.array([float(sum(level[3])) for level in walked])
+        means = sums[:len(walked)] / np.transpose([n, n * n, n**4])
+        tied = ties[:len(walked)] / n
         floor = (1.0 - _TAIL_4SIGMA ** (1.0 / n_samples)) / 4.0
-        shown = [(grid, sizes) for grid, _, _, sizes in levels]
-        below = len(levels) - refine  # the levels the estimate sums
+        shown = [(grid, sizes) for grid, _, _, sizes in walked]
         est = _level_sum(means[:below], shown[:below], tied[:below], region, floor, n_samples, seed)
-        if refine:
+        if len(walked) > below:
             est.extra["refined"] = _level_sum(means, shown, tied, region, floor, n_samples, seed)
             mean, var, welch = means[-1].tolist()
             est.extra["grid_bias"] = _nonzero_stderr(
@@ -427,19 +433,44 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
                 region, 1.0 / float(n[-1]))
         return est
 
-    for k, level in enumerate(levels):
+    for k, level in enumerate(levels[:below]):
         walk(k, level[3])
     est = result()
-    while refine and top_walks is not None:
+    if not refine:
+        return est
+    est.extra["top_variance"] = _top_variance(est.extra["levels"], n_grid)
+    total, walks = (top_walks and top_walks(est, 0)) or _LEVEL_FLOOR, 0
+    while total is not None and total > walks:
         grid, steps, walk_refine, sizes = levels[-1]
-        total = top_walks(est, sum(sizes))
-        if total is None or total <= sum(sizes):
-            return est
-        more = _batches(max(2, total - sum(sizes)))
-        walk(len(levels) - 1, more, len(sizes))
+        more = _batches(max(2, total - walks))
+        walk(below, more, len(sizes))
         levels[-1] = (grid, steps, walk_refine, sizes + more)
+        walks += sum(more)
         est = result()
+        total = top_walks and top_walks(est, walks)
     return est
+
+
+def _top_variance(rows, n_grid: int) -> float:
+    """The predicted variance of one walk of a refined run's top level, at 2 n_grid.
+
+    rows are the levels below it (extra["levels"]).  A refined level's
+    variance per walk times its grid is nearly flat (1/4..1/2 at rho
+    0.3, n_grid 4096, 1200 samples, seed 5: 1.27e-3, 1.43e-3, 1.77e-3,
+    1.72e-3 and 7.3e-4 at grids 256-4096, and 1.57e-3 at the top level's
+    8192), so the prediction is that product, pooled over the refined
+    levels' walks, over 2 n_grid.  A one-level run has no refined level:
+    its level's variance per walk times the ratio of _levels' model,
+    _LEVEL_DECAY * _COARSEST_GRID / (2 n_grid).  Against the top level's
+    measured variance (1/4..1/2, 10 seeds each) that reads 7.8x too high
+    at rho 0.3 and n_grid 4096, 6.7x at 64, and 2.0x and 6.2x too low at
+    rho 0.7 and 0.9 and n_grid 16; walking on corrects a low one.
+    """
+    per_walk = [(row["samples"], row["samples"] * row["stderr"] ** 2, row["grid"]) for row in rows]
+    if len(per_walk) == 1:
+        return per_walk[0][1] * _LEVEL_DECAY * _COARSEST_GRID / (2 * n_grid)
+    refined = per_walk[1:]
+    return sum(n * v * grid for n, v, grid in refined) / sum(n for n, _, _ in refined) / (2 * n_grid)
 
 
 def _direct_plan(region, rho: float, n_grid: int, n_samples: int, refine: bool):
@@ -496,11 +527,11 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
     least modelled variance; one level of n_samples walks at n_grid
     (variance 1 / n_samples) is the choice when no chain beats it.
 
-    With refine the budget is n_samples walks at 2 n_grid: the levels
-    are those without refine, and the rest of the budget goes to a top
-    level at 2 n_grid, walked refined, last (at least 2 samples).
-    Every level's steps and batch sizes are checked here, before the
-    first draw.
+    With refine the levels are those without refine, and a top level at
+    2 n_grid, walked refined, comes last with no batches yet:
+    argmin_coincidence sizes it from the levels below once they have
+    walked.  Every level's steps, and the batch sizes of every level
+    below the top, are checked here, before the first draw.
     """
     _check_samples(n_samples)  # the budget is a sample count
     budget = n_samples * (sum(math.ceil(n_grid * x) for x in lengths) + _SAMPLE_COST)
@@ -529,17 +560,12 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
             if total < least:
                 chain, counts, least = grids, plan, total
     base = chain[0]
-    levels = [(grid, steps(grid, base), grid > base, n) for grid, n in zip(chain, counts)]
-    if refine:
-        top = steps(2 * n_grid, base)
-        cost = sum(top) + _SAMPLE_COST
-        spent = sum(n * (sum(s) + _SAMPLE_COST) for _, s, _, n in levels)
-        levels.append((2 * n_grid, top, True, max(2, (n_samples * cost - spent) // cost)))
-    plan = []
-    for grid, s, walk_refine, n in levels:
+    plan = [(grid, steps(grid, base), grid > base, _batches(n)) for grid, n in zip(chain, counts)]
+    if refine:  # sized once the levels below have walked (argmin_coincidence)
+        plan.append((2 * n_grid, steps(2 * n_grid, base), True, []))
+    for _, s, _, _ in plan:
         if s:  # the steps one path walks, on every component
             _check_steps(sum(s))
-        plan.append((grid, s, walk_refine, _batches(n)))
     return plan
 
 

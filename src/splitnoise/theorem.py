@@ -36,8 +36,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import erf, gammaln, hyp1f1, ive, spherical_jn, stdtrit
 
-from .coupled import (_TAIL_4SIGMA, _check_steps, _direct_plan, argmin_coincidence, discrete_phi,
-                      m_lambda_functional)
+from .coupled import (_LEVEL_FLOOR, _TAIL_4SIGMA, _check_steps, _direct_plan, argmin_coincidence,
+                      discrete_phi, m_lambda_functional)
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import (SAMPLE_CAP, EstimateWithError, _check_samples, derive_seed,
                        product_estimate, welch_dof)
@@ -128,6 +128,13 @@ _GRID_ALLOWANCE = 0.25
 # on, and walks at most this many times the run's budget in all
 _TOP_GROWTH = 4
 _TOP_BUDGETS = 64
+# the top level's first round aims its stderr at the allowance over this,
+# from its predicted variance (coupled._top_variance).  theorem-check on
+# 1/4..1/2 at rho 0.3, n_grid 4096, 1200 samples, seeds 3301-3400, every
+# check passing: at 6.5 the top level ends at 328 / 360 / 492 / 932 walks
+# (p10 / median / p90 / max), 3% of seeds past the 573 a budget-sized top
+# level took; at 5.5 at 244 / 331 / 582 / 956, 12% past 573
+_TOP_AIM = 6.5
 
 
 def band_multiplier(dof: float | None) -> float:
@@ -825,6 +832,7 @@ class TheoremReport:
             out["grid_bias"] = {"estimate": self.grid_bias.mean, "stderr": self.grid_bias.stderr,
                                 "dof": (self.grid_bias.extra or {}).get("dof")}
             out["grid_bias_allowance"] = _GRID_ALLOWANCE * self.combined_stderr
+            out["grid_bias_threshold"] = _bias_band(self.grid_bias)
             out["grid_stability_ok"] = self.stability_ok
         return out
 
@@ -843,9 +851,11 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     more level at the doubled grid (argmin_coincidence with refine), and
     that top level, the per-sample difference between the two grids on
     the same draws, is grid_bias.  No finite grid is unbiased, so the
-    check passes when |grid_bias| plus four of its stderrs is within the
-    allowance, _GRID_ALLOWANCE times the combined stderr; until that
-    band lies on one side of the allowance the top level walks on
+    check passes when |grid_bias| plus its band, the same t band at its
+    own dof (_bias_band), is within the allowance, _GRID_ALLOWANCE times
+    the combined stderr.  The top level's first round is the walks its
+    predicted variance needs for a stderr of the allowance / _TOP_AIM,
+    and until the band lies on one side of the allowance it walks on
     (_top_walks, at most _TOP_BUDGETS times lhs_samples in all).  lhs,
     the levels below the top, does not change.  A check that does not
     pass fails the verdict, as does the tie flag of any level.  Every
@@ -873,7 +883,7 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
                      (rhs.stderr**2, (rhs.extra or {}).get("dof"))])
     threshold = band_multiplier(dof)
     stability_ok = None if grid_bias is None else (
-        abs(grid_bias.mean) + 4.0 * grid_bias.stderr <= _GRID_ALLOWANCE * combined)
+        abs(grid_bias.mean) + _bias_band(grid_bias) * grid_bias.stderr <= _GRID_ALLOWANCE * combined)
     tied = any(est.extra["tie_flag"] for est in (lhs, lhs_refined) if est is not None)
     return TheoremReport(
         region=str(region), rho=rho, lhs=lhs, rhs=rhs,
@@ -884,22 +894,35 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     )
 
 
+def _bias_band(bias: EstimateWithError) -> float:
+    """How many stderrs wide the grid bias's band is: the verdict's t band at its own dof."""
+    return band_multiplier((bias.extra or {}).get("dof"))
+
+
 def _top_walks(lhs: EstimateWithError, walks: int, allowance: float, cap: int) -> int | None:
     """The top-level walks that resolve a refined run's stability check, or None.
 
-    lhs is the run so far, walks its top level's.  The check is resolved
-    once the grid bias's 4-sigma band lies on one side of the allowance
-    (passed within it, failed beyond).  Until then the top level gets a
-    fifth more walks than its variance predicts for the stderr wanted,
-    ||bias| - allowance| / 4: walks times (stderr / wanted)^2, 1 / wanted
-    where no pair differed and the stderr is the floor 1 / walks
-    (argmin_coincidence); at most _TOP_GROWTH times walks a round, so
-    that a check the next round resolves stops there, and at most cap in
-    all, which a bias near the allowance would otherwise far exceed.  A
-    check unresolved at the cap does not pass.
+    lhs is the run so far, walks its top level's.  Before the top level
+    walks (walks 0) its first round is the walks its predicted variance
+    per walk, lhs.extra["top_variance"], needs for a stderr of allowance
+    / _TOP_AIM, at least _LEVEL_FLOOR and at most cap.  The check is
+    resolved once the grid bias's band, _bias_band stderrs wide, lies on
+    one side of the allowance (passed within it, failed beyond).  Until
+    then the top level gets a fifth more walks than its variance
+    predicts for the stderr wanted, ||bias| - allowance| / _bias_band:
+    walks times (stderr / wanted)^2, 1 / wanted where no pair differed
+    and the stderr is the floor 1 / walks (argmin_coincidence); at most
+    _TOP_GROWTH times walks a round, so that a check the next round
+    resolves stops there, and at most cap in all, which a bias near the
+    allowance would otherwise far exceed.  A check unresolved at the cap
+    does not pass.
     """
+    if not walks:
+        variance = lhs.extra["top_variance"]
+        need = math.ceil(variance * (_TOP_AIM / allowance) ** 2) if variance else 0
+        return min(cap, max(_LEVEL_FLOOR, need))
     bias = lhs.extra["grid_bias"]
-    wanted = abs(abs(bias.mean) - allowance) / 4.0
+    wanted = abs(abs(bias.mean) - allowance) / _bias_band(bias)
     if bias.stderr <= wanted or walks + 2 > cap:  # resolved, or no batch of 2 fits under the cap
         return None
     need = (math.inf if wanted == 0.0 else 1.0 / wanted if bias.stderr == 1.0 / walks

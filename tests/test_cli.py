@@ -271,8 +271,9 @@ def test_direct_route_reports_its_strata(monkeypatch, capsys):
     code, out, _ = run_cli(["mc-phi", "--A", "1/4..1/2", "--rho", "0.5", "--n-grid", "64",
                             "--samples", "2049", "--seed", "3"], capsys)
     assert code == 0 and json.loads(out)["results"]["strata"] == 1024
-    # at rho 0.3 and seed 28 the top level's 12 walks resolve the
-    # stability check, in one batch, against the RHS 0.5879827 +- 5.06e-5
+    # at rho 0.3 and seed 28 the top level's first round, 845 walks,
+    # resolves the stability check, in one batch, against the RHS
+    # 0.5879827 +- 5.06e-5
     fixed_rhs(monkeypatch, 0.5879827, 5.06e-5)
     code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.3", "--seed", "28",
                             "--node-samples", "100", *_THEOREM_SMALL, "--check-stability"],
@@ -582,13 +583,14 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
 
 @pytest.mark.slow
 def test_an_immaterial_grid_bias_passes_the_stability_check(capsys):
-    # at n_grid 2048 and 40k samples the top level, 18 286 paired walks at
-    # 4096 (the budget the levels up to 2048 leave), measures a bias
-    # which no finite grid avoids: 2.0e-5, 6 of its stderrs once walked on
-    # to 224 115 walks.  The allowance is a quarter of the combined
-    # stderr, 3.7e-5, most of it the LHS's, 1.5e-4, as the RHS band is
-    # 2.0e-5 (its upper gap doubles to 16 nodes); until the bias's 4-sigma band lies within it the
-    # top level walks on.  This bias is a small share of the verdict's
+    # at n_grid 2048 and 40k samples the top level, a first round of
+    # 67 684 paired walks at 4096 (the walks its predicted variance needs
+    # for a stderr of the allowance / 6.5), measures a bias which no
+    # finite grid avoids: 2.0e-5, 6 of its stderrs once walked on to
+    # 209 552 walks.  The allowance is a quarter of the combined stderr,
+    # 3.7e-5, most of it the LHS's, 1.5e-4, as the RHS band is 2.0e-5 (its
+    # upper gap doubles to 16 nodes); until the bias's band lies within it
+    # the top level walks on.  This bias is a small share of the verdict's
     # band, and the two routes agree.  (At rho 0.9 the bias, 6e-5, is
     # material against an allowance of 4.0e-5.)
     code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.7",
@@ -596,22 +598,23 @@ def test_an_immaterial_grid_bias_passes_the_stability_check(capsys):
                             "--node-samples", "400", "--seed", "3", "--check-stability"], capsys)
     results = json.loads(out)["results"]
     bias, allowance = results["grid_bias"], results["grid_bias_allowance"]
-    assert 0.0 < abs(bias["estimate"]) + 4 * bias["stderr"] <= allowance
+    band = results["grid_bias_threshold"]
+    assert 0.0 < abs(bias["estimate"]) + band * bias["stderr"] <= allowance
     top = results["lhs_refined"]["levels"][-1]
-    assert top["grid"] == 4096 and top["samples"] > 18286
+    assert top["grid"] == 4096 and top["samples"] > 67684
     assert allowance == results["combined_stderr"] / 4
     assert results["grid_stability_ok"] is True and results["pass"] is True
     assert code == 0
 
 
 def test_a_stability_check_on_a_region_touching_both_ends_gives_a_json_verdict(monkeypatch, capsys):
-    # on 0..1/4,3/4..1 no paired walk of this run differs, so the grid
-    # bias's stderr is its floor 1 / walks; the verdict's check is a plain
-    # bool, which the payload writes as JSON true or false.  The RHS is
-    # 0.2361676 +- 2.11e-5
+    # on 0..1/4,3/4..1 no paired walk of this run (254 at 128) differs,
+    # so the grid bias's stderr is its floor 1 / walks; the verdict's check
+    # is a plain bool, which the payload writes as JSON true or false.  The
+    # RHS is 0.2361676 +- 2.11e-5
     fixed_rhs(monkeypatch, 0.2361676, 2.11e-5)
     code, out, _ = run_cli(["theorem-check", "--A", "0..1/4,3/4..1", "--rho", "0.7",
-                            "--n-grid", "64", "--samples", "300", "--nodes", "2",
+                            "--n-grid", "64", "--samples", "30", "--nodes", "2",
                             "--node-samples", "200", "--seed", "14", "--check-stability"], capsys)
     assert code == 0
     results = json.loads(out)["results"]
@@ -622,19 +625,20 @@ def test_a_stability_check_on_a_region_touching_both_ends_gives_a_json_verdict(m
 
 def test_a_stability_check_unresolved_at_its_cap_does_not_pass(monkeypatch, capsys):
     # at n_grid 16 the grid bias lies so near its allowance that its
-    # 4-sigma band still reaches both sides of it at the cap of 64
-    # budgets, 6 400 walks (2.00e-3 +- 1.7e-4 against 1.60e-3, the RHS
-    # 0.6589992 +- 2.01e-5): the top level stops there with the check
-    # unresolved, and the verdict does not pass
+    # band, 4.03 stderrs at its dof, still reaches both sides of it at the
+    # cap of 64 budgets, 6 400 walks (1.79e-3 +- 1.7e-4 against 1.60e-3,
+    # the RHS 0.6589992 +- 2.01e-5): the top level stops there with the
+    # check unresolved, and the verdict does not pass
     fixed_rhs(monkeypatch, 0.6589992, 2.01e-5)
     code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.65",
                             "--n-grid", "16", "--samples", "100", "--nodes", "2",
                             "--node-samples", "100", "--seed", "1", "--check-stability"], capsys)
     results = json.loads(out)["results"]
     bias, allowance = results["grid_bias"], results["grid_bias_allowance"]
+    band = results["grid_bias_threshold"]
     top = results["lhs_refined"]["levels"][-1]
     assert (top["grid"], top["samples"]) == (32, 64 * 100)
-    assert abs(bias["estimate"]) - 4 * bias["stderr"] <= allowance < abs(bias["estimate"]) + 4 * bias["stderr"]
+    assert abs(bias["estimate"]) - band * bias["stderr"] <= allowance < abs(bias["estimate"]) + band * bias["stderr"]
     assert results["grid_stability_ok"] is False and results["pass"] is False
     assert code == 1
 

@@ -338,7 +338,9 @@ def test_two_level_run_has_each_grids_law():
     # one level at n_grid must match a plain run there, the refined run
     # one at 2 n_grid, and the top level's paired difference must resolve
     # the bias
-    two = argmin_coincidence(QUARTER_HALF, 0.9, 16, 200_000, seed=81, refine=True)
+    # (a top level of 7 692 walks at 32)
+    two = argmin_coincidence(QUARTER_HALF, 0.9, 16, 200_000, seed=81, refine=True,
+                             top_walks=lambda est, walks: None if walks else 7692)
     refined, bias = two.extra["refined"], two.extra["grid_bias"]
     plains = []
     for level, n_grid, seed in ((two, 16, 82), (refined, 32, 83)):
@@ -394,19 +396,21 @@ def test_refined_level_is_the_plain_walk_at_twice_the_grid(monkeypatch):
 
 
 def test_top_walks_extends_only_the_top_level():
-    # the hook sees each result and the top level's walks, and the top
-    # level walks on, in batches numbered on from its own, until the hook
-    # asks for no more than it has; the estimate and the levels below do
-    # not change, on a multilevel run and on a one-level run alike
+    # the hook sees each result and the top level's walks, 0 before its
+    # first round (None there keeps the first round without a hook), and
+    # the top level walks on, in batches numbered on from its own, until
+    # the hook asks for no more than it has; the estimate and the levels
+    # below do not change, on a multilevel run and on a one-level run alike
     asked = []
 
     def hook(est, walks):
-        asked.append((walks, est.extra["grid_bias"].stderr))
-        return {572: 3000, 3000: 2999}.get(walks)
+        asked.append((walks, est.extra["grid_bias"].stderr if walks else None))
+        return {32: 3000, 3000: 2999}.get(walks)
 
     plain = argmin_coincidence(QUARTER_HALF, 0.7, 256, 2000, seed=7, refine=True)
     more = argmin_coincidence(QUARTER_HALF, 0.7, 256, 2000, seed=7, refine=True, top_walks=hook)
-    assert [walks for walks, _ in asked] == [572, 3000]
+    assert [walks for walks, _ in asked] == [0, 32, 3000]
+    asked.pop(0)
     assert asked[0][1] == plain.extra["grid_bias"].stderr > asked[1][1]
     assert (more.mean, more.stderr, more.extra["levels"]) == \
         (plain.mean, plain.stderr, plain.extra["levels"])
@@ -415,10 +419,10 @@ def test_top_walks_extends_only_the_top_level():
                      for row in est.extra["refined"].extra["levels"]] for est in (more, plain))
     assert fine[:-1] == coarse[:-1] and (fine[-1]["grid"], fine[-1]["samples"]) == (512, 3000)
     assert more.extra["grid_bias"].stderr == asked[1][1]
-    # one level at n_grid 16, and a top level of 19 walks at 32
+    # one level at n_grid 16, and a top level of 32 walks at 32
     plain = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed=7, refine=True)
     more = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed=7, refine=True,
-                              top_walks=lambda est, walks: {19: 300, 300: 299}.get(walks))
+                              top_walks=lambda est, walks: {32: 300, 300: 299}.get(walks))
     assert (more.mean, more.stderr, more.extra["levels"]) == \
         (plain.mean, plain.stderr, plain.extra["levels"])
     rows = more.extra["refined"].extra["levels"]
@@ -429,8 +433,7 @@ def test_top_walks_extends_only_the_top_level():
 def test_check_stability_leaves_the_run_at_n_grid_as_it_is():
     # with one level or several, refine adds a top level at 2 n_grid and
     # leaves the levels below it, and so the estimate, bit for bit as
-    # without it; the top level takes the rest of the budget of n walks at
-    # 2 n_grid, on several levels about half of it
+    # without it; with no hook the top level takes the floor of 32 walks
     for text, n_grid, n in (("1/4..1/2", 1024, 3000), ("1/4..1/2,5/8..3/4", 1024, 3000),
                             ("1/4..1/2", 64, 100)):
         region = TimeSet.parse(text)
@@ -447,12 +450,46 @@ def test_check_stability_leaves_the_run_at_n_grid_as_it_is():
         assert sum(shares[:len(rows)]) == pytest.approx(1.0, abs=1e-12)
         assert (bias.mean, bias.stderr) == (rows[-1]["estimate"], rows[-1]["stderr"])
         assert refined.mean == pytest.approx(two.mean + bias.mean, abs=1e-15)
-        length = sum(hi - lo for lo, hi in region)  # dyadic: grid * length steps
-        cost = lambda grid, n: n * (round(grid * length) + coupled._SAMPLE_COST)
-        spent = sum(cost(row["grid"], row["samples"]) for row in rows)
-        assert spent <= cost(2 * n_grid, n) < spent + cost(2 * n_grid, 1)
-        if len(rows) > 2:  # several levels below the top
-            assert rows[-1]["samples"] > n // 3
+        assert rows[-1]["samples"] == 32
+
+
+def predicted_top_variance(rows, n_grid):
+    """The variance of one top-level walk at 2 n_grid that the levels below predict.
+
+    A refined level's variance per walk times its grid, pooled over
+    those levels' walks, over 2 n_grid; with one level, its variance per
+    walk times 0.1 * 16 / (2 n_grid), the ratio of _levels' model.
+    """
+    if len(rows) == 1:
+        return rows[0]["samples"] * rows[0]["stderr"] ** 2 * 0.1 * 16 / (2 * n_grid)
+    refined = rows[1:]
+    pooled = sum(row["samples"] ** 2 * row["stderr"] ** 2 * row["grid"] for row in refined)
+    return pooled / sum(row["samples"] for row in refined) / (2 * n_grid)
+
+
+def test_the_top_levels_first_round_comes_from_its_prediction():
+    # before the top level walks, the hook sees the levels below and the
+    # top level's predicted variance per walk, and the top level's first
+    # round is what the hook asks for; with no hook it is the floor of 32
+    # walks: on a multilevel run and on a one-level run
+    for n_grid, n, levels in ((1024, 4000, 4), (16, 20_000, 1)):
+        seen = []
+
+        def hook(est, walks):
+            seen.append((walks, est))
+            return None if walks else 100
+
+        est = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=97, refine=True, top_walks=hook)
+        (walks, before), (after, _) = seen
+        rows = before.extra["levels"]
+        assert walks == 0 and len(rows) == levels and "grid_bias" not in before.extra
+        variance = predicted_top_variance(rows, n_grid)
+        assert before.extra["top_variance"] == pytest.approx(variance, rel=1e-12) and variance > 0.0
+        assert after == 100 == est.extra["refined"].extra["levels"][-1]["samples"]
+        assert "top_variance" not in est.extra
+        plain = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=97, refine=True)
+        assert plain.extra["levels"] == rows
+        assert plain.extra["refined"].extra["levels"][-1]["samples"] == 32
 
 
 def test_refined_walk_is_the_plain_walk_at_twice_the_grid():
@@ -514,15 +551,11 @@ def giles_plan(lengths, n_grid, n, base):
 
 
 def assert_top_level(lengths, n_grid, n, plan):
-    """refine keeps the plan and spends the rest of n walks at 2 n_grid on a top level."""
+    """refine keeps the plan and adds a top level at 2 n_grid, with no walks until the plan has walked."""
     two = coupled._levels(lengths, n_grid, n, True)
     assert two[:-1] == plan
-    top = two[-1]
     fine = [2 * math.ceil(n_grid * x) for x in lengths]
-    assert top[:3] == (2 * n_grid, fine, True)
-    each = sum(fine) + coupled._SAMPLE_COST
-    spent = sum(sum(level[3]) * (sum(level[1]) + coupled._SAMPLE_COST) for level in plan)
-    assert sum(top[3]) == (n * each - spent) // each >= 2
+    assert two[-1] == (2 * n_grid, fine, True, [])
 
 
 def test_levels_follow_the_fixed_allocation():
@@ -584,8 +617,8 @@ def test_a_small_budget_falls_back_to_one_level():
     # leave level 0 only 73 samples, and at 60 walks of n_grid 4096 only 51,
     # too few to beat the one-level run: the run is the plain walk at
     # n_grid, all the samples in one level, and refine adds the top level
-    # at 2 n_grid (12 and 28 walks) and leaves it as it is
-    for n_grid, n, top in ((64, 100, 12), (4096, 60, 28)):
+    # at 2 n_grid (at its floor of 32 walks on both) and leaves it as it is
+    for n_grid, n, top in ((64, 100, 32), (4096, 60, 32)):
         plain = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=94)
         two = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=94, refine=True)
         for est in (plain, two):
@@ -736,14 +769,13 @@ def test_conditioned_walk_ends_on_the_stratified_target(monkeypatch, text, refin
     monkeypatch.setattr(coupled, "_polar_cells", cells)
     monkeypatch.setattr(coupled, "_end_scores", scores)
     region, rho = TimeSet.parse(text), 0.5
-    argmin_coincidence(region, rho, 64, 3000, seed=88, refine=refine)
+    est = argmin_coincidence(region, rho, 64, 3000, seed=88, refine=refine)
     parts = list(region)
     inside = sum(hi - lo for lo, hi in parts)
     gaps = sum(lo - prev_hi for (_, prev_hi), (lo, _) in zip(parts, parts[1:]))
     scale = np.sqrt([[(1.0 + rho) * inside + 2.0 * gaps], [(1.0 - rho) * inside]])
-    lengths = [hi - lo for lo, hi in parts]
-    assert len(targets) == len(ends) == sum(len(level[3]) for level in
-                                            coupled._levels(lengths, 64, 3000, refine))
+    rows = (est.extra["refined"] if refine else est).extra["levels"]
+    assert len(targets) == len(ends) == sum(len(coupled._batches(row["samples"])) for row in rows)
     for target, w in zip(targets, ends):
         for other in w[1:]:
             end = np.array([w[0] + other, w[0] - other]) / math.sqrt(2.0)
@@ -1070,16 +1102,17 @@ def test_each_path_misses_a_at_its_arcsine_probability(monkeypatch, text):
 
 
 # argmin_coincidence(region, 0.5, 256, 3000, seed=61, refine=True) before the
-# control: its mean and stderr, the refined mean, and the grid bias
+# control: its mean and stderr, the refined mean, and the grid bias, with
+# the top level at the 32 walks (at 512) that it takes now
 UNCONTROLLED = {
-    "1/4..1/2": (0.624992219367134, 0.0019630714526286367, 0.6250819370356467,
-                 8.971766851277707e-05, 0.0001417735298679435),
-    "0..1/2": (0.3813277842454093, 0.0022997665672694076, 0.38135393599776035,
-               2.615175235104868e-05, 0.00012544799103770925),
-    "1/2..1": (0.3836152235417783, 0.002320199856409843, 0.3834319951214521,
-               -0.00018322842032620902, 0.00013981499074165762),
-    "1/4..1/2,5/8..3/4": (0.4825281897399745, 0.003049763526238218, 0.4825515969421318,
-                          2.3407202157258335e-05, 0.00016233125240254276),
+    "1/4..1/2": (0.624992219367134, 0.0019630714526286367, 0.625818877648032,
+                 0.0008266582808979586, 0.0005217965286431525),
+    "0..1/2": (0.3813277842454093, 0.0022997665672694076, 0.38259786846562677,
+               0.0012700842202174843, 0.0009580480495650182),
+    "1/2..1": (0.3836152235417783, 0.002320199856409843, 0.3836820615916722,
+               6.683804989387576e-05, 0.0007783127624582543),
+    "1/4..1/2,5/8..3/4": (0.4825281897399745, 0.003049763526238218, 0.483791372014796,
+                          0.0012631822748214536, 0.0006824208165210166),
 }
 
 

@@ -287,30 +287,46 @@ def fixed_rhs(monkeypatch, mean, stderr):
     monkeypatch.setattr(theorem, "rhs_integral", lambda *args: EstimateWithError(mean, stderr, 100, seed=0))
 
 
+def spied_top_walks(monkeypatch):
+    """The list every later call of theorem._top_walks appends its (lhs, walks, allowance, answer) to."""
+    calls, top_walks = [], theorem._top_walks
+
+    def spy(lhs, walks, allowance, cap):
+        calls.append((lhs, walks, allowance, top_walks(lhs, walks, allowance, cap)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(theorem, "_top_walks", spy)
+    return calls
+
+
 def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one(monkeypatch):
     # on a region that touches 0 and reaches 1 each grid scores 0 or 1,
-    # and at a budget of 100 no walk of the top level, 49 paired walks at
-    # 8192, tells the two grids apart: the paired sample stderr is 0, and
-    # the direct route reports 1/49 in its place
+    # and at a budget of 100 no walk of the top level, 32 paired walks at
+    # 8192 (no refined level below differs in any walk, so the predicted
+    # variance is 0 and the top level takes the floor), tells the two
+    # grids apart: the paired sample stderr is 0, and the direct route
+    # reports 1/32 in its place
     region = TimeSet.parse("0..1/2,129/256..1")
     two = argmin_coincidence(region, 0.5, 4096, 100, derive_seed(1, theorem._TAG_LHS),
                              refine=True)
     raw, top = two.extra["grid_bias"], two.extra["refined"].extra["levels"][-1]
-    assert (top["grid"], top["samples"]) == (8192, 49)
-    assert (raw.mean, raw.stderr) == (0.0, 1 / 49)
-    # the floor's 4 / 49 is 14 allowances: the top level walks on, at most
-    # fourfold a round, toward the 834 walks that put four floors within
-    # the allowance, and stops at 49 * 4^2 = 784, the first round where
-    # 4 / m is within it; none of the walks tells the grids apart either.
-    # The RHS is 1.369539e-4 +- 2.54e-6
+    assert (top["grid"], top["samples"]) == (8192, 32)
+    assert (raw.mean, raw.stderr) == (0.0, 1 / 32)
+    # the floor's band, 4.0002 / 32 with no dof, is 22 allowances: the
+    # top level walks on, at most fourfold a round, to 512 and then to
+    # 834, a fifth more than the 695 walks that put the band within the
+    # allowance; none of the walks tells the grids apart either.  The RHS
+    # is 1.369539e-4 +- 2.54e-6
     fixed_rhs(monkeypatch, 1.369539e-4, 2.54e-6)
+    calls = spied_top_walks(monkeypatch)
     report = verify_theorem(region, 0.5, seed=1, lhs_n_grid=4096, lhs_samples=100,
                             n_nodes=2, node_samples=100, check_stability=True)
     m = report.lhs_refined.extra["levels"][-1]["samples"]
-    allowance = report.as_dict()["grid_bias_allowance"]
-    assert m == 49 * theorem._TOP_GROWTH ** 2 == 784
+    allowance, band = report.as_dict()["grid_bias_allowance"], report.as_dict()["grid_bias_threshold"]
+    assert [walks for _, walks, _, _ in calls] == [0, 32, 128, 512, 834] and m == 834
+    assert band == band_multiplier(None)
     assert (report.grid_bias.mean, report.grid_bias.stderr) == (0.0, 1 / m)
-    assert 4 / m <= allowance < 4 / (m // theorem._TOP_GROWTH)
+    assert band / m <= allowance < band / 512
     assert report.stability_ok
     # a floored stderr has no degrees of freedom
     assert report.as_dict()["grid_bias"] == {"estimate": 0.0, "stderr": 1 / m, "dof": None}
@@ -320,21 +336,22 @@ def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one(monkeypatc
     raw = argmin_coincidence(region, 0.5, 4096, 100, derive_seed(1, theorem._TAG_LHS),
                              refine=True).extra["grid_bias"]
     assert 0.0 < raw.stderr < 0.01
-    # one step on A against two, at rho 0.9: the bias (about 0.016) fails
-    # it, on the sample stderr.  At seed 2 the top level's 204 walks leave
-    # it unresolved, and one round of walking on, at most fourfold,
-    # resolves it as material (the RHS 0.4455101 +- 2.67e-5)
+    # n_grid 16 against 32 at rho 0.9: the bias (about 0.003) fails it,
+    # on the sample stderr.  At seed 2 and 70 samples the top level's
+    # first round, 2 366 walks, leaves it unresolved, and one round of
+    # walking on, at most fourfold, resolves it as material (the RHS
+    # 0.4455101 +- 2.67e-5)
     fixed_rhs(monkeypatch, 0.4455101, 2.67e-5)
-    report = verify_theorem(region, 0.9, seed=2, lhs_n_grid=2, lhs_samples=20_000,
+    calls.clear()
+    report = verify_theorem(region, 0.9, seed=2, lhs_n_grid=16, lhs_samples=70,
                             n_nodes=2, node_samples=100, check_stability=True)
-    two = argmin_coincidence(region, 0.9, 2, 20_000, derive_seed(2, theorem._TAG_LHS),
-                             refine=True)
-    raw, allowance = two.extra["grid_bias"], report.as_dict()["grid_bias_allowance"]
-    walks = two.extra["refined"].extra["levels"][-1]["samples"]
-    assert walks == 204 and abs(raw.mean) - 4 * raw.stderr <= allowance < abs(raw.mean) + 4 * raw.stderr
+    first, walks, allowance, _ = calls[1]
+    raw, band = first.extra["grid_bias"], theorem._bias_band(first.extra["grid_bias"])
+    assert walks == 2366 and abs(raw.mean) - band * raw.stderr <= allowance < abs(raw.mean) + band * raw.stderr
     assert walks < report.lhs_refined.extra["levels"][-1]["samples"] <= theorem._TOP_GROWTH * walks
-    assert report.grid_bias.mean > 4 * report.grid_bias.stderr > 0.0
-    assert report.grid_bias.mean - 4 * report.grid_bias.stderr > allowance
+    band = report.as_dict()["grid_bias_threshold"]
+    assert report.grid_bias.mean > band * report.grid_bias.stderr > 0.0
+    assert report.grid_bias.mean - band * report.grid_bias.stderr > allowance
     assert not report.stability_ok and not report.passed
 
 
@@ -359,51 +376,54 @@ def rhs_node_terms(row):
 
 
 def test_an_unresolved_stability_check_walks_on_until_resolved(monkeypatch):
-    # at n_grid 256 and 2000 samples the top level's 572 walks at 512 put
-    # four stderrs of the grid bias at 1.5 allowances.  The check is
-    # unresolved, so the top level walks on, to the walks its variance
-    # predicts: the estimate and the levels below are the run's without
-    # it, and the grid bias's 4-sigma band ends within the allowance.
+    # at n_grid 256 and 2000 samples the top level's first round, 10 518
+    # walks at 512, puts the grid bias's band at 1.2 allowances.  The
+    # check is unresolved, so the top level walks on, to the walks its
+    # variance predicts: the estimate and the levels below are the run's
+    # without it, and the grid bias's band ends within the allowance.
     # The RHS is 0.6716799 +- 1.95e-5
     fixed_rhs(monkeypatch, 0.6716799, 1.95e-5)
+    calls = spied_top_walks(monkeypatch)
     region, seed = QUARTER_HALF, derive_seed(2, theorem._TAG_LHS)
-    first = argmin_coincidence(region, 0.7, 256, 2000, seed, refine=True)
-    assert first.extra["refined"].extra["levels"][-1]["samples"] == 572
     report = verify_theorem(region, 0.7, seed=2, lhs_n_grid=256, lhs_samples=2000,
                             n_nodes=8, node_samples=100, check_stability=True)
-    allowance = report.as_dict()["grid_bias_allowance"]
-    raw = first.extra["grid_bias"]
-    assert abs(raw.mean) - 4 * raw.stderr <= allowance < abs(raw.mean) + 4 * raw.stderr
+    first, walks, allowance, _ = calls[1]
+    assert walks == first.extra["refined"].extra["levels"][-1]["samples"] == 10518
+    assert allowance == report.as_dict()["grid_bias_allowance"]
+    raw, band = first.extra["grid_bias"], theorem._bias_band(first.extra["grid_bias"])
+    assert abs(raw.mean) - band * raw.stderr <= allowance < abs(raw.mean) + band * raw.stderr
     levels, before = ([{k: v for k, v in row.items() if k != "var_share"}
                        for row in est.extra["levels"]] for est in (report.lhs_refined, first.extra["refined"]))
-    assert levels[-1]["grid"] == 512 and levels[-1]["samples"] > 572
+    assert levels[-1]["grid"] == 512 and levels[-1]["samples"] > 10518
     assert levels[:-1] == before[:-1]
     assert report.lhs == argmin_coincidence(region, 0.7, 256, 2000, seed)
-    assert 0.0 < abs(report.grid_bias.mean) + 4 * report.grid_bias.stderr <= allowance
+    band = report.as_dict()["grid_bias_threshold"]
+    assert 0.0 < abs(report.grid_bias.mean) + band * report.grid_bias.stderr <= allowance
     assert report.stability_ok and report.passed
 
 
 def test_a_one_level_stability_check_walks_on_until_resolved(monkeypatch):
-    # at n_grid 16 and 500 samples the run is one level; the check adds a
+    # at n_grid 16 and 60 samples the run is one level; the check adds a
     # top level at 32, which walks on like any other, and lhs is the run
     # without the check, bit for bit.  The grid bias here lies near the
     # allowance (2.5e-3 against 2.2e-3, the RHS 0.6716799 +- 1.95e-5):
-    # walked on without a cap it is shown beyond it at about 200k walks,
-    # but within the cap of 32 000 it is not resolved, so the check does
-    # not pass
+    # from a first round of 2 028 walks it walks on to the cap of 64
+    # budgets, 3 840, where it is not resolved, so the check does not pass
     fixed_rhs(monkeypatch, 0.6716799, 1.95e-5)
+    calls = spied_top_walks(monkeypatch)
     seed = derive_seed(1, theorem._TAG_LHS)
-    plain = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed)
+    plain = argmin_coincidence(QUARTER_HALF, 0.7, 16, 60, seed)
     assert len(plain.extra["levels"]) == 1
-    first = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed, refine=True)
-    report = verify_theorem(QUARTER_HALF, 0.7, seed=1, lhs_n_grid=16, lhs_samples=500,
+    report = verify_theorem(QUARTER_HALF, 0.7, seed=1, lhs_n_grid=16, lhs_samples=60,
                             n_nodes=2, node_samples=100, check_stability=True)
     rows = report.lhs_refined.extra["levels"]
     assert [row["grid"] for row in rows] == [16, 32]
-    assert rows[-1]["samples"] > first.extra["refined"].extra["levels"][-1]["samples"] == 19
+    assert [walks for _, walks, _, _ in calls] == [0, 2028, 3840]
+    assert rows[-1]["samples"] == theorem._TOP_BUDGETS * 60 == 3840
     assert report.lhs == plain
-    allowance = report.as_dict()["grid_bias_allowance"]
-    assert abs(report.grid_bias.mean) + 4 * report.grid_bias.stderr > allowance
+    allowance, band = report.as_dict()["grid_bias_allowance"], report.as_dict()["grid_bias_threshold"]
+    assert abs(report.grid_bias.mean) - band * report.grid_bias.stderr <= allowance
+    assert abs(report.grid_bias.mean) + band * report.grid_bias.stderr > allowance
     assert not report.stability_ok and not report.passed
 
 
@@ -415,6 +435,73 @@ def test_the_walk_on_never_passes_its_cap():
                             extra={"grid_bias": EstimateWithError(1e-3, 1e-3, 100, seed=1)})
     assert theorem._top_walks(run, 90, 1e-3, 100) == 100
     assert theorem._top_walks(run, 99, 1e-3, 100) is None
+
+
+def test_the_stability_check_takes_its_band_at_its_own_dof(monkeypatch):
+    # a grid bias of 5e-4 +- 1e-4 at 15 dof against an allowance of 1e-3
+    # lies within it at 4 stderrs but not at band_multiplier(15), 5.5: the
+    # walk-on asks for a fifth more than the walks that put the t band on
+    # one side, and the verdict's check does not pass; at infinite dof
+    # (4.0002) the same bias is resolved as a pass
+    bias = EstimateWithError(5e-4, 1e-4, 100, seed=1, extra={"dof": 15})
+    t = band_multiplier(15)
+    assert 5e-4 + 4 * 1e-4 <= 1e-3 < 5e-4 + t * 1e-4
+    run = EstimateWithError(0.5, 0.01, 100, seed=1, extra={"grid_bias": bias})
+    assert theorem._top_walks(run, 100, 1e-3, 10**6) == math.ceil(1.2 * 100 * (t * 1e-4 / 5e-4) ** 2)
+    bias.extra["dof"] = None
+    assert theorem._top_walks(run, 100, 1e-3, 10**6) is None
+    # the verdict, on a direct route that returns the same bias at 15 dof
+    # and an allowance of 1e-3 (a combined stderr of 4e-3)
+
+    def direct_route(*args, refine=False, top_walks=None):
+        est = EstimateWithError(0.5, 4e-3, 100, seed=0, extra={"tie_fraction": 0.0, "tie_flag": False})
+        est.extra["refined"] = EstimateWithError(0.5005, 4e-3, 100, seed=0, extra=dict(est.extra))
+        est.extra["grid_bias"] = EstimateWithError(5e-4, 1e-4, 100, seed=0, extra={"dof": 15})
+        return est
+
+    monkeypatch.setattr(theorem, "argmin_coincidence", direct_route)
+    fixed_rhs(monkeypatch, 0.5, 0.0)
+    d = verify_theorem(QUARTER_HALF, 0.5, seed=1, lhs_n_grid=16, lhs_samples=100, n_nodes=2,
+                       node_samples=100, check_stability=True).as_dict()
+    assert d["grid_bias_allowance"] == pytest.approx(1e-3, rel=1e-12)
+    assert d["grid_bias_threshold"] == t and d["grid_bias"]["dof"] == 15
+    assert d["grid_stability_ok"] is False and d["pass"] is False
+
+
+def test_the_top_levels_first_round_is_its_prediction_for_the_allowance(monkeypatch):
+    # before the top level walks, the hook asks for the walks its predicted
+    # variance per walk needs for a stderr of the allowance / 6.5, at
+    # least 32 and at most the cap, and the top level walks them: on a
+    # multilevel run and on a one-level run, on 1/4..1/2 at rho 0.3
+    calls = spied_top_walks(monkeypatch)
+    for n_grid, n, levels in ((1024, 1200, 4), (64, 100, 1)):
+        calls.clear()
+        report = verify_theorem(QUARTER_HALF, 0.3, seed=4, lhs_n_grid=n_grid, lhs_samples=n,
+                                n_nodes=8, node_samples=100, check_stability=True)
+        before, walks, allowance, first = calls[0]
+        assert walks == 0 and "grid_bias" not in before.extra
+        assert len(before.extra["levels"]) == len(report.lhs.extra["levels"]) == levels
+        variance = before.extra["top_variance"]
+        assert variance > 0.0 and theorem._TOP_AIM == 6.5
+        assert first == min(64 * n, max(32, math.ceil(variance * (6.5 / allowance) ** 2))) > 32
+        assert calls[1][1] == first
+        assert report.lhs_refined.extra["levels"][-1]["samples"] >= first
+
+
+def test_the_stability_check_on_the_single_interval_benchmark_case(monkeypatch):
+    # theorem-check --A 1/4..1/2 --rho 0.3 --n-grid 4096 --samples 1200
+    # --nodes 8 --node-samples 400 --check-stability: the top level's first
+    # round at 8192 is fewer than the 573 walks it took when it was sized
+    # as the rest of the budget (seed 3 then walks on, to 1 081), and lhs
+    # is bit for bit the run without the check
+    calls = spied_top_walks(monkeypatch)
+    for seed in range(1, 6):
+        calls.clear()
+        checked = verify_theorem(QUARTER_HALF, 0.3, seed, 4096, 1200, 8, 400, check_stability=True)
+        top = checked.lhs_refined.extra["levels"][-1]
+        assert top["grid"] == 8192 and calls[0][1] == 0 and calls[0][3] < 573
+        assert checked.stability_ok and checked.passed
+        assert checked.lhs == verify_theorem(QUARTER_HALF, 0.3, seed, 4096, 1200, 8, 400).lhs
 
 
 @pytest.mark.slow
