@@ -337,8 +337,7 @@ def test_two_level_run_has_each_grids_law():
     # 4 steps on A at rho 0.9, where the grid bias is about 0.005: the
     # one level at n_grid must match a plain run there, the refined run
     # one at 2 n_grid, and the top level's paired difference must resolve
-    # the bias
-    # (a top level of 7 692 walks at 32)
+    # the bias, here over a top level of 7 692 walks at 32
     two = argmin_coincidence(QUARTER_HALF, 0.9, 16, 200_000, seed=81, refine=True,
                              top_walks=lambda est, walks: None if walks else 7692)
     refined, bias = two.extra["refined"], two.extra["grid_bias"]
@@ -410,15 +409,14 @@ def test_top_walks_extends_only_the_top_level():
     plain = argmin_coincidence(QUARTER_HALF, 0.7, 256, 2000, seed=7, refine=True)
     more = argmin_coincidence(QUARTER_HALF, 0.7, 256, 2000, seed=7, refine=True, top_walks=hook)
     assert [walks for walks, _ in asked] == [0, 32, 3000]
-    asked.pop(0)
-    assert asked[0][1] == plain.extra["grid_bias"].stderr > asked[1][1]
+    assert asked[1][1] == plain.extra["grid_bias"].stderr > asked[2][1]
     assert (more.mean, more.stderr, more.extra["levels"]) == \
         (plain.mean, plain.stderr, plain.extra["levels"])
     # each level's row, less its share of a total the top level is part of
     fine, coarse = ([{k: v for k, v in row.items() if k != "var_share"}
                      for row in est.extra["refined"].extra["levels"]] for est in (more, plain))
     assert fine[:-1] == coarse[:-1] and (fine[-1]["grid"], fine[-1]["samples"]) == (512, 3000)
-    assert more.extra["grid_bias"].stderr == asked[1][1]
+    assert more.extra["grid_bias"].stderr == asked[2][1]
     # one level at n_grid 16, and a top level of 32 walks at 32
     plain = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed=7, refine=True)
     more = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed=7, refine=True,
