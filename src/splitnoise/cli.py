@@ -108,8 +108,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n-grid", type=int, default=1 << 13)
     p.add_argument("--samples", type=int, default=20_000,
-                   help="direct-route budget, in samples walked at --n-grid "
-                        "(at twice it with --check-stability)")
+                   help="direct-route budget, in samples walked at --n-grid; "
+                        "--check-stability's top level walks beyond it")
     p.add_argument("--nodes", type=int, default=24, help="starting quadrature nodes per gap; 1-3 run 4, 5-7 run 8")
     p.add_argument("--node-samples", type=int, default=20_000,
                    help="points per sampled RHS factor; exact one-component factors ignore it")

@@ -286,7 +286,7 @@ def _pair_minima(masks: np.ndarray, n: int, flip: tuple[int, int], b: int,
 # -- argmin coincidence (the left-hand side of the main identity) -----------
 
 def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
-                       seed: int, refine: bool = False, top_walks=None) -> EstimateWithError:
+                       seed: int, top_walks=None) -> EstimateWithError:
     """P(the coupled Brownian pair attains its minimum at the same time).
 
     The pair is walked over the pieces of [0,1] in time order.  Each
@@ -332,14 +332,14 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     simulation", Oper. Res. 56, 2008): the grids double from a coarsest
     grid n0 >= min(_COARSEST_GRID, n_grid) up to n_grid, level 0 is the
     plain walk at n0, and level l >= 1 walks the grid n_l with the grid
-    n_(l-1) derived from the same draws (refine below) and scores fine
-    minus coarse.  A component of length x takes 2^l ceil(n0 x) steps
-    at level l, so the levels telescope exactly.  Levels are
-    independent, their streams keyed by grid and batch.  _levels gives
-    level l Giles' count, proportional to sqrt(V_l / C_l), at a cost of
-    n_samples walks at n_grid (C_l: steps on A plus _SAMPLE_COST per
-    sample; V_l: a fixed variance model, _LEVEL_DECAY), or
-    _LEVEL_FLOOR where that count falls below it, and takes the n0 of
+    n_(l-1) derived from the same draws (_coincidence_walk with refine)
+    and scores fine minus coarse.  A component of length x takes 2^l
+    ceil(n0 x) steps at level l, so the levels telescope exactly.
+    Levels are independent, their streams keyed by grid and batch.
+    _levels gives level l Giles' count, proportional to sqrt(V_l / C_l),
+    at a cost of n_samples walks at n_grid (C_l: steps on A plus
+    _SAMPLE_COST per sample; V_l: a fixed variance model, _LEVEL_DECAY),
+    or _LEVEL_FLOOR where that count falls below it, and takes the n0 of
     least modelled variance: n_grid, one level of n_samples walks, when
     no chain beats it.
 
@@ -366,24 +366,22 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     floating point; a tie fraction above 0.1% on any level flags the
     run, and tie_fraction is the largest level's.
 
-    With refine, a top level at 2 n_grid follows the levels of the run
-    without refine: extra["refined"] is the estimate at 2 n_grid, the
+    With top_walks, a top level at 2 n_grid follows the levels of the
+    run without it: extra["refined"] is the estimate at 2 n_grid, the
     sum of every level, and extra["grid_bias"] the top level alone, the
     paired per-sample difference between the grids n_grid and 2 n_grid,
     with its Welch-Satterthwaite degrees of freedom over its cells as
     extra["dof"].  The estimate itself is the sum of the other levels,
-    bit for bit the run without refine.  The top level walks after
-    them, in rounds.  top_walks, when given, is called with the result
-    and the top level's walks, and returns the walks the top level
-    should have, or None.  Its first call, with walks 0, comes before the
-    top level walks: the result then has no grid_bias, and
-    extra["top_variance"] is the top level's predicted variance per walk
-    (_top_variance).  Where that call gives None, or there is no hook,
-    the first round is _LEVEL_FLOOR walks.  After each round the top level
-    walks the difference to what the hook asks for in more batches,
-    numbered on from its own, and the result is formed again, until the
-    hook returns None or no more than it has.  The estimate and the
-    levels below do not change.
+    bit for bit the run without top_walks.  The top level walks after
+    them, in rounds.  top_walks is called with the result and the top
+    level's walks, and returns the walks the top level should have, or
+    None.  Its first call, with walks 0, comes before the top level
+    walks, so the result has no grid_bias; the first round is what it
+    asks for, at least _LEVEL_FLOOR walks.  After each round the top
+    level walks the difference to what the hook asks for in more
+    batches, numbered on from its own, and the result is formed again,
+    until the hook returns None or no more than it has.  The estimate
+    and the levels below do not change.
 
     A 4-sigma band of width 0 cannot fail, so on a region neither empty
     nor full, with n = n_samples, a stderr of 0 is replaced.  The
@@ -394,6 +392,7 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     top level's walks.
     A replaced stderr has no dof.
     """
+    refine = top_walks is not None
     levels = _direct_plan(region, rho, n_grid, n_samples, refine)
     # per level: sums of b times the batch estimate of its term, b^2 times
     # its variance and b^4 times its Welch term, and its tied samples
@@ -438,8 +437,7 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
     est = result()
     if not refine:
         return est
-    est.extra["top_variance"] = _top_variance(est.extra["levels"], n_grid)
-    total, walks = (top_walks and top_walks(est, 0)) or _LEVEL_FLOOR, 0
+    total, walks = max(_LEVEL_FLOOR, top_walks(est, 0) or 0), 0
     while total is not None and total > walks:
         grid, steps, walk_refine, sizes = levels[-1]
         more = _batches(max(2, total - walks))
@@ -447,30 +445,8 @@ def argmin_coincidence(region, rho: float, n_grid: int, n_samples: int,
         levels[-1] = (grid, steps, walk_refine, sizes + more)
         walks += sum(more)
         est = result()
-        total = top_walks and top_walks(est, walks)
+        total = top_walks(est, walks)
     return est
-
-
-def _top_variance(rows, n_grid: int) -> float:
-    """The predicted variance of one walk of a refined run's top level, at 2 n_grid.
-
-    rows are the levels below it (extra["levels"]).  A refined level's
-    variance per walk times its grid is nearly flat (1/4..1/2 at rho
-    0.3, n_grid 4096, 1200 samples, seed 5: 1.27e-3, 1.43e-3, 1.77e-3,
-    1.72e-3 and 7.3e-4 at grids 256-4096, and 1.57e-3 at the top level's
-    8192), so the prediction is that product, pooled over the refined
-    levels' walks, over 2 n_grid.  A one-level run has no refined level:
-    its level's variance per walk times the ratio of _levels' model,
-    _LEVEL_DECAY * _COARSEST_GRID / (2 n_grid).  Against the top level's
-    measured variance (1/4..1/2, 10 seeds each) that reads 7.8x too high
-    at rho 0.3 and n_grid 4096, 6.7x at 64, and 2.0x and 6.2x too low at
-    rho 0.7 and 0.9 and n_grid 16; walking on corrects a low one.
-    """
-    per_walk = [(row["samples"], row["samples"] * row["stderr"] ** 2, row["grid"]) for row in rows]
-    if len(per_walk) == 1:
-        return per_walk[0][1] * _LEVEL_DECAY * _COARSEST_GRID / (2 * n_grid)
-    refined = per_walk[1:]
-    return sum(n * v * grid for n, v, grid in refined) / sum(n for n, _, _ in refined) / (2 * n_grid)
 
 
 def _direct_plan(region, rho: float, n_grid: int, n_samples: int, refine: bool):
@@ -529,9 +505,10 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
 
     With refine the levels are those without refine, and a top level at
     2 n_grid, walked refined, comes last with no batches yet:
-    argmin_coincidence sizes it from the levels below once they have
-    walked.  Every level's steps, and the batch sizes of every level
-    below the top, are checked here, before the first draw.
+    argmin_coincidence walks it in the rounds its top_walks hook asks
+    for once the levels below have walked.  Every level's steps, and
+    the batch sizes of every level below the top, are checked here,
+    before the first draw.
     """
     _check_samples(n_samples)  # the budget is a sample count
     budget = n_samples * (sum(math.ceil(n_grid * x) for x in lengths) + _SAMPLE_COST)
@@ -561,7 +538,7 @@ def _levels(lengths, n_grid: int, n_samples: int, refine: bool):
                 chain, counts, least = grids, plan, total
     base = chain[0]
     plan = [(grid, steps(grid, base), grid > base, _batches(n)) for grid, n in zip(chain, counts)]
-    if refine:  # sized once the levels below have walked (argmin_coincidence)
+    if refine:  # sized by argmin_coincidence's top_walks once the levels below have walked
         plan.append((2 * n_grid, steps(2 * n_grid, base), True, []))
     for _, s, _, _ in plan:
         if s:  # the steps one path walks, on every component

@@ -36,7 +36,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 from scipy.special import erf, gammaln, hyp1f1, ive, spherical_jn, stdtrit
 
-from .coupled import (_LEVEL_FLOOR, _TAIL_4SIGMA, _check_steps, _direct_plan, argmin_coincidence,
+from .coupled import (_TAIL_4SIGMA, _check_steps, _direct_plan, argmin_coincidence,
                       discrete_phi, m_lambda_functional)
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .sampling import (SAMPLE_CAP, EstimateWithError, _check_samples, derive_seed,
@@ -129,7 +129,7 @@ _GRID_ALLOWANCE = 0.25
 _TOP_GROWTH = 4
 _TOP_BUDGETS = 64
 # the top level's first round aims its stderr at the allowance over this,
-# from its predicted variance (coupled._top_variance).  theorem-check on
+# from its predicted variance (_top_walks).  theorem-check on
 # 1/4..1/2 at rho 0.3, n_grid 4096, 1200 samples, seeds 3301-3400, every
 # check passing: at 6.5 the top level ends at 328 / 360 / 492 / 932 walks
 # (p10 / median / p90 / max), 3% of seeds past the 573 a budget-sized top
@@ -848,18 +848,20 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
     each at its own dof (the LHS's over its cells, the RHS's over its
     factors' replicates): a Student t band at the normal 4-sigma tail.
     With check_stability, the direct run, one level or several, gets one
-    more level at the doubled grid (argmin_coincidence with refine), and
-    that top level, the per-sample difference between the two grids on
-    the same draws, is grid_bias.  No finite grid is unbiased, so the
+    more level at the doubled grid (argmin_coincidence with top_walks),
+    and that top level, the per-sample difference between the two grids
+    on the same draws, is grid_bias.  No finite grid is unbiased, so the
     check passes when |grid_bias| plus its band, the same t band at its
     own dof (_bias_band), is within the allowance, _GRID_ALLOWANCE times
-    the combined stderr.  The top level's first round is the walks its
-    predicted variance needs for a stderr of the allowance / _TOP_AIM,
-    and until the band lies on one side of the allowance it walks on
-    (_top_walks, at most _TOP_BUDGETS times lhs_samples in all).  lhs,
-    the levels below the top, does not change.  A check that does not
-    pass fails the verdict, as does the tie flag of any level.  Every
-    size, the doubled grid's included, is checked before the first draw.
+    the combined stderr.  On several levels the top level's first round
+    is the walks its predicted variance needs for a stderr of the
+    allowance / _TOP_AIM; on one level, with nothing to predict from, it
+    is argmin_coincidence's floor of a few walks.  Until the band lies
+    on one side of the allowance it walks on (_top_walks, at most
+    _TOP_BUDGETS times lhs_samples in all).  lhs, the levels below the
+    top, does not change.  A check that does not pass fails the verdict,
+    as does the tie flag of any level.  Every size, the doubled grid's
+    included, is checked before the first draw.
     argmin_coincidence replaces a zero stderr where it is not exact, so
     no band here has width 0.
     """
@@ -874,7 +876,7 @@ def verify_theorem(region: TimeSet, rho: float, seed: int,
                           min(SAMPLE_CAP, _TOP_BUDGETS * lhs_samples))
 
     lhs = argmin_coincidence(region, rho, lhs_n_grid, lhs_samples, derive_seed(seed, _TAG_LHS),
-                             refine=check_stability, top_walks=top_walks)
+                             top_walks=top_walks if check_stability else None)
     lhs_refined = lhs.extra.pop("refined", None)
     grid_bias = lhs.extra.pop("grid_bias", None)
     discrepancy = lhs.mean - rhs.mean
@@ -904,23 +906,34 @@ def _top_walks(lhs: EstimateWithError, walks: int, allowance: float, cap: int) -
 
     lhs is the run so far, walks its top level's.  Before the top level
     walks (walks 0) its first round is the walks its predicted variance
-    per walk, lhs.extra["top_variance"], needs for a stderr of allowance
-    / _TOP_AIM, at least _LEVEL_FLOOR and at most cap.  The check is
-    resolved once the grid bias's band, _bias_band stderrs wide, lies on
-    one side of the allowance (passed within it, failed beyond).  Until
-    then the top level gets a fifth more walks than its variance
-    predicts for the stderr wanted, ||bias| - allowance| / _bias_band:
-    walks times (stderr / wanted)^2, 1 / wanted where no pair differed
-    and the stderr is the floor 1 / walks (argmin_coincidence); at most
-    _TOP_GROWTH times walks a round, so that a check the next round
-    resolves stops there, and at most cap in all, which a bias near the
-    allowance would otherwise far exceed.  A check unresolved at the cap
-    does not pass.
+    per walk needs for a stderr of allowance / _TOP_AIM, at most cap.  A
+    refined level's variance per walk times its grid is nearly flat
+    (1/4..1/2 at rho 0.3, n_grid 4096, 1200 samples, seed 5: 1.27e-3,
+    1.43e-3, 1.77e-3, 1.72e-3 and 7.3e-4 at grids 256-4096, and 1.57e-3
+    at the top level's 8192), so the prediction is that product, pooled
+    over the walks of the refined levels below (lhs.extra["levels"]
+    after the first), over twice the finest grid.  A one-level run has
+    no refined level, and gets None (as does a prediction of 0): its top
+    level starts from argmin_coincidence's floor and walks on by its own
+    variance.  The check is resolved once the grid bias's band,
+    _bias_band stderrs wide, lies on one side of the allowance (passed
+    within it, failed beyond).  Until then the top level gets a fifth
+    more walks than its variance predicts for the stderr wanted, ||bias|
+    - allowance| / _bias_band: walks times (stderr / wanted)^2, 1 /
+    wanted where no pair differed and the stderr is the floor 1 / walks
+    (argmin_coincidence); at most _TOP_GROWTH times walks a round, so
+    that a check the next round resolves stops there, and at most cap in
+    all, which a bias near the allowance would otherwise far exceed.  A
+    check unresolved at the cap does not pass.
     """
     if not walks:
-        variance = lhs.extra["top_variance"]
-        need = math.ceil(variance * (_TOP_AIM / allowance) ** 2) if variance else 0
-        return min(cap, max(_LEVEL_FLOOR, need))
+        refined = [(row["samples"], row["samples"] * row["stderr"] ** 2, row["grid"])
+                   for row in lhs.extra["levels"][1:]]
+        if not refined:
+            return None
+        pooled = sum(n * v * grid for n, v, grid in refined) / sum(n for n, _, _ in refined)
+        variance = pooled / (2 * refined[-1][2])
+        return min(cap, math.ceil(variance * (_TOP_AIM / allowance) ** 2)) if variance else None
     bias = lhs.extra["grid_bias"]
     wanted = abs(abs(bias.mean) - allowance) / _bias_band(bias)
     if bias.stderr <= wanted or walks + 2 > cap:  # resolved, or no batch of 2 fits under the cap

@@ -271,9 +271,9 @@ def test_direct_route_reports_its_strata(monkeypatch, capsys):
     code, out, _ = run_cli(["mc-phi", "--A", "1/4..1/2", "--rho", "0.5", "--n-grid", "64",
                             "--samples", "2049", "--seed", "3"], capsys)
     assert code == 0 and json.loads(out)["results"]["strata"] == 1024
-    # at rho 0.3 and seed 28 the top level's first round, 845 walks,
-    # resolves the stability check, in one batch, against the RHS
-    # 0.5879827 +- 5.06e-5
+    # at rho 0.3 and seed 28 the run is one level, and its top level
+    # resolves the stability check at 128 walks in two batches (the floor
+    # of 32, then 96 more), against the RHS 0.5879827 +- 5.06e-5
     fixed_rhs(monkeypatch, 0.5879827, 5.06e-5)
     code, out, _ = run_cli(["theorem-check", "--A", "1/4..1/2", "--rho", "0.3", "--seed", "28",
                             "--node-samples", "100", *_THEOREM_SMALL, "--check-stability"],
@@ -520,6 +520,9 @@ _NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
      "--node-samples", "100", *_THEOREM_SMALL],
     ["theorem-check", "--A", "0..1/2,576460752303423489/1152921504606846976..1",
      "--rho", "0.5", "--node-samples", "100", *_THEOREM_SMALL],
+    ["consistency-check", "--A", "1/2..3/4", "--rho", "0.5", "--t0", "1/32,1/8,1/4",
+     "--samples", "100"],
+    ["mc-phi", "--A", "1/2..1/4", "--rho", "0.5", "--n-grid", "64", "--samples", "100"],
     *_EXACT_BAD[0],
 ], ids=["n-grid-list", "n-list", "t0", "samples-0", "samples-1", "node-samples-1",
         "discrete-phi-rho-1", "mc-phi-rho-1", "theorem-check-rho-1", "top-0",
@@ -529,11 +532,18 @@ _NEEDS_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"),
         "sensitivity-curve-rho-one-n-0", "sensitivity-curve-rho-one-samples-1",
         "sensitivity-curve-rho-one-samples-negative", "out-unwritable",
         "factors-csv-unwritable", "out-full", "factors-csv-full", "csv-out-full",
-        "last-gap-vanishes", "inner-gap-vanishes", *_EXACT_BAD[1]])
+        "last-gap-vanishes", "inner-gap-vanishes", "t0-three", "inverted-component",
+        *_EXACT_BAD[1]])
 def test_bad_input_exit_2(capsys, argv):
     code, err = exit_code(argv, capsys)
     assert code == 2
     assert err.splitlines()[0].startswith("error kind=domain")
+
+
+def test_a_missing_required_flag_is_named(capsys):
+    code, err = exit_code(["theorem-check", "--A", "1/4..1/2", *_THEOREM_SMALL], capsys)
+    assert code == 2
+    assert "theorem-check requires --rho" in err
 
 
 def test_bad_start_time_is_named(capsys):
@@ -558,8 +568,8 @@ def test_tie_flag_joins_verdict(monkeypatch, capsys, tied_run, means, stderr):
         return EstimateWithError(means[i], stderr, 100, seed=0,
                                  extra={"tie_fraction": 0.01 * tied, "tie_flag": tied})
 
-    def direct_route(*args, refine=False, top_walks=None):
-        runs.append(refine)
+    def direct_route(*args, top_walks=None):
+        runs.append(top_walks is not None)
         est = level(0)
         est.extra["refined"] = level(1)
         est.extra["grid_bias"] = EstimateWithError(means[1] - means[0], stderr, 100, seed=0)
@@ -608,13 +618,13 @@ def test_an_immaterial_grid_bias_passes_the_stability_check(capsys):
 
 
 def test_a_stability_check_on_a_region_touching_both_ends_gives_a_json_verdict(monkeypatch, capsys):
-    # on 0..1/4,3/4..1 no paired walk of this run (254 at 128) differs,
+    # on 0..1/4,3/4..1 no paired walk of this run (333 at 512) differs,
     # so the grid bias's stderr is its floor 1 / walks; the verdict's check
     # is a plain bool, which the payload writes as JSON true or false.  The
     # RHS is 0.2361676 +- 2.11e-5
     fixed_rhs(monkeypatch, 0.2361676, 2.11e-5)
     code, out, _ = run_cli(["theorem-check", "--A", "0..1/4,3/4..1", "--rho", "0.7",
-                            "--n-grid", "64", "--samples", "30", "--nodes", "2",
+                            "--n-grid", "256", "--samples", "30", "--nodes", "2",
                             "--node-samples", "200", "--seed", "14", "--check-stability"], capsys)
     assert code == 0
     results = json.loads(out)["results"]
@@ -626,7 +636,7 @@ def test_a_stability_check_on_a_region_touching_both_ends_gives_a_json_verdict(m
 def test_a_stability_check_unresolved_at_its_cap_does_not_pass(monkeypatch, capsys):
     # at n_grid 16 the grid bias lies so near its allowance that its
     # band, 4.03 stderrs at its dof, still reaches both sides of it at the
-    # cap of 64 budgets, 6 400 walks (1.79e-3 +- 1.7e-4 against 1.60e-3,
+    # cap of 64 budgets, 6 400 walks (2.07e-3 +- 1.7e-4 against 1.60e-3,
     # the RHS 0.6589992 +- 2.01e-5): the top level stops there with the
     # check unresolved, and the verdict does not pass
     fixed_rhs(monkeypatch, 0.6589992, 2.01e-5)

@@ -52,6 +52,11 @@ def oracle_rho(region, rho, n):
                      else 1.0 for k in range(n)])
 
 
+def floor_only(est, walks):
+    """A top_walks hook that asks for nothing: the top level walks its first round, the floor of 32 walks."""
+    return None
+
+
 def one_level_walks(region, rho, n_grid, n, seed, refine=False):
     """Each batch of a one-level direct-route run at n_grid, walked by the kernels.
 
@@ -338,7 +343,7 @@ def test_two_level_run_has_each_grids_law():
     # one level at n_grid must match a plain run there, the refined run
     # one at 2 n_grid, and the top level's paired difference must resolve
     # the bias, here over a top level of 7 692 walks at 32
-    two = argmin_coincidence(QUARTER_HALF, 0.9, 16, 200_000, seed=81, refine=True,
+    two = argmin_coincidence(QUARTER_HALF, 0.9, 16, 200_000, seed=81,
                              top_walks=lambda est, walks: None if walks else 7692)
     refined, bias = two.extra["refined"], two.extra["grid_bias"]
     plains = []
@@ -382,7 +387,7 @@ def test_refined_level_is_the_plain_walk_at_twice_the_grid(monkeypatch):
         for n_samples in (2048, 3072):
             assert len(coupled._levels(lengths, n_grid, n_samples, False)) == 1
             rows.clear()
-            two = argmin_coincidence(region, 0.5, n_grid, n_samples, seed=85, refine=True)
+            two = argmin_coincidence(region, 0.5, n_grid, n_samples, seed=85, top_walks=floor_only)
             top = rows[:]
             rows.clear()
             levels = two.extra["refined"].extra["levels"]
@@ -396,7 +401,7 @@ def test_refined_level_is_the_plain_walk_at_twice_the_grid(monkeypatch):
 
 def test_top_walks_extends_only_the_top_level():
     # the hook sees each result and the top level's walks, 0 before its
-    # first round (None there keeps the first round without a hook), and
+    # first round (None there gives the floor of 32 walks), and
     # the top level walks on, in batches numbered on from its own, until
     # the hook asks for no more than it has; the estimate and the levels
     # below do not change, on a multilevel run and on a one-level run alike
@@ -406,8 +411,8 @@ def test_top_walks_extends_only_the_top_level():
         asked.append((walks, est.extra["grid_bias"].stderr if walks else None))
         return {32: 3000, 3000: 2999}.get(walks)
 
-    plain = argmin_coincidence(QUARTER_HALF, 0.7, 256, 2000, seed=7, refine=True)
-    more = argmin_coincidence(QUARTER_HALF, 0.7, 256, 2000, seed=7, refine=True, top_walks=hook)
+    plain = argmin_coincidence(QUARTER_HALF, 0.7, 256, 2000, seed=7, top_walks=floor_only)
+    more = argmin_coincidence(QUARTER_HALF, 0.7, 256, 2000, seed=7, top_walks=hook)
     assert [walks for walks, _ in asked] == [0, 32, 3000]
     assert asked[1][1] == plain.extra["grid_bias"].stderr > asked[2][1]
     assert (more.mean, more.stderr, more.extra["levels"]) == \
@@ -418,8 +423,8 @@ def test_top_walks_extends_only_the_top_level():
     assert fine[:-1] == coarse[:-1] and (fine[-1]["grid"], fine[-1]["samples"]) == (512, 3000)
     assert more.extra["grid_bias"].stderr == asked[2][1]
     # one level at n_grid 16, and a top level of 32 walks at 32
-    plain = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed=7, refine=True)
-    more = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed=7, refine=True,
+    plain = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed=7, top_walks=floor_only)
+    more = argmin_coincidence(QUARTER_HALF, 0.7, 16, 500, seed=7,
                               top_walks=lambda est, walks: {32: 300, 300: 299}.get(walks))
     assert (more.mean, more.stderr, more.extra["levels"]) == \
         (plain.mean, plain.stderr, plain.extra["levels"])
@@ -429,13 +434,13 @@ def test_top_walks_extends_only_the_top_level():
 
 
 def test_check_stability_leaves_the_run_at_n_grid_as_it_is():
-    # with one level or several, refine adds a top level at 2 n_grid and
+    # with one level or several, a hook adds a top level at 2 n_grid and
     # leaves the levels below it, and so the estimate, bit for bit as
-    # without it; with no hook the top level takes the floor of 32 walks
+    # without it; a hook that asks for nothing gives the floor of 32 walks
     for text, n_grid, n in (("1/4..1/2", 1024, 3000), ("1/4..1/2,5/8..3/4", 1024, 3000),
                             ("1/4..1/2", 64, 100)):
         region = TimeSet.parse(text)
-        two = argmin_coincidence(region, 0.5, n_grid, n, seed=85, refine=True)
+        two = argmin_coincidence(region, 0.5, n_grid, n, seed=85, top_walks=floor_only)
         plain = argmin_coincidence(region, 0.5, n_grid, n, seed=85)
         assert (len(plain.extra["levels"]) > 1) == (n_grid > 64)
         assert (two.mean, two.stderr, two.extra) == \
@@ -451,43 +456,32 @@ def test_check_stability_leaves_the_run_at_n_grid_as_it_is():
         assert rows[-1]["samples"] == 32
 
 
-def predicted_top_variance(rows, n_grid):
-    """The variance of one top-level walk at 2 n_grid that the levels below predict.
+def test_the_hook_is_the_top_levels_switch():
+    # argmin_coincidence has no refine parameter: a top level at 2 n_grid
+    # is walked iff a top_walks hook is given, and then the result always
+    # has a grid bias.  The hook's first call, with walks 0, sees the
+    # levels below and no grid bias, and the first round is its answer,
+    # at least the floor of 32 walks (None, 0 and 5 all give 32): on a
+    # multilevel run and on a one-level run alike
+    assert "refine" not in inspect.signature(argmin_coincidence).parameters
+    for n_grid, n, levels in ((1024, 4000, 4), (16, 500, 1)):
+        plain = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=97)
+        assert len(plain.extra["levels"]) == levels
+        assert not {"refined", "grid_bias"} & set(plain.extra)
+        for answer, first in ((None, 32), (0, 32), (5, 32), (100, 100)):
+            seen = []
 
-    A refined level's variance per walk times its grid, pooled over
-    those levels' walks, over 2 n_grid; with one level, its variance per
-    walk times 0.1 * 16 / (2 n_grid), the ratio of _levels' model.
-    """
-    if len(rows) == 1:
-        return rows[0]["samples"] * rows[0]["stderr"] ** 2 * 0.1 * 16 / (2 * n_grid)
-    refined = rows[1:]
-    pooled = sum(row["samples"] ** 2 * row["stderr"] ** 2 * row["grid"] for row in refined)
-    return pooled / sum(row["samples"] for row in refined) / (2 * n_grid)
+            def hook(est, walks):
+                seen.append((walks, est))
+                return None if walks else answer
 
-
-def test_the_top_levels_first_round_comes_from_its_prediction():
-    # before the top level walks, the hook sees the levels below and the
-    # top level's predicted variance per walk, and the top level's first
-    # round is what the hook asks for; with no hook it is the floor of 32
-    # walks: on a multilevel run and on a one-level run
-    for n_grid, n, levels in ((1024, 4000, 4), (16, 20_000, 1)):
-        seen = []
-
-        def hook(est, walks):
-            seen.append((walks, est))
-            return None if walks else 100
-
-        est = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=97, refine=True, top_walks=hook)
-        (walks, before), (after, _) = seen
-        rows = before.extra["levels"]
-        assert walks == 0 and len(rows) == levels and "grid_bias" not in before.extra
-        variance = predicted_top_variance(rows, n_grid)
-        assert before.extra["top_variance"] == pytest.approx(variance, rel=1e-12) and variance > 0.0
-        assert after == 100 == est.extra["refined"].extra["levels"][-1]["samples"]
-        assert "top_variance" not in est.extra
-        plain = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=97, refine=True)
-        assert plain.extra["levels"] == rows
-        assert plain.extra["refined"].extra["levels"][-1]["samples"] == 32
+            est = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=97, top_walks=hook)
+            assert [walks for walks, _ in seen] == [0, first]
+            assert seen[0][1].extra["levels"] == plain.extra["levels"]
+            assert "grid_bias" not in seen[0][1].extra
+            assert (est.mean, est.stderr) == (plain.mean, plain.stderr)
+            assert est.extra["grid_bias"].stderr > 0.0
+            assert est.extra["refined"].extra["levels"][-1]["samples"] == first
 
 
 def test_refined_walk_is_the_plain_walk_at_twice_the_grid():
@@ -614,11 +608,12 @@ def test_a_small_budget_falls_back_to_one_level():
     # at 100 walks of n_grid 64 a top level held at the floor of 32 would
     # leave level 0 only 73 samples, and at 60 walks of n_grid 4096 only 51,
     # too few to beat the one-level run: the run is the plain walk at
-    # n_grid, all the samples in one level, and refine adds the top level
-    # at 2 n_grid (at its floor of 32 walks on both) and leaves it as it is
+    # n_grid, all the samples in one level, and a top_walks hook adds the
+    # top level at 2 n_grid (at its floor of 32 walks on both) and leaves
+    # it as it is
     for n_grid, n, top in ((64, 100, 32), (4096, 60, 32)):
         plain = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=94)
-        two = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=94, refine=True)
+        two = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=94, top_walks=floor_only)
         for est in (plain, two):
             assert [(row["grid"], row["samples"]) for row in est.extra["levels"]] == [(n_grid, n)]
             assert est.extra["strata"] == n // 2 and est.extra["levels"][0]["var_share"] == 1.0
@@ -658,7 +653,7 @@ def test_any_tied_level_flags_the_run(monkeypatch):
 
 def test_two_level_run_is_exact_on_exact_regions():
     for region, value in ((EMPTY, 1.0), (FULL, 0.0)):
-        two = argmin_coincidence(region, 0.5, 256, 1000, seed=84, refine=True)
+        two = argmin_coincidence(region, 0.5, 256, 1000, seed=84, top_walks=floor_only)
         for level in (two, two.extra["refined"]):
             assert (level.mean, level.stderr) == (value, 0.0)
         bias = two.extra["grid_bias"]
@@ -679,7 +674,7 @@ def test_a_zero_grid_bias_stderr_is_one_walk_in_its_level(monkeypatch):
 
     monkeypatch.setattr(coupled, "_coincidence_walk", alike_at_2048)
     for n, grids in ((3000, [128, 256, 512, 1024, 2048]), (80, [1024, 2048])):
-        two = argmin_coincidence(QUARTER_HALF, 0.5, 1024, n, seed=96, refine=True)
+        two = argmin_coincidence(QUARTER_HALF, 0.5, 1024, n, seed=96, top_walks=floor_only)
         rows = two.extra["refined"].extra["levels"]
         assert [row["grid"] for row in rows] == grids
         assert 2 <= rows[-1]["samples"] < n
@@ -692,8 +687,9 @@ def test_every_batch_holds_a_cell(refine):
     # 2049 samples would leave a last batch of 1 at 2048 a batch; it
     # joins the batch before, so every batch holds a cell of 2 or 3, the
     # top level's of at least 2 walks included
+    hook = floor_only if refine else None
     for n in (2, 3, 2049, 4097):
-        est = argmin_coincidence(QUARTER_HALF, 0.5, 64, n, seed=86, refine=refine)
+        est = argmin_coincidence(QUARTER_HALF, 0.5, 64, n, seed=86, top_walks=hook)
         levels = (est, est.extra["refined"]) if refine else (est,)
         for level in levels:
             rows = level.extra["levels"]
@@ -704,7 +700,7 @@ def test_every_batch_holds_a_cell(refine):
         if refine:
             assert est.extra["grid_bias"].stderr > 0.0
         for region, value in ((EMPTY, 1.0), (FULL, 0.0)):
-            est = argmin_coincidence(region, 0.5, 64, n, seed=86, refine=refine)
+            est = argmin_coincidence(region, 0.5, 64, n, seed=86, top_walks=hook)
             assert (est.mean, est.stderr) == (value, 0.0)
 
 
@@ -767,7 +763,7 @@ def test_conditioned_walk_ends_on_the_stratified_target(monkeypatch, text, refin
     monkeypatch.setattr(coupled, "_polar_cells", cells)
     monkeypatch.setattr(coupled, "_end_scores", scores)
     region, rho = TimeSet.parse(text), 0.5
-    est = argmin_coincidence(region, rho, 64, 3000, seed=88, refine=refine)
+    est = argmin_coincidence(region, rho, 64, 3000, seed=88, top_walks=floor_only if refine else None)
     parts = list(region)
     inside = sum(hi - lo for lo, hi in parts)
     gaps = sum(lo - prev_hi for (_, prev_hi), (lo, _) in zip(parts, parts[1:]))
@@ -1099,9 +1095,9 @@ def test_each_path_misses_a_at_its_arcsine_probability(monkeypatch, text):
     assert np.all(np.abs(mean - (1.0 - mu)) < 4 * np.sqrt(var))
 
 
-# argmin_coincidence(region, 0.5, 256, 3000, seed=61, refine=True) before the
-# control: its mean and stderr, the refined mean, and the grid bias, with
-# the top level at the 32 walks (at 512) that it takes now
+# argmin_coincidence(region, 0.5, 256, 3000, seed=61) with a top level, before
+# the control: its mean and stderr, the refined mean, and the grid bias, with
+# the top level at the floor of 32 walks (at 512)
 UNCONTROLLED = {
     "1/4..1/2": (0.624992219367134, 0.0019630714526286367, 0.625818877648032,
                  0.0008266582808979586, 0.0005217965286431525),
@@ -1123,7 +1119,7 @@ def test_the_arcsine_control_takes_no_draw(monkeypatch, text):
     region = TimeSet.parse(text)
 
     def run():
-        est = argmin_coincidence(region, 0.5, 256, 3000, seed=61, refine=True)
+        est = argmin_coincidence(region, 0.5, 256, 3000, seed=61, top_walks=floor_only)
         bias = est.extra["grid_bias"]
         return est, (est.mean, est.stderr, est.extra["refined"].mean, bias.mean, bias.stderr)
 
@@ -1147,10 +1143,10 @@ def test_the_arcsine_control_is_off_where_every_score_is_0_or_1(monkeypatch):
     for text in ("0..1/4,3/4..1", "0..1"):
         region = TimeSet.parse(text)
         monkeypatch.setattr(coupled, "_own_keep", forbidden)
-        est = argmin_coincidence(region, 0.5, 256, 3000, seed=61, refine=True)
+        est = argmin_coincidence(region, 0.5, 256, 3000, seed=61, top_walks=floor_only)
         monkeypatch.undo()
         monkeypatch.setattr(coupled, "_CONTROL_WEIGHT", 0.0)
-        plain = argmin_coincidence(region, 0.5, 256, 3000, seed=61, refine=True)
+        plain = argmin_coincidence(region, 0.5, 256, 3000, seed=61, top_walks=floor_only)
         monkeypatch.undo()
         assert (est.mean, est.stderr, est.extra) == (plain.mean, plain.stderr, plain.extra)
 
@@ -1180,7 +1176,8 @@ def test_argmin_coincidence_uses_no_survival_kernel(monkeypatch):
     assert not {"hyp1f1", "spherical_jn", "theorem"} & set(vars(coupled))
     for text in ("1/4..1/2,5/8..3/4", "0..1/4,3/4..1", ""):
         for refine in (False, True):
-            est = argmin_coincidence(TimeSet.parse(text), 0.5, 256, 200, seed=5, refine=refine)
+            est = argmin_coincidence(TimeSet.parse(text), 0.5, 256, 200, seed=5,
+                                     top_walks=floor_only if refine else None)
             assert 0.0 <= est.mean <= 1.0
 
 
@@ -1191,8 +1188,8 @@ def test_estimators_are_deterministic():
     a = argmin_coincidence(QUARTER_HALF, 0.5, 128, 2000, seed=78)
     b = argmin_coincidence(QUARTER_HALF, 0.5, 128, 2000, seed=78)
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
-    a = argmin_coincidence(QUARTER_HALF, 0.5, 128, 2000, seed=78, refine=True)
-    b = argmin_coincidence(QUARTER_HALF, 0.5, 128, 2000, seed=78, refine=True)
+    a = argmin_coincidence(QUARTER_HALF, 0.5, 128, 2000, seed=78, top_walks=floor_only)
+    b = argmin_coincidence(QUARTER_HALF, 0.5, 128, 2000, seed=78, top_walks=floor_only)
     for key in ("refined", "grid_bias"):
         assert (a.extra[key].mean, a.extra[key].stderr) == (b.extra[key].mean, b.extra[key].stderr)
     assert (a.mean, a.stderr) == (b.mean, b.stderr)
@@ -1511,7 +1508,7 @@ def test_argmin_coincidence_uses_no_quasi_monte_carlo(monkeypatch):
     for name in ("ScrambledHalton", "ndtri"):
         monkeypatch.setattr(coupled, name, forbidden)
     est = argmin_coincidence(TimeSet.parse("1/4..1/2,5/8..3/4"), 0.5, 256, 200, seed=5,
-                             refine=True)
+                             top_walks=floor_only)
     assert 0.0 <= est.mean <= 1.0
 
 

@@ -7,7 +7,7 @@ from scipy.special import ive, stdtrit
 
 from splitnoise.coupled import argmin_coincidence, m_lambda_functional
 from splitnoise.errors import DomainError, PreconditionError
-from splitnoise import theorem
+from splitnoise import coupled, theorem
 from splitnoise.sampling import EstimateWithError, derive_rng, derive_seed, welch_dof
 from splitnoise.theorem import (
     _TAG_NODE,
@@ -24,6 +24,7 @@ from splitnoise.theorem import (
     verify_theorem,
 )
 from splitnoise.timesets import TimeSet, affine_preimage
+from test_coupled import floor_only
 
 EMPTY = TimeSet.empty()
 FULL = TimeSet.full()
@@ -225,6 +226,8 @@ def test_rhs_integral_edge_cases():
     # the node count is checked here, once, for every gap
     with pytest.raises(DomainError):
         rhs_integral(QUARTER_HALF, 0.5, 0, 100, seed=3)
+    with pytest.raises(DomainError, match="rho=1.5"):
+        rhs_integral(QUARTER_HALF, 1.5, 8, 100, seed=3)
 
 
 def test_rhs_integral_frozen_regression_value():
@@ -308,7 +311,7 @@ def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one(monkeypatc
     # reports 1/32 in its place
     region = TimeSet.parse("0..1/2,129/256..1")
     two = argmin_coincidence(region, 0.5, 4096, 100, derive_seed(1, theorem._TAG_LHS),
-                             refine=True)
+                             top_walks=floor_only)
     raw, top = two.extra["grid_bias"], two.extra["refined"].extra["levels"][-1]
     assert (top["grid"], top["samples"]) == (8192, 32)
     assert (raw.mean, raw.stderr) == (0.0, 1 / 32)
@@ -334,21 +337,23 @@ def test_grid_stability_check_is_not_vacuous_on_a_region_reaching_one(monkeypatc
     # 1 and the paired stderr is a real sample stderr, not the floor
     region = TimeSet.parse("1/2..1")
     raw = argmin_coincidence(region, 0.5, 4096, 100, derive_seed(1, theorem._TAG_LHS),
-                             refine=True).extra["grid_bias"]
+                             top_walks=floor_only).extra["grid_bias"]
     assert 0.0 < raw.stderr < 0.01
-    # n_grid 16 against 32 at rho 0.9: the bias (about 0.003) fails it,
-    # on the sample stderr.  At seed 2 and 70 samples the top level's
-    # first round, 2 366 walks, leaves it unresolved, and one round of
-    # walking on, at most fourfold, resolves it as material (the RHS
-    # 0.4455101 +- 2.67e-5)
+    # n_grid 4 against 8 at rho 0.9: the bias (about 0.01) fails it, on
+    # the sample stderr.  At seed 2 and 70 samples the run is one level,
+    # and the top level's first round, the floor of 32 walks, leaves it
+    # unresolved; walking on, at most fourfold a round, to 128 and then
+    # 512 walks resolves it as material (the RHS 0.4455101 +- 2.67e-5)
     fixed_rhs(monkeypatch, 0.4455101, 2.67e-5)
     calls.clear()
-    report = verify_theorem(region, 0.9, seed=2, lhs_n_grid=16, lhs_samples=70,
+    report = verify_theorem(region, 0.9, seed=2, lhs_n_grid=4, lhs_samples=70,
                             n_nodes=2, node_samples=100, check_stability=True)
     first, walks, allowance, _ = calls[1]
     raw, band = first.extra["grid_bias"], theorem._bias_band(first.extra["grid_bias"])
-    assert walks == 2366 and abs(raw.mean) - band * raw.stderr <= allowance < abs(raw.mean) + band * raw.stderr
-    assert walks < report.lhs_refined.extra["levels"][-1]["samples"] <= theorem._TOP_GROWTH * walks
+    assert walks == 32 and abs(raw.mean) - band * raw.stderr <= allowance < abs(raw.mean) + band * raw.stderr
+    rounds = [walks for _, walks, _, _ in calls]
+    assert rounds == [0, 32, 128, 512] and report.lhs_refined.extra["levels"][-1]["samples"] == 512
+    assert all(more <= theorem._TOP_GROWTH * walks for walks, more in zip(rounds[1:], rounds[2:]))
     band = report.as_dict()["grid_bias_threshold"]
     assert report.grid_bias.mean > band * report.grid_bias.stderr > 0.0
     assert report.grid_bias.mean - band * report.grid_bias.stderr > allowance
@@ -406,9 +411,9 @@ def test_a_one_level_stability_check_walks_on_until_resolved(monkeypatch):
     # at n_grid 16 and 60 samples the run is one level; the check adds a
     # top level at 32, which walks on like any other, and lhs is the run
     # without the check, bit for bit.  The grid bias here lies near the
-    # allowance (2.5e-3 against 2.2e-3, the RHS 0.6716799 +- 1.95e-5):
-    # from a first round of 2 028 walks it walks on to the cap of 64
-    # budgets, 3 840, where it is not resolved, so the check does not pass
+    # allowance (2.6e-3 against 2.2e-3, the RHS 0.6716799 +- 1.95e-5):
+    # from a first round of 32 walks, the floor, it walks on to the cap of
+    # 64 budgets, 3 840, where it is not resolved, so the check does not pass
     fixed_rhs(monkeypatch, 0.6716799, 1.95e-5)
     calls = spied_top_walks(monkeypatch)
     seed = derive_seed(1, theorem._TAG_LHS)
@@ -418,7 +423,7 @@ def test_a_one_level_stability_check_walks_on_until_resolved(monkeypatch):
                             n_nodes=2, node_samples=100, check_stability=True)
     rows = report.lhs_refined.extra["levels"]
     assert [row["grid"] for row in rows] == [16, 32]
-    assert [walks for _, walks, _, _ in calls] == [0, 2028, 3840]
+    assert [walks for _, walks, _, _ in calls] == [0, 32, 128, 512, 2048, 3840]
     assert rows[-1]["samples"] == theorem._TOP_BUDGETS * 60 == 3840
     assert report.lhs == plain
     allowance, band = report.as_dict()["grid_bias_allowance"], report.as_dict()["grid_bias_threshold"]
@@ -453,7 +458,7 @@ def test_the_stability_check_takes_its_band_at_its_own_dof(monkeypatch):
     # the verdict, on a direct route that returns the same bias at 15 dof
     # and an allowance of 1e-3 (a combined stderr of 4e-3)
 
-    def direct_route(*args, refine=False, top_walks=None):
+    def direct_route(*args, top_walks=None):
         est = EstimateWithError(0.5, 4e-3, 100, seed=0, extra={"tie_fraction": 0.0, "tie_flag": False})
         est.extra["refined"] = EstimateWithError(0.5005, 4e-3, 100, seed=0, extra=dict(est.extra))
         est.extra["grid_bias"] = EstimateWithError(5e-4, 1e-4, 100, seed=0, extra={"dof": 15})
@@ -468,11 +473,54 @@ def test_the_stability_check_takes_its_band_at_its_own_dof(monkeypatch):
     assert d["grid_stability_ok"] is False and d["pass"] is False
 
 
+def predicted_top_variance(rows):
+    """The variance of one top-level walk that the levels below predict, computed apart from _top_walks.
+
+    A refined level's variance per walk times its grid, pooled over those
+    levels' walks, over twice the finest grid.
+    """
+    refined = rows[1:]
+    pooled = sum(row["samples"] ** 2 * row["stderr"] ** 2 * row["grid"] for row in refined)
+    return pooled / sum(row["samples"] for row in refined) / (2 * rows[-1]["grid"])
+
+
+def test_the_top_levels_first_round_comes_from_its_prediction():
+    # before the top level walks, _top_walks pools the refined levels
+    # below into a variance per walk at 2 n_grid and asks for the walks
+    # that variance needs for a stderr of the allowance / 6.5, at most the
+    # cap; the top level's first round is its answer.  On a 4-level run
+    # the answer equals the prediction computed apart; a one-level run has
+    # no refined level, and the answer is None
+    seen = []
+
+    def hook(est, walks):
+        seen.append((walks, est))
+        return None if walks else theorem._top_walks(est, walks, 1e-4, 10**6)
+
+    for n_grid, n, levels in ((1024, 4000, 4), (16, 20_000, 1)):
+        seen.clear()
+        est = argmin_coincidence(QUARTER_HALF, 0.5, n_grid, n, seed=97, top_walks=hook)
+        (walks, before), (first, _) = seen
+        rows = before.extra["levels"]
+        assert walks == 0 and len(rows) == levels and "grid_bias" not in before.extra
+        assert est.extra["refined"].extra["levels"][-1]["samples"] == first
+        answer = theorem._top_walks(before, 0, 1e-4, 10**6)
+        if levels == 1:
+            assert answer is None and first == 32
+            continue
+        variance = predicted_top_variance(rows)
+        assert variance > 0.0 and theorem._TOP_AIM == 6.5
+        assert answer == first > 32
+        assert answer == pytest.approx(variance * (6.5 / 1e-4) ** 2, abs=1.0)
+        assert theorem._top_walks(before, 0, 1e-4, 100) == 100
+
+
 def test_the_top_levels_first_round_is_its_prediction_for_the_allowance(monkeypatch):
     # before the top level walks, the hook asks for the walks its predicted
-    # variance per walk needs for a stderr of the allowance / 6.5, at
-    # least 32 and at most the cap, and the top level walks them: on a
-    # multilevel run and on a one-level run, on 1/4..1/2 at rho 0.3
+    # variance per walk needs for a stderr of the allowance / 6.5, at most
+    # the cap, and the top level walks them, on 1/4..1/2 at rho 0.3; a
+    # one-level run has no prediction, and its first round is the floor of
+    # 32 walks, after which it walks on by its own variance
     calls = spied_top_walks(monkeypatch)
     for n_grid, n, levels in ((1024, 1200, 4), (64, 100, 1)):
         calls.clear()
@@ -481,11 +529,29 @@ def test_the_top_levels_first_round_is_its_prediction_for_the_allowance(monkeypa
         before, walks, allowance, first = calls[0]
         assert walks == 0 and "grid_bias" not in before.extra
         assert len(before.extra["levels"]) == len(report.lhs.extra["levels"]) == levels
-        variance = before.extra["top_variance"]
-        assert variance > 0.0 and theorem._TOP_AIM == 6.5
-        assert first == min(64 * n, max(32, math.ceil(variance * (6.5 / allowance) ** 2))) > 32
-        assert calls[1][1] == first
-        assert report.lhs_refined.extra["levels"][-1]["samples"] >= first
+        if levels == 1:
+            assert first is None and calls[1][1] == coupled._LEVEL_FLOOR == 32
+        else:
+            variance = predicted_top_variance(before.extra["levels"])
+            assert first == pytest.approx(min(64 * n, variance * (6.5 / allowance) ** 2), abs=1.0)
+            assert first > 32 and calls[1][1] == first
+        assert report.lhs_refined.extra["levels"][-1]["samples"] >= calls[1][1]
+
+
+def test_a_material_bias_on_one_level_fails_within_a_few_walks(monkeypatch):
+    # one step on 1/2..1 against two at rho 0.9 (20 000 samples, seed 2,
+    # 2 nodes of 100 points): a bias of 0.017 against an allowance of
+    # 1.3e-4.  The run is one level, so the top level starts from the
+    # floor of 32 walks and walks on by its own variance, to 128 and then
+    # 197 walks, where the check fails; the cap is 1 280 000
+    calls = spied_top_walks(monkeypatch)
+    report = verify_theorem(TimeSet.parse("1/2..1"), 0.9, seed=2, lhs_n_grid=2, lhs_samples=20_000,
+                            n_nodes=2, node_samples=100, check_stability=True)
+    assert len(report.lhs.extra["levels"]) == 1 and calls[0][3] is None
+    assert report.lhs_refined.extra["levels"][-1]["samples"] <= 2048
+    band = report.as_dict()["grid_bias_threshold"]
+    assert report.grid_bias.mean - band * report.grid_bias.stderr > report.as_dict()["grid_bias_allowance"]
+    assert not report.stability_ok and not report.passed
 
 
 def test_the_stability_check_on_the_single_interval_benchmark_case(monkeypatch):
